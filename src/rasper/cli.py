@@ -17,7 +17,7 @@ from .concordance import (
     marginalized_weights,
     pair_weights,
 )
-from .data_model import external_ranks, load_dataset, load_schema, standardize
+from .data_model import external_ranks, ge_counts, load_dataset, load_schema, standardize
 from .errors import RasperError
 from .selection import build_grid, default_grid, select
 from .simbench import SimSetting, run_benchmark
@@ -83,7 +83,7 @@ def _fit_outputs(out_dir, design, ranks, fit):
     with open(os.path.join(out_dir, "fit.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     fitted = fit.beta0 + design.x @ fit.beta
-    internal_rank = (fitted[:, None] >= fitted[None, :]).sum(axis=1)
+    internal_rank = ge_counts(fitted, fitted)
     rows = [{"row": i, "fitted": float(fitted[i]),
              "internal_rank": int(internal_rank[i]),
              "external_rank": int(ranks.r[i])}
@@ -113,8 +113,7 @@ def _grid_from_args(args, n):
 def cmd_select(args):
     raw, design, ranks, spec, _ = _prepare(args)
     grid = _grid_from_args(args, design.n)
-    report = select(design, raw.y, ranks, spec, grid,
-                    criterion=args.criterion, scores=raw.scores)
+    report = select(design, raw.y, ranks, spec, grid, criterion=args.criterion)
     os.makedirs(args.out, exist_ok=True)
     _write_config(args.out, args)
     report.write_csv(os.path.join(args.out, "selection_report.csv"))
@@ -123,7 +122,7 @@ def cmd_select(args):
         rows = []
         for lam in grid.lam_values:
             recs = [r for r in report.records if r.lam == lam]
-            if spec and args.criterion == "loocv":
+            if args.criterion == "loocv":
                 best = min(recs, key=lambda r: (r.loo, r.alpha))
             else:
                 best = min(recs, key=lambda r: (r.aic, r.alpha))

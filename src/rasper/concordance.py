@@ -1,8 +1,10 @@
 """Ranking parameters, pairwise concordance weights, and the smoothed
-concordance measure D with its gradient.
+concordance measure D.
 
-All pair sums run over vectorized n x n arrays; the n^2 x p difference
-operator is never materialized.
+One engine, ``_pair_sums``, evaluates every weighted pair sum the package
+needs: D, its gradient, and the MM solver's quasi-probability sums. For each
+design table it forms the n x n scaled differences u and sigma(u) once; the
+n^2 x p difference operator is never materialized.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data_model import ExternalRanks, StandardizedDesign
-from .errors import DegenerateWeights, DimensionMismatch
+from .data_model import ExternalRanks, StandardizedDesign, ge_counts
+from .errors import DegenerateWeights, DimensionMismatch, NonpositiveConcordance
 
 SPEARMAN = "spearman"
 KENDALL = "kendall"
@@ -68,15 +70,20 @@ class PairWeights:
         return ranks.r[:, None] / (4.0 * n * n) * np.ones((1, n))
 
 
-def _linear_predictor(x, beta):
-    if isinstance(x, StandardizedDesign):
-        x = x.x
+def _checked_beta(x, beta):
     beta = np.asarray(beta, dtype=float)
     if x.shape[1] != beta.shape[0]:
         raise DimensionMismatch(f"design has {x.shape[1]} columns, beta has {beta.shape[0]}")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta contains non-finite values")
-    return np.asarray(x) @ beta
+    return beta
+
+
+def _linear_predictor(x, beta):
+    if isinstance(x, StandardizedDesign):
+        x = x.x
+    x = np.asarray(x)
+    return x @ _checked_beta(x, beta)
 
 
 def exact_rank_params(x, beta) -> np.ndarray:
@@ -85,7 +92,7 @@ def exact_rank_params(x, beta) -> np.ndarray:
     The diagonal term is included, so psi_i >= 1; beta = 0 gives psi_i = n.
     """
     eta = _linear_predictor(x, beta)
-    return (eta[:, None] >= eta[None, :]).sum(axis=1).astype(np.int64)
+    return ge_counts(eta, eta)
 
 
 def smooth_rank_params(x, beta, nu) -> np.ndarray:
@@ -128,35 +135,72 @@ def _tables_for(weights: PairWeights, x):
     return (x,)
 
 
+def _bound_curvature(u, s):
+    """``solver.jj_coefficient(u)`` from s = sigma(u) already in hand:
+    tanh(u/2)/(4u) = (sigma(u) - 1/2)/(2u), with the same series near zero."""
+    small = np.abs(u) <= 1e-4
+    return np.where(small, 0.125 - u * u / 96.0,
+                    (s - 0.5) / (2.0 * np.where(small, 1.0, u)))
+
+
+def _pair_sums(w, tables, beta, nu, gradient=False, mm=False):
+    """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
+    averaged over the design tables; u and sigma(u) are formed once per table.
+
+    Returns (d, grad, lin, quad). d is D = mean_T sum_ij w_ij sigma(u_ij).
+    grad is dD/dbeta when ``gradient`` is set, else None. When ``mm`` is set,
+    lin = sum_k q_k a_k and quad = sum_k q_k c_k a_k a_k', where k runs over
+    the pairs of every table, a_k is the scaled pair difference, c_k the
+    logistic-bound curvature at u_k and q_k = w_k sigma(u_k) / (S D) the
+    quasi-probabilities; otherwise both are None.
+    """
+    p = beta.shape[0]
+    d = 0.0
+    grad = np.zeros(p) if gradient else None
+    lin = np.zeros(p) if mm else None
+    quad = np.zeros((p, p)) if mm else None
+    for xs in tables:
+        eta = xs @ beta
+        u = (eta[:, None] - eta[None, :]) / nu
+        s = expit(u)
+        v = w * s
+        d += float(v.sum())
+        if gradient:
+            m = v * (1.0 - s)                # w_ij * logistic density at u_ij
+            grad += xs.T @ (m.sum(axis=1) - m.sum(axis=0)) / nu
+        if mm:
+            lin += xs.T @ (v.sum(axis=1) - v.sum(axis=0)) / nu
+            t = v * _bound_curvature(u, s)
+            xt = xs.T @ t @ xs
+            diag = t.sum(axis=1) + t.sum(axis=0)
+            quad += (xs.T @ (diag[:, None] * xs) - xt - xt.T) / (nu * nu)
+    count = len(tables)
+    d /= count
+    if not d > 0:
+        if not np.any(w > 0):
+            raise DegenerateWeights("all pairwise weights are zero")
+        raise NonpositiveConcordance(f"concordance D = {d} is not positive")
+    if gradient:
+        grad /= count
+    if mm:
+        lin /= count * d
+        quad /= count * d
+    return d, grad, lin, quad
+
+
 def concordance_value(x, beta, nu, weights: PairWeights) -> float:
     """D = sum_ij w_ij g_nu((x_i - x_j)' beta), averaged over sampled tables
     for marginalized weights."""
-    if weights.total <= 0.0:
-        raise DegenerateWeights("all pairwise weights are zero")
     tables = _tables_for(weights, x)
-    total = 0.0
-    for xs in tables:
-        eta = _linear_predictor(xs, beta)
-        u = (eta[:, None] - eta[None, :]) / nu
-        total += float(np.sum(weights.w * expit(u)))
-    return total / len(tables)
+    beta = _checked_beta(tables[0], beta)
+    return _pair_sums(weights.w, tables, beta, nu)[0]
 
 
 def concordance_gradient(x, beta, nu, weights: PairWeights) -> np.ndarray:
     """Gradient of D with respect to beta."""
-    if weights.total <= 0.0:
-        raise DegenerateWeights("all pairwise weights are zero")
     tables = _tables_for(weights, x)
-    p = np.asarray(beta).shape[0]
-    grad = np.zeros(p)
-    for xs in tables:
-        xs = np.asarray(xs, dtype=float)
-        eta = _linear_predictor(xs, beta)
-        u = (eta[:, None] - eta[None, :]) / nu
-        s = expit(u)
-        m = weights.w * s * (1.0 - s)          # w_ij * logistic density at u_ij
-        grad += (xs.T @ (m.sum(axis=1) - m.sum(axis=0))) / nu
-    return grad / len(tables)
+    beta = _checked_beta(tables[0], beta)
+    return _pair_sums(weights.w, tables, beta, nu, gradient=True)[1]
 
 
 @dataclass(frozen=True)

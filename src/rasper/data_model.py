@@ -13,6 +13,7 @@ from .errors import (
     EmptyData,
     MissingValue,
     NonFiniteScore,
+    NonFiniteValue,
     ParseError,
     SchemaMismatch,
 )
@@ -115,6 +116,15 @@ class ExternalRanks:
         return self.r.shape[0]
 
 
+def ge_counts(values, ref) -> np.ndarray:
+    """The >=-count rank rule: #{j : values_i >= ref_j} for each i.
+
+    A binary search in the sorted reference, O((n + m) log m); equal values
+    count, so ties share the max-style rank of their group.
+    """
+    return np.searchsorted(np.sort(ref), values, side="right").astype(np.int64)
+
+
 def external_ranks(scores) -> ExternalRanks:
     """Rank each score by counting how many scores it is >= to (self included).
 
@@ -126,9 +136,9 @@ def external_ranks(scores) -> ExternalRanks:
         raise EmptyData("scores must be a nonempty 1-d array")
     if not np.all(np.isfinite(s)):
         raise NonFiniteScore("external scores contain non-finite values")
-    r = (s[:, None] >= s[None, :]).sum(axis=1)
-    has_ties = bool(np.unique(s).size < s.size)
-    return ExternalRanks(r=r.astype(np.int64), has_ties=has_ties)
+    ordered = np.sort(s)
+    has_ties = bool(np.any(ordered[1:] == ordered[:-1]))
+    return ExternalRanks(r=ge_counts(s, ordered), has_ties=has_ties)
 
 
 def standardize(raw: RawDataset | np.ndarray, q: int | None = None) -> StandardizedDesign:
@@ -148,6 +158,8 @@ def standardize(raw: RawDataset | np.ndarray, q: int | None = None) -> Standardi
     n = x.shape[0]
     if n < 2:
         raise EmptyData("standardization needs at least 2 rows")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteValue("design contains NaN or infinite values")
     mean = x.mean(axis=0)
     centered = x - mean
     ss = (centered ** 2).sum(axis=0)
@@ -180,6 +192,8 @@ def _parse_column(rows, name, kind):
             out[i] = float(cell)
         except ValueError as exc:
             raise ParseError(f"cannot parse {cell!r} in column {name!r}, row {i + 1}") from exc
+        if not np.isfinite(out[i]):
+            raise NonFiniteValue(f"non-finite value {cell!r} in column {name!r}, row {i + 1}")
     return out
 
 

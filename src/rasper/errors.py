@@ -17,6 +17,10 @@ class NonFiniteScore(RasperError):
     pass
 
 
+class NonFiniteValue(RasperError):
+    """A data cell, design entry or outcome is NaN or infinite."""
+
+
 class ParseError(RasperError):
     pass
 

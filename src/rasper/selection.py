@@ -11,17 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
 from .concordance import (
     ConcordanceSpec,
     PairWeights,
+    _pair_sums,
     build_marginal_sampler,
     marginalized_weights,
     pair_weights,
 )
-from .data_model import ExternalRanks, StandardizedDesign, external_ranks
+from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
-from .solver import FitResult, PenalizedProblem, fit_rasper, jj_coefficient
+from .solver import FitResult, PenalizedProblem, fit_rasper
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,16 @@ def default_grid(n) -> HyperGrid:
     return build_grid(1e-2 * n, 1e3 * n, 10, 1e-4 * n, 1e2 * n, 10)
 
 
-def _fold_weights(ranks, scores, keep, spec, design_sub):
-    """Weights for a leave-one-out fold: ranks are recomputed over the
-    retained rows, from raw scores when available, else by monotone
-    recompression of the full-data ranks."""
-    if scores is not None:
-        sub_ranks = external_ranks(np.asarray(scores)[keep])
-    else:
-        sub_ranks = external_ranks(ranks.r[keep])
+def _fold_weights(ranks, k, keep, spec, design_sub):
+    """Weights for the fold that leaves out row k.
+
+    The fold's ranks follow from the full-data ranks: under the >=-count rule
+    s_j >= s_k exactly when r_j >= r_k, so dropping row k lowers by one the
+    rank of every retained row ranked at or above it.
+    """
+    r = ranks.r[keep]
+    r = r - (r >= ranks.r[k])
+    sub_ranks = ExternalRanks(r=r, has_ties=bool(np.unique(r).size < r.size))
     w = pair_weights(sub_ranks, spec.measure)
     if spec.marginalized and design_sub.p > design_sub.q:
         sampler = build_marginal_sampler(design_sub.z, design_sub.b,
@@ -87,46 +89,23 @@ def _fold_weights(ranks, scores, keep, spec, design_sub):
     return w
 
 
-class FoldCache:
-    """Per-fold weight matrices for leave-one-out, computed once.
-
-    The fold weights depend only on the data, not on (lambda, alpha), so a
-    grid search can reuse them across all grid points. ``stacked`` holds the
-    (n, n-1, n-1) array consumed by the compiled fold loop when every fold
-    uses a single observed table.
-    """
-
-    def __init__(self, weights):
-        self.weights = list(weights)
-        self.stacked = None
-        if all(w.tables is None for w in self.weights):
-            self.stacked = np.stack([w.w for w in self.weights])
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
-                      spec: ConcordanceSpec, scores=None) -> FoldCache:
+                      spec: ConcordanceSpec) -> list[PairWeights]:
+    """Weights of every leave-one-out fold, as a list indexed by the
+    left-out row. They depend only on the data, not on (lambda, alpha), so a
+    grid search computes them once; each fold's ranks are derived from the
+    full-data ranks."""
     n = design.n
     cache = []
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        sub = design.subset(keep)
-        cache.append(_fold_weights(ranks, scores, keep, spec, sub))
-    return FoldCache(cache)
+        cache.append(_fold_weights(ranks, i, keep, spec, design.subset(keep)))
+    return cache
 
 
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
-                spec: ConcordanceSpec, lam, alpha, *, scores=None,
-                warm: FitResult | None = None, fold_cache=None,
-                warm_matrix=None) -> float:
+                spec: ConcordanceSpec, lam, alpha, *,
+                warm: FitResult | None = None, fold_cache=None) -> float:
     """Mean held-out half squared error over the n leave-one-out refits.
 
     The held-out loss ignores the ridge term. Row subsets keep the full-data
@@ -136,18 +115,6 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     n = design.n
     if n < 3:
         raise FoldFailure("leave-one-out needs at least 3 rows")
-    if (_kernels.HAVE_NUMBA and warm is not None and fold_cache is not None
-            and not spec.marginalized
-            and all(w.tables is None for w in fold_cache)):
-        stacked = fold_cache.stacked if fold_cache.stacked is not None else \
-            np.stack([w.w for w in fold_cache])
-        if warm_matrix is None:
-            warm_matrix = np.tile(np.asarray(warm.beta, dtype=float), (n, 1))
-        value, ok = _kernels._loocv(design.x, y, stacked, float(spec.nu),
-                                    float(lam), float(alpha), warm_matrix,
-                                    1e-8, 500)
-        if ok:
-            return float(value)
     total = 0.0
     failed = []
     for i in range(n):
@@ -155,7 +122,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
         sub = design.subset(keep)
         try:
             w = fold_cache[i] if fold_cache is not None else \
-                _fold_weights(ranks, scores, keep, spec, sub)
+                _fold_weights(ranks, i, keep, spec, sub)
             problem = PenalizedProblem(design=sub, y=y[keep], weights=w,
                                        spec=spec, lam=float(lam), alpha=float(alpha))
             init = warm.beta if warm is not None else None
@@ -176,18 +143,16 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
 
     Trace of (X'X + alpha I + lam * M0)^{-1} X'X, where M0 is the surrogate
     curvature at beta = 0: quasi-probabilities w_k / sum(w) times the
-    logistic-bound curvature 1/8 on each scaled pair difference.
+    logistic-bound curvature 1/8 on each scaled pair difference. M0 is
+    taken on the observed design even for marginalized weights.
     """
     x = design.x
     p = design.p
     xtx = x.T @ x
     system = xtx + alpha * np.eye(p)
     if lam > 0 and weights.total > 0:
-        w = weights.w / weights.total
-        diag = w.sum(axis=1) + w.sum(axis=0)
-        xw = x.T @ w @ x
-        m0 = (x.T @ (diag[:, None] * x) - xw - xw.T) / (nu * nu)
-        system = system + lam * 0.125 * m0
+        _, _, _, m0 = _pair_sums(weights.w, (x,), np.zeros(p), nu, mm=True)
+        system = system + lam * m0
     try:
         sol = scipy.linalg.solve(system, xtx, assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -255,8 +220,7 @@ class SelectionReport:
 
 
 def select(design: StandardizedDesign, y, ranks: ExternalRanks,
-           spec: ConcordanceSpec, grid: HyperGrid, criterion="loocv",
-           scores=None) -> SelectionReport:
+           spec: ConcordanceSpec, grid: HyperGrid, criterion="loocv") -> SelectionReport:
     """Evaluate the criterion at every grid point and return the argmin.
 
     Fits are warm-started along increasing lambda within each alpha. Ties
@@ -272,12 +236,11 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
         base_w = marginalized_weights(base_w, sampler)
     fold_cache = None
     if criterion == "loocv":
-        fold_cache = fold_weight_cache(design, ranks, spec, scores=scores)
+        fold_cache = fold_weight_cache(design, ranks, spec)
 
     records = []
     for alpha in grid.alpha_values:
         warm = None
-        warm_matrix = None
         for lam in grid.lam_values:
             problem = PenalizedProblem(design=design, y=y, weights=base_w,
                                        spec=spec, lam=float(lam), alpha=float(alpha))
@@ -290,12 +253,8 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
                 df, flagged = float(design.p), True
             aic_val = aic(problem, fit, df)
             if criterion == "loocv":
-                if warm_matrix is None:
-                    warm_matrix = np.tile(np.asarray(fit.beta, dtype=float),
-                                          (design.n, 1))
                 loo = loocv_score(design, y, ranks, spec, lam, alpha,
-                                  scores=scores, warm=fit, fold_cache=fold_cache,
-                                  warm_matrix=warm_matrix)
+                                  warm=fit, fold_cache=fold_cache)
             else:
                 loo = float("nan")
             records.append(GridRecord(lam=float(lam), alpha=float(alpha),

@@ -13,7 +13,7 @@ from scipy.stats import rankdata
 
 from . import baselines
 from .concordance import ConcordanceSpec
-from .data_model import external_ranks, standardize
+from .data_model import external_ranks, ge_counts, standardize
 from .errors import RasperError
 from .selection import build_grid, select
 from .solver import default_nu
@@ -262,7 +262,7 @@ def _run_replication(setting: SimSetting, rep: int):
                                               grid.lam_values, beta_e))
     if "stacking" in wanted:
         beta0, beta, r_mean, r_scale = baselines.fit_stacking(design, data.y, ranks)
-        r_test = (data.scores_test[:, None] >= data.scores[None, :]).sum(axis=1)
+        r_test = ge_counts(data.scores_test, data.scores)
         aug = np.hstack([xt_std, ((r_test - r_mean) / r_scale)[:, None]])
         pred = beta0 + aug @ beta
         results["stacking"] = float(np.mean((data.mu_test - pred) ** 2))
@@ -274,8 +274,7 @@ def _run_replication(setting: SimSetting, rep: int):
         marginal = method == "rasper_marginal"
         spec = ConcordanceSpec(measure=measure, marginalized=marginal,
                                nu=nu, samples=setting.samples, seed=rep)
-        report = select(design, data.y, ranks, spec, grid,
-                        criterion=setting.criterion, scores=data.scores)
+        report = select(design, data.y, ranks, spec, grid, criterion=setting.criterion)
         fit = report.chosen.fit
         results[method] = mse(fit.beta0, fit.beta)
 

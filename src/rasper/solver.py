@@ -5,6 +5,9 @@ convex quadratic built from two ingredients: quasi-probabilities obtained by
 normalizing the pairwise terms of D, and the quadratic logistic bound with
 curvature tanh(u/2)/(4u). Minimizing the resulting surrogate is one weighted
 ridge solve per iteration, and the objective can never increase.
+
+Every pair sum (D, its gradient and the surrogate's pieces) comes from the
+single numpy engine in ``concordance``; there is one solver path.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
-from . import _kernels
-from .concordance import ConcordanceSpec, PairWeights, _tables_for
+from .concordance import ConcordanceSpec, PairWeights, _pair_sums, _tables_for
 from .data_model import StandardizedDesign
 from .errors import (
-    DegenerateWeights,
     DimensionMismatch,
+    NonFiniteValue,
     NonpositiveConcordance,
     NonSPDSystem,
     SingularDesign,
@@ -44,6 +45,8 @@ class PenalizedProblem:
     def __post_init__(self):
         if self.y.shape[0] != self.design.n:
             raise DimensionMismatch("y length does not match design rows")
+        if not np.all(np.isfinite(self.y)):
+            raise NonFiniteValue("outcome y contains NaN or infinite values")
         if self.weights.w.shape != (self.design.n, self.design.n):
             raise DimensionMismatch("weight matrix shape does not match design")
         if not (np.isfinite(self.lam) and self.lam >= 0):
@@ -113,15 +116,11 @@ def _local_objective(problem, beta0, beta):
     return 0.5 * float(resid @ resid) + 0.5 * problem.alpha * float(beta @ beta)
 
 
-def _concordance(problem, beta):
-    """D evaluated with the problem's weight set (marginalized or not)."""
+def _sums(problem, beta, gradient=False, mm=False):
+    """The pair-sum engine on the problem's weights and design tables."""
     w = problem.weights
-    total = 0.0
-    for xs in _tables_for(w, problem.design):
-        eta = xs @ beta
-        u = (eta[:, None] - eta[None, :]) / problem.nu
-        total += float(np.sum(w.w * expit(u)))
-    return total / len(_tables_for(w, problem.design))
+    return _pair_sums(w.w, _tables_for(w, problem.design), beta, problem.nu,
+                      gradient=gradient, mm=mm)
 
 
 def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
@@ -129,46 +128,8 @@ def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
     beta = np.asarray(beta, dtype=float)
     value = _local_objective(problem, beta0, beta)
     if problem.lam > 0:
-        if problem.weights.total <= 0:
-            raise DegenerateWeights("all pairwise weights are zero")
-        d = _concordance(problem, beta)
-        if d <= 0:
-            raise NonpositiveConcordance(f"concordance D = {d} is not positive")
-        value -= problem.lam * np.log(d)
+        value -= problem.lam * np.log(_sums(problem, beta)[0])
     return value
-
-
-def _mm_pieces(problem, beta):
-    """Quasi-probability sums at the current iterate.
-
-    Returns (d, lin, quad): d is the concordance value, lin is
-    sum_k q_k a_k, and quad is sum_k q_k c_k a_k a_k' with a_k the scaled
-    pair differences and c_k the logistic-bound curvatures.
-    """
-    nu = problem.nu
-    w = problem.weights.w
-    tables = _tables_for(problem.weights, problem.design)
-    p = problem.design.p
-    sv = 0.0
-    lin = np.zeros(p)
-    quad = np.zeros((p, p))
-    for xs in tables:
-        eta = xs @ beta
-        u = (eta[:, None] - eta[None, :]) / nu
-        v = w * expit(u)
-        sv += v.sum()
-        lin += xs.T @ (v.sum(axis=1) - v.sum(axis=0)) / nu
-        t = v * jj_coefficient(u)
-        xt = xs.T @ t @ xs
-        diag = t.sum(axis=1) + t.sum(axis=0)
-        quad += (xs.T @ (diag[:, None] * xs) - xt - xt.T) / (nu * nu)
-    s = len(tables)
-    sv /= s
-    lin /= s
-    quad /= s
-    if sv <= 0:
-        raise DegenerateWeights("concordance vanished: all weighted terms zero")
-    return sv, lin / sv, quad / sv
 
 
 def mm_step(problem: PenalizedProblem, beta0, beta):
@@ -182,7 +143,7 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
     system = xc.T @ xc + problem.alpha * np.eye(problem.design.p)
     rhs = xc.T @ yc
     if problem.lam > 0:
-        _, lin, quad = _mm_pieces(problem, beta)
+        _, _, lin, quad = _sums(problem, beta, mm=True)
         system = system + 2.0 * problem.lam * quad
         rhs = rhs + 0.5 * problem.lam * lin
     try:
@@ -202,12 +163,11 @@ def surrogate_value(problem, beta0, beta, anchor_beta):
     anchor_beta = np.asarray(anchor_beta, dtype=float)
     value = _local_objective(problem, beta0, beta)
     if problem.lam > 0:
-        _, lin, quad = _mm_pieces(problem, anchor_beta)
+        d_anchor, _, lin, quad = _sums(problem, anchor_beta, mm=True)
 
         def quad_part(b):
             return -0.5 * float(lin @ b) + float(b @ quad @ b)
 
-        d_anchor = _concordance(problem, anchor_beta)
         const = -np.log(d_anchor) - quad_part(anchor_beta)
         value += problem.lam * (quad_part(beta) + const)
     return value
@@ -235,7 +195,8 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
 
     Starts from the local-objective minimizer unless ``init`` is given, which
     guarantees the final objective improves on the unpenalized fit. Stops when
-    the relative objective change falls below ``tol``.
+    the relative objective change falls below ``tol``. Every problem, with
+    or without marginal tables, runs this same numpy loop.
     """
     if init is None:
         beta0, beta = local_minimizer(problem)
@@ -247,27 +208,6 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
         source = "user"
     x = problem.design.x
     trace = [penalized_objective(problem, beta0, beta)]
-    if _kernels.HAVE_NUMBA and problem.weights.tables is None:
-        beta0_k, beta_k, trace_k, iters, converged, ok = _kernels._mm_fit(
-            x, problem.y.astype(float), problem.weights.w.astype(float),
-            float(problem.nu), float(problem.lam), float(problem.alpha),
-            beta, float(tol), int(max_iter))
-        if ok:
-            d = None
-            if problem.weights.total > 0:
-                d = _concordance(problem, beta_k)
-            return FitResult(
-                beta0=float(beta0_k),
-                beta=beta_k,
-                lam=problem.lam,
-                alpha=problem.alpha,
-                nu=problem.nu,
-                objective_trace=trace_k.copy(),
-                concordance=d,
-                converged=converged,
-                iterations=iters,
-                warm_start=source,
-            )
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
@@ -294,9 +234,7 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
         if abs(prev - cur) <= tol * (1.0 + abs(prev)):
             converged = True
             break
-    d = None
-    if problem.weights.total > 0:
-        d = _concordance(problem, beta)
+    d = _sums(problem, beta)[0] if problem.weights.total > 0 else None
     return FitResult(
         beta0=beta0,
         beta=beta,
@@ -319,10 +257,6 @@ def objective_gradient(problem: PenalizedProblem, beta0, beta):
     g0 = -float(resid.sum())
     g = -(x.T @ resid) + problem.alpha * beta
     if problem.lam > 0:
-        from .concordance import concordance_gradient
-        d = _concordance(problem, beta)
-        if d <= 0:
-            raise NonpositiveConcordance(f"concordance D = {d} is not positive")
-        g -= problem.lam * concordance_gradient(problem.design, beta, problem.nu,
-                                                problem.weights) / d
+        d, dd, _, _ = _sums(problem, beta, gradient=True)
+        g -= problem.lam * dd / d
     return g0, g

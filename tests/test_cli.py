@@ -36,6 +36,29 @@ def run(argv):
     return main(argv)
 
 
+def with_cell(data, tmp_path, column, value):
+    """Copy of the dataset CSV with one cell of ``column`` replaced."""
+    with open(data, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][rows[0].index(column)] = value
+    path = tmp_path / f"bad-{column}.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
+@pytest.mark.parametrize("column", ["z2", "y"])
+def test_nonfinite_cell_exit_1(dataset, tmp_path, capsys, command, column):
+    data, schema = dataset
+    bad = with_cell(data, tmp_path, column, "nan")
+    assert run([command, "--data", bad, "--schema", schema,
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert repr(column) in err
+
+
 class TestFit:
     def test_outputs_and_determinism(self, dataset, tmp_path):
         data, schema = dataset

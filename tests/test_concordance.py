@@ -6,6 +6,8 @@ from scipy.special import expit
 
 from rasper.concordance import (
     ConcordanceSpec,
+    _bound_curvature,
+    _pair_sums,
     build_marginal_sampler,
     concordance_gradient,
     concordance_value,
@@ -15,7 +17,8 @@ from rasper.concordance import (
     smooth_rank_params,
 )
 from rasper.data_model import external_ranks
-from rasper.errors import DegenerateWeights, DimensionMismatch
+from rasper.errors import DegenerateWeights, DimensionMismatch, NonpositiveConcordance
+from rasper.solver import jj_coefficient
 
 
 class TestRankParams:
@@ -158,6 +161,52 @@ class TestConcordanceGradient:
         w = pair_weights(ranks, "spearman")
         grad = concordance_gradient(x, np.array([1.0, -1.0]), 0.2, w)
         assert np.allclose(grad, 0.0, atol=1e-14)
+
+
+class TestPairSumEngine:
+    @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
+    def test_matches_double_loop(self, case):
+        rng = np.random.default_rng(11)
+        n, nu = 7, 0.4
+        x = rng.standard_normal((n, 3))
+        measure = "kendall" if case == "kendall" else "spearman"
+        w = pair_weights(external_ranks(rng.standard_normal(n)), measure).w
+        tables = (x,)
+        if case == "marginalized":
+            tables = build_marginal_sampler(x[:, :2], x[:, 2:], 3, 0).tables
+        beta = rng.standard_normal(3)
+        d, grad, lin, quad = _pair_sums(w, tables, beta, nu, gradient=True, mm=True)
+
+        ref_d, ref_grad = 0.0, np.zeros(3)
+        ref_lin, ref_quad = np.zeros(3), np.zeros((3, 3))
+        for t in tables:
+            for i in range(n):
+                for j in range(n):
+                    a = (t[i] - t[j]) / nu
+                    u = a @ beta
+                    s = expit(u)
+                    ref_d += w[i, j] * s
+                    ref_grad += w[i, j] * s * (1.0 - s) * a
+                    ref_lin += w[i, j] * s * a
+                    ref_quad += w[i, j] * s * jj_coefficient(u) * np.outer(a, a)
+        count = len(tables)
+        ref_d /= count
+        pairs = [(d, ref_d), (grad, ref_grad / count),
+                 (lin, ref_lin / (count * ref_d)), (quad, ref_quad / (count * ref_d))]
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("u", [0.0, 1e-5, -1e-5, 1e-4, -1e-4, 0.3, -0.3, 20.0, -20.0])
+    def test_curvature_matches_jj_coefficient(self, u):
+        assert float(_bound_curvature(np.array(u), expit(u))) == \
+            pytest.approx(jj_coefficient(u), rel=1e-12)
+
+    def test_only_zero_weights_are_degenerate(self):
+        x = np.arange(4.0)[:, None]
+        with pytest.raises(DegenerateWeights):
+            _pair_sums(np.zeros((4, 4)), (x,), np.ones(1), 0.1)
+        with pytest.raises(NonpositiveConcordance):
+            _pair_sums(np.triu(np.ones((4, 4)), 1), (x,), np.ones(1), 1e-4)
 
 
 class TestMarginalSampler:

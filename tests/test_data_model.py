@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rasper.data_model import (
     RawDataset,
@@ -15,6 +16,7 @@ from rasper.errors import (
     EmptyData,
     MissingValue,
     NonFiniteScore,
+    NonFiniteValue,
     ParseError,
     SchemaMismatch,
 )
@@ -56,6 +58,14 @@ class TestExternalRanks:
         with pytest.raises(EmptyData):
             external_ranks([])
 
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+    def test_matches_pairwise_ge_count_with_ties(self, values):
+        s = np.array(values, dtype=float)
+        ranks = external_ranks(s)
+        assert np.array_equal(ranks.r, (s[:, None] >= s[None, :]).sum(axis=1))
+        assert ranks.has_ties == (len(set(values)) < len(values))
+        assert np.array_equal(external_ranks(2.0 * s + 1.0).r, ranks.r)
+
 
 class TestStandardize:
     def test_columns_centered_and_scaled(self):
@@ -81,6 +91,13 @@ class TestStandardize:
         beta0 = 0.7
         b0o, bo = d.destandardize(beta0, beta)
         assert np.allclose(beta0 + d.x @ beta, b0o + z @ bo, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entries_rejected(self, bad):
+        x = np.random.default_rng(0).standard_normal((5, 2))
+        x[3, 1] = bad
+        with pytest.raises(NonFiniteValue):
+            standardize(x)
 
     def test_constant_column_rejected(self):
         z = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
@@ -147,6 +164,14 @@ class TestLoading:
         bad = self.CSV.replace("0.5", "NA")
         schema = load_schema(self.schema(tmp_path))
         with pytest.raises(MissingValue):
+            load_dataset(self.write(tmp_path, bad), schema)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    @pytest.mark.parametrize("column_value", ["1.0", "0.5", "5"])  # y, z2, s
+    def test_nonfinite_cell_rejected(self, tmp_path, cell, column_value):
+        bad = self.CSV.replace(column_value, cell, 1)
+        schema = load_schema(self.schema(tmp_path))
+        with pytest.raises(NonFiniteValue):
             load_dataset(self.write(tmp_path, bad), schema)
 
     def test_unparseable_cell_rejected(self, tmp_path):

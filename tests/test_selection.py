@@ -76,36 +76,42 @@ class TestLOOCV:
         h = x1 @ np.linalg.solve(x1.T @ x1, x1.T)
         resid = y - fit.beta0 - design.x @ fit.beta
         closed = float(np.mean(0.5 * (resid / (1.0 - np.diag(h))) ** 2))
-        loo = loocv_score(design, y, ranks, spec, 0.0, 0.0, scores=scores)
+        loo = loocv_score(design, y, ranks, spec, 0.0, 0.0)
         assert loo == pytest.approx(closed, abs=1e-8)
 
     def test_fold_cache_matches_direct(self):
         design, y, ranks, scores, spec = make_data(seed=1)
         w = pair_weights(ranks, "spearman")
         fit = fit_rasper(PenalizedProblem(design, y, w, spec, 3.0, 1.0))
-        cache = fold_weight_cache(design, ranks, spec, scores=scores)
-        a = loocv_score(design, y, ranks, spec, 3.0, 1.0, scores=scores,
-                        warm=fit, fold_cache=cache)
-        b = loocv_score(design, y, ranks, spec, 3.0, 1.0, scores=scores,
-                        warm=fit)
+        cache = fold_weight_cache(design, ranks, spec)
+        a = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit,
+                        fold_cache=cache)
+        b = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_fold_ranks_recomputed_from_scores(self):
         # deleting the top-ranked row must compress the remaining ranks
         design, y, ranks, scores, spec = make_data(seed=2, n=10)
-        cache = fold_weight_cache(design, ranks, spec, scores=scores)
+        cache = fold_weight_cache(design, ranks, spec)
         top = int(np.argmax(scores))
         kept = np.delete(scores, top)
         sub = external_ranks(kept)
         expected = pair_weights(sub, "spearman")
         assert np.allclose(cache[top].w, expected.w)
 
-    def test_rank_recompression_without_scores(self):
-        design, y, ranks, scores, spec = make_data(seed=3, n=8)
-        no_scores = fold_weight_cache(design, ranks, spec, scores=None)
-        with_scores = fold_weight_cache(design, ranks, spec, scores=scores)
-        for a, b in zip(no_scores, with_scores):
-            assert np.allclose(a.w, b.w)
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_fold_ranks_derived_from_full_ranks_with_ties(self, measure):
+        # every fold's weights equal those built from its own scores, ties
+        # (including ties with the left-out row) and all
+        design, y, _, _, spec = make_data(seed=3, n=12)
+        scores = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], dtype=float)
+        ranks = external_ranks(scores)
+        spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
+        cache = fold_weight_cache(design, ranks, spec)
+        assert len(cache) == design.n
+        for k, fold in enumerate(cache):
+            expected = pair_weights(external_ranks(np.delete(scores, k)), measure)
+            assert np.array_equal(fold.w, expected.w)
 
     def test_too_few_rows(self):
         design, y, ranks, scores, spec = make_data(n=5)
@@ -169,8 +175,7 @@ class TestSelect:
     def test_chosen_is_grid_argmin(self, criterion):
         design, y, ranks, scores, spec = make_data(seed=7)
         grid = build_grid(0.5, 100.0, 3, 0.1, 10.0, 2)
-        report = select(design, y, ranks, spec, grid, criterion=criterion,
-                        scores=scores)
+        report = select(design, y, ranks, spec, grid, criterion=criterion)
         key = (lambda r: r.loo) if criterion == "loocv" else (lambda r: r.aic)
         eligible = [r for r in report.records
                     if not (criterion == "aic" and r.df_flagged)]
@@ -180,7 +185,7 @@ class TestSelect:
     def test_tie_break_prefers_smaller_lambda(self):
         design, y, ranks, scores, spec = make_data(seed=8)
         grid = build_grid(0.5, 100.0, 2, 0.1, 10.0, 1)
-        report = select(design, y, ranks, spec, grid, scores=scores)
+        report = select(design, y, ranks, spec, grid)
         key = report.chosen.loo
         same = [r for r in report.records
                 if math.isfinite(r.loo) and abs(r.loo - key) < 1e-15]
@@ -189,7 +194,7 @@ class TestSelect:
     def test_grid_fully_evaluated(self):
         design, y, ranks, scores, spec = make_data(seed=9)
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
-        report = select(design, y, ranks, spec, grid, scores=scores)
+        report = select(design, y, ranks, spec, grid)
         assert len(report.records) == grid.size
         lams = {r.lam for r in report.records}
         assert lams == set(float(v) for v in grid.lam_values)
@@ -203,7 +208,7 @@ class TestSelect:
     def test_report_rows_and_json(self, tmp_path):
         design, y, ranks, scores, spec = make_data(seed=10)
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
-        report = select(design, y, ranks, spec, grid, scores=scores)
+        report = select(design, y, ranks, spec, grid)
         rows = report.to_rows()
         assert sum(r["chosen"] for r in rows) == 1
         path = tmp_path / "report.csv"
