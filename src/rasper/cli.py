@@ -17,8 +17,15 @@ from .concordance import (
     marginalized_weights,
     pair_weights,
 )
-from .data_model import external_ranks, ge_counts, load_dataset, load_schema, standardize
-from .errors import RasperError
+from .data_model import (
+    _parse_column,
+    external_ranks,
+    ge_counts,
+    load_dataset,
+    load_schema,
+    standardize,
+)
+from .errors import ParseError, RasperError, SchemaMismatch
 from .selection import build_grid, default_grid, select
 from .simbench import SimSetting, run_benchmark
 from .solver import PenalizedProblem, default_nu, fit_rasper
@@ -77,6 +84,7 @@ def _fit_outputs(out_dir, design, ranks, fit):
         "concordance": fit.concordance,
         "converged": fit.converged,
         "iterations": fit.iterations,
+        "grad_norm": fit.grad_norm,
         "objective_first": float(fit.objective_trace[0]),
         "objective_last": float(fit.objective_trace[-1]),
     }
@@ -135,14 +143,33 @@ def cmd_select(args):
     return 0
 
 
-def cmd_pseudo(args):
-    if not os.path.exists(args.data):
-        raise FileNotFoundError(args.data)
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
+def _read_rows(path, columns):
+    """Data rows of a CSV file whose header must name every one of ``columns``."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames
         rows = list(reader)
-    times = np.array([float(r[args.time_column]) for r in rows])
-    events = np.array([int(float(r[args.event_column])) != 0 for r in rows])
+    if header is None:
+        raise ParseError(f"{path}: empty file, header row required")
+    for name in columns:
+        if name not in header:
+            raise SchemaMismatch(f"column {name!r} not present in {path}")
+    if any(None in row.values() or None in row for row in rows):
+        raise ParseError(f"{path}: ragged rows detected")
+    return rows
+
+
+def _flag(rows, name):
+    """0/1 indicator column: a cell is true when its integer part is nonzero."""
+    return np.trunc(_parse_column(rows, name, "indicator")) != 0
+
+
+def cmd_pseudo(args):
+    rows = _read_rows(args.data, [args.time_column, args.event_column])
+    times = _parse_column(rows, args.time_column, "time")
+    events = _flag(rows, args.event_column)
     sample = SurvivalSample(times=times, events=events, tau=args.tau)
     values = pseudovalues(sample)
     os.makedirs(args.out, exist_ok=True)
@@ -158,20 +185,16 @@ def cmd_pseudo(args):
 
 
 def cmd_score(args):
-    if not os.path.exists(args.data):
-        raise FileNotFoundError(args.data)
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    scores = []
-    for row in rows:
-        inp = NomogramInput(
-            psa=float(row["psa"]),
-            visceral_mets=int(float(row["visceral_mets"])) != 0,
-            ecog_ge2=int(float(row["ecog_ge2"])) != 0,
-            days_to_progression_prior_chemo=float(row["days_to_progression"]),
-        )
-        scores.append(nomogram_score(inp))
-    scores = np.array(scores)
+    rows = _read_rows(args.data, ["psa", "visceral_mets", "ecog_ge2",
+                                  "days_to_progression"])
+    columns = zip(_parse_column(rows, "psa", "psa"), _flag(rows, "visceral_mets"),
+                  _flag(rows, "ecog_ge2"),
+                  _parse_column(rows, "days_to_progression", "days"))
+    scores = np.array([
+        nomogram_score(NomogramInput(psa=float(psa), visceral_mets=bool(visceral),
+                                     ecog_ge2=bool(ecog),
+                                     days_to_progression_prior_chemo=float(days)))
+        for psa, visceral, ecog, days in columns])
     # higher nomogram score = higher hazard; rank the negated score so that
     # larger ranks line up with better survival outcomes
     oriented = external_ranks(-scores)

@@ -2,9 +2,9 @@
 concordance measure D.
 
 One engine, ``_pair_sums``, evaluates every weighted pair sum the package
-needs: D, its gradient, and the MM solver's quasi-probability sums. For each
-design table it forms the n x n scaled differences u and sigma(u) once; the
-n^2 x p difference operator is never materialized.
+needs: D, its gradient and Hessian, and the MM solver's quasi-probability
+sums. For each design table it forms the n x n scaled differences u and
+sigma(u) once; the n^2 x p difference operator is never materialized.
 """
 
 from __future__ import annotations
@@ -143,20 +143,31 @@ def _bound_curvature(u, s):
                     (s - 0.5) / (2.0 * np.where(small, 1.0, u)))
 
 
-def _pair_sums(w, tables, beta, nu, gradient=False, mm=False):
+def _pair_outer(xs, t):
+    """sum_ij t_ij (x_i - x_j)(x_i - x_j)' without forming the differences."""
+    xt = xs.T @ t @ xs
+    diag = t.sum(axis=1) + t.sum(axis=0)
+    return xs.T @ (diag[:, None] * xs) - xt - xt.T
+
+
+def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
     """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
     averaged over the design tables; u and sigma(u) are formed once per table.
 
-    Returns (d, grad, lin, quad). d is D = mean_T sum_ij w_ij sigma(u_ij).
-    grad is dD/dbeta when ``gradient`` is set, else None. When ``mm`` is set,
-    lin = sum_k q_k a_k and quad = sum_k q_k c_k a_k a_k', where k runs over
-    the pairs of every table, a_k is the scaled pair difference, c_k the
-    logistic-bound curvature at u_k and q_k = w_k sigma(u_k) / (S D) the
-    quasi-probabilities; otherwise both are None.
+    Returns (d, grad, lin, quad, hess). d is D = mean_T sum_ij w_ij sigma(u_ij).
+    grad is dD/dbeta when ``gradient`` is set, else None; hess is the Hessian
+    of D, mean_T sum_ij w_ij s_ij (1 - s_ij)(1 - 2 s_ij) a_ij a_ij' / nu^2 with
+    s = sigma(u) and a_ij = x_i - x_j, when ``hessian`` is set, else None.
+    When ``mm`` is set, lin = sum_k q_k a_k and quad = sum_k q_k c_k a_k a_k',
+    where k runs over the pairs of every table, a_k is the scaled pair
+    difference, c_k the logistic-bound curvature at u_k and
+    q_k = w_k sigma(u_k) / (S D) the quasi-probabilities; otherwise both are
+    None.
     """
     p = beta.shape[0]
     d = 0.0
     grad = np.zeros(p) if gradient else None
+    hess = np.zeros((p, p)) if hessian else None
     lin = np.zeros(p) if mm else None
     quad = np.zeros((p, p)) if mm else None
     for xs in tables:
@@ -165,15 +176,15 @@ def _pair_sums(w, tables, beta, nu, gradient=False, mm=False):
         s = expit(u)
         v = w * s
         d += float(v.sum())
-        if gradient:
+        if gradient or hessian:
             m = v * (1.0 - s)                # w_ij * logistic density at u_ij
+        if gradient:
             grad += xs.T @ (m.sum(axis=1) - m.sum(axis=0)) / nu
+        if hessian:
+            hess += _pair_outer(xs, m * (1.0 - 2.0 * s)) / (nu * nu)
         if mm:
             lin += xs.T @ (v.sum(axis=1) - v.sum(axis=0)) / nu
-            t = v * _bound_curvature(u, s)
-            xt = xs.T @ t @ xs
-            diag = t.sum(axis=1) + t.sum(axis=0)
-            quad += (xs.T @ (diag[:, None] * xs) - xt - xt.T) / (nu * nu)
+            quad += _pair_outer(xs, v * _bound_curvature(u, s)) / (nu * nu)
     count = len(tables)
     d /= count
     if not d > 0:
@@ -182,10 +193,12 @@ def _pair_sums(w, tables, beta, nu, gradient=False, mm=False):
         raise NonpositiveConcordance(f"concordance D = {d} is not positive")
     if gradient:
         grad /= count
+    if hessian:
+        hess /= count
     if mm:
         lin /= count * d
         quad /= count * d
-    return d, grad, lin, quad
+    return d, grad, lin, quad, hess
 
 
 def concordance_value(x, beta, nu, weights: PairWeights) -> float:

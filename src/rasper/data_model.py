@@ -109,11 +109,15 @@ class ExternalRanks:
     """Per-observation ranks of external risk scores by the >=-count rule."""
 
     r: np.ndarray            # (n,) integer ranks in 1..n
-    has_ties: bool
 
     @property
     def n(self):
         return self.r.shape[0]
+
+    @property
+    def has_ties(self):
+        """Whether two observations share a rank (equal scores tie)."""
+        return bool(np.unique(self.r).size < self.r.size)
 
 
 def ge_counts(values, ref) -> np.ndarray:
@@ -136,9 +140,7 @@ def external_ranks(scores) -> ExternalRanks:
         raise EmptyData("scores must be a nonempty 1-d array")
     if not np.all(np.isfinite(s)):
         raise NonFiniteScore("external scores contain non-finite values")
-    ordered = np.sort(s)
-    has_ties = bool(np.any(ordered[1:] == ordered[:-1]))
-    return ExternalRanks(r=ge_counts(s, ordered), has_ties=has_ties)
+    return ExternalRanks(r=ge_counts(s, s))
 
 
 def standardize(raw: RawDataset | np.ndarray, q: int | None = None) -> StandardizedDesign:

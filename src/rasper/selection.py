@@ -80,8 +80,7 @@ def _fold_weights(ranks, k, keep, spec, design_sub):
     """
     r = ranks.r[keep]
     r = r - (r >= ranks.r[k])
-    sub_ranks = ExternalRanks(r=r, has_ties=bool(np.unique(r).size < r.size))
-    w = pair_weights(sub_ranks, spec.measure)
+    w = pair_weights(ExternalRanks(r=r), spec.measure)
     if spec.marginalized and design_sub.p > design_sub.q:
         sampler = build_marginal_sampler(design_sub.z, design_sub.b,
                                          spec.samples, spec.seed)
@@ -151,7 +150,7 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     xtx = x.T @ x
     system = xtx + alpha * np.eye(p)
     if lam > 0 and weights.total > 0:
-        _, _, _, m0 = _pair_sums(weights.w, (x,), np.zeros(p), nu, mm=True)
+        m0 = _pair_sums(weights.w, (x,), np.zeros(p), nu, mm=True)[3]
         system = system + lam * m0
     try:
         sol = scipy.linalg.solve(system, xtx, assume_a="sym")
@@ -199,6 +198,7 @@ class SelectionReport:
                 "objective": float(rec.fit.objective_trace[-1]),
                 "iterations": rec.fit.iterations,
                 "converged": rec.fit.converged,
+                "grad_norm": rec.fit.grad_norm,
                 "chosen": rec is self.chosen,
             })
         return rows

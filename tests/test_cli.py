@@ -72,6 +72,7 @@ class TestFit:
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
         payload = json.loads((out1 / "fit.json").read_text())
         assert payload["lambda"] == 5.0 and payload["alpha"] == 1.0
+        assert payload["converged"] and payload["grad_norm"] <= 1e-8
         assert len(payload["beta_standardized"]) == 3
         assert payload["objective_last"] <= payload["objective_first"] + 1e-10
         config = json.loads((out1 / "config.json").read_text())
@@ -117,6 +118,7 @@ class TestSelect:
         with open(out / "selection_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 * 3  # (J+2) * (K+2) grid points
+        assert all(float(r["grad_norm"]) <= 1e-8 for r in rows)
         chosen = [r for r in rows if r["chosen"] == "True"]
         assert len(chosen) == 1
         best = min(float(r["loo"]) for r in rows)
@@ -174,6 +176,32 @@ class TestPseudo:
     def test_missing_file(self, tmp_path):
         assert run(["pseudo", "--data", str(tmp_path / "x.csv"),
                     "--out", str(tmp_path / "o")]) == 2
+
+
+def _surv_csv(tmp_path, header, rows):
+    path = tmp_path / "surv.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,header,rows,needle", [
+    ("pseudo", ["time", "event"], [[3.0, 1], ["abc", 0]], "'abc'"),
+    ("pseudo", ["t", "event"], [[3.0, 1], [5.0, 0]], "'time'"),
+    ("pseudo", ["time", "event"], [[3.0, 1], [5.0, "yes"]], "'yes'"),
+    ("score", ["psa", "visceral_mets", "ecog_ge2", "days_to_progression"],
+     [[10.0, 0, 0, 400.0], ["high", 1, 1, 0.0]], "'high'"),
+    ("score", ["psa", "visceral_mets", "days_to_progression"],
+     [[10.0, 0, 400.0]], "'ecog_ge2'"),
+])
+def test_bad_survival_input_exit_1(tmp_path, capsys, command, header, rows, needle):
+    data = _surv_csv(tmp_path, header, rows)
+    assert run([command, "--data", data, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert needle in err
 
 
 class TestScore:

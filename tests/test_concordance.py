@@ -175,9 +175,10 @@ class TestPairSumEngine:
         if case == "marginalized":
             tables = build_marginal_sampler(x[:, :2], x[:, 2:], 3, 0).tables
         beta = rng.standard_normal(3)
-        d, grad, lin, quad = _pair_sums(w, tables, beta, nu, gradient=True, mm=True)
+        d, grad, lin, quad, hess = _pair_sums(w, tables, beta, nu, gradient=True,
+                                              mm=True, hessian=True)
 
-        ref_d, ref_grad = 0.0, np.zeros(3)
+        ref_d, ref_grad, ref_hess = 0.0, np.zeros(3), np.zeros((3, 3))
         ref_lin, ref_quad = np.zeros(3), np.zeros((3, 3))
         for t in tables:
             for i in range(n):
@@ -187,11 +188,12 @@ class TestPairSumEngine:
                     s = expit(u)
                     ref_d += w[i, j] * s
                     ref_grad += w[i, j] * s * (1.0 - s) * a
+                    ref_hess += w[i, j] * s * (1.0 - s) * (1.0 - 2.0 * s) * np.outer(a, a)
                     ref_lin += w[i, j] * s * a
                     ref_quad += w[i, j] * s * jj_coefficient(u) * np.outer(a, a)
         count = len(tables)
         ref_d /= count
-        pairs = [(d, ref_d), (grad, ref_grad / count),
+        pairs = [(d, ref_d), (grad, ref_grad / count), (hess, ref_hess / count),
                  (lin, ref_lin / (count * ref_d)), (quad, ref_quad / (count * ref_d))]
         for got, want in pairs:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -3,8 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from rasper.concordance import ConcordanceSpec, pair_weights
+import rasper.solver as solver
+from rasper.concordance import (
+    ConcordanceSpec,
+    build_marginal_sampler,
+    marginalized_weights,
+    pair_weights,
+)
 from rasper.data_model import external_ranks, standardize
 from rasper.errors import NonFiniteValue, SingularDesign
 from rasper.solver import (
@@ -203,7 +211,6 @@ class TestFitRasper:
         y = x @ beta_true + 0.2 * rng.standard_normal(n)
         d = standardize(x, q=q)
         ranks = external_ranks(z @ beta_true[:q])
-        from rasper.concordance import build_marginal_sampler, marginalized_weights
         spec = ConcordanceSpec("spearman", True, 0.2, samples=3, seed=0)
         w = marginalized_weights(pair_weights(ranks, "spearman"),
                                  build_marginal_sampler(d.z, d.b, 3, 0))
@@ -211,6 +218,111 @@ class TestFitRasper:
         fit = fit_rasper(prob)
         assert fit.converged
         assert np.all(np.diff(fit.objective_trace) <= 1e-10)
+
+
+def _reference_objective_and_gradient(problem, theta):
+    """F and its gradient in (beta0, beta), written from the model's
+    definition with explicit n x n pair matrices, independent of the
+    package's pair-sum engine."""
+    x, y, w = problem.design.x, problem.y, problem.weights.w
+    beta0, beta = theta[0], theta[1:]
+    resid = y - beta0 - x @ beta
+    value = 0.5 * resid @ resid + 0.5 * problem.alpha * beta @ beta
+    grad = np.concatenate([[-resid.sum()], -(x.T @ resid) + problem.alpha * beta])
+    tables = problem.weights.tables or (x,)
+    d, dd = 0.0, np.zeros(beta.shape[0])
+    for t in tables:
+        diff = (t[:, None, :] - t[None, :, :]) / problem.nu      # (n, n, p)
+        s = 0.5 * (1.0 + np.tanh(0.5 * (diff @ beta)))
+        d += np.sum(w * s) / len(tables)
+        dd += np.einsum("ij,ijk->k", w * s * (1.0 - s), diff) / len(tables)
+    value -= problem.lam * np.log(d)
+    grad[1:] -= problem.lam * dd / d
+    return value, grad
+
+
+def _oracle_problem(case, lam_ratio):
+    rng = np.random.default_rng(21)
+    n, q = 40, 2
+    z = rng.standard_normal((n, q))
+    b = 0.6 * z[:, :1] + 0.5 * rng.standard_normal((n, 2))
+    x = np.hstack([z, b])
+    y = x @ np.array([1.0, -0.6, 0.5, 0.3]) + 0.8 * rng.standard_normal(n)
+    design = standardize(x, q=q)
+    ranks = external_ranks(z @ np.array([1.2, -0.3]) + 0.3 * rng.standard_normal(n))
+    measure = "kendall" if case == "kendall" else "spearman"
+    marginal = case == "marginalized"
+    spec = ConcordanceSpec(measure, marginal, default_nu(design, y), samples=3, seed=1)
+    weights = pair_weights(ranks, measure)
+    if marginal:
+        weights = marginalized_weights(weights, build_marginal_sampler(design.z, design.b, 3, 1))
+    return PenalizedProblem(design, y, weights, spec, lam=lam_ratio * n, alpha=0.04 * n)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("lam_ratio", [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
+    def test_fit_is_stationary_and_bfgs_stays(self, case, lam_ratio):
+        problem = _oracle_problem(case, lam_ratio)
+        fit = fit_rasper(problem)
+        assert fit.converged and fit.grad_norm <= 1e-8
+        theta = np.concatenate([[fit.beta0], fit.beta])
+        x = problem.design.x
+        scale = np.linalg.norm((x - x.mean(axis=0)).T @ (problem.y - problem.y.mean()))
+        _, grad = _reference_objective_and_gradient(problem, theta)
+        assert np.linalg.norm(grad) <= 1e-8 * scale
+        polished = scipy.optimize.minimize(
+            lambda t: _reference_objective_and_gradient(problem, t), theta, jac=True,
+            method="BFGS", options={"gtol": 1e-10})
+        assert np.linalg.norm(polished.x[1:] - fit.beta) <= 1e-6 * np.linalg.norm(fit.beta)
+
+
+class TestNewtonAndFallback:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_lam=st.floats(-2.0, 4.5),
+           measure=st.sampled_from(["spearman", "kendall"]))
+    def test_trace_non_increasing(self, seed, log_lam, measure):
+        p, _, _ = make_problem(seed=seed, lam=10.0 ** log_lam, measure=measure)
+        trace = fit_rasper(p).objective_trace
+        assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
+
+    @staticmethod
+    def _count_mm_steps(monkeypatch):
+        calls = []
+        original = solver.mm_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mm_step", counted)
+        return calls
+
+    def test_newton_alone_at_moderate_lambda(self, monkeypatch):
+        calls = self._count_mm_steps(monkeypatch)
+        p, _, _ = make_problem(seed=0, lam=20.0)
+        fit = fit_rasper(p)
+        assert fit.converged and not calls
+        assert fit.evaluations == fit.iterations + 1
+
+    def test_mm_fallback_keeps_descent(self, monkeypatch):
+        # At lambda = 1000 n the Kendall objective is far from convex at the
+        # start, so Newton points are rejected or H is indefinite.
+        calls = self._count_mm_steps(monkeypatch)
+        p, _, _ = make_problem(seed=0, lam=20000.0, measure="kendall")
+        fit = fit_rasper(p)
+        assert fit.converged and fit.grad_norm <= 1e-8
+        assert 0 < len(calls) < fit.iterations
+        assert fit.evaluations <= 2 * fit.iterations + 1
+        assert np.all(np.diff(fit.objective_trace) <= 1e-12 * np.abs(fit.objective_trace[:-1]))
+
+    def test_constant_outcome_converges(self):
+        p, _, _ = make_problem(lam=5.0)
+        p = dataclasses.replace(p, y=np.full(p.design.n, 2.5))
+        fit = fit_rasper(p)
+        assert fit.converged and fit.grad_norm <= 1e-8
+        assert np.linalg.norm(fit.beta) > 0      # the penalty alone moves beta
+        assert fit.beta0 == pytest.approx(2.5)
 
 
 class TestLocalMinimizer:
