@@ -85,6 +85,7 @@ def _fit_outputs(out_dir, design, ranks, fit):
         "converged": fit.converged,
         "iterations": fit.iterations,
         "grad_norm": fit.grad_norm,
+        "evaluations": fit.evaluations,
         "objective_first": float(fit.objective_trace[0]),
         "objective_last": float(fit.objective_trace[-1]),
     }

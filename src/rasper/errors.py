@@ -21,6 +21,10 @@ class NonFiniteValue(RasperError):
     """A data cell, design entry or outcome is NaN or infinite."""
 
 
+class InvalidValue(RasperError, ValueError):
+    """A value is out of its allowed range, such as a nonpositive time."""
+
+
 class ParseError(RasperError):
     pass
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,8 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
 
     The held-out loss ignores the ridge term. Row subsets keep the full-data
     standardization so the hat-matrix identity holds exactly at lam=alpha=0.
+    Fold fits that stop without converging still count toward the score;
+    one ``RuntimeWarning`` per call names how many there were.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
@@ -116,6 +119,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
         raise FoldFailure("leave-one-out needs at least 3 rows")
     total = 0.0
     failed = []
+    unconverged = 0
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
         sub = design.subset(keep)
@@ -129,8 +133,13 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
         except RasperError as exc:
             failed.append((i, str(exc)))
             continue
+        unconverged += not fit.converged
         pred = fit.beta0 + design.x[i] @ fit.beta
         total += 0.5 * (y[i] - pred) ** 2
+    if unconverged:
+        warnings.warn(f"{unconverged} of {n} fold fits did not converge at "
+                      f"lambda={float(lam):g}, alpha={float(alpha):g}",
+                      RuntimeWarning, stacklevel=2)
     if failed:
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
     return total / n
@@ -199,6 +208,7 @@ class SelectionReport:
                 "iterations": rec.fit.iterations,
                 "converged": rec.fit.converged,
                 "grad_norm": rec.fit.grad_norm,
+                "evaluations": rec.fit.evaluations,
                 "chosen": rec is self.chosen,
             })
         return rows

@@ -1,17 +1,21 @@
-"""Penalized objective and its solver: Newton steps with a monotone MM
-fallback.
+"""Penalized objective and its solver: trust-region Newton steps with a
+monotone MM fallback.
 
 With the intercept profiled out, the fit minimizes
 F(beta) = 0.5*||y_c - X_c beta||^2 + (alpha/2)*||beta||^2 - lambda*log D(beta).
 p is small, so each iterate takes one pass of the pair-sum engine for the
-gradient and the Hessian of F and tries the Newton step. The step is kept
-only when the objective does not increase; otherwise the iterate takes one
-MM step. The MM step majorizes -lambda*log D by a convex quadratic built
-from the quasi-probabilities (the normalized pairwise terms of D) and the
-quadratic logistic bound with curvature tanh(u/2)/(4u); minimizing that
-surrogate is one weighted ridge solve and never increases the objective.
-The fit stops on a scale-free relative gradient, so ``converged`` means
-stationary.
+gradient g and the Hessian H of F, and one eigendecomposition of H. The trial
+step minimizes the quadratic model g's + 0.5*s'Hs over a ball (Moré &
+Sorensen 1983; Conn, Gould & Toint 2000): the Newton step when H is
+positive definite and that step fits, else a step on the boundary, so an
+indefinite H or an overshooting Newton point still gives a useful trial.
+The trial is kept only when the objective does not increase; otherwise the
+iterate takes one MM step. The MM step majorizes -lambda*log D by a convex
+quadratic built from the quasi-probabilities (the normalized pairwise terms
+of D) and the quadratic logistic bound with curvature tanh(u/2)/(4u);
+minimizing that surrogate is one weighted ridge solve and never increases
+the objective. The fit stops on a scale-free relative gradient, so
+``converged`` means stationary.
 
 Every pair sum (D, its gradient and Hessian, and the surrogate's pieces)
 comes from the single numpy engine in ``concordance``; there is one solver
@@ -199,18 +203,56 @@ def local_minimizer(problem: PenalizedProblem):
     return beta0, beta
 
 
-def _newton_point(hess, g, beta):
-    """beta - H^{-1} g, or None when H is not positive definite."""
-    try:
-        cho = scipy.linalg.cho_factor(hess)
-    except scipy.linalg.LinAlgError:
-        return None
-    return beta - scipy.linalg.cho_solve(cho, g)
+def _trust_step(evals, evecs, g, radius):
+    """Minimizer s of the model g's + 0.5*s'Hs over ||s|| <= ``radius``,
+    with H = evecs @ diag(evals) @ evecs' (ascending ``evals``), and the model
+    decrease pred = -(g's + 0.5*s'Hs).
+
+    When H is positive definite and the Newton step -H^{-1} g fits, that is
+    s. Otherwise s = -(H + mu I)^{-1} g with mu > max(0, -evals[0]) and
+    ||s(mu)|| = radius (Moré & Sorensen 1983), found by Newton steps inside
+    a bisection bracket. If g has no weight on the lowest eigenvector,
+    ||s(mu)|| may stay below the radius for every admissible mu; s is then
+    moved along that eigenvector to the boundary, against g.
+    """
+    gt = evecs.T @ g
+    if evals[0] > 0:
+        st = -gt / evals
+        if np.linalg.norm(st) <= radius:
+            return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st)
+    lo = max(0.0, -float(evals[0]))
+    hi = lo + float(np.linalg.norm(gt)) / radius    # ||s(hi)|| <= radius
+    c, r2 = gt * gt, radius * radius
+    mu = hi
+    while True:
+        q = evals + mu
+        w = c / (q * q)
+        s2 = float(w.sum())
+        if abs(s2 - r2) <= 2e-12 * r2:
+            break
+        if s2 > r2:
+            lo = mu
+        else:
+            hi = mu
+        # Newton on 1/||s(mu)|| = 1/radius, a nearly linear equation; the
+        # bracket [lo, hi] falls back to bisection.
+        mu = mu + (np.sqrt(s2) / radius - 1.0) * s2 / float((w / q).sum())
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+            if not lo < mu < hi:
+                mu = hi
+                break
+    st = -gt / (evals + mu)
+    if np.linalg.norm(st) < (1.0 - 1e-9) * radius:   # mu stalled at -evals[0]
+        rest = float(st[1:] @ st[1:])
+        st[0] = -np.copysign(np.sqrt(max(r2 - rest, 0.0)), gt[0])
+    return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st)
 
 
 def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
                tol=1e-8, max_iter=500) -> FitResult:
-    """Fit the rank-penalized regression by Newton steps with an MM fallback.
+    """Fit the rank-penalized regression by trust-region Newton steps with
+    an MM fallback.
 
     Starts from the local-objective minimizer unless ``init`` is given, which
     guarantees the final objective improves on the unpenalized fit. The
@@ -219,12 +261,24 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
     both. The fit is converged once ||g|| <= ``tol`` * ||X_c' y_c||, a
     relative gradient that does not change with the scale of y. When y is
     constant X_c' y_c vanishes, and ||g|| at the start iterate is the scale
-    instead. Otherwise, when H has a Cholesky factor, the Newton point
-    beta - H^{-1} g is kept if ``penalized_objective`` there is no larger than
-    at the iterate; else one ``mm_step`` is taken. Both moves never increase
-    the objective, so the trace is non-increasing. After ``max_iter`` moves
-    without meeting the test the fit returns with ``converged=False``.
-    Every problem, with or without marginal tables, runs this same loop.
+    instead.
+
+    Otherwise the trial step s minimizes g's + 0.5*s'Hs over ||s|| <= r
+    (``_trust_step``), with pred its model decrease. The first radius r is
+    max(1, ||beta_start||). The trial is kept when ``penalized_objective``
+    there is no larger than at the iterate; r doubles when the actual
+    decrease exceeds 0.75*pred and s reached the boundary. A rejected trial
+    is replaced by one ``mm_step``, and r shrinks to
+    max(||s||/4, ||beta_MM - beta||) when
+    (F - F_trial + delta) / (pred + delta) < 0.25, with
+    delta = 10*eps*(|F| + lambda). Near a large-lambda solution pred falls
+    below the rounding of lambda*log D, so without delta every rejection
+    would shrink r to the tiny MM step and stall the fit there.
+
+    Both moves never increase the objective, so the trace is non-increasing.
+    After ``max_iter`` moves without meeting the test the fit returns with
+    ``converged=False``. Every problem, with or without marginal tables,
+    runs this same loop.
     """
     if init is None:
         beta0, beta = local_minimizer(problem)
@@ -248,6 +302,7 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
     converged = False
     iters = 0
     d = None
+    radius = max(1.0, float(np.linalg.norm(beta)))
     while True:
         g = gram @ beta - xty
         hess = gram
@@ -265,19 +320,28 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
         if iters == max_iter:
             break
         iters += 1
-        cand = _newton_point(hess, g, beta)
-        if cand is not None:
-            cand0 = float(np.mean(problem.y - x @ cand))
-            evaluations += 1
-            try:
-                cand_value = penalized_objective(problem, cand0, cand)
-            except NonpositiveConcordance:
-                cand_value = np.inf
-            if cand_value <= value:
-                beta0, beta, value = cand0, cand, cand_value
-                trace.append(value)
-                continue
-        beta0, beta = mm_step(problem, beta0, beta)
+        evals, evecs = np.linalg.eigh(hess)
+        step, pred = _trust_step(evals, evecs, g, radius)
+        step_norm = float(np.linalg.norm(step))
+        cand = beta + step
+        cand0 = float(np.mean(problem.y - x @ cand))
+        evaluations += 1
+        try:
+            cand_value = penalized_objective(problem, cand0, cand)
+        except NonpositiveConcordance:
+            cand_value = np.inf
+        if cand_value <= value:
+            if value - cand_value > 0.75 * pred and step_norm >= (1 - 1e-9) * radius:
+                radius *= 2.0
+            beta0, beta, value = cand0, cand, cand_value
+            trace.append(value)
+            continue
+        delta = 10.0 * np.finfo(float).eps * (abs(value) + lam)
+        rho = (value - cand_value + delta) / (pred + delta)
+        mm0, mm = mm_step(problem, beta0, beta)
+        if rho < 0.25:
+            radius = max(0.25 * step_norm, float(np.linalg.norm(mm - beta)))
+        beta0, beta = mm0, mm
         value = penalized_objective(problem, beta0, beta)
         evaluations += 1
         trace.append(value)

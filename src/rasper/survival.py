@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyData
+from .errors import EmptyData, InvalidValue
 
 DEFAULT_TAU = 36.0  # months
 
@@ -28,9 +28,9 @@ class SurvivalSample:
         if e.shape != t.shape:
             raise EmptyData("events shape must match times")
         if not np.all(t > 0):
-            raise ValueError("all times must be positive")
+            raise InvalidValue("all times must be positive")
         if not self.tau > 0:
-            raise ValueError("tau must be positive")
+            raise InvalidValue("tau must be positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "events", e)
 
@@ -113,9 +113,9 @@ class NomogramInput:
 
     def __post_init__(self):
         if self.psa < 0:
-            raise ValueError("psa must be nonnegative")
+            raise InvalidValue("psa must be nonnegative")
         if self.days_to_progression_prior_chemo < 0:
-            raise ValueError("days to progression must be nonnegative")
+            raise InvalidValue("days to progression must be nonnegative")
 
 
 def nomogram_score(inp: NomogramInput) -> float:

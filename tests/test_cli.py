@@ -73,6 +73,8 @@ class TestFit:
         payload = json.loads((out1 / "fit.json").read_text())
         assert payload["lambda"] == 5.0 and payload["alpha"] == 1.0
         assert payload["converged"] and payload["grad_norm"] <= 1e-8
+        assert payload["iterations"] + 1 <= payload["evaluations"] \
+            <= 2 * payload["iterations"] + 1
         assert len(payload["beta_standardized"]) == 3
         assert payload["objective_last"] <= payload["objective_first"] + 1e-10
         config = json.loads((out1 / "config.json").read_text())
@@ -119,6 +121,8 @@ class TestSelect:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 * 3  # (J+2) * (K+2) grid points
         assert all(float(r["grad_norm"]) <= 1e-8 for r in rows)
+        assert all(int(r["iterations"]) + 1 <= int(r["evaluations"])
+                   <= 2 * int(r["iterations"]) + 1 for r in rows)
         chosen = [r for r in rows if r["chosen"] == "True"]
         assert len(chosen) == 1
         best = min(float(r["loo"]) for r in rows)
@@ -199,6 +203,22 @@ def _surv_csv(tmp_path, header, rows):
 def test_bad_survival_input_exit_1(tmp_path, capsys, command, header, rows, needle):
     data = _surv_csv(tmp_path, header, rows)
     assert run([command, "--data", data, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("command,header,rows,extra,needle", [
+    ("pseudo", ["time", "event"], [[3.0, 1], [-2.0, 0]], [], "positive"),
+    ("pseudo", ["time", "event"], [[3.0, 1], [5.0, 0]], ["--tau", "-1"], "tau"),
+    ("score", ["psa", "visceral_mets", "ecog_ge2", "days_to_progression"],
+     [[10.0, 0, 0, 400.0], [-5.0, 1, 1, 0.0]], [], "psa"),
+])
+def test_out_of_range_survival_input_exit_1(tmp_path, capsys, command, header, rows,
+                                            extra, needle):
+    data = _surv_csv(tmp_path, header, rows)
+    argv = [command, "--data", data, *extra, "--out", str(tmp_path / "o")]
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert needle in err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rasper.selection as selection
 from rasper.concordance import ConcordanceSpec, pair_weights
 from rasper.data_model import external_ranks, standardize
 from rasper.errors import FoldFailure, InvalidBounds
@@ -112,6 +113,18 @@ class TestLOOCV:
         for k, fold in enumerate(cache):
             expected = pair_weights(external_ranks(np.delete(scores, k)), measure)
             assert np.array_equal(fold.w, expected.w)
+
+    def test_unconverged_folds_warn_once(self, monkeypatch):
+        design, y, ranks, scores, spec = make_data(seed=4)
+        monkeypatch.setattr(selection, "fit_rasper",
+                            lambda problem, **kw: fit_rasper(problem, max_iter=1, **kw))
+        with pytest.warns(RuntimeWarning) as record:
+            score = loocv_score(design, y, ranks, spec, 3.0, 1.0)
+        assert math.isfinite(score)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert f"{design.n} of {design.n} fold fits" in message
+        assert "lambda=3" in message and "alpha=1" in message
 
     def test_too_few_rows(self):
         design, y, ranks, scores, spec = make_data(n=5)

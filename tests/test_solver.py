@@ -15,6 +15,7 @@ from rasper.concordance import (
 )
 from rasper.data_model import external_ranks, standardize
 from rasper.errors import NonFiniteValue, SingularDesign
+from rasper.selection import fold_weight_cache
 from rasper.solver import (
     PenalizedProblem,
     default_nu,
@@ -323,6 +324,106 @@ class TestNewtonAndFallback:
         assert fit.converged and fit.grad_norm <= 1e-8
         assert np.linalg.norm(fit.beta) > 0      # the penalty alone moves beta
         assert fit.beta0 == pytest.approx(2.5)
+
+
+def _study_1b(seed, n=100):
+    """Study-1b data: x = [z, b1, b2] with b correlated with z, external
+    score z beta_E."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 4))
+    e = rng.standard_normal((n, 2))
+    x = np.column_stack([z, 0.4 * z[:, 0] + e[:, 0],
+                         0.25 * z[:, 0] + 0.5 * z[:, 2] + 0.1 * z[:, 3] + e[:, 1]])
+    y = x @ np.array([1.0, 0.8, 0.6, 0.4, 0.5, 0.5]) + rng.standard_normal(n)
+    design = standardize(x, q=4)
+    ranks = external_ranks(z @ np.array([1.0, 0.8, 0.6, 0.4]))
+    return design, y, ranks, default_nu(design, y)
+
+
+class TestTrustRegion:
+    @staticmethod
+    def _model(h, g, s):
+        return float(g @ s + 0.5 * s @ h @ s)
+
+    @staticmethod
+    def _step(h, g, radius):
+        evals, evecs = np.linalg.eigh(h)
+        return solver._trust_step(evals, evecs, g, radius)
+
+    @staticmethod
+    def _random_h(rng, evals):
+        q, _ = np.linalg.qr(rng.standard_normal((len(evals), len(evals))))
+        return q @ np.diag(evals) @ q.T
+
+    def _check_pred_and_optimality(self, rng, h, g, radius, s, pred):
+        assert pred > 0
+        assert pred == pytest.approx(-self._model(h, g, s), rel=1e-10)
+        best = self._model(h, g, s)
+        for _ in range(200):
+            t = rng.standard_normal(len(g))
+            t *= radius * rng.uniform() ** (1 / len(g)) / np.linalg.norm(t)
+            assert best <= self._model(h, g, t) + 1e-12 * abs(best)
+
+    def test_newton_step_when_it_fits(self):
+        rng = np.random.default_rng(0)
+        h = self._random_h(rng, [0.5, 1.0, 3.0, 8.0])
+        g = 0.1 * rng.standard_normal(4)
+        newton = -np.linalg.solve(h, g)
+        s, pred = self._step(h, g, 2.0 * np.linalg.norm(newton))
+        assert np.allclose(s, newton, rtol=1e-12, atol=1e-14)
+        self._check_pred_and_optimality(rng, h, g, 2.0 * np.linalg.norm(newton), s, pred)
+
+    @pytest.mark.parametrize("evals", [[0.5, 1.0, 3.0, 8.0],       # Newton too long
+                                       [-2.0, 0.3, 1.0, 5.0],      # indefinite
+                                       [-1.0, -0.5, 0.0, 2.0]])    # indefinite, singular
+    def test_boundary_step(self, evals):
+        rng = np.random.default_rng(1)
+        h = self._random_h(rng, evals)
+        g = rng.standard_normal(4)
+        radius = 0.05
+        s, pred = self._step(h, g, radius)
+        assert np.linalg.norm(s) == pytest.approx(radius, abs=1e-9)
+        self._check_pred_and_optimality(rng, h, g, radius, s, pred)
+
+    def test_gradient_orthogonal_to_lowest_eigenvector(self):
+        # The hard case: ||(H + mu I)^{-1} g|| stays below the radius for
+        # every mu > -lambda_min, so the step must leave along that eigenvector.
+        rng = np.random.default_rng(2)
+        evals = np.array([-1.0, 2.0, 4.0])
+        evecs = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        h = evecs @ np.diag(evals) @ evecs.T
+        g = evecs[:, 1] + evecs[:, 2]
+        s, pred = solver._trust_step(evals, evecs, g, 3.0)
+        assert np.linalg.norm(s) == pytest.approx(3.0, abs=1e-9)
+        self._check_pred_and_optimality(rng, h, g, 3.0, s, pred)
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_lambda_fits_take_few_iterations(self, measure, seed):
+        design, y, ranks, nu = _study_1b(seed)
+        problem = PenalizedProblem(design, y, pair_weights(ranks, measure),
+                                   ConcordanceSpec(measure, False, nu),
+                                   lam=1000.0 * design.n, alpha=1.0)
+        fit = fit_rasper(problem)
+        assert fit.converged and fit.grad_norm <= 1e-8
+        assert fit.iterations <= 30
+
+    def test_warm_fold_fits_in_the_rounding_regime(self):
+        # At lambda = 1e5 the model decrease of the last steps is far below
+        # the rounding of lambda*log D. A ratio test without a rounding
+        # allowance shrinks the radius to the tiny MM step on such a
+        # rejection, and a few of these folds then stall for 500 iterations.
+        design, y, ranks, nu = _study_1b(3)
+        spec = ConcordanceSpec("spearman", False, nu)
+        full = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, "spearman"),
+                                           spec, lam=1e5, alpha=0.0))
+        for k, weights in enumerate(fold_weight_cache(design, ranks, spec)):
+            keep = np.delete(np.arange(design.n), k)
+            problem = PenalizedProblem(design.subset(keep), y[keep], weights, spec,
+                                       lam=1e5, alpha=0.0)
+            fit = fit_rasper(problem, init=full.beta)
+            assert fit.converged and fit.grad_norm <= 1e-8, k
+            assert fit.iterations <= 30, k
 
 
 class TestLocalMinimizer:
