@@ -239,7 +239,10 @@ def _add_data_args(sub):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="rasper")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    # Replications hold the GIL for most of their time, so a second thread
+    # slows ``simulate`` down (``run_benchmark`` keeps the pool for callers).
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for simulate replications (default 1)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     fit = subs.add_parser("fit", help="fit at fixed hyperparameters")

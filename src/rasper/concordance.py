@@ -3,8 +3,10 @@ concordance measure D.
 
 One engine, ``_pair_sums``, evaluates every weighted pair sum the package
 needs: D, its gradient and Hessian, and the MM solver's quasi-probability
-sums. For each design table it forms the n x n scaled differences u and
-sigma(u) once; the n^2 x p difference operator is never materialized.
+sums. For each design table it forms sigma(u) over the n x n scaled
+differences u once, with one in-place ``exp`` over a single buffer
+(``_sigma_table``), and u itself only for the MM curvature; the n^2 x p
+difference operator is never materialized.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data_model import ExternalRanks, StandardizedDesign, ge_counts
 from .errors import DegenerateWeights, DimensionMismatch, NonpositiveConcordance
@@ -102,9 +103,7 @@ def smooth_rank_params(x, beta, nu) -> np.ndarray:
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
-    eta = _linear_predictor(x, beta)
-    u = (eta[:, None] - eta[None, :]) / nu
-    return expit(u).sum(axis=1)
+    return _sigma_table(_linear_predictor(x, beta) / nu).sum(axis=1)
 
 
 def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
@@ -135,6 +134,19 @@ def _tables_for(weights: PairWeights, x):
     return (x,)
 
 
+def _sigma_table(t):
+    """sigma(u) for u_ij = t_i - t_j, built in one buffer: it starts as -u
+    (t_j - t_i, exactly the negation of t_i - t_j), then ``exp``, ``+= 1``
+    and ``reciprocal`` act in place. Where exp(-u) overflows, the reciprocal
+    of inf is exactly 0, as ``expit`` gives."""
+    s = np.subtract(t[None, :], t[:, None])
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    return s
+
+
 def _bound_curvature(u, s):
     """``solver.jj_coefficient(u)`` from s = sigma(u) already in hand:
     tanh(u/2)/(4u) = (sigma(u) - 1/2)/(2u), with the same series near zero."""
@@ -152,7 +164,7 @@ def _pair_outer(xs, t):
 
 def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
     """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
-    averaged over the design tables; u and sigma(u) are formed once per table.
+    averaged over the design tables; sigma(u) is formed once per table.
 
     Returns (d, grad, lin, quad, hess). d is D = mean_T sum_ij w_ij sigma(u_ij).
     grad is dD/dbeta when ``gradient`` is set, else None; hess is the Hessian
@@ -171,20 +183,24 @@ def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
     lin = np.zeros(p) if mm else None
     quad = np.zeros((p, p)) if mm else None
     for xs in tables:
-        eta = xs @ beta
-        u = (eta[:, None] - eta[None, :]) / nu
-        s = expit(u)
+        t = (xs @ beta) / nu
+        s = _sigma_table(t)
         v = w * s
         d += float(v.sum())
         if gradient or hessian:
-            m = v * (1.0 - s)                # w_ij * logistic density at u_ij
+            m = v * s
+            np.subtract(v, m, out=m)         # w_ij * logistic density at u_ij
         if gradient:
             grad += xs.T @ (m.sum(axis=1) - m.sum(axis=0)) / nu
         if hessian:
-            hess += _pair_outer(xs, m * (1.0 - 2.0 * s)) / (nu * nu)
+            m2 = m * s
+            m2 *= -2.0
+            m2 += m                          # m_ij * (1 - 2 s_ij)
+            hess += _pair_outer(xs, m2) / (nu * nu)
         if mm:
             lin += xs.T @ (v.sum(axis=1) - v.sum(axis=0)) / nu
-            quad += _pair_outer(xs, v * _bound_curvature(u, s)) / (nu * nu)
+            curv = _bound_curvature(np.subtract.outer(t, t), s)
+            quad += _pair_outer(xs, v * curv) / (nu * nu)
     count = len(tables)
     d /= count
     if not d > 0:

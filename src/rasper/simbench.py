@@ -9,12 +9,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.stats import rankdata
 
 from . import baselines
 from .concordance import ConcordanceSpec
 from .data_model import external_ranks, ge_counts, standardize
-from .errors import RasperError
+from .errors import RasperError, SingularDesign
 from .selection import build_grid, select
 from .solver import default_nu
 
@@ -179,39 +180,54 @@ def generate(setting: SimSetting, rng) -> SimData:
     return gen_study1(setting, rng)
 
 
-def _loo_mse(x, y, fitter):
-    """Brute-force leave-one-out mean squared prediction error for a fitter
-    returning (intercept, coefficients)."""
-    n = x.shape[0]
-    total = 0.0
-    for i in range(n):
-        keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        beta0, beta = fitter(x[keep], y[keep])
-        total += (y[i] - beta0 - x[i] @ beta) ** 2
-    return total / n
+def _loo_mse(x, y, alpha, lam=0.0, beta_e=None):
+    """Exact leave-one-out mean squared prediction error of the linear fit
+    minimizing 0.5*||y - b0 - X b||^2 + (alpha/2)*||b||^2 - lam*beta_e'b:
+    ridge is lam = 0, DTL lam = alpha, and ATL any lam (``baselines``).
+
+    Neither penalty depends on the data, so deleting row i downdates the
+    normal equations A theta = b by one rank, with X1 = [1, X],
+    A = X1'X1 + diag(0, alpha I) and b = X1'y + (0, lam*beta_e), and the
+    held-out residual is e_i / (1 - h_ii) (Allen 1974, PRESS): e are the
+    full-data residuals and h_ii the diagonal of X1 A^{-1} X1'. Raises
+    ``SingularDesign`` where a refit without some row would be singular:
+    A is singular or some h_ii >= 1 - 1e-10.
+    """
+    n, p = x.shape
+    x1 = np.hstack([np.ones((n, 1)), x])
+    a = x1.T @ x1
+    a[1:, 1:] += alpha * np.eye(p)
+    b = x1.T @ y
+    if lam:
+        b[1:] += lam * np.asarray(beta_e, dtype=float)
+    if np.linalg.matrix_rank(a) <= p:
+        raise SingularDesign("leave-one-out system is singular")
+    try:
+        cho = scipy.linalg.cho_factor(a)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularDesign("leave-one-out system is singular") from exc
+    h = np.einsum("ij,ji->i", x1, scipy.linalg.cho_solve(cho, x1.T))
+    if np.any(h >= 1.0 - 1e-10):
+        raise SingularDesign("a row has leverage 1; its leave-one-out fit is singular")
+    e = (y - x1 @ scipy.linalg.cho_solve(cho, b)) / (1.0 - h)
+    return float(e @ e) / n
 
 
 def _select_ridge(x, y, alphas):
-    scores = [(_loo_mse(x, y, lambda xs, ys, a=a: baselines.fit_ridge(xs, ys, a)), a)
-              for a in alphas]
+    scores = [(_loo_mse(x, y, a), a) for a in alphas]
     best = min(scores, key=lambda t: (t[0], t[1]))[1]
     return baselines.fit_ridge(x, y, best)
 
 
 def _select_dtl(x, y, alphas, beta_e):
-    scores = [(_loo_mse(x, y, lambda xs, ys, a=a: baselines.fit_dtl(xs, ys, a, beta_e)), a)
-              for a in alphas]
+    scores = [(_loo_mse(x, y, a, a, beta_e), a) for a in alphas]
     best = min(scores, key=lambda t: (t[0], t[1]))[1]
     return baselines.fit_dtl(x, y, best, beta_e)
 
 
 def _select_atl(x, y, alphas, lams, beta_e):
-    scored = []
-    for a in alphas:
-        for lam in lams:
-            loo = _loo_mse(x, y, lambda xs, ys, a=a, lam=lam:
-                           baselines.fit_atl(xs, ys, a, lam, beta_e))
-            scored.append((loo, lam, a))
+    scored = [(_loo_mse(x, y, a, lam, beta_e), lam, a)
+              for a in alphas for lam in lams]
     _, lam, a = min(scored)
     return baselines.fit_atl(x, y, a, lam, beta_e)
 

@@ -3,12 +3,15 @@ monotone MM fallback.
 
 With the intercept profiled out, the fit minimizes
 F(beta) = 0.5*||y_c - X_c beta||^2 + (alpha/2)*||beta||^2 - lambda*log D(beta).
-p is small, so each iterate takes one pass of the pair-sum engine for the
-gradient g and the Hessian H of F, and one eigendecomposition of H. The trial
-step minimizes the quadratic model g's + 0.5*s'Hs over a ball (Moré &
-Sorensen 1983; Conn, Gould & Toint 2000): the Newton step when H is
-positive definite and that step fits, else a step on the boundary, so an
-indefinite H or an overshooting Newton point still gives a useful trial.
+p is small, so every point the solver visits (the start, each trial and
+each MM point) takes one pass of the pair-sum engine, which gives F together
+with its gradient g and Hessian H; an accepted trial's g and H are the next
+iterate's, so no point is evaluated twice. Each iterate also takes one
+eigendecomposition of H. The trial step minimizes the quadratic model
+g's + 0.5*s'Hs over a ball (Moré & Sorensen 1983; Conn, Gould & Toint
+2000): the Newton step when H is positive definite and that step fits,
+else a step on the boundary, so an indefinite H or an overshooting Newton
+point still gives a useful trial.
 The trial is kept only when the objective does not increase; otherwise the
 iterate takes one MM step. The MM step majorizes -lambda*log D by a convex
 quadratic built from the quasi-probabilities (the normalized pairwise terms
@@ -83,7 +86,7 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float             # relative gradient ||grad F|| / scale at beta
-    evaluations: int             # penalized_objective calls
+    evaluations: int             # objective evaluations (start, trials, MM points)
     warm_start: str = "local-minimizer"
 
 
@@ -249,6 +252,22 @@ def _trust_step(evals, evecs, g, radius):
     return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st)
 
 
+def _point(problem, gram, xty, beta0, beta):
+    """F at (beta0, beta) with D and the gradient and Hessian of F in beta,
+    all from one pass of the pair-sum engine; F is formed in the order
+    ``penalized_objective`` uses, so both give the same value. D is None
+    when lambda = 0 (no pair pass)."""
+    value = _local_objective(problem, beta0, beta)
+    g = gram @ beta - xty
+    lam = problem.lam
+    if not lam > 0:
+        return value, None, g, gram
+    d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
+    value -= lam * np.log(d)
+    g = g - lam * dd / d
+    return value, d, g, gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
+
+
 def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
                tol=1e-8, max_iter=500) -> FitResult:
     """Fit the rank-penalized regression by trust-region Newton steps with
@@ -257,18 +276,21 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
     Starts from the local-objective minimizer unless ``init`` is given, which
     guarantees the final objective improves on the unpenalized fit. The
     intercept is profiled, beta0 = mean(y - X beta), so only the gradient g
-    and Hessian H of F in beta matter; one pair pass at each iterate gives
-    both. The fit is converged once ||g|| <= ``tol`` * ||X_c' y_c||, a
-    relative gradient that does not change with the scale of y. When y is
-    constant X_c' y_c vanishes, and ||g|| at the start iterate is the scale
-    instead.
+    and Hessian H of F in beta matter. Each trial and each MM point is
+    evaluated by one pair pass (``_point``) that gives F, g and H at once,
+    and an accepted point keeps them, so it is never evaluated again; the
+    start value is one ``penalized_objective`` call plus that pass. The fit
+    is converged once ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient
+    that does not change with the scale of y. When y is constant X_c' y_c
+    vanishes, and ||g|| at the start iterate is the scale instead.
 
     Otherwise the trial step s minimizes g's + 0.5*s'Hs over ||s|| <= r
     (``_trust_step``), with pred its model decrease. The first radius r is
-    max(1, ||beta_start||). The trial is kept when ``penalized_objective``
-    there is no larger than at the iterate; r doubles when the actual
-    decrease exceeds 0.75*pred and s reached the boundary. A rejected trial
-    is replaced by one ``mm_step``, and r shrinks to
+    max(1, ||beta_start||). The trial is kept when F there is no larger
+    than at the iterate (``_point`` forms F exactly as
+    ``penalized_objective`` does); r doubles when the actual decrease
+    exceeds 0.75*pred and s reached the boundary. A rejected trial is
+    replaced by one ``mm_step``, and r shrinks to
     max(||s||/4, ||beta_MM - beta||) when
     (F - F_trial + delta) / (pred + delta) < 0.25, with
     delta = 10*eps*(|F| + lambda). Near a large-lambda solution pred falls
@@ -301,15 +323,9 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
     evaluations = 1
     converged = False
     iters = 0
-    d = None
+    _, d, g, hess = _point(problem, gram, xty, beta0, beta)
     radius = max(1.0, float(np.linalg.norm(beta)))
     while True:
-        g = gram @ beta - xty
-        hess = gram
-        if lam > 0:
-            d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
-            g = g - lam * dd / d
-            hess = hess + lam * (np.outer(dd, dd) / (d * d) - hd / d)
         gnorm = float(np.linalg.norm(g))
         if scale is None:
             scale = gnorm
@@ -327,13 +343,14 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
         cand0 = float(np.mean(problem.y - x @ cand))
         evaluations += 1
         try:
-            cand_value = penalized_objective(problem, cand0, cand)
+            cand_value, *cand_point = _point(problem, gram, xty, cand0, cand)
         except NonpositiveConcordance:
             cand_value = np.inf
         if cand_value <= value:
             if value - cand_value > 0.75 * pred and step_norm >= (1 - 1e-9) * radius:
                 radius *= 2.0
             beta0, beta, value = cand0, cand, cand_value
+            d, g, hess = cand_point
             trace.append(value)
             continue
         delta = 10.0 * np.finfo(float).eps * (abs(value) + lam)
@@ -342,7 +359,7 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
         if rho < 0.25:
             radius = max(0.25 * step_norm, float(np.linalg.norm(mm - beta)))
         beta0, beta = mm0, mm
-        value = penalized_objective(problem, beta0, beta)
+        value, d, g, hess = _point(problem, gram, xty, beta0, beta)
         evaluations += 1
         trace.append(value)
     if d is None and problem.weights.total > 0:

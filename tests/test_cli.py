@@ -280,6 +280,12 @@ class TestSimulate:
         payload = json.loads((out1 / "benchmark.json").read_text())
         assert payload["failures"] == 0
 
+    def test_threads_default_to_one(self, tmp_path):
+        setting = tmp_path / "setting.json"
+        setting.write_text(json.dumps(self.setting_payload()), encoding="utf-8")
+        assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "config.json").read_text())["threads"] == 1
+
     def test_missing_setting_file(self, tmp_path):
         assert run(["simulate", "--setting", str(tmp_path / "x.json"),
                     "--out", str(tmp_path / "o")]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rasper.concordance import (
     ConcordanceSpec,
     _bound_curvature,
     _pair_sums,
+    _sigma_table,
     build_marginal_sampler,
     concordance_gradient,
     concordance_value,
@@ -161,6 +163,25 @@ class TestConcordanceGradient:
         w = pair_weights(ranks, "spearman")
         grad = concordance_gradient(x, np.array([1.0, -1.0]), 0.2, w)
         assert np.allclose(grad, 0.0, atol=1e-14)
+
+
+class TestSigmaTable:
+    def test_matches_expit(self):
+        t = 15.0 * np.random.default_rng(5).standard_normal(60)
+        s = _sigma_table(t)
+        assert np.max(np.abs(s - expit(np.subtract.outer(t, t)))) <= 1e-15
+        assert np.all(np.diag(s) == 0.5)
+
+    def test_saturates_exactly_without_warning(self):
+        t = np.array([-30.0, -21.0, -0.01, 0.0, 0.02, 21.0, 30.0]) / 1e-3
+        u = np.subtract.outer(t, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sigma_table(t)
+        far = np.abs(u) > 2e4
+        assert far.sum() == 32              # the pairs at least 20.98 apart
+        assert np.array_equal(s[far], expit(u[far]))
+        assert np.array_equal(s[far], (u[far] > 0).astype(float))
 
 
 class TestPairSumEngine:

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from rasper import baselines
+from rasper.errors import SingularDesign
 from rasper.simbench import (
     ALL_METHODS,
     BenchReport,
     SimSetting,
     _f1,
     _f2,
+    _loo_mse,
     generate,
     run_benchmark,
     spearman_rc,
@@ -55,6 +58,52 @@ class TestLinkFunctions:
         assert _f2(6.999999) == pytest.approx(12.5, rel=1e-5)
         assert _f2(7.0) == 12.5
         assert _f2(100.0) == 12.5
+
+
+def _refit_loo_mse(x, y, fitter):
+    """Leave-one-out mean squared error by n refits."""
+    n = x.shape[0]
+    total = 0.0
+    for i in range(n):
+        keep = np.delete(np.arange(n), i)
+        beta0, beta = fitter(x[keep], y[keep])
+        total += (y[i] - beta0 - x[i] @ beta) ** 2
+    return total / n
+
+
+class TestClosedFormLOO:
+    @staticmethod
+    def _data(n=50, p=6):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((n, p))
+        y = 0.5 + x @ rng.standard_normal(p) + rng.standard_normal(n)
+        return x, y, rng.standard_normal(p)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.005, 0.5, 50.0, 5000.0])
+    def test_matches_refits(self, alpha):
+        x, y, beta_e = self._data()
+        cases = [(_loo_mse(x, y, alpha),
+                  lambda xs, ys: baselines.fit_ridge(xs, ys, alpha)),
+                 (_loo_mse(x, y, alpha, alpha, beta_e),
+                  lambda xs, ys: baselines.fit_dtl(xs, ys, alpha, beta_e))]
+        cases += [(_loo_mse(x, y, alpha, lam, beta_e),
+                   lambda xs, ys, lam=lam: baselines.fit_atl(xs, ys, alpha, lam, beta_e))
+                  for lam in (0.0, 0.5, 500.0, 5e4)]
+        for closed, fitter in cases:
+            assert closed == pytest.approx(_refit_loo_mse(x, y, fitter), rel=1e-12)
+
+    def test_leverage_one_row_is_singular(self):
+        # Column 5 is nonzero on row 3 only, so the fit without row 3 is
+        # singular at alpha = 0, as the refit finds too.
+        x, y, _ = self._data()
+        x[:, 5] = 0.0
+        x[3, 5] = 1.0
+        with pytest.raises(SingularDesign):
+            _loo_mse(x, y, 0.0)
+        with pytest.raises(SingularDesign):
+            _refit_loo_mse(x, y, lambda xs, ys: baselines.fit_ridge(xs, ys, 0.0))
+        assert _loo_mse(x, y, 0.5) == pytest.approx(
+            _refit_loo_mse(x, y, lambda xs, ys: baselines.fit_ridge(xs, ys, 0.5)), rel=1e-12)
 
 
 class TestSimSetting:

@@ -288,19 +288,19 @@ class TestNewtonAndFallback:
         assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
     @staticmethod
-    def _count_mm_steps(monkeypatch):
+    def _count_calls(monkeypatch, name):
         calls = []
-        original = solver.mm_step
+        original = getattr(solver, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "mm_step", counted)
+        monkeypatch.setattr(solver, name, counted)
         return calls
 
     def test_newton_alone_at_moderate_lambda(self, monkeypatch):
-        calls = self._count_mm_steps(monkeypatch)
+        calls = self._count_calls(monkeypatch, "mm_step")
         p, _, _ = make_problem(seed=0, lam=20.0)
         fit = fit_rasper(p)
         assert fit.converged and not calls
@@ -309,13 +309,29 @@ class TestNewtonAndFallback:
     def test_mm_fallback_keeps_descent(self, monkeypatch):
         # At lambda = 1000 n the Kendall objective is far from convex at the
         # start, so Newton points are rejected or H is indefinite.
-        calls = self._count_mm_steps(monkeypatch)
+        calls = self._count_calls(monkeypatch, "mm_step")
         p, _, _ = make_problem(seed=0, lam=20000.0, measure="kendall")
         fit = fit_rasper(p)
         assert fit.converged and fit.grad_norm <= 1e-8
         assert 0 < len(calls) < fit.iterations
         assert fit.evaluations <= 2 * fit.iterations + 1
         assert np.all(np.diff(fit.objective_trace) <= 1e-12 * np.abs(fit.objective_trace[:-1]))
+
+    @pytest.mark.parametrize("lam, measure", [(20.0, "spearman"), (20000.0, "kendall")])
+    def test_one_pair_pass_per_point(self, monkeypatch, lam, measure):
+        # The start gets penalized_objective's pass and a derivative pass;
+        # every other point (trial or MM point) gets one pass, and each MM
+        # step one more for its surrogate. No point is evaluated twice.
+        mm_calls = self._count_calls(monkeypatch, "mm_step")
+        passes = self._count_calls(monkeypatch, "_pair_sums")
+        p, _, _ = make_problem(seed=0, lam=lam, measure=measure)
+        fit = fit_rasper(p)
+        assert fit.converged
+        assert bool(mm_calls) == (measure == "kendall")
+        assert len(passes) == fit.evaluations + 1 + len(mm_calls)
+        # The trace takes F from the derivative pass in penalized_objective's
+        # order, so the two agree to the last bit.
+        assert fit.objective_trace[-1] == penalized_objective(p, fit.beta0, fit.beta)
 
     def test_constant_outcome_converges(self):
         p, _, _ = make_problem(lam=5.0)
