@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .data_model import ExternalRanks, StandardizedDesign, standardize
+from .data_model import ExternalRanks, StandardizedDesign
 from .errors import SingularDesign
 
 

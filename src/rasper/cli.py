@@ -11,12 +11,7 @@ import sys
 import numpy as np
 from scipy.stats import kendalltau
 
-from .concordance import (
-    ConcordanceSpec,
-    build_marginal_sampler,
-    marginalized_weights,
-    pair_weights,
-)
+from .concordance import ConcordanceSpec, problem_weights
 from .data_model import (
     _parse_column,
     external_ranks,
@@ -32,18 +27,14 @@ from .solver import PenalizedProblem, default_nu, fit_rasper
 from .survival import DEFAULT_TAU, NomogramInput, SurvivalSample, nomogram_score, pseudovalues
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return v
-
-
 def _write_csv(path, rows, fieldnames):
+    """Write dict rows as CSV; floats keep all 17 significant digits."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+            writer.writerow({k: f"{v:.17g}" if isinstance(v, float) else v
+                             for k, v in row.items()})
 
 
 def _write_config(out_dir, args):
@@ -64,11 +55,7 @@ def _prepare(args):
     nu = args.nu if args.nu is not None else default_nu(design, raw.y)
     spec = ConcordanceSpec(measure=args.measure, marginalized=args.marginalized,
                            nu=nu, samples=args.samples, seed=args.seed)
-    weights = pair_weights(ranks, spec.measure)
-    if spec.marginalized and design.p > design.q:
-        sampler = build_marginal_sampler(design.z, design.b, spec.samples, spec.seed)
-        weights = marginalized_weights(weights, sampler)
-    return raw, design, ranks, spec, weights
+    return raw, design, ranks, spec, problem_weights(design, ranks, spec)
 
 
 def _fit_outputs(out_dir, design, ranks, fit):
@@ -125,16 +112,15 @@ def cmd_select(args):
     report = select(design, raw.y, ranks, spec, grid, criterion=args.criterion)
     os.makedirs(args.out, exist_ok=True)
     _write_config(args.out, args)
-    report.write_csv(os.path.join(args.out, "selection_report.csv"))
+    rows = report.to_rows()
+    _write_csv(os.path.join(args.out, "selection_report.csv"), rows, list(rows[0]))
     _fit_outputs(args.out, design, ranks, report.chosen.fit)
     if args.trace_lambda:
         rows = []
         for lam in grid.lam_values:
             recs = [r for r in report.records if r.lam == lam]
-            if args.criterion == "loocv":
-                best = min(recs, key=lambda r: (r.loo, r.alpha))
-            else:
-                best = min(recs, key=lambda r: (r.aic, r.alpha))
+            best = min(recs, key=lambda r: (r.loo if args.criterion == "loocv" else r.aic,
+                                            r.alpha))
             fitted = best.fit.beta0 + design.x @ best.fit.beta
             tau = kendalltau(fitted, ranks.r).statistic
             rows.append({"lambda": float(lam), "alpha": best.alpha,
@@ -164,12 +150,12 @@ def _read_rows(path, columns):
 
 def _flag(rows, name):
     """0/1 indicator column: a cell is true when its integer part is nonzero."""
-    return np.trunc(_parse_column(rows, name, "indicator")) != 0
+    return np.trunc(_parse_column(rows, name)) != 0
 
 
 def cmd_pseudo(args):
     rows = _read_rows(args.data, [args.time_column, args.event_column])
-    times = _parse_column(rows, args.time_column, "time")
+    times = _parse_column(rows, args.time_column)
     events = _flag(rows, args.event_column)
     sample = SurvivalSample(times=times, events=events, tau=args.tau)
     values = pseudovalues(sample)
@@ -188,9 +174,9 @@ def cmd_pseudo(args):
 def cmd_score(args):
     rows = _read_rows(args.data, ["psa", "visceral_mets", "ecog_ge2",
                                   "days_to_progression"])
-    columns = zip(_parse_column(rows, "psa", "psa"), _flag(rows, "visceral_mets"),
+    columns = zip(_parse_column(rows, "psa"), _flag(rows, "visceral_mets"),
                   _flag(rows, "ecog_ge2"),
-                  _parse_column(rows, "days_to_progression", "days"))
+                  _parse_column(rows, "days_to_progression"))
     scores = np.array([
         nomogram_score(NomogramInput(psa=float(psa), visceral_mets=bool(visceral),
                                      ecog_ge2=bool(ecog),

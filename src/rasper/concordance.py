@@ -7,6 +7,10 @@ sums. For each design table it forms sigma(u) over the n x n scaled
 differences u once, with one in-place ``exp`` over a single buffer
 (``_sigma_table``), and u itself only for the MM curvature; the n^2 x p
 difference operator is never materialized.
+
+``problem_weights`` is the one place that decides a problem's weights: the
+measure's pair weights, plus sampled design tables when the spec is
+marginalized and the design has novel covariates.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ExternalRanks, StandardizedDesign, ge_counts
-from .errors import DegenerateWeights, DimensionMismatch, NonpositiveConcordance
+from .errors import DegenerateWeights, DimensionMismatch, InvalidValue, NonpositiveConcordance
 
 SPEARMAN = "spearman"
 KENDALL = "kendall"
@@ -34,11 +38,11 @@ class ConcordanceSpec:
 
     def __post_init__(self):
         if self.measure not in (SPEARMAN, KENDALL):
-            raise ValueError(f"unknown measure {self.measure!r}")
+            raise InvalidValue(f"unknown measure {self.measure!r}")
         if not self.nu > 0:
-            raise ValueError("nu must be positive")
+            raise InvalidValue("nu must be positive")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise InvalidValue("samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -54,21 +58,8 @@ class PairWeights:
     tables: tuple[np.ndarray, ...] | None = None
 
     @property
-    def n(self):
-        return self.w.shape[0]
-
-    @property
     def total(self):
         return float(self.w.sum())
-
-    def literal(self, ranks: ExternalRanks) -> np.ndarray:
-        """Paper-literal weights (diagnostic only): the Kendall form admits
-        negative entries and the marginalized Spearman form a sign flip."""
-        n = ranks.n
-        if self.measure == KENDALL:
-            r = ranks.r
-            return (2.0 * (r[:, None] > r[None, :]) - 1.0) / (n * (n - 1))
-        return ranks.r[:, None] / (4.0 * n * n) * np.ones((1, n))
 
 
 def _checked_beta(x, beta):
@@ -126,12 +117,9 @@ def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
 
 
 def _tables_for(weights: PairWeights, x):
-    if isinstance(x, StandardizedDesign):
-        x = x.x
-    x = np.asarray(x, dtype=float)
     if weights.tables is not None:
         return weights.tables
-    return (x,)
+    return (np.asarray(x.x if isinstance(x, StandardizedDesign) else x, dtype=float),)
 
 
 def _sigma_table(t):
@@ -239,8 +227,6 @@ class MarginalSampler:
 
     sigma_bz: np.ndarray                    # (p - q, q) cross-covariance
     cond_cov: np.ndarray                    # (p - q, p - q), eigenvalue-clamped
-    samples: int
-    seed: int
     tables: tuple[np.ndarray, ...]          # S design tables [Z | B^(s)]
 
 
@@ -273,15 +259,21 @@ def build_marginal_sampler(z, b, samples, seed) -> MarginalSampler:
     for _ in range(samples):
         eps = rng.standard_normal((n, d))
         tables.append(np.hstack([z, mean + eps @ root.T]))
-    return MarginalSampler(
-        sigma_bz=sigma_bz,
-        cond_cov=cond_clamped,
-        samples=samples,
-        seed=seed,
-        tables=tuple(tables),
-    )
+    return MarginalSampler(sigma_bz=sigma_bz, cond_cov=cond_clamped, tables=tuple(tables))
 
 
 def marginalized_weights(base: PairWeights, sampler: MarginalSampler) -> PairWeights:
     """Attach the sampler's frozen design tables to a weight set."""
     return PairWeights(w=base.w, measure=base.measure, tables=sampler.tables)
+
+
+def problem_weights(design: StandardizedDesign, ranks: ExternalRanks,
+                    spec: ConcordanceSpec) -> PairWeights:
+    """Weights of one fitting problem: ``pair_weights`` for the spec's
+    measure, with S sampled design tables attached when the spec is
+    marginalized and the design has novel covariates (p > q)."""
+    weights = pair_weights(ranks, spec.measure)
+    if spec.marginalized and design.p > design.q:
+        sampler = build_marginal_sampler(design.z, design.b, spec.samples, spec.seed)
+        weights = marginalized_weights(weights, sampler)
+    return weights

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,6 @@ class RawDataset:
     z: np.ndarray                      # (n, q) conventional covariates
     b: np.ndarray                      # (n, p - q) novel covariates, may have 0 cols
     scores: np.ndarray | None = None   # (n,) external risk scores
-    row_ids: tuple[str, ...] = ()
-    column_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = self.y.shape[0]
@@ -114,11 +112,6 @@ class ExternalRanks:
     def n(self):
         return self.r.shape[0]
 
-    @property
-    def has_ties(self):
-        """Whether two observations share a rank (equal scores tie)."""
-        return bool(np.unique(self.r).size < self.r.size)
-
 
 def ge_counts(values, ref) -> np.ndarray:
     """The >=-count rank rule: #{j : values_i >= ref_j} for each i.
@@ -175,7 +168,12 @@ def standardize(raw: RawDataset | np.ndarray, q: int | None = None) -> Standardi
 def load_schema(path) -> dict:
     """Read a JSON sidecar schema: outcome, conventional, novel, score columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
+        try:
+            schema = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(schema, dict):
+        raise SchemaMismatch(f"{path}: schema must be a JSON object")
     for key in ("outcome", "conventional"):
         if key not in schema:
             raise SchemaMismatch(f"schema missing required key {key!r}")
@@ -184,7 +182,7 @@ def load_schema(path) -> dict:
     return schema
 
 
-def _parse_column(rows, name, kind):
+def _parse_column(rows, name):
     out = np.empty(len(rows), dtype=float)
     for i, row in enumerate(rows):
         cell = row[name].strip()
@@ -203,8 +201,7 @@ def load_dataset(path, schema: dict) -> RawDataset:
     """Load a UTF-8 CSV with a header row into a RawDataset.
 
     ``schema`` maps roles to column names: ``outcome`` (str), ``conventional``
-    (list of str), ``novel`` (list of str), optional ``score`` (str) and
-    ``id`` (str).
+    (list of str), ``novel`` (list of str) and optional ``score`` (str).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -218,7 +215,8 @@ def load_dataset(path, schema: dict) -> RawDataset:
     if any(None in row.values() or None in row for row in rows):
         raise ParseError(f"{path}: ragged rows detected")
 
-    used = [schema["outcome"]] + list(schema["conventional"]) + list(schema.get("novel") or [])
+    novel = list(schema.get("novel") or [])
+    used = [schema["outcome"]] + list(schema["conventional"]) + novel
     if schema.get("score"):
         used.append(schema["score"])
     for name in used:
@@ -226,20 +224,11 @@ def load_dataset(path, schema: dict) -> RawDataset:
             raise SchemaMismatch(f"declared column {name!r} not present in {path}")
 
     rows = [{k.strip(): v for k, v in row.items()} for row in rows]
-    y = _parse_column(rows, schema["outcome"], "outcome")
-    z = np.column_stack([_parse_column(rows, c, "conventional") for c in schema["conventional"]])
-    novel = list(schema.get("novel") or [])
+    y = _parse_column(rows, schema["outcome"])
+    z = np.column_stack([_parse_column(rows, c) for c in schema["conventional"]])
     if novel:
-        b = np.column_stack([_parse_column(rows, c, "novel") for c in novel])
+        b = np.column_stack([_parse_column(rows, c) for c in novel])
     else:
         b = np.empty((len(rows), 0))
-    scores = _parse_column(rows, schema["score"], "score") if schema.get("score") else None
-    id_col = schema.get("id")
-    if id_col and id_col in header:
-        row_ids = tuple(row[id_col] for row in rows)
-    else:
-        row_ids = tuple(str(i) for i in range(len(rows)))
-    return RawDataset(
-        y=y, z=z, b=b, scores=scores, row_ids=row_ids,
-        column_names=tuple([schema["outcome"]] + list(schema["conventional"]) + novel),
-    )
+    scores = _parse_column(rows, schema["score"]) if schema.get("score") else None
+    return RawDataset(y=y, z=z, b=b, scores=scores)

@@ -1,28 +1,23 @@
 """Hyperparameter grids, leave-one-out cross-validation, effective degrees of
-freedom, and AIC-based selection."""
+freedom, and AIC-based selection.
+
+The full-data fits and every leave-one-out fold take their weights from
+``concordance.problem_weights``, so all of them marginalize by one rule.
+"""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .concordance import (
-    ConcordanceSpec,
-    PairWeights,
-    _pair_sums,
-    build_marginal_sampler,
-    marginalized_weights,
-    pair_weights,
-)
+from .concordance import ConcordanceSpec, PairWeights, _pair_sums, problem_weights
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
-from .solver import FitResult, PenalizedProblem, fit_rasper
+from .solver import FitResult, PenalizedProblem, _local_objective, fit_rasper
 
 
 @dataclass(frozen=True)
@@ -31,10 +26,6 @@ class HyperGrid:
 
     lam_values: np.ndarray       # (J + 2,), first entry 0
     alpha_values: np.ndarray     # (K + 2,), first entry 0
-    lam_bounds: tuple[float, float]
-    alpha_bounds: tuple[float, float]
-    j: int
-    k: int
 
     @property
     def size(self):
@@ -56,14 +47,7 @@ def build_grid(lam_min, lam_max, j, alpha_min, alpha_max, k) -> HyperGrid:
         raise InvalidBounds("grid sizes J and K must be >= 1")
     lam = np.concatenate([[0.0], _log_spaced(lam_min, lam_max, j)])
     alpha = np.concatenate([[0.0], _log_spaced(alpha_min, alpha_max, k)])
-    return HyperGrid(
-        lam_values=lam,
-        alpha_values=alpha,
-        lam_bounds=(float(lam_min), float(lam_max)),
-        alpha_bounds=(float(alpha_min), float(alpha_max)),
-        j=int(j),
-        k=int(k),
-    )
+    return HyperGrid(lam_values=lam, alpha_values=alpha)
 
 
 def default_grid(n) -> HyperGrid:
@@ -72,34 +56,23 @@ def default_grid(n) -> HyperGrid:
     return build_grid(1e-2 * n, 1e3 * n, 10, 1e-4 * n, 1e2 * n, 10)
 
 
-def _fold_weights(ranks, k, keep, spec, design_sub):
-    """Weights for the fold that leaves out row k.
-
-    The fold's ranks follow from the full-data ranks: under the >=-count rule
-    s_j >= s_k exactly when r_j >= r_k, so dropping row k lowers by one the
-    rank of every retained row ranked at or above it.
-    """
-    r = ranks.r[keep]
-    r = r - (r >= ranks.r[k])
-    w = pair_weights(ExternalRanks(r=r), spec.measure)
-    if spec.marginalized and design_sub.p > design_sub.q:
-        sampler = build_marginal_sampler(design_sub.z, design_sub.b,
-                                         spec.samples, spec.seed)
-        w = marginalized_weights(w, sampler)
-    return w
-
-
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
                       spec: ConcordanceSpec) -> list[PairWeights]:
     """Weights of every leave-one-out fold, as a list indexed by the
     left-out row. They depend only on the data, not on (lambda, alpha), so a
-    grid search computes them once; each fold's ranks are derived from the
-    full-data ranks."""
+    grid search computes them once.
+
+    Each fold's ranks follow from the full-data ranks: under the >=-count
+    rule s_j >= s_k exactly when r_j >= r_k, so dropping row k lowers by one
+    the rank of every retained row ranked at or above it.
+    """
     n = design.n
     cache = []
-    for i in range(n):
-        keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        cache.append(_fold_weights(ranks, i, keep, spec, design.subset(keep)))
+    for k in range(n):
+        keep = np.concatenate([np.arange(k), np.arange(k + 1, n)])
+        r = ranks.r[keep]
+        cache.append(problem_weights(design.subset(keep),
+                                     ExternalRanks(r=r - (r >= ranks.r[k])), spec))
     return cache
 
 
@@ -111,23 +84,24 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     The held-out loss ignores the ridge term. Row subsets keep the full-data
     standardization so the hat-matrix identity holds exactly at lam=alpha=0.
     Fold fits that stop without converging still count toward the score;
-    one ``RuntimeWarning`` per call names how many there were.
+    one ``RuntimeWarning`` per call names how many there were. Without a
+    ``fold_cache`` the fold weights are built here by ``fold_weight_cache``.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
     if n < 3:
         raise FoldFailure("leave-one-out needs at least 3 rows")
+    if fold_cache is None:
+        fold_cache = fold_weight_cache(design, ranks, spec)
     total = 0.0
     failed = []
     unconverged = 0
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        sub = design.subset(keep)
         try:
-            w = fold_cache[i] if fold_cache is not None else \
-                _fold_weights(ranks, i, keep, spec, sub)
-            problem = PenalizedProblem(design=sub, y=y[keep], weights=w,
-                                       spec=spec, lam=float(lam), alpha=float(alpha))
+            problem = PenalizedProblem(design=design.subset(keep), y=y[keep],
+                                       weights=fold_cache[i], spec=spec,
+                                       lam=float(lam), alpha=float(alpha))
             init = warm.beta if warm is not None else None
             fit = fit_rasper(problem, init=init)
         except RasperError as exc:
@@ -172,9 +146,7 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
 
 def aic(problem: PenalizedProblem, fit: FitResult, df) -> float:
     """AIC = 2 * L_I(beta0, beta; alpha) + 2 * df, ridge term included."""
-    resid = problem.y - fit.beta0 - problem.design.x @ fit.beta
-    local = 0.5 * float(resid @ resid) + 0.5 * problem.alpha * float(fit.beta @ fit.beta)
-    return 2.0 * local + 2.0 * float(df)
+    return 2.0 * _local_objective(problem, fit.beta0, fit.beta) + 2.0 * float(df)
 
 
 @dataclass
@@ -213,21 +185,6 @@ class SelectionReport:
             })
         return rows
 
-    def write_csv(self, path):
-        rows = self.to_rows()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
-                                 for k, v in row.items()})
-
-    def to_json(self):
-        return json.dumps({"criterion": self.criterion,
-                           "chosen": {"lambda": self.chosen.lam,
-                                      "alpha": self.chosen.alpha},
-                           "grid": self.to_rows()}, indent=2)
-
 
 def select(design: StandardizedDesign, y, ranks: ExternalRanks,
            spec: ConcordanceSpec, grid: HyperGrid, criterion="loocv") -> SelectionReport:
@@ -240,10 +197,7 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     if criterion not in ("loocv", "aic"):
         raise ValueError(f"unknown criterion {criterion!r}")
     y = np.asarray(y, dtype=float)
-    base_w = pair_weights(ranks, spec.measure)
-    if spec.marginalized and design.p > design.q:
-        sampler = build_marginal_sampler(design.z, design.b, spec.samples, spec.seed)
-        base_w = marginalized_weights(base_w, sampler)
+    base_w = problem_weights(design, ranks, spec)
     fold_cache = None
     if criterion == "loocv":
         fold_cache = fold_weight_cache(design, ranks, spec)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 from . import baselines
 from .concordance import ConcordanceSpec
 from .data_model import external_ranks, ge_counts, standardize
-from .errors import RasperError, SingularDesign
+from .errors import InvalidValue, ParseError, RasperError, SchemaMismatch, SingularDesign
 from .selection import build_grid, select
 from .solver import default_nu
 
@@ -63,15 +63,17 @@ class SimSetting:
 
     def __post_init__(self):
         if self.study not in ("1a", "1b", "2"):
-            raise ValueError(f"unknown study {self.study!r}")
+            raise InvalidValue(f"unknown study {self.study!r}")
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise InvalidValue("sigma must be positive")
+        if self.samples < 1 or not (self.nu is None or self.nu > 0):
+            raise InvalidValue("samples must be >= 1 and nu positive")
         for m in self.methods:
             if m not in ALL_METHODS:
-                raise ValueError(f"unknown method {m!r}")
+                raise InvalidValue(f"unknown method {m!r}")
         p = self._p()
         if self.n_internal < p + 2:
-            raise ValueError("n_internal must be at least p + 2")
+            raise InvalidValue("n_internal must be at least p + 2")
 
     def _p(self):
         if self.study == "1a":
@@ -82,13 +84,24 @@ class SimSetting:
 
     @classmethod
     def from_json(cls, path):
+        """Read a setting from a JSON object of field values. Invalid JSON
+        raises ``ParseError``; an unknown or missing key, or a value of the
+        wrong type, raises ``SchemaMismatch``."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for key in ("beta_external", "beta_internal", "theta", "methods",
-                    "lam_scale", "alpha_scale"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise SchemaMismatch(f"{path}: a setting must be a JSON object")
+        try:
+            for key in ("beta_external", "beta_internal", "theta", "methods",
+                        "lam_scale", "alpha_scale"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            return cls(**raw)
+        except TypeError as exc:
+            raise SchemaMismatch(f"{path}: {exc}") from exc
 
     def to_dict(self):
         return asdict(self)

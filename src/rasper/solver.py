@@ -28,7 +28,7 @@ path.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +37,7 @@ from .concordance import ConcordanceSpec, PairWeights, _pair_sums, _tables_for
 from .data_model import StandardizedDesign
 from .errors import (
     DimensionMismatch,
+    InvalidValue,
     NonFiniteValue,
     NonpositiveConcordance,
     NonSPDSystem,
@@ -65,9 +66,9 @@ class PenalizedProblem:
         if self.weights.w.shape != (self.design.n, self.design.n):
             raise DimensionMismatch("weight matrix shape does not match design")
         if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lambda must be finite and nonnegative")
+            raise InvalidValue("lambda must be finite and nonnegative")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and nonnegative")
+            raise InvalidValue("alpha must be finite and nonnegative")
 
     @property
     def nu(self):
@@ -87,7 +88,6 @@ class FitResult:
     iterations: int
     grad_norm: float             # relative gradient ||grad F|| / scale at beta
     evaluations: int             # objective evaluations (start, trials, MM points)
-    warm_start: str = "local-minimizer"
 
 
 def jj_coefficient(u):
@@ -268,21 +268,22 @@ def _point(problem, gram, xty, beta0, beta):
     return value, d, g, gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
 
 
-def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
-               tol=1e-8, max_iter=500) -> FitResult:
+def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
+               max_iter=500) -> FitResult:
     """Fit the rank-penalized regression by trust-region Newton steps with
     an MM fallback.
 
     Starts from the local-objective minimizer unless ``init`` is given, which
     guarantees the final objective improves on the unpenalized fit. The
-    intercept is profiled, beta0 = mean(y - X beta), so only the gradient g
-    and Hessian H of F in beta matter. Each trial and each MM point is
-    evaluated by one pair pass (``_point``) that gives F, g and H at once,
-    and an accepted point keeps them, so it is never evaluated again; the
-    start value is one ``penalized_objective`` call plus that pass. The fit
-    is converged once ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient
-    that does not change with the scale of y. When y is constant X_c' y_c
-    vanishes, and ||g|| at the start iterate is the scale instead.
+    intercept is profiled, beta0 = mean(y - X beta), at the start as at every
+    later point, so only the gradient g and Hessian H of F in beta matter.
+    Each trial and each MM point is evaluated by one pair pass (``_point``)
+    that gives F, g and H at once, and an accepted point keeps them, so it
+    is never evaluated again; the start value is one ``penalized_objective``
+    call plus that pass. The fit is converged once
+    ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not change
+    with the scale of y. When y is constant X_c' y_c vanishes, and ||g|| at
+    the start iterate is the scale instead.
 
     Otherwise the trial step s minimizes g's + 0.5*s'Hs over ||s|| <= r
     (``_trust_step``), with pred its model decrease. The first radius r is
@@ -302,15 +303,9 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
     ``converged=False``. Every problem, with or without marginal tables,
     runs this same loop.
     """
-    if init is None:
-        beta0, beta = local_minimizer(problem)
-        source = "local-minimizer"
-    else:
-        beta = np.asarray(init, dtype=float).copy()
-        beta0 = float(beta0_init) if beta0_init is not None else \
-            float(np.mean(problem.y - problem.design.x @ beta))
-        source = "user"
     x = problem.design.x
+    beta = local_minimizer(problem)[1] if init is None else np.asarray(init, dtype=float).copy()
+    beta0 = float(np.mean(problem.y - x @ beta))
     lam = problem.lam
     xc = x - x.mean(axis=0)
     gram = xc.T @ xc + problem.alpha * np.eye(problem.design.p)
@@ -376,7 +371,6 @@ def fit_rasper(problem: PenalizedProblem, init=None, beta0_init=None,
         iterations=iters,
         grad_norm=grad_norm,
         evaluations=evaluations,
-        warm_start=source,
     )
 
 

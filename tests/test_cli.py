@@ -289,3 +289,48 @@ class TestSimulate:
     def test_missing_setting_file(self, tmp_path):
         assert run(["simulate", "--setting", str(tmp_path / "x.json"),
                     "--out", str(tmp_path / "o")]) == 2
+
+
+def _one_error_line(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("extra,needle", [
+    (["--nu", "-1"], "nu"),
+    (["--samples", "0"], "samples"),
+    (["--lambda", "-1"], "lambda"),
+    (["--alpha", "-2"], "alpha"),
+])
+def test_bad_option_value_exit_1(dataset, tmp_path, capsys, extra, needle):
+    data, schema = dataset
+    assert run(["fit", "--data", data, "--schema", schema, *extra,
+                "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys, needle)
+
+
+@pytest.mark.parametrize("text,needle", [
+    ('{"outcome": "y", "conventional": ["z1"', "not valid JSON"),
+    ('["y", "z1"]', "JSON object"),
+])
+def test_malformed_schema_exit_1(dataset, tmp_path, capsys, text, needle):
+    data, _ = dataset
+    schema = tmp_path / "bad.json"
+    schema.write_text(text, encoding="utf-8")
+    assert run(["fit", "--data", data, "--schema", str(schema),
+                "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys, needle)
+
+
+@pytest.mark.parametrize("make_text,needle", [
+    (lambda p: json.dumps({**p, "study": "3"}), "'3'"),
+    (lambda p: json.dumps({**p, "color": "red"}), "color"),
+    (lambda p: json.dumps(p)[:-10], "not valid JSON"),
+    (lambda p: json.dumps(list(p)), "JSON object"),
+], ids=["unknown-study", "unknown-key", "truncated", "not-an-object"])
+def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
+    setting = tmp_path / "setting.json"
+    setting.write_text(make_text(TestSimulate().setting_payload()), encoding="utf-8")
+    assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys, needle)

@@ -16,10 +16,16 @@ from rasper.concordance import (
     exact_rank_params,
     marginalized_weights,
     pair_weights,
+    problem_weights,
     smooth_rank_params,
 )
-from rasper.data_model import external_ranks
-from rasper.errors import DegenerateWeights, DimensionMismatch, NonpositiveConcordance
+from rasper.data_model import external_ranks, standardize
+from rasper.errors import (
+    DegenerateWeights,
+    DimensionMismatch,
+    InvalidValue,
+    NonpositiveConcordance,
+)
 from rasper.solver import jj_coefficient
 
 
@@ -86,10 +92,11 @@ class TestPairWeights:
     def test_literal_kendall_is_signed(self):
         ranks = external_ranks([30.0, 10.0, 20.0])
         pw = pair_weights(ranks, "kendall")
-        lit = pw.literal(ranks)
+        # the paper's signed Kendall form (2 I(r_i > r_j) - 1) / (n (n - 1))
+        n, r = 3, ranks.r
+        lit = (2.0 * (r[:, None] > r[None, :]) - 1.0) / (n * (n - 1))
         assert lit.min() < 0.0
         # implemented nonnegative form differs by the constant 1/(n(n-1))
-        n = 3
         assert np.allclose(pw.w - lit, 1.0 / (n * (n - 1)), atol=1e-12)
 
 
@@ -299,6 +306,34 @@ class TestMarginalSampler:
         assert concordance_value(z, beta, 0.3, mw) == pytest.approx(direct)
 
 
+class TestProblemWeights:
+    def data(self, q, p=4, n=15):
+        rng = np.random.default_rng(6)
+        return standardize(rng.standard_normal((n, p)), q), \
+            external_ranks(rng.standard_normal(n))
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_plain_spec_has_no_tables(self, measure):
+        design, ranks = self.data(q=2)
+        w = problem_weights(design, ranks, ConcordanceSpec(measure))
+        assert w.tables is None
+        assert np.array_equal(w.w, pair_weights(ranks, measure).w)
+
+    def test_marginalized_spec_with_novel_block_takes_sampler_tables(self):
+        design, ranks = self.data(q=2)
+        spec = ConcordanceSpec("kendall", marginalized=True, samples=4, seed=7)
+        w = problem_weights(design, ranks, spec)
+        expected = build_marginal_sampler(design.z, design.b, 4, 7).tables
+        assert len(w.tables) == len(expected) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(w.tables, expected))
+        assert np.array_equal(w.w, pair_weights(ranks, "kendall").w)
+
+    def test_marginalized_spec_without_novel_block_has_no_tables(self):
+        design, ranks = self.data(q=4)
+        w = problem_weights(design, ranks, ConcordanceSpec(marginalized=True, samples=4))
+        assert w.tables is None
+
+
 class TestAppendixIdentities:
     def test_spearman_permutation_identity(self):
         # sum of squared centered ranks of any permutation = (n^3 - n) / 12
@@ -328,6 +363,8 @@ class TestAppendixIdentities:
         assert cs.pop() == pytest.approx(0.5)
 
     def test_spec_validation_rejects_bad_values(self):
+        with pytest.raises(InvalidValue):
+            ConcordanceSpec(nu=-1.0)
         with pytest.raises(ValueError):
             ConcordanceSpec(measure="pearson")
         with pytest.raises(ValueError):

@@ -26,13 +26,11 @@ class TestExternalRanks:
     def test_distinct_scores_give_permutation(self):
         r = external_ranks([10.0, 5.0, 7.0])
         assert list(r.r) == [3, 1, 2]
-        assert not r.has_ties
 
     def test_tie_group_shares_max_rank(self):
         # >=-count: both 2.0 entries dominate {2.0, 2.0, 1.0} -> rank 3
         r = external_ranks([2.0, 2.0, 1.0])
         assert list(r.r) == [3, 3, 1]
-        assert r.has_ties
 
     def test_single_observation(self):
         r = external_ranks([4.2])
@@ -63,7 +61,6 @@ class TestExternalRanks:
         s = np.array(values, dtype=float)
         ranks = external_ranks(s)
         assert np.array_equal(ranks.r, (s[:, None] >= s[None, :]).sum(axis=1))
-        assert ranks.has_ties == (len(set(values)) < len(values))
         assert np.array_equal(external_ranks(2.0 * s + 1.0).r, ranks.r)
 
 
@@ -184,6 +181,16 @@ class TestLoading:
         schema = load_schema(self.schema(tmp_path, score="nope"))
         with pytest.raises(SchemaMismatch):
             load_dataset(self.write(tmp_path, self.CSV), schema)
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"outcome": "y", "conventional": ["z1"', ParseError),
+        ('["y"]', SchemaMismatch),
+    ])
+    def test_malformed_schema_json_rejected(self, tmp_path, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error):
+            load_schema(str(path))
 
     def test_schema_requires_outcome(self, tmp_path):
         path = tmp_path / "bad.json"

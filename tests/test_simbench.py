@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rasper import baselines
-from rasper.errors import SingularDesign
+from rasper.errors import InvalidValue, ParseError, SchemaMismatch, SingularDesign
 from rasper.simbench import (
     ALL_METHODS,
     BenchReport,
@@ -117,6 +117,26 @@ class TestSimSetting:
         with pytest.raises(ValueError):
             SimSetting(study="1b", beta_external=(1.0,) * 5,
                        beta_internal=(1.0,) * 7, n_internal=8)
+
+    def test_validation_errors_are_typed(self):
+        with pytest.raises(InvalidValue):
+            SimSetting(study="3")
+        # checked here, not left to fail every replication inside the run
+        with pytest.raises(InvalidValue):
+            SimSetting(study="1a", beta_external=(1.0,), samples=0)
+        with pytest.raises(InvalidValue):
+            SimSetting(study="1a", beta_external=(1.0,), nu=-1.0)
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"study": "1a", "beta_external": [1.0', ParseError),
+        ('{"study": "1a", "color": "red"}', SchemaMismatch),
+        ('["study"]', SchemaMismatch),
+    ])
+    def test_malformed_json_rejected(self, tmp_path, text, error):
+        path = tmp_path / "setting.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error):
+            SimSetting.from_json(str(path))
 
     def test_from_json_round_trip(self, tmp_path):
         setting = SimSetting(study="1b", beta_external=(1.0, 0.5),

@@ -180,10 +180,16 @@ class TestFitRasper:
 
     def test_warm_start_used(self, small_problem):
         fit = fit_rasper(small_problem)
-        warm = fit_rasper(small_problem, init=fit.beta, beta0_init=fit.beta0)
-        assert warm.warm_start == "user"
+        warm = fit_rasper(small_problem, init=fit.beta)
         assert warm.iterations <= 2
         assert np.allclose(warm.beta, fit.beta, atol=1e-6)
+
+    def test_warm_start_value_is_at_profiled_intercept(self, small_problem):
+        # the first trace value is F at the point the solver starts from
+        init = np.linspace(-0.5, 0.5, small_problem.design.p)
+        fit = fit_rasper(small_problem, init=init)
+        beta0 = float(np.mean(small_problem.y - small_problem.design.x @ init))
+        assert fit.objective_trace[0] == penalized_objective(small_problem, beta0, init)
 
     def test_objective_gradient_matches_finite_differences(self):
         p, _, _ = make_problem(lam=3.0, alpha=0.7)
