@@ -29,25 +29,13 @@ def _centered(design, y):
 
 
 def fit_ols(design, y):
-    """Ordinary least squares with intercept."""
-    xc, yc, ybar, xbar = _centered(design, y)
-    xtx = xc.T @ xc
-    if np.linalg.matrix_rank(xtx) < xc.shape[1]:
-        raise SingularDesign("X'X is singular")
-    beta = scipy.linalg.solve(xtx, xc.T @ yc, assume_a="pos")
-    return ybar - float(xbar @ beta), beta
+    """Ordinary least squares with intercept: ATL with alpha = lam = 0."""
+    return fit_atl(design, y, 0.0, 0.0, np.zeros(_as_matrix(design).shape[1]))
 
 
 def fit_ridge(design, y, alpha):
-    """Ridge closed form (X'X + alpha I)^{-1} X'Y."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha == 0:
-        return fit_ols(design, y)
-    xc, yc, ybar, xbar = _centered(design, y)
-    beta = scipy.linalg.solve(xc.T @ xc + alpha * np.eye(xc.shape[1]),
-                              xc.T @ yc, assume_a="pos")
-    return ybar - float(xbar @ beta), beta
+    """Ridge closed form (X'X + alpha I)^{-1} X'Y: ATL with beta_E = 0."""
+    return fit_atl(design, y, alpha, 0.0, np.zeros(_as_matrix(design).shape[1]))
 
 
 def fit_dtl(design, y, alpha, beta_external):
@@ -57,7 +45,11 @@ def fit_dtl(design, y, alpha, beta_external):
 
 
 def fit_atl(design, y, alpha, lam, beta_external):
-    """Angle transfer learning: (X'X + alpha I)^{-1}(X'Y + lam beta_E)."""
+    """Angle transfer learning: (X'X + alpha I)^{-1}(X'Y + lam beta_E).
+
+    The one closed-form solve behind every linear baseline; alpha = 0 needs
+    a nonsingular X'X.
+    """
     if alpha < 0 or lam < 0:
         raise ValueError("alpha and lambda must be nonnegative")
     beta_external = np.asarray(beta_external, dtype=float)

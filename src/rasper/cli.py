@@ -18,9 +18,10 @@ from .data_model import (
     ge_counts,
     load_dataset,
     load_schema,
+    read_rows,
     standardize,
 )
-from .errors import ParseError, RasperError, SchemaMismatch
+from .errors import InvalidBounds, RasperError
 from .selection import build_grid, default_grid, select
 from .simbench import SimSetting, run_benchmark
 from .solver import PenalizedProblem, default_nu, fit_rasper
@@ -100,8 +101,13 @@ def cmd_fit(args):
 
 
 def _grid_from_args(args, n):
-    if args.lambda_min is None:
+    """The default grid when no bound is given, else the grid on all four."""
+    names = ("lambda_min", "lambda_max", "alpha_min", "alpha_max")
+    missing = ["--" + k.replace("_", "-") for k in names if getattr(args, k) is None]
+    if len(missing) == len(names):
         return default_grid(n)
+    if missing:
+        raise InvalidBounds(f"give all four grid bounds or none; missing {', '.join(missing)}")
     return build_grid(args.lambda_min, args.lambda_max, args.grid_j,
                       args.alpha_min, args.alpha_max, args.grid_k)
 
@@ -130,31 +136,13 @@ def cmd_select(args):
     return 0
 
 
-def _read_rows(path, columns):
-    """Data rows of a CSV file whose header must name every one of ``columns``."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        rows = list(reader)
-    if header is None:
-        raise ParseError(f"{path}: empty file, header row required")
-    for name in columns:
-        if name not in header:
-            raise SchemaMismatch(f"column {name!r} not present in {path}")
-    if any(None in row.values() or None in row for row in rows):
-        raise ParseError(f"{path}: ragged rows detected")
-    return rows
-
-
 def _flag(rows, name):
     """0/1 indicator column: a cell is true when its integer part is nonzero."""
     return np.trunc(_parse_column(rows, name)) != 0
 
 
 def cmd_pseudo(args):
-    rows = _read_rows(args.data, [args.time_column, args.event_column])
+    rows = read_rows(args.data, [args.time_column, args.event_column])
     times = _parse_column(rows, args.time_column)
     events = _flag(rows, args.event_column)
     sample = SurvivalSample(times=times, events=events, tau=args.tau)
@@ -172,8 +160,8 @@ def cmd_pseudo(args):
 
 
 def cmd_score(args):
-    rows = _read_rows(args.data, ["psa", "visceral_mets", "ecog_ge2",
-                                  "days_to_progression"])
+    rows = read_rows(args.data, ["psa", "visceral_mets", "ecog_ge2",
+                                 "days_to_progression"])
     columns = zip(_parse_column(rows, "psa"), _flag(rows, "visceral_mets"),
                   _flag(rows, "ecog_ge2"),
                   _parse_column(rows, "days_to_progression"))
@@ -199,8 +187,6 @@ def cmd_score(args):
 
 
 def cmd_simulate(args):
-    if not os.path.exists(args.setting):
-        raise FileNotFoundError(args.setting)
     setting = SimSetting.from_json(args.setting)
     report = run_benchmark(setting, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
@@ -275,7 +261,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except FileNotFoundError as exc:
-        print(f"error: input file not found: {exc}", file=sys.stderr)
+        print(f"error: input file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
     except RasperError as exc:
         print(f"error: {exc}", file=sys.stderr)

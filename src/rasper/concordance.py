@@ -47,15 +47,36 @@ class ConcordanceSpec:
 
 @dataclass(frozen=True)
 class PairWeights:
-    """Fixed nonnegative pairwise weights w_ij for the concordance sum.
+    """Nonnegative pairwise weights w_ij for the concordance sum, held as the
+    external ranks they derive from.
 
     For marginalized measures, ``tables`` holds the S sampled design tables
     and each pair term is weighted by w_ij / S.
     """
 
-    w: np.ndarray                           # (n, n), nonnegative
+    r: np.ndarray                           # (n,) external ranks
     measure: str
     tables: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.measure not in (SPEARMAN, KENDALL):
+            raise ValueError(f"unknown measure {self.measure!r}")
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense (n, n) weight matrix, built anew from the ranks.
+
+        Spearman: w_ij = r_i / (4 n^2), constant in j. Kendall: the
+        nonnegative convention w_ij = 2 I(r_i > r_j) / (n (n - 1)), which
+        differs from the signed form only by a beta-independent additive
+        constant in D and keeps every weight valid for the quasi-probability
+        construction.
+        """
+        n = self.r.shape[0]
+        r = self.r.astype(float)
+        if self.measure == SPEARMAN:
+            return np.repeat(r[:, None] / (4.0 * n * n), n, axis=1)
+        return 2.0 * (r[:, None] > r[None, :]) / (n * (n - 1.0))
 
     @property
     def total(self):
@@ -98,22 +119,9 @@ def smooth_rank_params(x, beta, nu) -> np.ndarray:
 
 
 def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
-    """Pairwise weights for the chosen association measure.
-
-    Spearman: w_ij = r_i / (4 n^2), constant in j. Kendall: the nonnegative
-    convention w_ij = 2 I(r_i > r_j) / (n (n - 1)), which differs from the
-    signed form only by a beta-independent additive constant in D and keeps
-    every weight valid for the quasi-probability construction.
-    """
-    n = ranks.n
-    r = ranks.r.astype(float)
-    if measure == SPEARMAN:
-        w = np.repeat(r[:, None] / (4.0 * n * n), n, axis=1)
-    elif measure == KENDALL:
-        w = 2.0 * (r[:, None] > r[None, :]) / (n * (n - 1.0))
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    return PairWeights(w=w, measure=measure)
+    """Pairwise weights for the chosen association measure (see
+    ``PairWeights.w``)."""
+    return PairWeights(r=ranks.r, measure=measure)
 
 
 def _tables_for(weights: PairWeights, x):
@@ -264,7 +272,7 @@ def build_marginal_sampler(z, b, samples, seed) -> MarginalSampler:
 
 def marginalized_weights(base: PairWeights, sampler: MarginalSampler) -> PairWeights:
     """Attach the sampler's frozen design tables to a weight set."""
-    return PairWeights(w=base.w, measure=base.measure, tables=sampler.tables)
+    return PairWeights(r=base.r, measure=base.measure, tables=sampler.tables)
 
 
 def problem_weights(design: StandardizedDesign, ranks: ExternalRanks,

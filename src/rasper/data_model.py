@@ -108,10 +108,6 @@ class ExternalRanks:
 
     r: np.ndarray            # (n,) integer ranks in 1..n
 
-    @property
-    def n(self):
-        return self.r.shape[0]
-
 
 def ge_counts(values, ref) -> np.ndarray:
     """The >=-count rank rule: #{j : values_i >= ref_j} for each i.
@@ -197,33 +193,38 @@ def _parse_column(rows, name):
     return out
 
 
+def read_rows(path, columns) -> list[dict]:
+    """Data rows of a UTF-8 CSV file with a header row, as dicts keyed by the
+    header names with surrounding spaces stripped. The header must name every
+    one of ``columns``. A file that cannot be opened raises ``OSError``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file, header row required")
+        header = [h.strip() for h in reader.fieldnames]
+        rows = list(reader)
+    if any(None in row.values() or None in row for row in rows):
+        raise ParseError(f"{path}: ragged rows detected")
+    for name in columns:
+        if name not in header:
+            raise SchemaMismatch(f"column {name!r} not present in {path}")
+    return [{k.strip(): v for k, v in row.items()} for row in rows]
+
+
 def load_dataset(path, schema: dict) -> RawDataset:
     """Load a UTF-8 CSV with a header row into a RawDataset.
 
     ``schema`` maps roles to column names: ``outcome`` (str), ``conventional``
     (list of str), ``novel`` (list of str) and optional ``score`` (str).
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParseError(f"{path}: empty file, header row required")
-            header = [h.strip() for h in reader.fieldnames]
-            rows = list(reader)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if any(None in row.values() or None in row for row in rows):
-        raise ParseError(f"{path}: ragged rows detected")
-
     novel = list(schema.get("novel") or [])
     used = [schema["outcome"]] + list(schema["conventional"]) + novel
     if schema.get("score"):
         used.append(schema["score"])
-    for name in used:
-        if name not in header:
-            raise SchemaMismatch(f"declared column {name!r} not present in {path}")
-
-    rows = [{k.strip(): v for k, v in row.items()} for row in rows]
+    try:
+        rows = read_rows(path, used)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     y = _parse_column(rows, schema["outcome"])
     z = np.column_stack([_parse_column(rows, c) for c in schema["conventional"]])
     if novel:

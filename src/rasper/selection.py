@@ -59,7 +59,8 @@ def default_grid(n) -> HyperGrid:
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
                       spec: ConcordanceSpec) -> list[PairWeights]:
     """Weights of every leave-one-out fold, as a list indexed by the
-    left-out row. They depend only on the data, not on (lambda, alpha), so a
+    left-out row: n - 1 ranks per fold, plus the fold's sampled tables when
+    marginalized. They depend only on the data, not on (lambda, alpha), so a
     grid search computes them once.
 
     Each fold's ranks follow from the full-data ranks: under the >=-count
@@ -132,9 +133,10 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     p = design.p
     xtx = x.T @ x
     system = xtx + alpha * np.eye(p)
-    if lam > 0 and weights.total > 0:
-        m0 = _pair_sums(weights.w, (x,), np.zeros(p), nu, mm=True)[3]
-        system = system + lam * m0
+    if lam > 0:
+        w = weights.w
+        if w.any():
+            system = system + lam * _pair_sums(w, (x,), np.zeros(p), nu, mm=True)[3]
     try:
         sol = scipy.linalg.solve(system, xtx, assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError) as exc:

@@ -74,6 +74,14 @@ class SimSetting:
         p = self._p()
         if self.n_internal < p + 2:
             raise InvalidValue("n_internal must be at least p + 2")
+        self.grid()                 # InvalidBounds on a bad lam_scale, alpha_scale or size
+
+    def grid(self):
+        """The (lambda, alpha) grid at n_internal: the bounds are the scale
+        multiples of n."""
+        n = self.n_internal
+        return build_grid(self.lam_scale[0] * n, self.lam_scale[1] * n, self.grid_j,
+                          self.alpha_scale[0] * n, self.alpha_scale[1] * n, self.grid_k)
 
     def _p(self):
         if self.study == "1a":
@@ -226,22 +234,18 @@ def _loo_mse(x, y, alpha, lam=0.0, beta_e=None):
     return float(e @ e) / n
 
 
+# Each picks the least leave-one-out error; ties go to the smaller lam, then alpha.
 def _select_ridge(x, y, alphas):
-    scores = [(_loo_mse(x, y, a), a) for a in alphas]
-    best = min(scores, key=lambda t: (t[0], t[1]))[1]
-    return baselines.fit_ridge(x, y, best)
+    return baselines.fit_ridge(x, y, min((_loo_mse(x, y, a), a) for a in alphas)[1])
 
 
 def _select_dtl(x, y, alphas, beta_e):
-    scores = [(_loo_mse(x, y, a, a, beta_e), a) for a in alphas]
-    best = min(scores, key=lambda t: (t[0], t[1]))[1]
+    best = min((_loo_mse(x, y, a, a, beta_e), a) for a in alphas)[1]
     return baselines.fit_dtl(x, y, best, beta_e)
 
 
 def _select_atl(x, y, alphas, lams, beta_e):
-    scored = [(_loo_mse(x, y, a, lam, beta_e), lam, a)
-              for a in alphas for lam in lams]
-    _, lam, a = min(scored)
+    _, lam, a = min((_loo_mse(x, y, a, lam, beta_e), lam, a) for a in alphas for lam in lams)
     return baselines.fit_atl(x, y, a, lam, beta_e)
 
 
@@ -262,13 +266,9 @@ def _run_replication(setting: SimSetting, rep: int):
     design = standardize(data.x, data.q)
     ranks = external_ranks(data.scores)
     xt_std = (data.x_test - design.mean) / design.scale
-    n = setting.n_internal
 
     nu = setting.nu if setting.nu is not None else default_nu(design, data.y)
-    grid = build_grid(setting.lam_scale[0] * n, setting.lam_scale[1] * n,
-                      setting.grid_j,
-                      setting.alpha_scale[0] * n, setting.alpha_scale[1] * n,
-                      setting.grid_k)
+    grid = setting.grid()
 
     def mse(beta0, beta):
         pred = beta0 + xt_std @ beta

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +50,9 @@ NU_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class PenalizedProblem:
-    """Least-squares local objective plus ridge term and rank penalty."""
+    """Least-squares local objective plus ridge term and rank penalty. The
+    parts fixed for one fit are built once, on first use: the dense pair
+    weights ``w``, ``xc`` = X_c, ``gram`` = X_c'X_c + alpha I, ``xty`` = X_c'y_c."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -63,8 +66,8 @@ class PenalizedProblem:
             raise DimensionMismatch("y length does not match design rows")
         if not np.all(np.isfinite(self.y)):
             raise NonFiniteValue("outcome y contains NaN or infinite values")
-        if self.weights.w.shape != (self.design.n, self.design.n):
-            raise DimensionMismatch("weight matrix shape does not match design")
+        if self.weights.r.shape != (self.design.n,):
+            raise DimensionMismatch("weight ranks do not match design rows")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise InvalidValue("lambda must be finite and nonnegative")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
@@ -73,6 +76,23 @@ class PenalizedProblem:
     @property
     def nu(self):
         return self.spec.nu
+
+    @cached_property
+    def w(self):
+        return self.weights.w
+
+    @cached_property
+    def xc(self):
+        x = self.design.x
+        return x - x.mean(axis=0)
+
+    @cached_property
+    def gram(self):
+        return self.xc.T @ self.xc + self.alpha * np.eye(self.design.p)
+
+    @cached_property
+    def xty(self):
+        return self.xc.T @ (self.y - self.y.mean())
 
 
 @dataclass(frozen=True)
@@ -135,9 +155,8 @@ def _local_objective(problem, beta0, beta):
 
 def _sums(problem, beta, gradient=False, mm=False, hessian=False):
     """The pair-sum engine on the problem's weights and design tables."""
-    w = problem.weights
-    return _pair_sums(w.w, _tables_for(w, problem.design), beta, problem.nu,
-                      gradient=gradient, mm=mm, hessian=hessian)
+    return _pair_sums(problem.w, _tables_for(problem.weights, problem.design), beta,
+                      problem.nu, gradient=gradient, mm=mm, hessian=hessian)
 
 
 def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
@@ -153,12 +172,8 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
     """One majorize-minimize update: the intercept is profiled out (neither
     the pair differences nor the penalties involve it), so solving the SPD
     system on centered data minimizes the surrogate jointly in (beta0, beta)."""
-    x = problem.design.x
     beta = np.asarray(beta, dtype=float)
-    xc = x - x.mean(axis=0)
-    yc = problem.y - problem.y.mean()
-    system = xc.T @ xc + problem.alpha * np.eye(problem.design.p)
-    rhs = xc.T @ yc
+    system, rhs = problem.gram, problem.xty
     if problem.lam > 0:
         _, _, lin, quad, _ = _sums(problem, beta, mm=True)
         system = system + 2.0 * problem.lam * quad
@@ -168,7 +183,7 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
         beta_new = scipy.linalg.cho_solve(cho, rhs)
     except scipy.linalg.LinAlgError as exc:
         raise NonSPDSystem("MM system is not positive definite") from exc
-    beta0_new = float(np.mean(problem.y - x @ beta_new))
+    beta0_new = float(np.mean(problem.y - problem.design.x @ beta_new))
     return beta0_new, beta_new
 
 
@@ -192,17 +207,14 @@ def surrogate_value(problem, beta0, beta, anchor_beta):
 
 def local_minimizer(problem: PenalizedProblem):
     """Minimizer of the local objective alone (ridge, or OLS when alpha=0)."""
-    x = problem.design.x
-    xc = x - x.mean(axis=0)
-    yc = problem.y - problem.y.mean()
     if problem.alpha > 0:
-        beta = scipy.linalg.solve(xc.T @ xc + problem.alpha * np.eye(problem.design.p),
-                                  xc.T @ yc, assume_a="pos")
+        beta = scipy.linalg.solve(problem.gram, problem.xty, assume_a="pos")
     else:
-        beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
+        beta, _, rank, _ = np.linalg.lstsq(problem.xc, problem.y - problem.y.mean(),
+                                           rcond=None)
         if rank < problem.design.p:
             raise SingularDesign("design is rank deficient and alpha = 0")
-    beta0 = float(np.mean(problem.y - x @ beta))
+    beta0 = float(np.mean(problem.y - problem.design.x @ beta))
     return beta0, beta
 
 
@@ -252,20 +264,20 @@ def _trust_step(evals, evecs, g, radius):
     return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st)
 
 
-def _point(problem, gram, xty, beta0, beta):
+def _point(problem, beta0, beta):
     """F at (beta0, beta) with D and the gradient and Hessian of F in beta,
     all from one pass of the pair-sum engine; F is formed in the order
     ``penalized_objective`` uses, so both give the same value. D is None
     when lambda = 0 (no pair pass)."""
     value = _local_objective(problem, beta0, beta)
-    g = gram @ beta - xty
+    g = problem.gram @ beta - problem.xty
     lam = problem.lam
     if not lam > 0:
-        return value, None, g, gram
+        return value, None, g, problem.gram
     d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
     value -= lam * np.log(d)
     g = g - lam * dd / d
-    return value, d, g, gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
+    return value, d, g, problem.gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
 
 
 def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
@@ -307,18 +319,15 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     beta = local_minimizer(problem)[1] if init is None else np.asarray(init, dtype=float).copy()
     beta0 = float(np.mean(problem.y - x @ beta))
     lam = problem.lam
-    xc = x - x.mean(axis=0)
-    gram = xc.T @ xc + problem.alpha * np.eye(problem.design.p)
-    xty = xc.T @ (problem.y - problem.y.mean())
-    scale = float(np.linalg.norm(xty))
-    if scale <= np.finfo(float).eps * np.linalg.norm(xc) * np.linalg.norm(problem.y):
+    scale = float(np.linalg.norm(problem.xty))
+    if scale <= np.finfo(float).eps * np.linalg.norm(problem.xc) * np.linalg.norm(problem.y):
         scale = None                      # y is constant up to rounding
     value = penalized_objective(problem, beta0, beta)
     trace = [value]
     evaluations = 1
     converged = False
     iters = 0
-    _, d, g, hess = _point(problem, gram, xty, beta0, beta)
+    _, d, g, hess = _point(problem, beta0, beta)
     radius = max(1.0, float(np.linalg.norm(beta)))
     while True:
         gnorm = float(np.linalg.norm(g))
@@ -338,7 +347,7 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         cand0 = float(np.mean(problem.y - x @ cand))
         evaluations += 1
         try:
-            cand_value, *cand_point = _point(problem, gram, xty, cand0, cand)
+            cand_value, *cand_point = _point(problem, cand0, cand)
         except NonpositiveConcordance:
             cand_value = np.inf
         if cand_value <= value:
@@ -354,10 +363,10 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         if rho < 0.25:
             radius = max(0.25 * step_norm, float(np.linalg.norm(mm - beta)))
         beta0, beta = mm0, mm
-        value, d, g, hess = _point(problem, gram, xty, beta0, beta)
+        value, d, g, hess = _point(problem, beta0, beta)
         evaluations += 1
         trace.append(value)
-    if d is None and problem.weights.total > 0:
+    if d is None and problem.w.any():
         d = _sums(problem, beta)[0]
     return FitResult(
         beta0=beta0,

@@ -334,3 +334,43 @@ def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
     setting.write_text(make_text(TestSimulate().setting_payload()), encoding="utf-8")
     assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path / "o")]) == 1
     _one_error_line(capsys, needle)
+
+
+@pytest.mark.parametrize("given", ["--lambda-min", "--lambda-max", "--alpha-min",
+                                   "--alpha-max"])
+def test_partial_grid_bounds_exit_1(dataset, tmp_path, capsys, given):
+    data, schema = dataset
+    assert run(["select", "--data", data, "--schema", schema, given, "1",
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    missing = {"--lambda-min", "--lambda-max", "--alpha-min", "--alpha-max"} - {given}
+    assert all(name in err for name in missing) and given not in err
+
+
+def test_bad_setting_grid_exit_1(tmp_path, capsys):
+    setting = tmp_path / "setting.json"
+    payload = {**TestSimulate().setting_payload(), "lam_scale": [5, 1]}
+    setting.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys, "0 < min < max")
+
+
+def test_survival_headers_with_spaces(tmp_path):
+    pseudo = _surv_csv(tmp_path, [" time ", "event "], [[3.0, 1], [5.0, 0]])
+    assert run(["pseudo", "--data", pseudo, "--out", str(tmp_path / "p")]) == 0
+    with open(tmp_path / "p" / "pseudovalues.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["time", "event", "pseudovalue"]
+    clin = tmp_path / "clin.csv"
+    clin.write_text(" psa , visceral_mets,ecog_ge2 , days_to_progression\n"
+                    "10.0,0,0,400.0\n100.0,1,1,0.0\n", encoding="utf-8")
+    assert run(["score", "--data", str(clin), "--out", str(tmp_path / "s")]) == 0
+
+
+@pytest.mark.parametrize("text", ["", "time,event\n3.0,1\n5.0,0,7\n"],
+                         ids=["empty", "ragged"])
+def test_malformed_survival_csv_exit_1(tmp_path, capsys, text):
+    data = tmp_path / "surv.csv"
+    data.write_text(text, encoding="utf-8")
+    assert run(["pseudo", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys, str(data))

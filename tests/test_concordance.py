@@ -137,8 +137,9 @@ class TestConcordanceValue:
         assert d == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_weights_rejected(self):
-        from rasper.concordance import PairWeights
-        w = PairWeights(w=np.zeros((4, 4)), measure="kendall")
+        # all-tied ranks leave no strictly ordered pair, so every Kendall
+        # weight is zero
+        w = pair_weights(external_ranks(np.ones(4)), "kendall")
         with pytest.raises(DegenerateWeights):
             concordance_value(np.ones((4, 2)), np.zeros(2), 0.1, w)
 

@@ -177,6 +177,24 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_dataset(self.write(tmp_path, bad), schema)
 
+    def test_header_names_stripped(self, tmp_path):
+        schema = load_schema(self.schema(tmp_path))
+        spaced = self.CSV.replace("y,z1,z2", " y , z1,z2 ", 1)
+        raw = load_dataset(self.write(tmp_path, spaced), schema)
+        assert np.allclose(raw.z[:, 0], [0.1, 0.4, 0.7])
+
+    @pytest.mark.parametrize("text", ["", CSV + "4.0,1.0\n", CSV + "4.0,1,1,1,1,1\n"],
+                             ids=["empty", "short-row", "long-row"])
+    def test_malformed_csv_rejected(self, tmp_path, text):
+        schema = load_schema(self.schema(tmp_path))
+        with pytest.raises(ParseError):
+            load_dataset(self.write(tmp_path, text), schema)
+
+    def test_unreadable_file_is_parse_error(self, tmp_path):
+        schema = load_schema(self.schema(tmp_path))
+        with pytest.raises(ParseError):
+            load_dataset(str(tmp_path / "absent.csv"), schema)
+
     def test_missing_column_rejected(self, tmp_path):
         schema = load_schema(self.schema(tmp_path, score="nope"))
         with pytest.raises(SchemaMismatch):

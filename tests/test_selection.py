@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rasper.selection as selection
-from rasper.concordance import ConcordanceSpec, pair_weights
+from rasper.concordance import ConcordanceSpec, PairWeights, pair_weights
 from rasper.data_model import external_ranks, standardize
 from rasper.errors import FoldFailure, InvalidBounds
 from rasper.selection import (
@@ -91,6 +91,14 @@ class TestLOOCV:
         b = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit)
         assert a == pytest.approx(b, abs=1e-10)
 
+    def test_fold_cache_holds_only_ranks(self):
+        # n - 1 ranks per fold, no (n - 1) x (n - 1) weight matrix
+        design, y, ranks, scores, spec = make_data(seed=5, n=100)
+        arrays = [value for fold in fold_weight_cache(design, ranks, spec)
+                  for value in vars(fold).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == design.n
+        assert max(a.size for a in arrays) <= design.n
+
     def test_fold_ranks_recomputed_from_scores(self):
         # deleting the top-ranked row must compress the remaining ranks
         design, y, ranks, scores, spec = make_data(seed=2, n=10)
@@ -156,6 +164,15 @@ class TestDegreesOfFreedom:
         df0 = degrees_of_freedom(design, w, spec.nu, 0.0, 0.0)
         df1 = degrees_of_freedom(design, w, spec.nu, 50.0, 0.0)
         assert df1 < df0
+
+    def test_dense_weights_built_once(self, monkeypatch):
+        design, y, ranks, _, spec = make_data(seed=5)
+        builds = []
+        dense = PairWeights.w.fget
+        monkeypatch.setattr(PairWeights, "w",
+                            property(lambda self: builds.append(self) or dense(self)))
+        degrees_of_freedom(design, pair_weights(ranks, "spearman"), spec.nu, 50.0, 0.0)
+        assert len(builds) == 1
 
     def test_curvature_matches_quasi_probability_form(self):
         # lam * 0.125 * M0 with q_k = w_k / sum(w): build M0 by brute force

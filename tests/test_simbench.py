@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rasper import baselines
-from rasper.errors import InvalidValue, ParseError, SchemaMismatch, SingularDesign
+from rasper.errors import InvalidBounds, InvalidValue, ParseError, SchemaMismatch, SingularDesign
 from rasper.simbench import (
     ALL_METHODS,
     BenchReport,
@@ -126,6 +126,12 @@ class TestSimSetting:
             SimSetting(study="1a", beta_external=(1.0,), samples=0)
         with pytest.raises(InvalidValue):
             SimSetting(study="1a", beta_external=(1.0,), nu=-1.0)
+
+    @pytest.mark.parametrize("bad", [{"lam_scale": (5.0, 1.0)}, {"alpha_scale": (0.0, 1.0)},
+                                     {"grid_j": 0}, {"grid_k": 0}])
+    def test_bad_grid_rejected_when_built(self, bad):
+        with pytest.raises(InvalidBounds):
+            SimSetting(study="1a", beta_external=(1.0,), **bad)
 
     @pytest.mark.parametrize("text,error", [
         ('{"study": "1a", "beta_external": [1.0', ParseError),

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 import rasper.solver as solver
 from rasper.concordance import (
     ConcordanceSpec,
+    PairWeights,
     build_marginal_sampler,
     marginalized_weights,
     pair_weights,
 )
 from rasper.data_model import external_ranks, standardize
-from rasper.errors import NonFiniteValue, SingularDesign
+from rasper.errors import DimensionMismatch, NonFiniteValue, SingularDesign
 from rasper.selection import fold_weight_cache
 from rasper.solver import (
     PenalizedProblem,
@@ -264,6 +265,31 @@ def _oracle_problem(case, lam_ratio):
     if marginal:
         weights = marginalized_weights(weights, build_marginal_sampler(design.z, design.b, 3, 1))
     return PenalizedProblem(design, y, weights, spec, lam=lam_ratio * n, alpha=0.04 * n)
+
+
+class TestProblemCaches:
+    @pytest.mark.parametrize("marginal", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_dense_weights_built_once_per_fit(self, monkeypatch, lam, marginal):
+        problem, _, _ = make_problem(lam=lam)
+        if marginal:
+            x = problem.design.x
+            sampler = build_marginal_sampler(x[:, :2], x[:, 2:], 3, 0)
+            problem = dataclasses.replace(
+                problem, weights=marginalized_weights(problem.weights, sampler))
+        builds = []
+        dense = PairWeights.w.fget
+        monkeypatch.setattr(PairWeights, "w",
+                            property(lambda self: builds.append(self) or dense(self)))
+        fit = fit_rasper(problem)
+        assert fit.iterations >= (lam > 0) and fit.concordance > 0
+        assert len(builds) == 1
+
+    def test_rank_count_must_match_rows(self):
+        problem, ranks, _ = make_problem()
+        short = pair_weights(external_ranks(ranks.r[1:]), "spearman")
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(problem, weights=short)
 
 
 class TestOracle:
