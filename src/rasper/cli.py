@@ -56,7 +56,7 @@ def _prepare(args):
     nu = args.nu if args.nu is not None else default_nu(design, raw.y)
     spec = ConcordanceSpec(measure=args.measure, marginalized=args.marginalized,
                            nu=nu, samples=args.samples, seed=args.seed)
-    return raw, design, ranks, spec, problem_weights(design, ranks, spec)
+    return raw, design, ranks, spec
 
 
 def _fit_outputs(out_dir, design, ranks, fit):
@@ -90,8 +90,9 @@ def _fit_outputs(out_dir, design, ranks, fit):
 
 
 def cmd_fit(args):
-    raw, design, ranks, spec, weights = _prepare(args)
-    problem = PenalizedProblem(design=design, y=raw.y, weights=weights,
+    raw, design, ranks, spec = _prepare(args)
+    problem = PenalizedProblem(design=design, y=raw.y,
+                               weights=problem_weights(design, ranks, spec),
                                spec=spec, lam=args.lam, alpha=args.alpha)
     fit = fit_rasper(problem)
     os.makedirs(args.out, exist_ok=True)
@@ -113,7 +114,7 @@ def _grid_from_args(args, n):
 
 
 def cmd_select(args):
-    raw, design, ranks, spec, _ = _prepare(args)
+    raw, design, ranks, spec = _prepare(args)
     grid = _grid_from_args(args, design.n)
     report = select(design, raw.y, ranks, spec, grid, criterion=args.criterion)
     os.makedirs(args.out, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .concordance import ConcordanceSpec, PairWeights, _pair_sums, problem_weights
+from .concordance import ConcordanceSpec, PairWeights, _pair_outer, problem_weights
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
 from .solver import FitResult, PenalizedProblem, _local_objective, fit_rasper
@@ -127,7 +127,10 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     Trace of (X'X + alpha I + lam * M0)^{-1} X'X, where M0 is the surrogate
     curvature at beta = 0: quasi-probabilities w_k / sum(w) times the
     logistic-bound curvature 1/8 on each scaled pair difference. M0 is
-    taken on the observed design even for marginalized weights.
+    taken on the observed design even for marginalized weights. At beta = 0
+    every sigma is 1/2, so M0 has a closed form; it is written in the pair-sum
+    engine's order (weights w*sigma*c = w/16 over D = sum(w)/2), which gives
+    the engine's ``quad`` to the last bit.
     """
     x = design.x
     p = design.p
@@ -136,7 +139,7 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     if lam > 0:
         w = weights.w
         if w.any():
-            system = system + lam * _pair_sums(w, (x,), np.zeros(p), nu, mm=True)[3]
+            system = system + lam * (_pair_outer(x, 0.0625 * w) / (nu * nu) / (0.5 * w.sum()))
     try:
         sol = scipy.linalg.solve(system, xtx, assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError) as exc:

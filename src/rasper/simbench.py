@@ -75,6 +75,14 @@ class SimSetting:
         if self.n_internal < p + 2:
             raise InvalidValue("n_internal must be at least p + 2")
         self.grid()                 # InvalidBounds on a bad lam_scale, alpha_scale or size
+        if self.study == "1b" and len(self.beta_external) < 4:
+            raise InvalidValue("study 1b takes at least 4 beta_external entries")
+        if self.study == "2" and len(self.theta) != 4:
+            raise InvalidValue("study 2 takes 4 theta entries (theta_2..theta_5)")
+        if self.study == "2" and len(self.beta_internal) > p:
+            raise InvalidValue(f"study 2 takes at most {p} beta_internal entries")
+        if self.study != "2" and len(self.beta_internal) != p:
+            raise InvalidValue(f"study {self.study} takes {p} beta_internal entries")
 
     def grid(self):
         """The (lambda, alpha) grid at n_internal: the bounds are the scale
@@ -127,30 +135,6 @@ class SimData:
     mu_test: np.ndarray
 
 
-def _study1_covariates(setting, rng, n):
-    q = len(setting.beta_external)
-    z = rng.standard_normal((n, q))
-    if setting.study == "1a":
-        return z, z
-    e = rng.standard_normal((n, 2))
-    b1 = 0.4 * z[:, 0] + e[:, 0]
-    b2 = 0.25 * z[:, 0] + 0.5 * z[:, 2] + 0.1 * z[:, 3] + e[:, 1]
-    return z, np.column_stack([z, b1, b2])
-
-
-def gen_study1(setting: SimSetting, rng) -> SimData:
-    """Studies 1(a) and 1(b): linear external and internal mean functions,
-    with the 1(b) cross-dependence between novel and conventional blocks."""
-    be = np.asarray(setting.beta_external, dtype=float)
-    bi = np.asarray(setting.beta_internal, dtype=float)
-    z, x = _study1_covariates(setting, rng, setting.n_internal)
-    zt, xt = _study1_covariates(setting, rng, setting.n_test)
-    mu_i = x @ bi
-    y = mu_i + setting.sigma * rng.standard_normal(setting.n_internal)
-    return SimData(x=x, y=y, q=z.shape[1], scores=z @ be, mu_internal=mu_i,
-                   x_test=xt, scores_test=zt @ be, mu_test=xt @ bi)
-
-
 def _f1(u):
     return 1.0 / (1.0 + np.exp(-u)) - 1.0 / (1.0 + np.exp(1.0 - u))
 
@@ -160,45 +144,44 @@ def _f2(u):
     return np.where(u < 7.0, 0.5 * (u - 2.0) ** 2, 12.5)
 
 
-def _study2_mu_e(z, theta, z5_mode):
-    t2, t3, t4, t5 = theta
-    z5 = z[:, 3] if z5_mode == "reuse_z4" else z[:, 4]
+def _covariates(setting, rng, n):
+    """Conventional draws z and internal design x for n rows. Study 1(a)
+    uses z alone; 1(b) and 2 append the novel b1, b2, which depend on the
+    conventional block. Study 2 draws a 5th column that feeds the external
+    score only."""
+    z = rng.standard_normal((n, 5 if setting.study == "2" else len(setting.beta_external)))
+    if setting.study == "1a":
+        return z, z
+    e = rng.standard_normal((n, 2))
+    b1 = 0.4 * z[:, 0] + e[:, 0]
+    b2 = 0.25 * z[:, 0] + 0.5 * z[:, 2] + 0.1 * z[:, 3] + e[:, 1]
+    return z, np.column_stack([z[:, :4], b1, b2] if setting.study == "2" else [z, b1, b2])
+
+
+def _external_scores(setting, z):
+    """Study 1: linear in z. Study 2: nonlinear in the conventional block."""
+    if setting.study != "2":
+        return z @ np.asarray(setting.beta_external, dtype=float)
+    t2, t3, t4, t5 = setting.theta
+    z5 = z[:, 3] if setting.study2_z5_mode == "reuse_z4" else z[:, 4]
     level = 1.0 + _f1(z[:, 0]) + t2 * _f2(z[:, 1]) + t3 * _f1(z[:, 0]) * _f2(z[:, 1])
     expo = np.exp(-t4 * (z[:, 2] < 2.0) + 10.0 * t4 * (z[:, 2] >= 2.0) - t5 * z5)
     return level * expo
 
 
-def _study2_covariates(setting, rng, n):
-    # 5th standard-normal column feeds the external score only
-    z = rng.standard_normal((n, 5))
-    e = rng.standard_normal((n, 2))
-    b1 = 0.4 * z[:, 0] + e[:, 0]
-    b2 = 0.25 * z[:, 0] + 0.5 * z[:, 2] + 0.1 * z[:, 3] + e[:, 1]
-    x = np.column_stack([z[:, :4], b1, b2])
-    return z, x
-
-
-def gen_study2(setting: SimSetting, rng) -> SimData:
-    """Study 2: nonlinear external risk scores over the conventional
-    covariates, linear internal mean."""
-    bi = np.zeros(6)
+def generate(setting: SimSetting, rng) -> SimData:
+    """One data set: the internal rows, then the test rows, then the outcome
+    noise. The internal mean is linear in x in every study; study 2 pads
+    beta_internal with zeros to its 6 columns."""
+    z, x = _covariates(setting, rng, setting.n_internal)
+    zt, xt = _covariates(setting, rng, setting.n_test)
+    bi = np.zeros(x.shape[1])
     bi[: len(setting.beta_internal)] = setting.beta_internal
-    z, x = _study2_covariates(setting, rng, setting.n_internal)
-    zt, xt = _study2_covariates(setting, rng, setting.n_test)
     mu_i = x @ bi
     y = mu_i + setting.sigma * rng.standard_normal(setting.n_internal)
-    mode = setting.study2_z5_mode
-    return SimData(x=x, y=y, q=4,
-                   scores=_study2_mu_e(z, setting.theta, mode),
-                   mu_internal=mu_i,
-                   x_test=xt, scores_test=_study2_mu_e(zt, setting.theta, mode),
-                   mu_test=xt @ bi)
-
-
-def generate(setting: SimSetting, rng) -> SimData:
-    if setting.study == "2":
-        return gen_study2(setting, rng)
-    return gen_study1(setting, rng)
+    return SimData(x=x, y=y, q=4 if setting.study == "2" else z.shape[1],
+                   scores=_external_scores(setting, z), mu_internal=mu_i,
+                   x_test=xt, scores_test=_external_scores(setting, zt), mu_test=xt @ bi)
 
 
 def _loo_mse(x, y, alpha, lam=0.0, beta_e=None):

@@ -7,11 +7,10 @@ p is small, so every point the solver visits (the start, each trial and
 each MM point) takes one pass of the pair-sum engine, which gives F together
 with its gradient g and Hessian H; an accepted trial's g and H are the next
 iterate's, so no point is evaluated twice. Each iterate also takes one
-eigendecomposition of H. The trial step minimizes the quadratic model
-g's + 0.5*s'Hs over a ball (Moré & Sorensen 1983; Conn, Gould & Toint
-2000): the Newton step when H is positive definite and that step fits,
-else a step on the boundary, so an indefinite H or an overshooting Newton
-point still gives a useful trial.
+eigendecomposition of H, which gives the trial step in closed form: the
+Newton step when H is positive definite and that step fits in the trust
+radius, else a damped Newton step inside it, so an indefinite H or an
+overshooting Newton point still gives a useful trial.
 The trial is kept only when the objective does not increase; otherwise the
 iterate takes one MM step. The MM step majorizes -lambda*log D by a convex
 quadratic built from the quasi-probabilities (the normalized pairwise terms
@@ -219,49 +218,25 @@ def local_minimizer(problem: PenalizedProblem):
 
 
 def _trust_step(evals, evecs, g, radius):
-    """Minimizer s of the model g's + 0.5*s'Hs over ||s|| <= ``radius``,
-    with H = evecs @ diag(evals) @ evecs' (ascending ``evals``), and the model
-    decrease pred = -(g's + 0.5*s'Hs).
+    """Trial step s of the model g's + 0.5*s'Hs, H = evecs diag(evals) evecs'
+    (ascending ``evals``), with pred = -(g's + 0.5*s'Hs) and whether s is damped.
 
-    When H is positive definite and the Newton step -H^{-1} g fits, that is
-    s. Otherwise s = -(H + mu I)^{-1} g with mu > max(0, -evals[0]) and
-    ||s(mu)|| = radius (Moré & Sorensen 1983), found by Newton steps inside
-    a bisection bracket. If g has no weight on the lowest eigenvector,
-    ||s(mu)|| may stay below the radius for every admissible mu; s is then
-    moved along that eigenvector to the boundary, against g.
+    s is the Newton step -H^{-1} g when H is positive definite and that step
+    fits in the ``radius`` r, else the damped step -(H + mu I)^{-1} g with
+    mu = max(0, -evals[0]) + ||g||/r. Then ||s|| <= r, s minimizes the model
+    over the ball of radius ||s||, and pred >= ||g||*min(r, ||g||/||H||)/6,
+    the sufficient decrease trust-region convergence needs (Conn, Gould &
+    Toint 2000, ch. 6). The shift is added as (evals - min(evals[0], 0)) +
+    ||g||/r: in evals + mu, evals[0] + mu rounds to zero once ||g||/r is
+    below the rounding of |evals[0]|.
     """
     gt = evecs.T @ g
     if evals[0] > 0:
         st = -gt / evals
         if np.linalg.norm(st) <= radius:
-            return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st)
-    lo = max(0.0, -float(evals[0]))
-    hi = lo + float(np.linalg.norm(gt)) / radius    # ||s(hi)|| <= radius
-    c, r2 = gt * gt, radius * radius
-    mu = hi
-    while True:
-        q = evals + mu
-        w = c / (q * q)
-        s2 = float(w.sum())
-        if abs(s2 - r2) <= 2e-12 * r2:
-            break
-        if s2 > r2:
-            lo = mu
-        else:
-            hi = mu
-        # Newton on 1/||s(mu)|| = 1/radius, a nearly linear equation; the
-        # bracket [lo, hi] falls back to bisection.
-        mu = mu + (np.sqrt(s2) / radius - 1.0) * s2 / float((w / q).sum())
-        if not lo < mu < hi:
-            mu = 0.5 * (lo + hi)
-            if not lo < mu < hi:
-                mu = hi
-                break
-    st = -gt / (evals + mu)
-    if np.linalg.norm(st) < (1.0 - 1e-9) * radius:   # mu stalled at -evals[0]
-        rest = float(st[1:] @ st[1:])
-        st[0] = -np.copysign(np.sqrt(max(r2 - rest, 0.0)), gt[0])
-    return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st)
+            return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st), False
+    st = -gt / ((evals - min(evals[0], 0.0)) + np.linalg.norm(gt) / radius)
+    return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st), True
 
 
 def _point(problem, beta0, beta):
@@ -297,18 +272,17 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     with the scale of y. When y is constant X_c' y_c vanishes, and ||g|| at
     the start iterate is the scale instead.
 
-    Otherwise the trial step s minimizes g's + 0.5*s'Hs over ||s|| <= r
-    (``_trust_step``), with pred its model decrease. The first radius r is
-    max(1, ||beta_start||). The trial is kept when F there is no larger
-    than at the iterate (``_point`` forms F exactly as
-    ``penalized_objective`` does); r doubles when the actual decrease
-    exceeds 0.75*pred and s reached the boundary. A rejected trial is
-    replaced by one ``mm_step``, and r shrinks to
-    max(||s||/4, ||beta_MM - beta||) when
-    (F - F_trial + delta) / (pred + delta) < 0.25, with
-    delta = 10*eps*(|F| + lambda). Near a large-lambda solution pred falls
-    below the rounding of lambda*log D, so without delta every rejection
-    would shrink r to the tiny MM step and stall the fit there.
+    Otherwise the trial step s (``_trust_step``) is the Newton step when it
+    fits in the radius r, else a damped step with ||s|| <= r; pred is its
+    model decrease. The first radius r is max(1, ||beta_start||). The trial
+    is kept when F there is no larger than at the iterate (``_point`` forms
+    F exactly as ``penalized_objective`` does); r doubles when the kept step
+    was damped, so r was binding, and the actual decrease exceeds 0.75*pred.
+    A rejected trial is replaced by one ``mm_step``, and r shrinks to
+    max(||s||/4, ||beta_MM - beta||) when (F - F_trial + delta) / (pred + delta)
+    < 0.25, with delta = 10*eps*(|F| + lambda). Near a large-lambda solution
+    pred falls below the rounding of lambda*log D, so without delta every
+    rejection would shrink r to the tiny MM step and stall the fit there.
 
     Both moves never increase the objective, so the trace is non-increasing.
     After ``max_iter`` moves without meeting the test the fit returns with
@@ -318,14 +292,12 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     x = problem.design.x
     beta = local_minimizer(problem)[1] if init is None else np.asarray(init, dtype=float).copy()
     beta0 = float(np.mean(problem.y - x @ beta))
-    lam = problem.lam
     scale = float(np.linalg.norm(problem.xty))
     if scale <= np.finfo(float).eps * np.linalg.norm(problem.xc) * np.linalg.norm(problem.y):
         scale = None                      # y is constant up to rounding
     value = penalized_objective(problem, beta0, beta)
     trace = [value]
     evaluations = 1
-    converged = False
     iters = 0
     _, d, g, hess = _point(problem, beta0, beta)
     radius = max(1.0, float(np.linalg.norm(beta)))
@@ -334,15 +306,11 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         if scale is None:
             scale = gnorm
         grad_norm = gnorm / scale if scale > 0 else 0.0
-        if grad_norm <= tol:
-            converged = True
-            break
-        if iters == max_iter:
+        if grad_norm <= tol or iters == max_iter:
             break
         iters += 1
         evals, evecs = np.linalg.eigh(hess)
-        step, pred = _trust_step(evals, evecs, g, radius)
-        step_norm = float(np.linalg.norm(step))
+        step, pred, damped = _trust_step(evals, evecs, g, radius)
         cand = beta + step
         cand0 = float(np.mean(problem.y - x @ cand))
         evaluations += 1
@@ -351,17 +319,17 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         except NonpositiveConcordance:
             cand_value = np.inf
         if cand_value <= value:
-            if value - cand_value > 0.75 * pred and step_norm >= (1 - 1e-9) * radius:
+            if damped and value - cand_value > 0.75 * pred:
                 radius *= 2.0
             beta0, beta, value = cand0, cand, cand_value
             d, g, hess = cand_point
             trace.append(value)
             continue
-        delta = 10.0 * np.finfo(float).eps * (abs(value) + lam)
+        delta = 10.0 * np.finfo(float).eps * (abs(value) + problem.lam)
         rho = (value - cand_value + delta) / (pred + delta)
         mm0, mm = mm_step(problem, beta0, beta)
         if rho < 0.25:
-            radius = max(0.25 * step_norm, float(np.linalg.norm(mm - beta)))
+            radius = max(0.25 * float(np.linalg.norm(step)), float(np.linalg.norm(mm - beta)))
         beta0, beta = mm0, mm
         value, d, g, hess = _point(problem, beta0, beta)
         evaluations += 1
@@ -376,7 +344,7 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         nu=problem.nu,
         objective_trace=np.asarray(trace),
         concordance=d,
-        converged=converged,
+        converged=grad_norm <= tol,
         iterations=iters,
         grad_norm=grad_norm,
         evaluations=evaluations,

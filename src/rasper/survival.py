@@ -64,18 +64,12 @@ class KMCurve:
 
 
 def km_curve(sample: SurvivalSample) -> KMCurve:
-    """Kaplan-Meier product-limit estimator."""
+    """Kaplan-Meier product-limit estimator. The risk set at an event time t
+    is every subject with time >= t, so censorings tied with t stay in it."""
     t = sample.times
-    e = sample.events
-    event_times = np.unique(t[e])
-    surv = np.empty(event_times.shape[0])
-    s = 1.0
-    for k, tk in enumerate(event_times):
-        at_risk = int(np.sum(t >= tk))
-        deaths = int(np.sum(e & (t == tk)))
-        s *= 1.0 - deaths / at_risk
-        surv[k] = s
-    return KMCurve(jump_times=event_times, surv=surv)
+    event_times, deaths = np.unique(t[sample.events], return_counts=True)
+    at_risk = t.shape[0] - np.searchsorted(np.sort(t), event_times, side="left")
+    return KMCurve(jump_times=event_times, surv=np.cumprod(1.0 - deaths / at_risk))
 
 
 def rmst(sample: SurvivalSample) -> float:

@@ -5,6 +5,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from rasper import concordance
 from rasper.cli import main
 
 
@@ -146,6 +147,23 @@ class TestSelect:
         assert filecmp.cmp(tmp_path / "a" / "selection_report.csv",
                            tmp_path / "b" / "selection_report.csv",
                            shallow=False)
+
+    def test_full_data_weights_built_once(self, dataset, tmp_path, monkeypatch):
+        # AIC needs no folds, so the only sampler is the full-data one.
+        calls = []
+        original = concordance.build_marginal_sampler
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(concordance, "build_marginal_sampler", counted)
+        data, schema = dataset
+        assert run(["select", "--data", data, "--schema", schema, "--criterion", "aic",
+                    "--marginalized", "--samples", "3", "--lambda-min", "0.5",
+                    "--lambda-max", "50", "--grid-j", "1", "--alpha-min", "0.1",
+                    "--alpha-max", "10", "--grid-k", "1", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
 
 class TestPseudo:
@@ -332,6 +350,21 @@ def test_malformed_schema_exit_1(dataset, tmp_path, capsys, text, needle):
 def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
     setting = tmp_path / "setting.json"
     setting.write_text(make_text(TestSimulate().setting_payload()), encoding="utf-8")
+    assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys, needle)
+
+
+@pytest.mark.parametrize("change,needle", [
+    ({"study": "1b", "beta_external": [1.0] * 4, "beta_internal": [1.0] * 5}, "beta_internal"),
+    ({"study": "1b", "beta_external": [1.0, 0.5], "beta_internal": [1.0] * 4}, "beta_external"),
+    ({"study": "2", "beta_internal": [1.0] * 7}, "beta_internal"),
+    ({"study": "2", "beta_internal": [1.0] * 6, "theta": [0.1] * 3}, "theta"),
+], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
+        "2-theta-3"])
+def test_malformed_study_setting_exit_1(tmp_path, capsys, change, needle):
+    setting = tmp_path / "setting.json"
+    setting.write_text(json.dumps({**TestSimulate().setting_payload(), **change}),
+                       encoding="utf-8")
     assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path / "o")]) == 1
     _one_error_line(capsys, needle)
 

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rasper.selection as selection
-from rasper.concordance import ConcordanceSpec, PairWeights, pair_weights
+from rasper.concordance import ConcordanceSpec, PairWeights, _pair_sums, pair_weights
 from rasper.data_model import external_ranks, standardize
 from rasper.errors import FoldFailure, InvalidBounds
 from rasper.selection import (
@@ -190,6 +191,26 @@ class TestDegreesOfFreedom:
             xtx + alpha * np.eye(3) + lam * 0.125 * m0, xtx))
         assert degrees_of_freedom(design, w, nu, lam, alpha) == \
             pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("n", [3, 4, 17, 60])
+    def test_closed_form_matches_engine(self, measure, n):
+        # The pair-sum engine's MM curvature at beta = 0 is the reference.
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            design = standardize(rng.standard_normal((n, 2)))
+            scores = rng.integers(0, max(2, n // 3), n).astype(float)   # tied
+            scores[:2] = [0.0, 1.0]                  # not all tied
+            ranks = external_ranks(scores)
+            w = pair_weights(ranks, measure)
+            nu = float(rng.uniform(0.05, 2.0))
+            x = design.x
+            m0 = _pair_sums(w.w, (x,), np.zeros(2), nu, mm=True)[3]
+            for lam, alpha in [(0.5, 0.0), (7.0, 0.3), (1e4, 2.0)]:
+                xtx = x.T @ x
+                system = xtx + alpha * np.eye(2) + lam * m0
+                oracle = float(np.trace(scipy.linalg.solve(system, xtx, assume_a="sym")))
+                assert degrees_of_freedom(design, w, nu, lam, alpha) == oracle
 
 
 class TestAIC:

@@ -133,6 +133,17 @@ class TestSimSetting:
         with pytest.raises(InvalidBounds):
             SimSetting(study="1a", beta_external=(1.0,), **bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(study="1b", beta_external=(1.0,) * 4, beta_internal=(1.0,) * 5),
+        dict(study="1b", beta_external=(1.0,) * 3, beta_internal=(1.0,) * 5),
+        dict(study="2", beta_internal=(1.0,) * 7),
+        dict(study="2", beta_internal=(1.0,) * 6, theta=(0.1, 0.1, 0.1)),
+    ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
+            "2-theta-3"])
+    def test_malformed_study_coefficients_rejected(self, bad):
+        with pytest.raises(InvalidValue):
+            SimSetting(n_internal=20, **bad)
+
     @pytest.mark.parametrize("text,error", [
         ('{"study": "1a", "beta_external": [1.0', ParseError),
         ('{"study": "1a", "color": "red"}', SchemaMismatch),
@@ -145,8 +156,8 @@ class TestSimSetting:
             SimSetting.from_json(str(path))
 
     def test_from_json_round_trip(self, tmp_path):
-        setting = SimSetting(study="1b", beta_external=(1.0, 0.5),
-                             beta_internal=(1.0, 0.5, 0.2, 0.1),
+        setting = SimSetting(study="1b", beta_external=(1.0, 0.5, 0.2, 0.1),
+                             beta_internal=(1.0, 0.5, 0.2, 0.1, 0.3, 0.3),
                              n_internal=20, replications=3,
                              methods=("ridge",))
         path = tmp_path / "setting.json"

@@ -396,7 +396,7 @@ class TestTrustRegion:
     @staticmethod
     def _step(h, g, radius):
         evals, evecs = np.linalg.eigh(h)
-        return solver._trust_step(evals, evecs, g, radius)
+        return solver._trust_step(evals, evecs, g, radius)[:2]
 
     @staticmethod
     def _random_h(rng, evals):
@@ -412,6 +412,18 @@ class TestTrustRegion:
             t *= radius * rng.uniform() ** (1 / len(g)) / np.linalg.norm(t)
             assert best <= self._model(h, g, t) + 1e-12 * abs(best)
 
+    def _check_damped_step(self, rng, evals, evecs, g, radius):
+        # Inside the ball, the minimizer over the ball of its own radius, and
+        # at least 1/6 of ||g||*min(r, ||g||/||H||), the sufficient decrease.
+        s, pred, damped = solver._trust_step(np.asarray(evals, dtype=float), evecs, g, radius)
+        assert damped
+        size = np.linalg.norm(s)
+        assert 0 < size <= radius
+        gnorm = np.linalg.norm(g)
+        assert pred >= gnorm * min(radius, gnorm / np.max(np.abs(evals))) / 6
+        h = evecs @ np.diag(evals) @ evecs.T
+        self._check_pred_and_optimality(rng, h, g, size, s, pred)
+
     def test_newton_step_when_it_fits(self):
         rng = np.random.default_rng(0)
         h = self._random_h(rng, [0.5, 1.0, 3.0, 8.0])
@@ -424,26 +436,28 @@ class TestTrustRegion:
     @pytest.mark.parametrize("evals", [[0.5, 1.0, 3.0, 8.0],       # Newton too long
                                        [-2.0, 0.3, 1.0, 5.0],      # indefinite
                                        [-1.0, -0.5, 0.0, 2.0]])    # indefinite, singular
-    def test_boundary_step(self, evals):
+    def test_damped_step(self, evals):
         rng = np.random.default_rng(1)
-        h = self._random_h(rng, evals)
-        g = rng.standard_normal(4)
-        radius = 0.05
-        s, pred = self._step(h, g, radius)
-        assert np.linalg.norm(s) == pytest.approx(radius, abs=1e-9)
-        self._check_pred_and_optimality(rng, h, g, radius, s, pred)
+        evecs = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        self._check_damped_step(rng, evals, evecs, rng.standard_normal(4), 0.05)
 
     def test_gradient_orthogonal_to_lowest_eigenvector(self):
-        # The hard case: ||(H + mu I)^{-1} g|| stays below the radius for
-        # every mu > -lambda_min, so the step must leave along that eigenvector.
+        # The exact subproblem's hard case; the damped step needs no branch
+        # for it and stays off the lowest eigenvector.
         rng = np.random.default_rng(2)
-        evals = np.array([-1.0, 2.0, 4.0])
         evecs = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        h = evecs @ np.diag(evals) @ evecs.T
-        g = evecs[:, 1] + evecs[:, 2]
-        s, pred = solver._trust_step(evals, evecs, g, 3.0)
-        assert np.linalg.norm(s) == pytest.approx(3.0, abs=1e-9)
-        self._check_pred_and_optimality(rng, h, g, 3.0, s, pred)
+        self._check_damped_step(rng, [-1.0, 2.0, 4.0], evecs, evecs[:, 1] + evecs[:, 2], 3.0)
+
+    def test_tiny_gradient_beside_large_negative_curvature(self):
+        # ||g||/r = 1.7e-14 is below the rounding of |lambda_min| = 1e3, so
+        # evals + mu would hold an exact zero; the shifted form does not.
+        rng = np.random.default_rng(3)
+        evecs = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        g = evecs @ np.array([1.0, 1.0, 1.0])
+        g *= 1.7e-14 / np.linalg.norm(g)
+        evals = np.array([-1e3, 1.0, 2.0])
+        with np.errstate(divide="raise", invalid="raise"):
+            self._check_damped_step(rng, evals, evecs, g, 1.0)
 
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("seed", [0, 1])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rasper.errors import EmptyData
 from rasper.survival import (
@@ -49,6 +51,25 @@ class TestSample:
 
 
 class TestKMCurve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=40),
+           st.sampled_from([1.0, 0.5, 0.1]))
+    def test_matches_event_time_loop(self, rows, unit):
+        # Small integer times give ties among events and with censorings.
+        t = np.array([unit * time for time, _ in rows])
+        e = np.array([event for _, event in rows])
+        event_times = np.unique(t[e])
+        surv = np.empty(event_times.shape[0])
+        s = 1.0
+        for k, tk in enumerate(event_times):
+            at_risk = int(np.sum(t >= tk))
+            deaths = int(np.sum(e & (t == tk)))
+            s *= 1.0 - deaths / at_risk
+            surv[k] = s
+        curve = km_curve(SurvivalSample(t, e))
+        assert np.array_equal(curve.jump_times, event_times)
+        assert np.array_equal(curve.surv, surv)
+
     def test_hand_curve(self):
         curve = km_curve(hand_sample())
         assert np.array_equal(curve.jump_times, [1.0, 3.0, 4.0])
