@@ -9,7 +9,6 @@ scale of the design passed in.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import SingularDesign
@@ -56,15 +55,10 @@ def fit_atl(design, y, alpha, lam, beta_external):
     xc, yc, ybar, xbar = _centered(design, y)
     if beta_external.shape[0] != xc.shape[1]:
         raise ValueError("beta_external length does not match design")
-    rhs = xc.T @ yc + lam * beta_external
-    if alpha == 0:
-        xtx = xc.T @ xc
-        if np.linalg.matrix_rank(xtx) < xc.shape[1]:
-            raise SingularDesign("X'X is singular")
-        beta = scipy.linalg.solve(xtx, rhs, assume_a="pos")
-    else:
-        beta = scipy.linalg.solve(xc.T @ xc + alpha * np.eye(xc.shape[1]),
-                                  rhs, assume_a="pos")
+    system = xc.T @ xc + alpha * np.eye(xc.shape[1])
+    if alpha == 0 and np.linalg.matrix_rank(system) < xc.shape[1]:
+        raise SingularDesign("X'X is singular")
+    beta = np.linalg.solve(system, xc.T @ yc + lam * beta_external)
     return ybar - float(xbar @ beta), beta
 
 
@@ -96,7 +90,7 @@ def projection_target(z, mu_external, p):
     ztz = z.T @ z
     if np.linalg.matrix_rank(ztz) < z.shape[1]:
         raise SingularDesign("Z'Z is singular")
-    beta_z = scipy.linalg.solve(ztz, z.T @ mu, assume_a="pos")
+    beta_z = np.linalg.solve(ztz, z.T @ mu)
     out = np.zeros(p)
     out[: z.shape[1]] = beta_z
     return out

@@ -9,13 +9,13 @@ import os
 import sys
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .concordance import ConcordanceSpec, problem_weights
 from .data_model import (
     _parse_column,
     external_ranks,
     ge_counts,
+    kendall_tau_b,
     load_dataset,
     load_schema,
     read_rows,
@@ -102,11 +102,12 @@ def cmd_fit(args):
 
 
 def _grid_from_args(args, n):
-    """The default grid when no bound is given, else the grid on all four."""
+    """The default-ratio grid of size J x K when no bound is given, else the
+    grid on all four."""
     names = ("lambda_min", "lambda_max", "alpha_min", "alpha_max")
     missing = ["--" + k.replace("_", "-") for k in names if getattr(args, k) is None]
     if len(missing) == len(names):
-        return default_grid(n)
+        return default_grid(n, args.grid_j, args.grid_k)
     if missing:
         raise InvalidBounds(f"give all four grid bounds or none; missing {', '.join(missing)}")
     return build_grid(args.lambda_min, args.lambda_max, args.grid_j,
@@ -129,9 +130,8 @@ def cmd_select(args):
             best = min(recs, key=lambda r: (r.loo if args.criterion == "loocv" else r.aic,
                                             r.alpha))
             fitted = best.fit.beta0 + design.x @ best.fit.beta
-            tau = kendalltau(fitted, ranks.r).statistic
             rows.append({"lambda": float(lam), "alpha": best.alpha,
-                         "kendall_tau": float(tau)})
+                         "kendall_tau": kendall_tau_b(fitted, ranks.r)})
         _write_csv(os.path.join(args.out, "lambda_trace.csv"), rows,
                    ["lambda", "alpha", "kendall_tau"])
     return 0

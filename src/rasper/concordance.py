@@ -134,7 +134,7 @@ def _sigma_table(t):
     """sigma(u) for u_ij = t_i - t_j, built in one buffer: it starts as -u
     (t_j - t_i, exactly the negation of t_i - t_j), then ``exp``, ``+= 1``
     and ``reciprocal`` act in place. Where exp(-u) overflows, the reciprocal
-    of inf is exactly 0, as ``expit`` gives."""
+    of inf is exactly 0, the limit of sigma as u -> -inf."""
     s = np.subtract(t[None, :], t[:, None])
     with np.errstate(over="ignore"):
         np.exp(s, out=s)

@@ -1,4 +1,9 @@
-"""Data ingestion, covariate standardization, and external risk-score ranks."""
+"""Data ingestion, covariate standardization, and external risk-score ranks.
+
+Every rank in the package comes from one rule, ``ge_counts``: the external
+ranks, the midranks of the Spearman correlation and the sign tables of
+Kendall's tau-b.
+"""
 
 from __future__ import annotations
 
@@ -116,6 +121,29 @@ def ge_counts(values, ref) -> np.ndarray:
     count, so ties share the max-style rank of their group.
     """
     return np.searchsorted(np.sort(ref), values, side="right").astype(np.int64)
+
+
+def midranks(values) -> np.ndarray:
+    """Average ranks: tied values share the mean of the ranks their group
+    spans. A value's largest rank counts the values at or below it and its
+    smallest is n + 1 minus the count at or above it, both ``ge_counts``."""
+    a = np.asarray(values, dtype=float)
+    return (ge_counts(a, a) + a.size + 1 - ge_counts(-a, -a)) / 2.0
+
+
+def kendall_tau_b(a, b) -> float:
+    """Kendall's tau-b: sum_ij sign(a_i - a_j) sign(b_i - b_j) over
+    sqrt((n^2 - z_a)(n^2 - z_b)), z counting the tied ordered pairs (i = j
+    included). The signs are those of the ``ge_counts`` ranks, which order
+    and tie values exactly as the values do. NaN when either input is constant.
+    """
+    ra, rb = ge_counts(a, a), ge_counts(b, b)
+    sa = np.sign(ra[:, None] - ra[None, :])
+    sb = np.sign(rb[:, None] - rb[None, :])
+    pairs = np.count_nonzero(sa) * np.count_nonzero(sb)
+    if pairs == 0:
+        return float("nan")
+    return float(np.sum(sa * sb) / np.sqrt(float(pairs)))
 
 
 def external_ranks(scores) -> ExternalRanks:

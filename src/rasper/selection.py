@@ -12,12 +12,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .concordance import ConcordanceSpec, PairWeights, _pair_outer, problem_weights
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
 from .solver import FitResult, PenalizedProblem, _local_objective, fit_rasper
+
+# Default (min, max) grid bounds as multiples of n, for lambda and for alpha.
+LAM_RATIOS = (1e-2, 1e3)
+ALPHA_RATIOS = (1e-4, 1e2)
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,12 @@ def build_grid(lam_min, lam_max, j, alpha_min, alpha_max, k) -> HyperGrid:
     return HyperGrid(lam_values=lam, alpha_values=alpha)
 
 
-def default_grid(n) -> HyperGrid:
-    """Default bounds scale with n to keep penalty-to-loss ratios comparable
-    across sample sizes."""
-    return build_grid(1e-2 * n, 1e3 * n, 10, 1e-4 * n, 1e2 * n, 10)
+def default_grid(n, j=10, k=10, lam_ratios=LAM_RATIOS,
+                 alpha_ratios=ALPHA_RATIOS) -> HyperGrid:
+    """J x K grid whose bounds are the ratios times n, which keeps
+    penalty-to-loss ratios comparable across sample sizes."""
+    return build_grid(lam_ratios[0] * n, lam_ratios[1] * n, j,
+                      alpha_ratios[0] * n, alpha_ratios[1] * n, k)
 
 
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
@@ -141,8 +146,8 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
         if w.any():
             system = system + lam * (_pair_outer(x, 0.0625 * w) / (nu * nu) / (0.5 * w.sum()))
     try:
-        sol = scipy.linalg.solve(system, xtx, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        sol = np.linalg.solve(system, xtx)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem("degrees-of-freedom system is singular") from exc
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("degrees-of-freedom system is singular")

@@ -9,14 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.stats import rankdata
 
 from . import baselines
 from .concordance import ConcordanceSpec
-from .data_model import external_ranks, ge_counts, standardize
+from .data_model import external_ranks, ge_counts, midranks, standardize
 from .errors import InvalidValue, ParseError, RasperError, SchemaMismatch, SingularDesign
-from .selection import build_grid, select
+from .selection import ALPHA_RATIOS, LAM_RATIOS, default_grid, select
 from .solver import default_nu
 
 RASPER_METHODS = ("rasper_spearman", "rasper_kendall", "rasper_marginal")
@@ -29,8 +27,8 @@ def spearman_rc(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("inputs must be equal-length 1-d arrays with n >= 2")
-    ra = rankdata(a)
-    rb = rankdata(b)
+    ra = midranks(a)
+    rb = midranks(b)
     sa = ra.std()
     sb = rb.std()
     if sa == 0 or sb == 0:
@@ -57,8 +55,8 @@ class SimSetting:
     samples: int = 20
     grid_j: int = 4
     grid_k: int = 2
-    lam_scale: tuple = (1e-2, 1e3)              # (min, max) multiples of n
-    alpha_scale: tuple = (1e-4, 1e2)
+    lam_scale: tuple = LAM_RATIOS               # (min, max) multiples of n
+    alpha_scale: tuple = ALPHA_RATIOS
     study2_z5_mode: str = "extra"               # or "reuse_z4"
 
     def __post_init__(self):
@@ -87,9 +85,8 @@ class SimSetting:
     def grid(self):
         """The (lambda, alpha) grid at n_internal: the bounds are the scale
         multiples of n."""
-        n = self.n_internal
-        return build_grid(self.lam_scale[0] * n, self.lam_scale[1] * n, self.grid_j,
-                          self.alpha_scale[0] * n, self.alpha_scale[1] * n, self.grid_k)
+        return default_grid(self.n_internal, self.grid_j, self.grid_k,
+                            self.lam_scale, self.alpha_scale)
 
     def _p(self):
         if self.study == "1a":
@@ -207,13 +204,17 @@ def _loo_mse(x, y, alpha, lam=0.0, beta_e=None):
     if np.linalg.matrix_rank(a) <= p:
         raise SingularDesign("leave-one-out system is singular")
     try:
-        cho = scipy.linalg.cho_factor(a)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise SingularDesign("leave-one-out system is singular") from exc
-    h = np.einsum("ij,ji->i", x1, scipy.linalg.cho_solve(cho, x1.T))
+
+    def solve(rhs):                     # A^{-1} rhs from A = low low'
+        return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+
+    h = np.einsum("ij,ji->i", x1, solve(x1.T))
     if np.any(h >= 1.0 - 1e-10):
         raise SingularDesign("a row has leverage 1; its leave-one-out fit is singular")
-    e = (y - x1 @ scipy.linalg.cho_solve(cho, b)) / (1.0 - h)
+    e = (y - x1 @ solve(b)) / (1.0 - h)
     return float(e @ e) / n
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .concordance import ConcordanceSpec, PairWeights, _pair_sums, _tables_for
 from .data_model import StandardizedDesign
@@ -71,6 +70,9 @@ class PenalizedProblem:
             raise InvalidValue("lambda must be finite and nonnegative")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise InvalidValue("alpha must be finite and nonnegative")
+        if self.weights.measure != self.spec.measure:
+            raise InvalidValue(f"weights are {self.weights.measure} but the spec "
+                               f"asks for {self.spec.measure}")
 
     @property
     def nu(self):
@@ -137,8 +139,7 @@ def default_nu(design: StandardizedDesign, y) -> float:
         warnings.warn("singular design: default nu falls back to a ridge fit",
                       stacklevel=2)
         alpha = 1e-4 * n
-        beta = scipy.linalg.solve(x.T @ x + alpha * np.eye(x.shape[1]), x.T @ yc,
-                                  assume_a="pos")
+        beta = np.linalg.solve(x.T @ x + alpha * np.eye(x.shape[1]), x.T @ yc)
     nu = 0.1 * float(np.linalg.norm(beta))
     if nu < NU_FLOOR:
         warnings.warn(f"default nu {nu:.3g} below floor, using {NU_FLOOR}",
@@ -170,7 +171,8 @@ def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
 def mm_step(problem: PenalizedProblem, beta0, beta):
     """One majorize-minimize update: the intercept is profiled out (neither
     the pair differences nor the penalties involve it), so solving the SPD
-    system on centered data minimizes the surrogate jointly in (beta0, beta)."""
+    system on centered data minimizes the surrogate jointly in (beta0, beta).
+    A system without a Cholesky factor raises ``NonSPDSystem``."""
     beta = np.asarray(beta, dtype=float)
     system, rhs = problem.gram, problem.xty
     if problem.lam > 0:
@@ -178,10 +180,10 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
         system = system + 2.0 * problem.lam * quad
         rhs = rhs + 0.5 * problem.lam * lin
     try:
-        cho = scipy.linalg.cho_factor(system)
-        beta_new = scipy.linalg.cho_solve(cho, rhs)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(system)
+    except np.linalg.LinAlgError as exc:
         raise NonSPDSystem("MM system is not positive definite") from exc
+    beta_new = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
     beta0_new = float(np.mean(problem.y - problem.design.x @ beta_new))
     return beta0_new, beta_new
 
@@ -207,7 +209,7 @@ def surrogate_value(problem, beta0, beta, anchor_beta):
 def local_minimizer(problem: PenalizedProblem):
     """Minimizer of the local objective alone (ridge, or OLS when alpha=0)."""
     if problem.alpha > 0:
-        beta = scipy.linalg.solve(problem.gram, problem.xty, assume_a="pos")
+        beta = np.linalg.solve(problem.gram, problem.xty)
     else:
         beta, _, rank, _ = np.linalg.lstsq(problem.xc, problem.y - problem.y.mean(),
                                            rcond=None)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rasper.concordance import ConcordanceSpec, pair_weights
 from rasper.data_model import external_ranks, standardize
@@ -28,3 +29,16 @@ def make_problem(seed=0, n=20, p=3, lam=5.0, alpha=1.0, measure="spearman",
 @pytest.fixture
 def small_problem():
     return make_problem()[0]
+
+
+@st.composite
+def paired_values(draw, tied):
+    """Two equal-length float lists: small integers when ``tied`` (many
+    ties), else distinct floats."""
+    n = draw(st.integers(2, 40))
+    if tied:
+        values = st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
+    else:
+        values = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n,
+                          unique=True)
+    return np.array(draw(values)), np.array(draw(values))

@@ -7,6 +7,7 @@ import pytest
 
 from rasper import concordance
 from rasper.cli import main
+from rasper.selection import default_grid
 
 
 @pytest.fixture
@@ -134,6 +135,19 @@ class TestSelect:
             trace = list(csv.DictReader(fh))
         assert len(trace) == 4
         assert all(-1.0 <= float(r["kendall_tau"]) <= 1.0 for r in trace)
+
+    def test_grid_sizes_without_bounds(self, dataset, tmp_path):
+        # J and K apply to the default-ratio grid when no bound is given.
+        data, schema = dataset
+        out = tmp_path / "sel"
+        assert run(["select", "--data", data, "--schema", schema, "--criterion", "aic",
+                    "--grid-j", "1", "--grid-k", "1", "--out", str(out)]) == 0
+        with open(out / "selection_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = default_grid(20, 1, 1)
+        assert len(rows) == 9
+        assert sorted({float(r["lambda"]) for r in rows}) == list(grid.lam_values)
+        assert sorted({float(r["alpha"]) for r in rows}) == list(grid.alpha_values)
 
     def test_rerun_byte_identical(self, dataset, tmp_path):
         data, schema = dataset

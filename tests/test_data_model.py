@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.stats
+from hypothesis import assume, given, strategies as st
 
 from rasper.data_model import (
     RawDataset,
     external_ranks,
+    kendall_tau_b,
     load_dataset,
     load_schema,
+    midranks,
     standardize,
 )
 from rasper.errors import (
@@ -20,6 +23,8 @@ from rasper.errors import (
     ParseError,
     SchemaMismatch,
 )
+
+from conftest import paired_values
 
 
 class TestExternalRanks:
@@ -62,6 +67,33 @@ class TestExternalRanks:
         ranks = external_ranks(s)
         assert np.array_equal(ranks.r, (s[:, None] >= s[None, :]).sum(axis=1))
         assert np.array_equal(external_ranks(2.0 * s + 1.0).r, ranks.r)
+
+
+class TestRankHelpers:
+    @pytest.mark.parametrize("tied", [True, False])
+    @given(data=st.data())
+    def test_midranks_are_rankdata_average(self, tied, data):
+        a, _ = data.draw(paired_values(tied))
+        assert np.array_equal(midranks(a), scipy.stats.rankdata(a))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @given(data=st.data())
+    def test_tau_b_matches_scipy(self, tied, data):
+        a, b = data.draw(paired_values(tied))
+        assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+        assert kendall_tau_b(a, b) == pytest.approx(
+            scipy.stats.kendalltau(a, b).statistic, abs=1e-12)
+
+    def test_tau_b_hand_values(self):
+        # pairs (0,1) concordant, (1,2) discordant, (0,2) tied in b
+        assert kendall_tau_b([1.0, 2.0, 3.0], [5.0, 7.0, 5.0]) == pytest.approx(0.0)
+        # (0,1), (0,2) concordant and (1,2) tied in b: 2 / sqrt(3 * 2)
+        assert kendall_tau_b([1.0, 2.0, 3.0], [1.0, 2.0, 2.0]) == \
+            pytest.approx(2.0 / np.sqrt(6.0))
+        assert kendall_tau_b([3.0, 1.0, 2.0], [30.0, 10.0, 20.0]) == 1.0
+
+    def test_tau_b_constant_input_is_nan(self):
+        assert np.isnan(kendall_tau_b([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
 class TestStandardize:

@@ -2,11 +2,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import assume, given, strategies as st
 
 from rasper import baselines
+from rasper.concordance import ConcordanceSpec
+from rasper.data_model import external_ranks, standardize
 from rasper.errors import InvalidBounds, InvalidValue, ParseError, SchemaMismatch, SingularDesign
+from rasper.selection import select
 from rasper.simbench import (
     ALL_METHODS,
+    RASPER_METHODS,
     BenchReport,
     SimSetting,
     _f1,
@@ -16,6 +22,9 @@ from rasper.simbench import (
     run_benchmark,
     spearman_rc,
 )
+from rasper.solver import default_nu
+
+from conftest import paired_values
 
 
 class TestSpearmanRC:
@@ -34,6 +43,14 @@ class TestSpearmanRC:
         # ranks (1,2,3) vs (2,1,3): rho = 1 - 6 * 2 / (3 * 8) = 0.5
         assert spearman_rc(np.array([1.0, 2.0, 3.0]),
                            np.array([2.0, 1.0, 3.0])) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @given(data=st.data())
+    def test_matches_scipy_spearmanr(self, tied, data):
+        a, b = data.draw(paired_values(tied))
+        assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+        assert spearman_rc(a, b) == pytest.approx(
+            scipy.stats.spearmanr(a, b).statistic, abs=1e-12)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -254,3 +271,83 @@ class TestBenchmark:
         rep = run_benchmark(s)
         order = [ALL_METHODS.index(m) for m in rep.methods]
         assert order == sorted(order)
+
+
+class TestGolden:
+    """Behaviour oracle: two study-1b replications at n = 50 with fixed seeds.
+    Each RASPER method's chosen (lambda, alpha) is pinned exactly and its
+    relative test MSE (over OLS) to 1e-9 relative, so a change to the solver,
+    the pair-sum engine or the selection shows here. The values were recorded
+    before the package's solves and ranks moved from scipy to numpy."""
+
+    # (criterion, J, K) -> per replication: method -> (lambda, alpha, rel MSE)
+    GOLDEN = {
+        ("aic", 4, 2): [
+            {"rasper_spearman": (158.11388300841898, 0.0, 1.0828250081231838),
+             "rasper_kendall": (8.891397050194614, 0.0, 1.0156412023519903),
+             "rasper_marginal": (158.11388300841898, 0.0, 1.070738064472776)},
+            {"rasper_spearman": (158.11388300841898, 0.0, 0.8423282421449386),
+             "rasper_kendall": (8.891397050194614, 0.0, 0.9619896293985598),
+             "rasper_marginal": (158.11388300841898, 0.0, 0.8184540971986893)},
+        ],
+        ("loocv", 1, 1): [
+            {"rasper_spearman": (0.5, 0.005, 0.9992958117187546),
+             "rasper_kendall": (0.5, 0.005, 0.9999192859116346),
+             "rasper_marginal": (0.5, 0.005, 0.9992664529404293)},
+            {"rasper_spearman": (0.5, 0.005, 0.9987490759042759),
+             "rasper_kendall": (0.5, 0.005, 0.99714548711316),
+             "rasper_marginal": (0.5, 0.005, 0.9985989805829903)},
+        ],
+    }
+    RC_MEAN = 0.8971908763505403
+
+    @staticmethod
+    def setting(criterion, j, k):
+        return SimSetting(study="1b", beta_external=(1.0, 0.8, 0.6, 0.4),
+                          beta_internal=(1.0, 0.8, 0.6, 0.4, 0.5, 0.5),
+                          n_internal=50, n_test=200, replications=2, seed=20260310,
+                          methods=RASPER_METHODS, criterion=criterion, samples=5,
+                          grid_j=j, grid_k=k)
+
+    @staticmethod
+    def picks(setting, rep):
+        """Each method's chosen (lambda, alpha) and relative MSE, computed
+        the way ``_run_replication`` computes them."""
+        data = generate(setting, np.random.default_rng([setting.seed, rep]))
+        design = standardize(data.x, data.q)
+        ranks = external_ranks(data.scores)
+        nu = default_nu(design, data.y)
+        xt = (data.x_test - design.mean) / design.scale
+
+        def mse(beta0, beta):
+            pred = beta0 + xt @ beta
+            return float(np.mean((data.mu_test - pred) ** 2))
+
+        ols = mse(*baselines.fit_ols(design, data.y))
+        out = {}
+        for method in RASPER_METHODS:
+            spec = ConcordanceSpec(
+                measure="kendall" if method == "rasper_kendall" else "spearman",
+                marginalized=method == "rasper_marginal", nu=nu,
+                samples=setting.samples, seed=rep)
+            chosen = select(design, data.y, ranks, spec, setting.grid(),
+                            criterion=setting.criterion).chosen
+            out[method] = (chosen.lam, chosen.alpha,
+                           mse(chosen.fit.beta0, chosen.fit.beta) / ols)
+        return out
+
+    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(map(str, k)))
+    def test_chosen_points_and_relative_mse(self, key):
+        setting = self.setting(*key)
+        for rep, golden in enumerate(self.GOLDEN[key]):
+            got = self.picks(setting, rep)
+            for method, (lam, alpha, rel) in golden.items():
+                assert got[method][:2] == (lam, alpha), (rep, method)
+                assert got[method][2] == pytest.approx(rel, rel=1e-9), (rep, method)
+
+    def test_benchmark_report(self):
+        report = run_benchmark(self.setting("aic", 4, 2))
+        assert report.rc_mean == pytest.approx(self.RC_MEAN, rel=1e-12)
+        for method in RASPER_METHODS:
+            golden = [reps[method][2] for reps in self.GOLDEN[("aic", 4, 2)]]
+            assert report.rel_mse_reps[method] == pytest.approx(golden, rel=1e-9)

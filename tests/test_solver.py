@@ -14,8 +14,14 @@ from rasper.concordance import (
     marginalized_weights,
     pair_weights,
 )
-from rasper.data_model import external_ranks, standardize
-from rasper.errors import DimensionMismatch, NonFiniteValue, SingularDesign
+from rasper.data_model import StandardizedDesign, external_ranks, standardize
+from rasper.errors import (
+    DimensionMismatch,
+    InvalidValue,
+    NonFiniteValue,
+    NonSPDSystem,
+    SingularDesign,
+)
 from rasper.selection import fold_weight_cache
 from rasper.solver import (
     PenalizedProblem,
@@ -121,6 +127,17 @@ class TestMMStep:
                                     xc.T @ yc, assume_a="pos")
         _, beta = mm_step(p, 0.0, np.zeros(p.design.p))
         assert np.allclose(beta, closed, atol=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_singular_system_raises(self, lam):
+        # A zero column makes X_c'X_c and the MM curvature singular.
+        p, _, _ = make_problem(lam=lam, alpha=0.0)
+        x = p.design.x.copy()
+        x[:, 1] = 0.0
+        design = StandardizedDesign(x, p.design.mean, p.design.scale, p.design.q)
+        p = dataclasses.replace(p, design=design)
+        with pytest.raises(NonSPDSystem):
+            mm_step(p, 0.0, np.full(p.design.p, 0.1))
 
     def test_intercept_profiled_exactly(self, small_problem):
         b0, beta = mm_step(small_problem, 0.0, np.zeros(small_problem.design.p))
@@ -290,6 +307,11 @@ class TestProblemCaches:
         short = pair_weights(external_ranks(ranks.r[1:]), "spearman")
         with pytest.raises(DimensionMismatch):
             dataclasses.replace(problem, weights=short)
+
+    def test_weights_measure_must_match_spec(self):
+        problem, ranks, _ = make_problem(measure="spearman")
+        with pytest.raises(InvalidValue, match="kendall"):
+            dataclasses.replace(problem, weights=pair_weights(ranks, "kendall"))
 
 
 class TestOracle:
