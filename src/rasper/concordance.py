@@ -158,6 +158,15 @@ def _pair_outer(xs, t):
     return xs.T @ (diag[:, None] * xs) - xt - xt.T
 
 
+def _check_concordance(d, w):
+    """Raise when D is not positive: ``DegenerateWeights`` when every weight
+    in ``w`` is zero, else ``NonpositiveConcordance``."""
+    if not d > 0:
+        if not np.any(w > 0):
+            raise DegenerateWeights("all pairwise weights are zero")
+        raise NonpositiveConcordance(f"concordance D = {d} is not positive")
+
+
 def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
     """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
     averaged over the design tables; sigma(u) is formed once per table.
@@ -199,10 +208,7 @@ def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
             quad += _pair_outer(xs, v * curv) / (nu * nu)
     count = len(tables)
     d /= count
-    if not d > 0:
-        if not np.any(w > 0):
-            raise DegenerateWeights("all pairwise weights are zero")
-        raise NonpositiveConcordance(f"concordance D = {d} is not positive")
+    _check_concordance(d, w)
     if gradient:
         grad /= count
     if hessian:
@@ -211,6 +217,56 @@ def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
         lin /= count * d
         quad /= count * d
     return d, grad, lin, quad, hess
+
+
+def fold_pair_sums(r, measure, x, beta, nu):
+    """``_pair_sums``' D, gradient and Hessian for every leave-one-out fold k
+    at one beta, from one full-data sigma table.
+
+    Fold k keeps the rows i != k with ranks r_i - [r_i >= r_k], so its weights
+    are w_ij = c * omega_ki * o_ij over i, j != k. Spearman: o = 1,
+    omega_ki = r_i - [r_i >= r_k] and c = 1 / (4 (n-1)^2). Kendall:
+    o_ij = [r_i > r_j], which dropping a row does not change, omega_ki = 1 and
+    c = 2 / ((n-1)(n-2)). With omega_kk = 0, a fold's sum of any pair term
+    f_ij is sum_i omega_ki (sum_j o_ij f_ij - o_ik f_ik): the full table's row
+    sums weighted by omega, less fold k's column. That is a few n x n
+    operations and n x n by n x p^2 products, O(n^2 + n p^2) memory.
+
+    Returns d (n,), grad (n, p) and hess (n, p, p), fold k in row k. D is not
+    checked here: ``fit_rasper`` passes each fold's to ``_check_concordance``.
+    """
+    n, p = x.shape
+    r = np.asarray(r, dtype=float)
+    s = _sigma_table((x @ beta) / nu)
+    m = s * s
+    np.subtract(s, m, out=m)                 # logistic density at u_ij
+    h = m * s
+    h *= -2.0
+    h += m                                   # m_ij * (1 - 2 s_ij)
+    if measure == SPEARMAN:
+        omega = r[None, :] - (r[None, :] >= r[:, None])
+        c = 1.0 / (4.0 * (n - 1.0) ** 2)
+    else:
+        order = r[:, None] > r[None, :]
+        s, m, h = s * order, m * order, h * order
+        omega = np.ones((n, n))
+        c = 2.0 / ((n - 1.0) * (n - 2.0))
+    np.fill_diagonal(omega, 0.0)
+    xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
+
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(n, p * p)
+
+    d = omega @ s.sum(axis=1) - (omega * s.T).sum(axis=1)
+    a = omega * m.T
+    grad = omega @ (m.sum(axis=1)[:, None] * x - m @ x) - (a @ x - a.sum(axis=1)[:, None] * x)
+    hx = h @ x
+    rows = h.sum(axis=1)[:, None] * xx - outer(x, hx) - outer(hx, x) + h @ xx
+    b = omega * h.T
+    bx = b @ x
+    cols = b @ xx - outer(bx, x) - outer(x, bx) + b.sum(axis=1)[:, None] * xx
+    hess = (omega @ rows - cols).reshape(n, p, p)
+    return c * d, (c / nu) * grad, (c / (nu * nu)) * hess
 
 
 def concordance_value(x, beta, nu, weights: PairWeights) -> float:

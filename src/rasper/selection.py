@@ -3,6 +3,13 @@ freedom, and AIC-based selection.
 
 The full-data fits and every leave-one-out fold take their weights from
 ``concordance.problem_weights``, so all of them marginalize by one rule.
+
+Within a grid point every warm fold fit starts at the full fit's beta, so
+``loocv_score`` downdates all n start points at once from the full-data
+sigma table (``concordance.fold_pair_sums``) and each fold fit makes no
+engine pass at its start. Folds with sampled design tables are not
+downdated: each fold draws its tables from its own rows, so they are not
+row subsets of the full tables.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import ConcordanceSpec, PairWeights, _pair_outer, problem_weights
+from .concordance import ConcordanceSpec, PairWeights, _pair_outer, fold_pair_sums, problem_weights
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
 from .solver import FitResult, PenalizedProblem, _local_objective, fit_rasper
@@ -92,6 +99,13 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     Fold fits that stop without converging still count toward the score;
     one ``RuntimeWarning`` per call names how many there were. Without a
     ``fold_cache`` the fold weights are built here by ``fold_weight_cache``.
+
+    With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
+    fold starts from its slice of one ``fold_pair_sums`` call at
+    ``warm.beta``; a fold whose downdated D is not positive fails with the
+    error its engine pass would raise. Cold folds (no ``warm``), lambda = 0
+    and marginalized folds, whose tables are drawn from the fold's own rows,
+    start from an engine pass.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
@@ -99,6 +113,10 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
         raise FoldFailure("leave-one-out needs at least 3 rows")
     if fold_cache is None:
         fold_cache = fold_weight_cache(design, ranks, spec)
+    init = warm.beta if warm is not None else None
+    starts = None
+    if init is not None and lam > 0 and fold_cache[0].tables is None:
+        starts = fold_pair_sums(ranks.r, spec.measure, design.x, init, spec.nu)
     total = 0.0
     failed = []
     unconverged = 0
@@ -108,8 +126,8 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
             problem = PenalizedProblem(design=design.subset(keep), y=y[keep],
                                        weights=fold_cache[i], spec=spec,
                                        lam=float(lam), alpha=float(alpha))
-            init = warm.beta if warm is not None else None
-            fit = fit_rasper(problem, init=init)
+            start = None if starts is None else tuple(a[i] for a in starts)
+            fit = fit_rasper(problem, init=init, start=start)
         except RasperError as exc:
             failed.append((i, str(exc)))
             continue

@@ -6,7 +6,11 @@ F(beta) = 0.5*||y_c - X_c beta||^2 + (alpha/2)*||beta||^2 - lambda*log D(beta).
 p is small, so every point the solver visits (the start, each trial and
 each MM point) takes one pass of the pair-sum engine, which gives F together
 with its gradient g and Hessian H; an accepted trial's g and H are the next
-iterate's, so no point is evaluated twice. Each iterate also takes one
+iterate's, so no point is evaluated twice. The start also takes one
+value-only ``penalized_objective`` call, unless the caller hands in the
+start's D, gradient and Hessian (``fit_rasper(start=...)``, which every
+plain leave-one-out fold gets from ``concordance.fold_pair_sums``); then it
+takes no engine pass at all. Each iterate also takes one
 eigendecomposition of H, which gives the trial step in closed form: the
 Newton step when H is positive definite and that step fits in the trust
 radius, else a damped Newton step inside it, so an indefinite H or an
@@ -32,7 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .concordance import ConcordanceSpec, PairWeights, _pair_sums, _tables_for
+from .concordance import (
+    ConcordanceSpec,
+    PairWeights,
+    _check_concordance,
+    _pair_sums,
+    _tables_for,
+)
 from .data_model import StandardizedDesign
 from .errors import (
     DimensionMismatch,
@@ -241,24 +251,29 @@ def _trust_step(evals, evecs, g, radius):
     return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st), True
 
 
-def _point(problem, beta0, beta):
+def _point(problem, beta0, beta, sums=None):
     """F at (beta0, beta) with D and the gradient and Hessian of F in beta,
-    all from one pass of the pair-sum engine; F is formed in the order
-    ``penalized_objective`` uses, so both give the same value. D is None
+    all from one pass of the pair-sum engine, or from ``sums`` = (D, dD, d2D)
+    at beta when given, checked by ``_check_concordance``; F is formed in the
+    order ``penalized_objective`` uses, so both give the same value. D is None
     when lambda = 0 (no pair pass)."""
     value = _local_objective(problem, beta0, beta)
     g = problem.gram @ beta - problem.xty
     lam = problem.lam
     if not lam > 0:
         return value, None, g, problem.gram
-    d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
+    if sums is None:
+        d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
+    else:
+        d, dd, hd = sums
+        _check_concordance(d, problem.w)
     value -= lam * np.log(d)
     g = g - lam * dd / d
     return value, d, g, problem.gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
 
 
 def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
-               max_iter=500) -> FitResult:
+               max_iter=500, start=None) -> FitResult:
     """Fit the rank-penalized regression by trust-region Newton steps with
     an MM fallback.
 
@@ -269,7 +284,10 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     Each trial and each MM point is evaluated by one pair pass (``_point``)
     that gives F, g and H at once, and an accepted point keeps them, so it
     is never evaluated again; the start value is one ``penalized_objective``
-    call plus that pass. The fit is converged once
+    call plus that pass. ``start`` = (D, dD, d2D) at ``init``, as
+    ``concordance.fold_pair_sums`` gives each leave-one-out fold, replaces
+    both: F, g and H at the start are formed from it with no engine pass.
+    The fit is converged once
     ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not change
     with the scale of y. When y is constant X_c' y_c vanishes, and ||g|| at
     the start iterate is the scale instead.
@@ -292,16 +310,21 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     runs this same loop.
     """
     x = problem.design.x
+    if start is not None and init is None:
+        raise InvalidValue("a start needs the init it was evaluated at")
     beta = local_minimizer(problem)[1] if init is None else np.asarray(init, dtype=float).copy()
     beta0 = float(np.mean(problem.y - x @ beta))
     scale = float(np.linalg.norm(problem.xty))
     if scale <= np.finfo(float).eps * np.linalg.norm(problem.xc) * np.linalg.norm(problem.y):
         scale = None                      # y is constant up to rounding
-    value = penalized_objective(problem, beta0, beta)
+    if start is None:
+        value = penalized_objective(problem, beta0, beta)
+        _, d, g, hess = _point(problem, beta0, beta)
+    else:
+        value, d, g, hess = _point(problem, beta0, beta, start)
     trace = [value]
     evaluations = 1
     iters = 0
-    _, d, g, hess = _point(problem, beta0, beta)
     radius = max(1.0, float(np.linalg.norm(beta)))
     while True:
         gnorm = float(np.linalg.norm(g))

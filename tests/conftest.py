@@ -26,6 +26,20 @@ def make_problem(seed=0, n=20, p=3, lam=5.0, alpha=1.0, measure="spearman",
     return problem, ranks, scores
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call; returns
+    the list the calls are recorded in."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def small_problem():
     return make_problem()[0]

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from rasper.concordance import (
@@ -14,6 +15,7 @@ from rasper.concordance import (
     concordance_gradient,
     concordance_value,
     exact_rank_params,
+    fold_pair_sums,
     marginalized_weights,
     pair_weights,
     problem_weights,
@@ -238,6 +240,42 @@ class TestPairSumEngine:
             _pair_sums(np.zeros((4, 4)), (x,), np.ones(1), 0.1)
         with pytest.raises(NonpositiveConcordance):
             _pair_sums(np.triu(np.ones((4, 4)), 1), (x,), np.ones(1), 1e-4)
+
+
+class TestFoldPairSums:
+    # The engine forms the logistic density as s - s^2, whose rounding is
+    # absolute: a pair with u far above 20 carries an error near eps, not eps
+    # times its density. Where every pair is that far apart (n = 3 or 4), the
+    # engine itself is off by up to 2.6e-8 relative, so beta is scaled to keep
+    # every |u| <= 20.
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), p=st.integers(1, 6),
+           nu=st.floats(0.05, 2.0), measure=st.sampled_from(["spearman", "kendall"]),
+           tied=st.booleans())
+    def test_matches_engine_on_every_fold(self, seed, n, p, nu, measure, tied):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        beta = rng.standard_normal(p)
+        beta *= min(1.0, 20.0 * nu / max(float(np.ptp(x @ beta)), 1e-300))
+        scores = rng.integers(0, 4, n).astype(float) if tied else rng.standard_normal(n)
+        got = fold_pair_sums(external_ranks(scores).r, measure, x, beta, nu)
+        want = [np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))]
+        for k in range(n):
+            # each fold's weights from its own scores, not from the full ranks
+            w = pair_weights(external_ranks(np.delete(scores, k)), measure).w
+            if w.any():
+                d, grad, _, _, hess = _pair_sums(w, (np.delete(x, k, axis=0),), beta, nu,
+                                                 gradient=True, hessian=True)
+                want[0][k], want[1][k], want[2][k] = d, grad, hess
+        # A fold whose weights are all zero is the engine's error, not a value
+        # (see TestLOOCV), so its sums are left out. Where a fold's sum
+        # vanishes by symmetry (a tied pair in a two-row fold), both sides
+        # are rounding residues of terms no larger than D (2 max|x| / nu)^k.
+        live = want[0] > 0
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape
+            floor = 1e-14 * want[0].max() * (2.0 * np.abs(x).max() / nu) ** k
+            assert np.all(np.abs(a[live] - b[live]) <= 1e-10 * np.abs(b).max() + floor)
 
 
 class TestMarginalSampler:

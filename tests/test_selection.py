@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rasper.selection as selection
+import rasper.solver as solver
 from rasper.concordance import ConcordanceSpec, PairWeights, _pair_sums, pair_weights
 from rasper.data_model import StandardizedDesign, external_ranks, standardize
 from rasper.errors import FoldFailure, InvalidBounds, SingularSystem
@@ -19,7 +20,7 @@ from rasper.selection import (
 )
 from rasper.solver import PenalizedProblem, default_nu, fit_rasper
 
-from conftest import make_problem
+from conftest import count_calls, make_problem
 
 
 def make_data(seed=0, n=25, p=4):
@@ -134,6 +135,70 @@ class TestLOOCV:
         message = str(record[0].message)
         assert f"{design.n} of {design.n} fold fits" in message
         assert "lambda=3" in message and "alpha=1" in message
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_all_tied_kendall_fold_keeps_its_typed_error(self, warm):
+        # score = 0 except row 3: the fold without row 3 has only tied pairs,
+        # so all its Kendall weights are zero, downdated start or not
+        design, y, _, _, spec = make_data(seed=11, n=12)
+        scores = np.zeros(12)
+        scores[3] = 1.0
+        ranks = external_ranks(scores)
+        spec = ConcordanceSpec("kendall", False, spec.nu, 1, 0)
+        fit = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, "kendall"),
+                                          spec, 3.0, 1.0))
+        with pytest.raises(FoldFailure) as info:
+            loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit if warm else None)
+        assert str(info.value) == "1 of 12 folds failed: [(3, 'all pairwise weights are zero')]"
+
+    @pytest.mark.parametrize("marginalized", [False, True])
+    def test_engine_passes_per_warm_fold(self, monkeypatch, marginalized):
+        # A downdated start costs no pass, so a plain fold makes one pass
+        # per point after the start and one per MM step; a marginalized
+        # fold also pays penalized_objective's and _point's passes at the
+        # start.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((15, 4))
+        y = x @ [1.0, 0.5, -0.5, 0.8] + 0.4 * rng.standard_normal(15)
+        design = standardize(x, q=2)
+        ranks = external_ranks(x[:, :2] @ [1.0, 0.4])
+        spec = ConcordanceSpec("spearman", marginalized, default_nu(design, y), 3, 0)
+        cache = fold_weight_cache(design, ranks, spec)
+        assert (cache[0].tables is not None) == marginalized
+        weights = selection.problem_weights(design, ranks, spec)
+        warm = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
+        passes = count_calls(monkeypatch, solver, "_pair_sums")
+        mm_calls = count_calls(monkeypatch, solver, "mm_step")
+        folds = []
+
+        def fit_fold(problem, **kwargs):
+            before = len(passes), len(mm_calls)
+            fit = fit_rasper(problem, **kwargs)
+            folds.append((len(passes) - before[0], len(mm_calls) - before[1], fit))
+            return fit
+
+        monkeypatch.setattr(selection, "fit_rasper", fit_fold)
+        loocv_score(design, y, ranks, spec, 40.0, 1.0, warm=warm, fold_cache=cache)
+        assert len(folds) == design.n
+        start_passes = 1 if marginalized else -1
+        for fold_passes, mm_steps, fit in folds:
+            assert fit.converged
+            assert fold_passes == fit.evaluations + start_passes + mm_steps
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("lam", [3.0, 1e3, 1e5])
+    def test_downdated_starts_match_engine_starts(self, monkeypatch, measure, lam):
+        design, y, _, _, spec = make_data(seed=13, n=20)
+        scores = np.random.default_rng(13).integers(0, 6, design.n).astype(float)
+        ranks = external_ranks(scores)                  # tied ranks
+        spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
+        warm = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, measure),
+                                           spec, lam, 1.0))
+        downdated = loocv_score(design, y, ranks, spec, lam, 1.0, warm=warm)
+        monkeypatch.setattr(selection, "fit_rasper",
+                            lambda problem, init=None, start=None: fit_rasper(problem, init=init))
+        engine = loocv_score(design, y, ranks, spec, lam, 1.0, warm=warm)
+        assert downdated == pytest.approx(engine, rel=1e-9)
 
     def test_too_few_rows(self):
         design, y, ranks, scores, spec = make_data(n=5)

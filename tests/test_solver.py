@@ -35,7 +35,7 @@ from rasper.solver import (
     surrogate_value,
 )
 
-from conftest import make_problem
+from conftest import count_calls, make_problem
 
 
 class TestJJCoefficient:
@@ -341,20 +341,8 @@ class TestNewtonAndFallback:
         trace = fit_rasper(p).objective_trace
         assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
-    @staticmethod
-    def _count_calls(monkeypatch, name):
-        calls = []
-        original = getattr(solver, name)
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver, name, counted)
-        return calls
-
     def test_newton_alone_at_moderate_lambda(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, "mm_step")
+        calls = count_calls(monkeypatch, solver, "mm_step")
         p, _, _ = make_problem(seed=0, lam=20.0)
         fit = fit_rasper(p)
         assert fit.converged and not calls
@@ -363,7 +351,7 @@ class TestNewtonAndFallback:
     def test_mm_fallback_keeps_descent(self, monkeypatch):
         # At lambda = 1000 n the Kendall objective is far from convex at the
         # start, so Newton points are rejected or H is indefinite.
-        calls = self._count_calls(monkeypatch, "mm_step")
+        calls = count_calls(monkeypatch, solver, "mm_step")
         p, _, _ = make_problem(seed=0, lam=20000.0, measure="kendall")
         fit = fit_rasper(p)
         assert fit.converged and fit.grad_norm <= 1e-8
@@ -376,8 +364,8 @@ class TestNewtonAndFallback:
         # The start gets penalized_objective's pass and a derivative pass;
         # every other point (trial or MM point) gets one pass, and each MM
         # step one more for its surrogate. No point is evaluated twice.
-        mm_calls = self._count_calls(monkeypatch, "mm_step")
-        passes = self._count_calls(monkeypatch, "_pair_sums")
+        mm_calls = count_calls(monkeypatch, solver, "mm_step")
+        passes = count_calls(monkeypatch, solver, "_pair_sums")
         p, _, _ = make_problem(seed=0, lam=lam, measure=measure)
         fit = fit_rasper(p)
         assert fit.converged
@@ -386,6 +374,12 @@ class TestNewtonAndFallback:
         # The trace takes F from the derivative pass in penalized_objective's
         # order, so the two agree to the last bit.
         assert fit.objective_trace[-1] == penalized_objective(p, fit.beta0, fit.beta)
+
+    def test_start_without_init_rejected(self):
+        p, _, _ = make_problem(lam=5.0)
+        d, grad, _, _, hess = solver._sums(p, np.zeros(p.design.p), gradient=True, hessian=True)
+        with pytest.raises(InvalidValue):
+            fit_rasper(p, start=(d, grad, hess))
 
     def test_constant_outcome_converges(self):
         p, _, _ = make_problem(lam=5.0)
