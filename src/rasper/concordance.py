@@ -3,10 +3,13 @@ concordance measure D.
 
 One engine, ``_pair_sums``, evaluates every weighted pair sum the package
 needs: D, its gradient and Hessian, and the MM solver's quasi-probability
-sums. For each design table it forms sigma(u) over the n x n scaled
-differences u once, with one in-place ``exp`` over a single buffer
-(``_sigma_table``), and u itself only for the MM curvature; the n^2 x p
-difference operator is never materialized.
+sums. It runs on a ``PairWorkspace``: the (S, n, p) stack of a problem's
+design tables (S = 1 without marginal tables), the weights as the ranks
+give them (a Spearman row scale, or a constant times the Kendall
+strict-order mask), and (S, n, n) buffers that every pass of one fit
+reuses. One in-place ``exp`` gives sigma(u) of all S tables, and every
+reduction is a matrix-vector product or a gemm over the stack; the n^2 x p
+difference operator and the dense weights ``PairWeights.w`` are never built.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
 measure's pair weights, plus sampled design tables when the spec is
@@ -64,7 +67,9 @@ class PairWeights:
 
     @property
     def w(self) -> np.ndarray:
-        """The dense (n, n) weight matrix, built anew from the ranks.
+        """The dense (n, n) weight matrix, built anew from the ranks. The
+        engine never builds it (``PairWorkspace`` holds the ranks' row scale
+        or order mask); it is the oracle of the tests and the benchmark.
 
         Spearman: w_ij = r_i / (4 n^2), constant in j. Kendall: the
         nonnegative convention w_ij = 2 I(r_i > r_j) / (n (n - 1)), which
@@ -77,10 +82,6 @@ class PairWeights:
         if self.measure == SPEARMAN:
             return np.repeat(r[:, None] / (4.0 * n * n), n, axis=1)
         return 2.0 * (r[:, None] > r[None, :]) / (n * (n - 1.0))
-
-    @property
-    def total(self):
-        return float(self.w.sum())
 
 
 def _checked_beta(x, beta):
@@ -124,18 +125,66 @@ def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
     return PairWeights(r=ranks.r, measure=measure)
 
 
-def _tables_for(weights: PairWeights, x):
+class PairWorkspace:
+    """The fixed pieces and the reusable buffers of one problem's pair sums.
+
+    ``stack`` is the (S, n, p) stack of the problem's design tables, S = 1
+    for a plain problem. The weights come from the ranks (see
+    ``PairWeights.w``): Spearman's are the row scale w_ij = r_i / (4 n^2);
+    Kendall's are the constant 2 / (n (n - 1)) times the strict-order mask
+    I(r_i > r_j), held with its antisymmetric form ``sign`` = mask - mask',
+    which is all the gradient and the Hessian need. ``live`` is False when
+    every weight is zero, as in an all-tied Kendall problem. The (S, n, n)
+    buffers are overwritten by every pass, so a workspace serves one thread
+    at a time; nothing ``_pair_sums`` returns is a view of them.
+    """
+
+    def __init__(self, stack, r, measure):
+        stack = np.asarray(stack, dtype=float)
+        count, n, p = stack.shape
+        r = np.asarray(r, dtype=float)
+        self.stack = stack
+        self.flat = stack.reshape(count * n, p)
+        if measure == SPEARMAN:
+            self.scale = r / (4.0 * n * n)
+            self.mask = self.sign = None
+            self.live = bool(self.scale.max(initial=0.0) > 0)
+        else:
+            self.scale = np.full(n, 2.0 / max(n * (n - 1.0), 1.0))
+            order = r[:, None] > r[None, :]
+            self.mask = order.astype(float)
+            self.sign = self.mask - self.mask.T
+            self.live = bool(order.any())
+        self.scaled = (self.scale[:, None] * stack).reshape(count * n, p)
+        # [1 | scale | x]: one product with a table gives its row sums, its
+        # product with the scale and its product with the design.
+        self.ends = np.empty((count, n, p + 2))
+        self.ends[..., 0] = 1.0
+        self.ends[..., 1] = self.scale
+        self.ends[..., 2:] = stack
+        self.sides = self.ends[0, :, :2].copy(order="F")      # [1 | scale]
+        # -u = t_j - t_i is the rank-2 product [1 | -t] [t ; 1], whose one
+        # rounding is the subtraction's; rows 0 and 1 below stay fixed.
+        self.left = np.ones((count, n, 2))
+        self.right = np.ones((count, 2, n))
+        shape = (count, n, n)
+        self.s, self.dens, self.h = np.empty(shape), np.empty(shape), np.empty(shape)
+
+
+def pair_workspace(weights: PairWeights, x) -> PairWorkspace:
+    """The workspace of a problem on design ``x`` with these weights: the
+    weights' sampled tables when they have them, else ``x`` alone."""
     if weights.tables is not None:
-        return weights.tables
-    return (np.asarray(x.x if isinstance(x, StandardizedDesign) else x, dtype=float),)
+        stack = np.stack(weights.tables)
+    else:
+        stack = np.asarray(x.x if isinstance(x, StandardizedDesign) else x, dtype=float)[None]
+    return PairWorkspace(stack, weights.r, weights.measure)
 
 
-def _sigma_table(t):
-    """sigma(u) for u_ij = t_i - t_j, built in one buffer: it starts as -u
-    (t_j - t_i, exactly the negation of t_i - t_j), then ``exp``, ``+= 1``
-    and ``reciprocal`` act in place. Where exp(-u) overflows, the reciprocal
-    of inf is exactly 0, the limit of sigma as u -> -inf."""
-    s = np.subtract(t[None, :], t[:, None])
+def _logistic_of_negated(s):
+    """sigma(u) in place over a buffer holding -u: ``exp``, ``+= 1`` and
+    ``reciprocal``. Where exp(-u) overflows, the reciprocal of inf is exactly
+    0, the limit of sigma as u -> -inf."""
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
@@ -143,33 +192,56 @@ def _sigma_table(t):
     return s
 
 
-def _bound_curvature(u, s):
+def _sigma_table(t, out=None):
+    """sigma(u) for u_ij = t_i - t_j over the last axis of ``t`` (one table
+    per leading index), built in one buffer, ``out`` when given: it starts
+    as -u (t_j - t_i, exactly the negation of t_i - t_j)."""
+    return _logistic_of_negated(np.subtract(t[..., None, :], t[..., :, None], out=out))
+
+
+def _bound_curvature(u, s, out=None):
     """``solver.jj_coefficient(u)`` from s = sigma(u) already in hand:
-    tanh(u/2)/(4u) = (sigma(u) - 1/2)/(2u), with the same series near zero."""
+    tanh(u/2)/(4u) = (sigma(u) - 1/2)/(2u), with the same series near zero.
+    The result is written into ``out`` when given, which may be ``u``."""
     small = np.abs(u) <= 1e-4
-    return np.where(small, 0.125 - u * u / 96.0,
-                    (s - 0.5) / (2.0 * np.where(small, 1.0, u)))
+    near = 0.125 - u[small] ** 2 / 96.0
+    out = np.asarray(np.multiply(u, 2.0, out=out))
+    out[small] = 1.0
+    np.divide(s - 0.5, out, out=out)
+    out[small] = near
+    return out
 
 
-def _pair_outer(xs, t):
-    """sum_ij t_ij (x_i - x_j)(x_i - x_j)' without forming the differences."""
-    xt = xs.T @ t @ xs
-    diag = t.sum(axis=1) + t.sum(axis=0)
-    return xs.T @ (diag[:, None] * xs) - xt - xt.T
-
-
-def _check_concordance(d, w):
-    """Raise when D is not positive: ``DegenerateWeights`` when every weight
-    in ``w`` is zero, else ``NonpositiveConcordance``."""
+def _check_concordance(d, live):
+    """Raise when D is not positive: ``DegenerateWeights`` when every pair
+    weight is zero (``live`` is False), else ``NonpositiveConcordance``."""
     if not d > 0:
-        if not np.any(w > 0):
+        if not live:
             raise DegenerateWeights("all pairwise weights are zero")
         raise NonpositiveConcordance(f"concordance D = {d} is not positive")
 
 
-def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
+def _laplacian(work, g):
+    """sum over tables of X' diag(g 1) X - X' g X for symmetric tables g,
+    which is half of sum_ij g_ij (x_i - x_j)(x_i - x_j)'."""
+    gb = g @ work.ends
+    cross = work.flat.T @ gb[..., 2:].reshape(work.flat.shape)
+    return work.flat.T @ (gb[..., :1].reshape(-1, 1) * work.flat) - 0.5 * (cross + cross.T)
+
+
+def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
     """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
-    averaged over the design tables; sigma(u) is formed once per table.
+    averaged over the S design tables of ``work``, a ``PairWorkspace``.
+
+    sigma(u) of all S tables comes from one ``exp`` into the workspace's
+    (S, n, n) buffer, and every reduction is a matrix-vector product or a
+    gemm over the stacked tables. The logistic density is formed as
+    sigma(u) sigma(-u) = s * s', so each entry carries a relative error of
+    a few ulp however far apart the pair is (its zero-difference diagonal is
+    set to zero), and the Hessian's density * (1 - 2 s) as the antisymmetric
+    h = density * (s' - s). A pair sum sum_ij w_ij f_ij (x_i - x_j) of a
+    symmetric f, or the outer-product sum of an antisymmetric f, only sees
+    w - w', which for Kendall is the constant times ``sign``.
 
     Returns (d, grad, lin, quad, hess). d is D = mean_T sum_ij w_ij sigma(u_ij).
     grad is dD/dbeta when ``gradient`` is set, else None; hess is the Hessian
@@ -179,49 +251,64 @@ def _pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
     where k runs over the pairs of every table, a_k is the scaled pair
     difference, c_k the logistic-bound curvature at u_k and
     q_k = w_k sigma(u_k) / (S D) the quasi-probabilities; otherwise both are
-    None.
+    None. None of them is a view of the workspace.
     """
-    p = beta.shape[0]
-    d = 0.0
-    grad = np.zeros(p) if gradient else None
-    hess = np.zeros((p, p)) if hessian else None
-    lin = np.zeros(p) if mm else None
-    quad = np.zeros((p, p)) if mm else None
-    for xs in tables:
-        t = (xs @ beta) / nu
-        s = _sigma_table(t)
-        v = w * s
-        d += float(v.sum())
-        if gradient or hessian:
-            m = v * s
-            np.subtract(v, m, out=m)         # w_ij * logistic density at u_ij
-        if gradient:
-            grad += xs.T @ (m.sum(axis=1) - m.sum(axis=0)) / nu
-        if hessian:
-            m2 = m * s
-            m2 *= -2.0
-            m2 += m                          # m_ij * (1 - 2 s_ij)
-            hess += _pair_outer(xs, m2) / (nu * nu)
-        if mm:
-            lin += xs.T @ (v.sum(axis=1) - v.sum(axis=0)) / nu
-            curv = _bound_curvature(np.subtract.outer(t, t), s)
-            quad += _pair_outer(xs, v * curv) / (nu * nu)
-    count = len(tables)
-    d /= count
-    _check_concordance(d, w)
-    if gradient:
-        grad /= count
+    count, n, p = work.stack.shape
+    t = (work.flat @ beta).reshape(count, n) / nu
+    work.left[..., 1] = -t
+    work.right[:, 0] = t
+    s = _logistic_of_negated(np.matmul(work.left, work.right, out=work.s))
+    if work.mask is None:
+        d = float(np.sum(s @ work.sides[:, 0] @ work.scale)) / count
+    else:
+        d = work.scale[0] * float(np.sum(s.reshape(count, n * n) @ work.mask.ravel())) / count
+    _check_concordance(d, work.live)
+    grad = hess = lin = quad = None
+    if gradient or hessian:
+        st = s.transpose(0, 2, 1)
+        dens = np.multiply(s, st, out=work.dens)         # sigma(u) sigma(-u)
+        dens.reshape(count, n * n)[:, ::n + 1] = 0.0
     if hessian:
-        hess /= count
+        h = np.subtract(st, s, out=work.h)
+        h *= dens                                        # dens * (1 - 2 s)
+        if work.sign is None:
+            # sum_ij scale_i h_ij a_ij a_ij' = X' diag(scale h1 - h scale) X
+            # less (scale X)'(h X) and its transpose
+            hb = h @ work.ends
+            diag = work.scale * hb[..., 0] - hb[..., 1]
+            cross = work.scaled.T @ hb[..., 2:].reshape(work.flat.shape)
+            hess = work.flat.T @ (diag.reshape(-1, 1) * work.flat) - cross - cross.T
+        else:
+            h *= work.sign
+            hess = work.scale[0] * _laplacian(work, h)
+        hess /= nu * nu * count
+    if gradient:
+        if work.sign is None:
+            ends = dens @ work.sides                     # [dens 1 | dens scale]
+            coef = work.scale * ends[..., 0] - ends[..., 1]
+        else:
+            dens *= work.sign
+            coef = work.scale[0] * (dens @ work.sides[:, 0])
+        grad = work.flat.T @ coef.ravel() / (nu * count)
     if mm:
-        lin /= count * d
-        quad /= count * d
+        # The density and Hessian buffers serve as scratch: v = w * s, then u.
+        if work.mask is None:
+            v = np.multiply(s, work.scale[:, None], out=work.dens)
+        else:
+            v = np.multiply(s, work.mask, out=work.dens)
+            v *= work.scale[0]
+        lin = work.flat.T @ (v.sum(axis=2) - v.sum(axis=1)).ravel() / (nu * count * d)
+        u = np.negative(np.matmul(work.left, work.right, out=work.h), out=work.h)
+        v *= _bound_curvature(u, s, out=u)
+        quad = _laplacian(work, np.add(v, v.transpose(0, 2, 1), out=work.h))
+        quad /= nu * nu * count * d
     return d, grad, lin, quad, hess
 
 
 def fold_pair_sums(r, measure, x, beta, nu):
     """``_pair_sums``' D, gradient and Hessian for every leave-one-out fold k
-    at one beta, from one full-data sigma table.
+    at one beta, from one full-data sigma table, with the engine's density
+    s * s' and antisymmetric Hessian weight.
 
     Fold k keeps the rows i != k with ranks r_i - [r_i >= r_k], so its weights
     are w_ij = c * omega_ki * o_ij over i, j != k. Spearman: o = 1,
@@ -238,11 +325,10 @@ def fold_pair_sums(r, measure, x, beta, nu):
     n, p = x.shape
     r = np.asarray(r, dtype=float)
     s = _sigma_table((x @ beta) / nu)
-    m = s * s
-    np.subtract(s, m, out=m)                 # logistic density at u_ij
-    h = m * s
-    h *= -2.0
-    h += m                                   # m_ij * (1 - 2 s_ij)
+    m = s * s.T                              # logistic density sigma(u) sigma(-u)
+    np.fill_diagonal(m, 0.0)                 # x_i - x_i = 0 anyway
+    h = s.T - s
+    h *= m                                   # m_ij * (1 - 2 s_ij), antisymmetric
     if measure == SPEARMAN:
         omega = r[None, :] - (r[None, :] >= r[:, None])
         c = 1.0 / (4.0 * (n - 1.0) ** 2)
@@ -272,16 +358,16 @@ def fold_pair_sums(r, measure, x, beta, nu):
 def concordance_value(x, beta, nu, weights: PairWeights) -> float:
     """D = sum_ij w_ij g_nu((x_i - x_j)' beta), averaged over sampled tables
     for marginalized weights."""
-    tables = _tables_for(weights, x)
-    beta = _checked_beta(tables[0], beta)
-    return _pair_sums(weights.w, tables, beta, nu)[0]
+    work = pair_workspace(weights, x)
+    beta = _checked_beta(work.stack[0], beta)
+    return _pair_sums(work, beta, nu)[0]
 
 
 def concordance_gradient(x, beta, nu, weights: PairWeights) -> np.ndarray:
     """Gradient of D with respect to beta."""
-    tables = _tables_for(weights, x)
-    beta = _checked_beta(tables[0], beta)
-    return _pair_sums(weights.w, tables, beta, nu, gradient=True)[1]
+    work = pair_workspace(weights, x)
+    beta = _checked_beta(work.stack[0], beta)
+    return _pair_sums(work, beta, nu, gradient=True)[1]
 
 
 @dataclass(frozen=True)

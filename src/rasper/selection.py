@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import ConcordanceSpec, PairWeights, _pair_outer, fold_pair_sums, problem_weights
+from .concordance import (
+    ConcordanceSpec,
+    PairWeights,
+    PairWorkspace,
+    _pair_sums,
+    fold_pair_sums,
+    problem_weights,
+)
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
 from .solver import FitResult, PenalizedProblem, _local_objective, fit_rasper
@@ -150,19 +157,19 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     Trace of (X'X + alpha I + lam * M0)^{-1} X'X, where M0 is the surrogate
     curvature at beta = 0: quasi-probabilities w_k / sum(w) times the
     logistic-bound curvature 1/8 on each scaled pair difference. M0 is
-    taken on the observed design even for marginalized weights. At beta = 0
-    every sigma is 1/2, so M0 has a closed form; it is written in the pair-sum
-    engine's order (weights w*sigma*c = w/16 over D = sum(w)/2), which gives
-    the engine's ``quad`` to the last bit.
+    taken on the observed design even for marginalized weights. It is the
+    pair-sum engine's ``quad`` at beta = 0, where every sigma is 1/2 and every
+    curvature 1/8, from one pass on a workspace of the observed design; with
+    all weights zero (all-tied Kendall ranks) the penalty adds nothing.
     """
     x = design.x
     p = design.p
     xtx = x.T @ x
     system = xtx + alpha * np.eye(p)
     if lam > 0:
-        w = weights.w
-        if w.any():
-            system = system + lam * (_pair_outer(x, 0.0625 * w) / (nu * nu) / (0.5 * w.sum()))
+        work = PairWorkspace(x[None], weights.r, weights.measure)
+        if work.live:
+            system = system + lam * _pair_sums(work, np.zeros(p), nu, mm=True)[3]
     try:
         sol = np.linalg.solve(system, xtx)
     except np.linalg.LinAlgError as exc:

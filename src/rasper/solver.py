@@ -15,17 +15,20 @@ eigendecomposition of H, which gives the trial step in closed form: the
 Newton step when H is positive definite and that step fits in the trust
 radius, else a damped Newton step inside it, so an indefinite H or an
 overshooting Newton point still gives a useful trial.
-The trial is kept only when the objective does not increase; otherwise the
-iterate takes one MM step. The MM step majorizes -lambda*log D by a convex
-quadratic built from the quasi-probabilities (the normalized pairwise terms
-of D) and the quadratic logistic bound with curvature tanh(u/2)/(4u);
-minimizing that surrogate is one weighted ridge solve and never increases
-the objective. The fit stops on a scale-free relative gradient, so
-``converged`` means stationary.
+The trial is kept when it lowers the objective by more than the rounding
+band delta = 10*eps*(|F| + lambda), or, inside that band, where F cannot
+resolve the change, when it lowers ||g||; otherwise the iterate takes one
+MM step, which is kept by the same rule. The MM step majorizes
+-lambda*log D by a convex quadratic built from the quasi-probabilities (the
+normalized pairwise terms of D) and the quadratic logistic bound with
+curvature tanh(u/2)/(4u); minimizing that surrogate is one weighted ridge
+solve and never increases the objective in exact arithmetic. The fit stops
+on a scale-free relative gradient, so ``converged`` means stationary.
 
 Every pair sum (D, its gradient and Hessian, and the surrogate's pieces)
-comes from the single numpy engine in ``concordance``; there is one solver
-path.
+comes from the single numpy engine in ``concordance``, on the problem's
+``PairWorkspace``: its stacked design tables, its rank-derived weights and
+the buffers that every pass of the fit reuses. There is one solver path.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .concordance import (
     PairWeights,
     _check_concordance,
     _pair_sums,
-    _tables_for,
+    pair_workspace,
 )
 from .data_model import StandardizedDesign
 from .errors import (
@@ -59,8 +62,11 @@ NU_FLOOR = 1e-3
 @dataclass(frozen=True)
 class PenalizedProblem:
     """Least-squares local objective plus ridge term and rank penalty. The
-    parts fixed for one fit are built once, on first use: the dense pair
-    weights ``w``, ``xc`` = X_c, ``gram`` = X_c'X_c + alpha I, ``xty`` = X_c'y_c."""
+    parts fixed for one fit are built once, on first use: the pair-sum
+    ``workspace`` (stacked design tables, rank-derived weights and the
+    buffers every engine pass of the fit reuses), ``xc`` = X_c,
+    ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c. The workspace's
+    buffers make a problem unsafe to evaluate from two threads at once."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -89,8 +95,8 @@ class PenalizedProblem:
         return self.spec.nu
 
     @cached_property
-    def w(self):
-        return self.weights.w
+    def workspace(self):
+        return pair_workspace(self.weights, self.design)
 
     @cached_property
     def xc(self):
@@ -164,9 +170,9 @@ def _local_objective(problem, beta0, beta):
 
 
 def _sums(problem, beta, gradient=False, mm=False, hessian=False):
-    """The pair-sum engine on the problem's weights and design tables."""
-    return _pair_sums(problem.w, _tables_for(problem.weights, problem.design), beta,
-                      problem.nu, gradient=gradient, mm=mm, hessian=hessian)
+    """The pair-sum engine on the problem's workspace."""
+    return _pair_sums(problem.workspace, beta, problem.nu,
+                      gradient=gradient, mm=mm, hessian=hessian)
 
 
 def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
@@ -266,10 +272,21 @@ def _point(problem, beta0, beta, sums=None):
         d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
     else:
         d, dd, hd = sums
-        _check_concordance(d, problem.w)
+        _check_concordance(d, problem.workspace.live)
     value -= lam * np.log(d)
     g = g - lam * dd / d
     return value, d, g, problem.gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
+
+
+def _accepts(value, gnorm, new_value, new_point, delta):
+    """Whether a point with objective ``new_value`` and ``new_point`` =
+    (D, g, H) replaces the iterate (``value``, gradient norm ``gnorm``).
+    Outside the band |new_value - value| <= ``delta`` the lower objective
+    wins. Inside it the difference is rounding, not a decrease that F can
+    resolve, so the point is taken only when it lowers ||g||."""
+    if abs(new_value - value) <= delta:
+        return float(np.linalg.norm(new_point[1])) < gnorm
+    return new_value < value
 
 
 def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
@@ -294,20 +311,25 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
 
     Otherwise the trial step s (``_trust_step``) is the Newton step when it
     fits in the radius r, else a damped step with ||s|| <= r; pred is its
-    model decrease. The first radius r is max(1, ||beta_start||). The trial
-    is kept when F there is no larger than at the iterate (``_point`` forms
-    F exactly as ``penalized_objective`` does); r doubles when the kept step
-    was damped, so r was binding, and the actual decrease exceeds 0.75*pred.
-    A rejected trial is replaced by one ``mm_step``, and r shrinks to
-    max(||s||/4, ||beta_MM - beta||) when (F - F_trial + delta) / (pred + delta)
-    < 0.25, with delta = 10*eps*(|F| + lambda). Near a large-lambda solution
-    pred falls below the rounding of lambda*log D, so without delta every
-    rejection would shrink r to the tiny MM step and stall the fit there.
+    model decrease. The first radius r is max(1, ||beta_start||). With
+    delta = 10*eps*(|F| + lambda), the trial is kept (``_accepts``) when F
+    there is below F at the iterate by more than delta, or, when
+    |F_trial - F| <= delta, when its gradient is smaller; ``_point`` forms F
+    exactly as ``penalized_objective`` does. Near a large-lambda solution
+    the decrease falls below the rounding of lambda*log D, and a strict F
+    test would keep or reject such a trial by luck. r doubles when the kept
+    step was damped, so r was binding, and the actual decrease exceeds
+    0.75*pred. A rejected trial is replaced by one ``mm_step``, and r
+    shrinks to max(||s||/4, ||beta_MM - beta||) when
+    (F - F_trial + delta) / (pred + delta) < 0.25; without delta every
+    such rejection would shrink r to the tiny MM step and stall the fit.
+    The MM point is kept by the same rule as a trial; when it is not, the
+    iterate stays and r shrinks to ||s||/4.
 
-    Both moves never increase the objective, so the trace is non-increasing.
-    After ``max_iter`` moves without meeting the test the fit returns with
-    ``converged=False``. Every problem, with or without marginal tables,
-    runs this same loop.
+    So the trace never rises by more than delta, and falls wherever F can
+    resolve the change. After ``max_iter`` moves without meeting the test
+    the fit returns with ``converged=False``. Every problem, with or
+    without marginal tables, runs this same loop.
     """
     x = problem.design.x
     if start is not None and init is None:
@@ -339,27 +361,31 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         cand = beta + step
         cand0 = float(np.mean(problem.y - x @ cand))
         evaluations += 1
+        delta = 10.0 * np.finfo(float).eps * (abs(value) + problem.lam)
         try:
             cand_value, *cand_point = _point(problem, cand0, cand)
         except NonpositiveConcordance:
-            cand_value = np.inf
-        if cand_value <= value:
+            cand_value, cand_point = np.inf, None
+        if _accepts(value, gnorm, cand_value, cand_point, delta):
             if damped and value - cand_value > 0.75 * pred:
                 radius *= 2.0
             beta0, beta, value = cand0, cand, cand_value
             d, g, hess = cand_point
             trace.append(value)
             continue
-        delta = 10.0 * np.finfo(float).eps * (abs(value) + problem.lam)
         rho = (value - cand_value + delta) / (pred + delta)
         mm0, mm = mm_step(problem, beta0, beta)
         if rho < 0.25:
             radius = max(0.25 * float(np.linalg.norm(step)), float(np.linalg.norm(mm - beta)))
-        beta0, beta = mm0, mm
-        value, d, g, hess = _point(problem, beta0, beta)
+        mm_value, *mm_point = _point(problem, mm0, mm)
         evaluations += 1
-        trace.append(value)
-    if d is None and problem.w.any():
+        if _accepts(value, gnorm, mm_value, mm_point, delta):
+            beta0, beta, value = mm0, mm, mm_value
+            d, g, hess = mm_point
+            trace.append(value)
+        else:
+            radius = 0.25 * float(np.linalg.norm(step))
+    if d is None and problem.workspace.live:
         d = _sums(problem, beta)[0]
     return FitResult(
         beta0=beta0,

@@ -26,6 +26,44 @@ def make_problem(seed=0, n=20, p=3, lam=5.0, alpha=1.0, measure="spearman",
     return problem, ranks, scores
 
 
+def _reference_sigma(t):
+    s = np.subtract(t[None, :], t[:, None])
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    return 1.0 / (1.0 + s)
+
+
+def _reference_pair_outer(xs, t):
+    xt = xs.T @ t @ xs
+    diag = t.sum(axis=1) + t.sum(axis=0)
+    return xs.T @ (diag[:, None] * xs) - xt - xt.T
+
+
+def reference_pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
+    """The per-table pair-sum formula on a dense weight matrix ``w``, one
+    table at a time: the reference the stacked engine
+    (``concordance._pair_sums``) is tested against. Same return tuple."""
+    from rasper.solver import jj_coefficient
+
+    p = beta.shape[0]
+    d = 0.0
+    grad, hess, lin, quad = np.zeros(p), np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
+    for xs in tables:
+        t = (xs @ beta) / nu
+        s = _reference_sigma(t)
+        v = w * s
+        d += float(v.sum())
+        m = v - v * s                        # w_ij * logistic density
+        grad += xs.T @ (m.sum(axis=1) - m.sum(axis=0)) / nu
+        hess += _reference_pair_outer(xs, m * (1.0 - 2.0 * s)) / (nu * nu)
+        lin += xs.T @ (v.sum(axis=1) - v.sum(axis=0)) / nu
+        quad += _reference_pair_outer(xs, v * jj_coefficient(np.subtract.outer(t, t))) / (nu * nu)
+    count = len(tables)
+    d /= count
+    return (d, grad / count if gradient else None, lin / (count * d) if mm else None,
+            quad / (count * d) if mm else None, hess / count if hessian else None)
+
+
 def count_calls(monkeypatch, module, name):
     """Replace ``module.name`` with a wrapper that records each call; returns
     the list the calls are recorded in."""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -8,6 +9,8 @@ from scipy.special import expit
 
 from rasper.concordance import (
     ConcordanceSpec,
+    PairWeights,
+    PairWorkspace,
     _bound_curvature,
     _pair_sums,
     _sigma_table,
@@ -28,7 +31,9 @@ from rasper.errors import (
     InvalidValue,
     NonpositiveConcordance,
 )
-from rasper.solver import jj_coefficient
+from rasper.solver import fit_rasper, jj_coefficient, penalized_objective
+
+from conftest import make_problem, reference_pair_sums
 
 
 class TestRankParams:
@@ -84,7 +89,7 @@ class TestPairWeights:
 
     def test_kendall_total_is_one_without_ties(self):
         ranks = external_ranks(np.random.default_rng(0).standard_normal(11))
-        assert pair_weights(ranks, "kendall").total == pytest.approx(1.0)
+        assert pair_weights(ranks, "kendall").w.sum() == pytest.approx(1.0)
 
     def test_weights_nonnegative(self):
         ranks = external_ranks(np.random.default_rng(1).standard_normal(8))
@@ -201,13 +206,14 @@ class TestPairSumEngine:
         n, nu = 7, 0.4
         x = rng.standard_normal((n, 3))
         measure = "kendall" if case == "kendall" else "spearman"
-        w = pair_weights(external_ranks(rng.standard_normal(n)), measure).w
+        ranks = external_ranks(rng.standard_normal(n))
+        w = pair_weights(ranks, measure).w
         tables = (x,)
         if case == "marginalized":
             tables = build_marginal_sampler(x[:, :2], x[:, 2:], 3, 0).tables
         beta = rng.standard_normal(3)
-        d, grad, lin, quad, hess = _pair_sums(w, tables, beta, nu, gradient=True,
-                                              mm=True, hessian=True)
+        d, grad, lin, quad, hess = _pair_sums(PairWorkspace(np.stack(tables), ranks.r, measure),
+                                              beta, nu, gradient=True, mm=True, hessian=True)
 
         ref_d, ref_grad, ref_hess = 0.0, np.zeros(3), np.zeros((3, 3))
         ref_lin, ref_quad = np.zeros(3), np.zeros((3, 3))
@@ -235,19 +241,65 @@ class TestPairSumEngine:
             pytest.approx(jj_coefficient(u), rel=1e-12)
 
     def test_only_zero_weights_are_degenerate(self):
-        x = np.arange(4.0)[:, None]
+        # Decided from the ranks: all-tied Kendall ranks give no weight; a
+        # strict order whose every pair the model reverses gives D = 0.
+        x = np.arange(4.0)[None, :, None]
         with pytest.raises(DegenerateWeights):
-            _pair_sums(np.zeros((4, 4)), (x,), np.ones(1), 0.1)
+            _pair_sums(PairWorkspace(x, np.full(4, 4), "kendall"), np.ones(1), 0.1)
         with pytest.raises(NonpositiveConcordance):
-            _pair_sums(np.triu(np.ones((4, 4)), 1), (x,), np.ones(1), 1e-4)
+            _pair_sums(PairWorkspace(x, np.arange(4, 0, -1), "kendall"), np.ones(1), 1e-4)
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_stack_matches_per_table_formula(self, measure, count):
+        # The per-table formula on dense weights, kept in conftest, is the
+        # reference; ties in the ranks, mm pieces included.
+        rng = np.random.default_rng(20 + count)
+        n, p, nu = 23, 4, 0.35
+        tables = tuple(rng.standard_normal((n, p)) for _ in range(count))
+        ranks = external_ranks(rng.integers(0, 7, n).astype(float))
+        assert len(np.unique(ranks.r)) < n               # tied
+        w = pair_weights(ranks, measure).w
+        work = PairWorkspace(np.stack(tables), ranks.r, measure)
+        for _ in range(3):
+            beta = rng.standard_normal(p)
+            got = _pair_sums(work, beta, nu, gradient=True, mm=True, hessian=True)
+            want = reference_pair_sums(w, tables, beta, nu, gradient=True, mm=True,
+                                       hessian=True)
+            for a, b in zip(got, want):
+                assert np.linalg.norm(np.subtract(a, b)) <= 1e-12 * np.linalg.norm(b)
+
+    def test_all_tied_kendall_problem_is_degenerate(self):
+        problem, ranks, _ = make_problem(measure="kendall", lam=5.0)
+        tied = PairWeights(r=np.full_like(ranks.r, ranks.r.max()), measure="kendall")
+        problem = dataclasses.replace(problem, weights=tied)
+        assert not problem.workspace.live
+        with pytest.raises(DegenerateWeights):
+            penalized_objective(problem, 0.0, np.ones(problem.design.p))
+        with pytest.raises(DegenerateWeights):
+            fit_rasper(problem)
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_results_do_not_alias_the_workspace(self, measure):
+        problem, _, _ = make_problem(measure=measure, lam=5.0)
+        work = problem.workspace
+        rng = np.random.default_rng(4)
+        beta = rng.standard_normal(problem.design.p)
+        first = _pair_sums(work, beta, problem.nu, gradient=True, mm=True, hessian=True)
+        kept = [np.array(a, copy=True) for a in first]
+        second = _pair_sums(work, -2.0 * beta, problem.nu, gradient=True, mm=True,
+                            hessian=True)
+        for a, b, c in zip(first, kept, second):
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
+        buffers = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+        for a in first[1:]:
+            assert not any(np.shares_memory(a, buf) for buf in buffers)
 
 
 class TestFoldPairSums:
-    # The engine forms the logistic density as s - s^2, whose rounding is
-    # absolute: a pair with u far above 20 carries an error near eps, not eps
-    # times its density. Where every pair is that far apart (n = 3 or 4), the
-    # engine itself is off by up to 2.6e-8 relative, so beta is scaled to keep
-    # every |u| <= 20.
+    # Both sides form the logistic density as s * s', accurate to a few ulp
+    # however far apart a pair is, so no bound on |u| is needed.
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), p=st.integers(1, 6),
            nu=st.floats(0.05, 2.0), measure=st.sampled_from(["spearman", "kendall"]),
@@ -256,16 +308,15 @@ class TestFoldPairSums:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, p))
         beta = rng.standard_normal(p)
-        beta *= min(1.0, 20.0 * nu / max(float(np.ptp(x @ beta)), 1e-300))
         scores = rng.integers(0, 4, n).astype(float) if tied else rng.standard_normal(n)
         got = fold_pair_sums(external_ranks(scores).r, measure, x, beta, nu)
         want = [np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))]
         for k in range(n):
             # each fold's weights from its own scores, not from the full ranks
-            w = pair_weights(external_ranks(np.delete(scores, k)), measure).w
-            if w.any():
-                d, grad, _, _, hess = _pair_sums(w, (np.delete(x, k, axis=0),), beta, nu,
-                                                 gradient=True, hessian=True)
+            work = PairWorkspace(np.delete(x, k, axis=0)[None],
+                                 external_ranks(np.delete(scores, k)).r, measure)
+            if work.live:
+                d, grad, _, _, hess = _pair_sums(work, beta, nu, gradient=True, hessian=True)
                 want[0][k], want[1][k], want[2][k] = d, grad, hess
         # A fold whose weights are all zero is the engine's error, not a value
         # (see TestLOOCV), so its sums are left out. Where a fold's sum
@@ -276,6 +327,50 @@ class TestFoldPairSums:
             assert a.shape == b.shape
             floor = 1e-14 * want[0].max() * (2.0 * np.abs(x).max() / nu) ** k
             assert np.all(np.abs(a[live] - b[live]) <= 1e-10 * np.abs(b).max() + floor)
+
+    @staticmethod
+    def _long_double_sums(w, x, beta, nu):
+        """D, gradient and Hessian in long double, with the density and
+        1 - 2 sigma written in exp(-|u|), which never rounds to 1."""
+        x = x.astype(np.longdouble)
+        a = (x[:, None, :] - x[None, :, :]) / np.longdouble(nu)
+        u = a @ beta.astype(np.longdouble)
+        e = np.exp(-np.abs(u))
+        dens = e / (1 + e) ** 2
+        tilt = -np.sign(u) * (1 - e) / (1 + e)        # 1 - 2 sigma(u)
+        w = w.astype(np.longdouble)
+        d = np.sum(w / (1 + np.exp(-u)))
+        grad = np.einsum("ij,ijk->k", w * dens, a)
+        hess = np.einsum("ij,ijk,ijl->kl", w * dens * tilt, a, a)
+        return d, grad, hess
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_far_apart_tables_match_long_double(self, measure):
+        # 3-4 row tables whose u spans 50-65: the widest pair's density is
+        # below 1e-21, where s - s^2 had only absolute accuracy (about eps).
+        rng = np.random.default_rng(31)
+        nu = 0.2
+        for trial in range(40):
+            n, p = 3 + trial % 2, 2
+            x = rng.standard_normal((n, p))
+            beta = rng.standard_normal(p)
+            beta *= rng.uniform(50.0, 65.0) * nu / np.ptp(x @ beta)
+            scores = rng.standard_normal(n)
+            r = external_ranks(scores).r
+            got = _pair_sums(PairWorkspace(x[None], r, measure), beta, nu,
+                             gradient=True, hessian=True)
+            want = self._long_double_sums(pair_weights(external_ranks(scores), measure).w,
+                                          x, beta, nu)
+            for a, b in zip((got[0], got[1], got[4]), want):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            # A fold's sums are the full table's less the left-out row's
+            # pairs, so their scale is the largest entry over all folds.
+            want = [np.stack(a) for a in zip(*(
+                self._long_double_sums(
+                    pair_weights(external_ranks(np.delete(scores, k)), measure).w,
+                    np.delete(x, k, axis=0), beta, nu) for k in range(n)))]
+            for a, b in zip(fold_pair_sums(r, measure, x, beta, nu), want):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestMarginalSampler:

@@ -6,7 +6,13 @@ import pytest
 
 import rasper.selection as selection
 import rasper.solver as solver
-from rasper.concordance import ConcordanceSpec, PairWeights, _pair_sums, pair_weights
+from rasper.concordance import (
+    ConcordanceSpec,
+    PairWeights,
+    PairWorkspace,
+    _pair_sums,
+    pair_weights,
+)
 from rasper.data_model import StandardizedDesign, external_ranks, standardize
 from rasper.errors import FoldFailure, InvalidBounds, SingularSystem
 from rasper.selection import (
@@ -20,7 +26,7 @@ from rasper.selection import (
 )
 from rasper.solver import PenalizedProblem, default_nu, fit_rasper
 
-from conftest import count_calls, make_problem
+from conftest import count_calls, make_problem, reference_pair_sums
 
 
 def make_data(seed=0, n=25, p=4):
@@ -238,14 +244,13 @@ class TestDegreesOfFreedom:
         with pytest.raises(SingularSystem):
             degrees_of_freedom(design, pair_weights(ranks, "spearman"), spec.nu, 0.0, 0.0)
 
-    def test_dense_weights_built_once(self, monkeypatch):
+    def test_dense_weights_never_built(self, monkeypatch):
         design, y, ranks, _, spec = make_data(seed=5)
         builds = []
-        dense = PairWeights.w.fget
-        monkeypatch.setattr(PairWeights, "w",
-                            property(lambda self: builds.append(self) or dense(self)))
-        degrees_of_freedom(design, pair_weights(ranks, "spearman"), spec.nu, 50.0, 0.0)
-        assert len(builds) == 1
+        monkeypatch.setattr(PairWeights, "w", property(lambda self: builds.append(self)))
+        for measure in ("spearman", "kendall"):
+            degrees_of_freedom(design, pair_weights(ranks, measure), spec.nu, 50.0, 0.0)
+        assert not builds
 
     def test_curvature_matches_quasi_probability_form(self):
         # lam * 0.125 * M0 with q_k = w_k / sum(w): build M0 by brute force
@@ -256,7 +261,7 @@ class TestDegreesOfFreedom:
         for i in range(12):
             for j in range(12):
                 a = (x[i] - x[j]) / nu
-                m0 += w.w[i, j] / w.total * np.outer(a, a)
+                m0 += w.w[i, j] / w.w.sum() * np.outer(a, a)
         lam, alpha = 7.0, 0.3
         xtx = x.T @ x
         oracle = np.trace(np.linalg.solve(
@@ -267,7 +272,9 @@ class TestDegreesOfFreedom:
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("n", [3, 4, 17, 60])
     def test_closed_form_matches_engine(self, measure, n):
-        # The pair-sum engine's MM curvature at beta = 0 is the reference.
+        # degrees_of_freedom is one engine pass at beta = 0: its system is
+        # the engine's MM curvature there, to the last bit, and that agrees
+        # with the per-table formula on dense weights.
         rng = np.random.default_rng(n)
         for _ in range(5):
             design = standardize(rng.standard_normal((n, 2)))
@@ -277,7 +284,10 @@ class TestDegreesOfFreedom:
             w = pair_weights(ranks, measure)
             nu = float(rng.uniform(0.05, 2.0))
             x = design.x
-            m0 = _pair_sums(w.w, (x,), np.zeros(2), nu, mm=True)[3]
+            m0 = _pair_sums(PairWorkspace(x[None], ranks.r, measure), np.zeros(2), nu,
+                            mm=True)[3]
+            want = reference_pair_sums(w.w, (x,), np.zeros(2), nu, mm=True)[3]
+            assert np.linalg.norm(m0 - want) <= 1e-12 * np.linalg.norm(want)
             for lam, alpha in [(0.5, 0.0), (7.0, 0.3), (1e4, 2.0)]:
                 xtx = x.T @ x
                 system = xtx + alpha * np.eye(2) + lam * m0
