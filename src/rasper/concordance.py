@@ -2,14 +2,15 @@
 concordance measure D.
 
 One engine, ``_pair_sums``, evaluates every weighted pair sum the package
-needs: D, its gradient and Hessian, and the MM solver's quasi-probability
-sums. It runs on a ``PairWorkspace``: the (S, n, p) stack of a problem's
-design tables (S = 1 without marginal tables), the weights as the ranks
-give them (a Spearman row scale, or a constant times the Kendall
-strict-order mask), and (S, n, n) buffers that every pass of one fit
-reuses. One in-place ``exp`` gives sigma(u) of all S tables, and every
-reduction is a matrix-vector product or a gemm over the stack; the n^2 x p
-difference operator and the dense weights ``PairWeights.w`` are never built.
+needs: D, its gradient and Hessian, and the quasi-probability sums of the
+MM map and of the degrees of freedom. It runs on a ``PairWorkspace``: the
+(S, n, p) stack of a problem's design tables (S = 1 without marginal
+tables), the weights as the ranks give them (a Spearman row scale, or a
+constant times the Kendall strict-order mask), and (S, n, n) buffers that
+every pass of one fit reuses. One in-place ``exp`` gives sigma(u) of all S
+tables, and every reduction is a matrix-vector product or a gemm over the
+stack; the n^2 x p difference operator and the dense weights
+``PairWeights.w`` are never built.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
 measure's pair weights, plus sampled design tables when the spec is

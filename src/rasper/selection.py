@@ -110,9 +110,10 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
     fold starts from its slice of one ``fold_pair_sums`` call at
     ``warm.beta``; a fold whose downdated D is not positive fails with the
-    error its engine pass would raise. Cold folds (no ``warm``), lambda = 0
-    and marginalized folds, whose tables are drawn from the fold's own rows,
-    start from an engine pass.
+    error its engine pass would raise. Cold folds (no ``warm``) and
+    marginalized folds, whose tables are drawn from the fold's own rows,
+    make one engine pass at their start. lambda = 0 folds make no pass while
+    fitting; each makes one value pass at the end, for the D it reports.
     """
     y = np.asarray(y, dtype=float)
     n = design.n

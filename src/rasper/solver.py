@@ -1,29 +1,29 @@
-"""Penalized objective and its solver: trust-region Newton steps with a
-monotone MM fallback.
+"""Penalized objective and its solver: trust-region Newton steps.
 
 With the intercept profiled out, the fit minimizes
 F(beta) = 0.5*||y_c - X_c beta||^2 + (alpha/2)*||beta||^2 - lambda*log D(beta).
-p is small, so every point the solver visits (the start, each trial and
-each MM point) takes one pass of the pair-sum engine, which gives F together
-with its gradient g and Hessian H; an accepted trial's g and H are the next
-iterate's, so no point is evaluated twice. The start also takes one
-value-only ``penalized_objective`` call, unless the caller hands in the
+p is small, so every point the solver visits (the start and each trial)
+takes one pass of the pair-sum engine, which gives F together with its
+gradient g and Hessian H; an accepted trial's g and H are the next
+iterate's, so no point is evaluated twice. A caller that hands in the
 start's D, gradient and Hessian (``fit_rasper(start=...)``, which every
-plain leave-one-out fold gets from ``concordance.fold_pair_sums``); then it
-takes no engine pass at all. Each iterate also takes one
-eigendecomposition of H, which gives the trial step in closed form: the
-Newton step when H is positive definite and that step fits in the trust
-radius, else a damped Newton step inside it, so an indefinite H or an
-overshooting Newton point still gives a useful trial.
-The trial is kept when it lowers the objective by more than the rounding
-band delta = 10*eps*(|F| + lambda), or, inside that band, where F cannot
-resolve the change, when it lowers ||g||; otherwise the iterate takes one
-MM step, which is kept by the same rule. The MM step majorizes
--lambda*log D by a convex quadratic built from the quasi-probabilities (the
-normalized pairwise terms of D) and the quadratic logistic bound with
-curvature tanh(u/2)/(4u); minimizing that surrogate is one weighted ridge
-solve and never increases the objective in exact arithmetic. The fit stops
-on a scale-free relative gradient, so ``converged`` means stationary.
+plain leave-one-out fold gets from ``concordance.fold_pair_sums``) saves the
+start's pass. Each iterate also takes one eigendecomposition of H, which
+gives the trial step in closed form: the Newton step when H is positive
+definite and that step fits in the trust radius, else a damped Newton step
+inside it, so an indefinite H or an overshooting Newton point still gives a
+useful trial. The trial is kept when it lowers the objective by more than
+the rounding band delta = 10*eps*(|F| + lambda), or, inside that band, where
+F cannot resolve the change, when it lowers ||g||; a rejected trial only
+shrinks the radius. The fit stops on a scale-free relative gradient, so
+``converged`` means stationary.
+
+``mm_step`` is the paper's majorize-minimize map, which the fit no longer
+calls: it majorizes -lambda*log D by a convex quadratic built from the
+quasi-probabilities (the normalized pairwise terms of D) and the quadratic
+logistic bound with curvature tanh(u/2)/(4u), and minimizing that surrogate
+(``surrogate_value``) is one weighted ridge solve that never increases the
+objective in exact arithmetic. A converged fit is its fixed point.
 
 Every pair sum (D, its gradient and Hessian, and the surrogate's pieces)
 comes from the single numpy engine in ``concordance``, on the problem's
@@ -124,7 +124,7 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float             # relative gradient ||grad F|| / scale at beta
-    evaluations: int             # objective evaluations (start, trials, MM points)
+    evaluations: int             # points evaluated: the start plus the trials, iterations + 1
 
 
 def jj_coefficient(u):
@@ -185,10 +185,12 @@ def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
 
 
 def mm_step(problem: PenalizedProblem, beta0, beta):
-    """One majorize-minimize update: the intercept is profiled out (neither
-    the pair differences nor the penalties involve it), so solving the SPD
-    system on centered data minimizes the surrogate jointly in (beta0, beta).
-    A system without a Cholesky factor raises ``NonSPDSystem``."""
+    """The paper's majorize-minimize map, which ``fit_rasper`` no longer
+    calls: one minimization of the quadratic surrogate anchored at ``beta``.
+    The intercept is profiled out (neither the pair differences nor the
+    penalties involve it), so solving the SPD system on centered data
+    minimizes the surrogate jointly in (beta0, beta). A system without a
+    Cholesky factor raises ``NonSPDSystem``."""
     beta = np.asarray(beta, dtype=float)
     system, rhs = problem.gram, problem.xty
     if problem.lam > 0:
@@ -291,20 +293,18 @@ def _accepts(value, gnorm, new_value, new_point, delta):
 
 def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
                max_iter=500, start=None) -> FitResult:
-    """Fit the rank-penalized regression by trust-region Newton steps with
-    an MM fallback.
+    """Fit the rank-penalized regression by trust-region Newton steps.
 
     Starts from the local-objective minimizer unless ``init`` is given, which
     guarantees the final objective improves on the unpenalized fit. The
     intercept is profiled, beta0 = mean(y - X beta), at the start as at every
     later point, so only the gradient g and Hessian H of F in beta matter.
-    Each trial and each MM point is evaluated by one pair pass (``_point``)
-    that gives F, g and H at once, and an accepted point keeps them, so it
-    is never evaluated again; the start value is one ``penalized_objective``
-    call plus that pass. ``start`` = (D, dD, d2D) at ``init``, as
-    ``concordance.fold_pair_sums`` gives each leave-one-out fold, replaces
-    both: F, g and H at the start are formed from it with no engine pass.
-    The fit is converged once
+    The start and each trial are evaluated by one pair pass (``_point``)
+    that gives F, g and H at once, and an accepted trial keeps them, so no
+    point is evaluated twice and ``evaluations`` is ``iterations + 1``.
+    ``start`` = (D, dD, d2D) at ``init``, as ``concordance.fold_pair_sums``
+    gives each leave-one-out fold, replaces the start's pass: F, g and H
+    there are formed from it. The fit is converged once
     ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not change
     with the scale of y. When y is constant X_c' y_c vanishes, and ||g|| at
     the start iterate is the scale instead.
@@ -319,12 +319,8 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     the decrease falls below the rounding of lambda*log D, and a strict F
     test would keep or reject such a trial by luck. r doubles when the kept
     step was damped, so r was binding, and the actual decrease exceeds
-    0.75*pred. A rejected trial is replaced by one ``mm_step``, and r
-    shrinks to max(||s||/4, ||beta_MM - beta||) when
-    (F - F_trial + delta) / (pred + delta) < 0.25; without delta every
-    such rejection would shrink r to the tiny MM step and stall the fit.
-    The MM point is kept by the same rule as a trial; when it is not, the
-    iterate stays and r shrinks to ||s||/4.
+    0.75*pred. A rejected trial keeps the iterate and only shrinks r to
+    ||s||/4 (Conn, Gould & Toint 2000, ch. 6).
 
     So the trace never rises by more than delta, and falls wherever F can
     resolve the change. After ``max_iter`` moves without meeting the test
@@ -339,13 +335,8 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     scale = float(np.linalg.norm(problem.xty))
     if scale <= np.finfo(float).eps * np.linalg.norm(problem.xc) * np.linalg.norm(problem.y):
         scale = None                      # y is constant up to rounding
-    if start is None:
-        value = penalized_objective(problem, beta0, beta)
-        _, d, g, hess = _point(problem, beta0, beta)
-    else:
-        value, d, g, hess = _point(problem, beta0, beta, start)
+    value, d, g, hess = _point(problem, beta0, beta, start)
     trace = [value]
-    evaluations = 1
     iters = 0
     radius = max(1.0, float(np.linalg.norm(beta)))
     while True:
@@ -360,7 +351,6 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         step, pred, damped = _trust_step(evals, evecs, g, radius)
         cand = beta + step
         cand0 = float(np.mean(problem.y - x @ cand))
-        evaluations += 1
         delta = 10.0 * np.finfo(float).eps * (abs(value) + problem.lam)
         try:
             cand_value, *cand_point = _point(problem, cand0, cand)
@@ -371,17 +361,6 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
                 radius *= 2.0
             beta0, beta, value = cand0, cand, cand_value
             d, g, hess = cand_point
-            trace.append(value)
-            continue
-        rho = (value - cand_value + delta) / (pred + delta)
-        mm0, mm = mm_step(problem, beta0, beta)
-        if rho < 0.25:
-            radius = max(0.25 * float(np.linalg.norm(step)), float(np.linalg.norm(mm - beta)))
-        mm_value, *mm_point = _point(problem, mm0, mm)
-        evaluations += 1
-        if _accepts(value, gnorm, mm_value, mm_point, delta):
-            beta0, beta, value = mm0, mm, mm_value
-            d, g, hess = mm_point
             trace.append(value)
         else:
             radius = 0.25 * float(np.linalg.norm(step))
@@ -398,7 +377,7 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         converged=grad_norm <= tol,
         iterations=iters,
         grad_norm=grad_norm,
-        evaluations=evaluations,
+        evaluations=iters + 1,
     )
 
 

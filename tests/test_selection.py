@@ -159,10 +159,9 @@ class TestLOOCV:
 
     @pytest.mark.parametrize("marginalized", [False, True])
     def test_engine_passes_per_warm_fold(self, monkeypatch, marginalized):
-        # A downdated start costs no pass, so a plain fold makes one pass
-        # per point after the start and one per MM step; a marginalized
-        # fold also pays penalized_objective's and _point's passes at the
-        # start.
+        # Every point a fold visits costs one pass, except a downdated
+        # start, which costs none; a marginalized fold's start is not
+        # downdated, so it pays one pass there.
         rng = np.random.default_rng(12)
         x = rng.standard_normal((15, 4))
         y = x @ [1.0, 0.5, -0.5, 0.8] + 0.4 * rng.standard_normal(15)
@@ -174,22 +173,21 @@ class TestLOOCV:
         weights = selection.problem_weights(design, ranks, spec)
         warm = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
         passes = count_calls(monkeypatch, solver, "_pair_sums")
-        mm_calls = count_calls(monkeypatch, solver, "mm_step")
         folds = []
 
         def fit_fold(problem, **kwargs):
-            before = len(passes), len(mm_calls)
+            before = len(passes)
             fit = fit_rasper(problem, **kwargs)
-            folds.append((len(passes) - before[0], len(mm_calls) - before[1], fit))
+            folds.append((len(passes) - before, fit))
             return fit
 
         monkeypatch.setattr(selection, "fit_rasper", fit_fold)
         loocv_score(design, y, ranks, spec, 40.0, 1.0, warm=warm, fold_cache=cache)
         assert len(folds) == design.n
-        start_passes = 1 if marginalized else -1
-        for fold_passes, mm_steps, fit in folds:
-            assert fit.converged
-            assert fold_passes == fit.evaluations + start_passes + mm_steps
+        start_passes = 1 if marginalized else 0
+        for fold_passes, fit in folds:
+            assert fit.converged and fit.evaluations == fit.iterations + 1
+            assert fold_passes == fit.iterations + start_passes
 
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("lam", [3.0, 1e3, 1e5])

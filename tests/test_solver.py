@@ -174,6 +174,18 @@ class TestSurrogate:
             assert surrogate_value(p, beta0, beta, anchor) >= \
                 penalized_objective(p, beta0, beta) - 1e-9
 
+    @pytest.mark.parametrize("lam_ratio", [0.1, 10.0, 1000.0])
+    @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
+    def test_converged_fit_is_a_fixed_point_of_mm_step(self, case, lam_ratio):
+        # The surrogate anchored at a stationary beta has zero gradient
+        # there, so the paper's MM map, which minimizes it, returns beta.
+        problem = _oracle_problem(case, lam_ratio)
+        fit = fit_rasper(problem, tol=1e-12)
+        assert fit.converged
+        beta0, beta = mm_step(problem, fit.beta0, fit.beta)
+        assert np.linalg.norm(beta - fit.beta) <= 1e-10 * np.linalg.norm(fit.beta)
+        assert beta0 == pytest.approx(fit.beta0, rel=1e-10, abs=1e-12)
+
 
 class TestFitRasper:
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
@@ -225,6 +237,21 @@ class TestFitRasper:
             fd = (penalized_objective(p, beta0, beta + e)
                   - penalized_objective(p, beta0, beta - e)) / (2 * h)
             assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_lam=st.floats(-2.0, 4.5),
+           measure=st.sampled_from(["spearman", "kendall"]), order=st.randoms())
+    def test_fit_invariant_under_row_permutation(self, seed, log_lam, measure, order):
+        # Rows enter F only through sums over rows and over pairs of rows.
+        p, _, scores = make_problem(seed=seed, lam=10.0 ** log_lam, measure=measure)
+        perm = np.array(order.sample(range(p.design.n), p.design.n))
+        d = p.design
+        permuted = PenalizedProblem(StandardizedDesign(d.x[perm], d.mean, d.scale, d.q),
+                                    p.y[perm], pair_weights(external_ranks(scores[perm]), measure),
+                                    p.spec, p.lam, p.alpha)
+        fit, other = fit_rasper(p), fit_rasper(permuted)
+        assert np.linalg.norm(other.beta - fit.beta) <= 1e-10 * np.linalg.norm(fit.beta)
+        assert other.objective_trace[-1] == pytest.approx(fit.objective_trace[-1], rel=1e-12)
 
     def test_marginalized_problem_fits(self):
         rng = np.random.default_rng(5)
@@ -353,31 +380,52 @@ class TestNewtonAndFallback:
         assert fit.converged and not calls
         assert fit.evaluations == fit.iterations + 1
 
-    def test_mm_fallback_keeps_descent(self, monkeypatch):
+    def test_rejected_trial_only_shrinks_radius(self, monkeypatch):
         # At lambda = 1000 n the Kendall objective is far from convex at the
-        # start, so Newton points are rejected or H is indefinite. On seed 7
-        # a rejected trial is still followed by MM steps.
-        calls = count_calls(monkeypatch, solver, "mm_step")
+        # start, so on seed 7 some trials are rejected. A rejection keeps the
+        # iterate and sets the next radius to a quarter of the rejected step;
+        # the fit takes no MM step and no separate objective call.
+        mm_calls = count_calls(monkeypatch, solver, "mm_step")
+        value_calls = count_calls(monkeypatch, solver, "penalized_objective")
+        steps, verdicts = [], []
+        trust_step, accepts = solver._trust_step, solver._accepts
+
+        def recorded_step(evals, evecs, g, radius):
+            out = trust_step(evals, evecs, g, radius)
+            steps.append((radius, float(np.linalg.norm(out[0]))))
+            return out
+
+        def recorded_accepts(*args):
+            verdicts.append(accepts(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solver, "_trust_step", recorded_step)
+        monkeypatch.setattr(solver, "_accepts", recorded_accepts)
         p, _, _ = make_problem(seed=7, lam=20000.0, measure="kendall")
         fit = fit_rasper(p)
         assert fit.converged and fit.grad_norm <= 1e-8
-        assert 0 < len(calls) < fit.iterations
-        assert fit.evaluations <= 2 * fit.iterations + 1
-        assert np.all(np.diff(fit.objective_trace) <= 1e-12 * np.abs(fit.objective_trace[:-1]))
+        assert not mm_calls and not value_calls
+        assert len(verdicts) == len(steps) == fit.iterations
+        assert 0 < verdicts.count(False) and len(fit.objective_trace) == verdicts.count(True) + 1
+        for (radius, size), (next_radius, _), kept in zip(steps, steps[1:], verdicts):
+            if kept:
+                assert next_radius in (radius, 2.0 * radius)
+            else:
+                assert next_radius == 0.25 * size
+        trace = fit.objective_trace
+        delta = 10.0 * np.finfo(float).eps * (np.abs(trace[:-1]) + p.lam)
+        assert np.all(np.diff(trace) <= delta)
 
     @pytest.mark.parametrize("lam, measure", [(20.0, "spearman"), (20000.0, "kendall")])
     def test_one_pair_pass_per_point(self, monkeypatch, lam, measure):
-        # The start gets penalized_objective's pass and a derivative pass;
-        # every other point (trial or MM point) gets one pass, and each MM
-        # step one more for its surrogate. No point is evaluated twice. The
-        # Kendall case runs on the seed that takes MM steps.
-        mm_calls = count_calls(monkeypatch, solver, "mm_step")
+        # Every point the fit visits, the start included, gets one pass, and
+        # no point is evaluated twice. The Kendall case runs on the seed
+        # whose fit rejects trials.
         passes = count_calls(monkeypatch, solver, "_pair_sums")
         p, _, _ = make_problem(seed=7 if measure == "kendall" else 0, lam=lam, measure=measure)
         fit = fit_rasper(p)
         assert fit.converged
-        assert bool(mm_calls) == (measure == "kendall")
-        assert len(passes) == fit.evaluations + 1 + len(mm_calls)
+        assert len(passes) == fit.evaluations == fit.iterations + 1
         # The trace takes F from the derivative pass in penalized_objective's
         # order, so the two agree to the last bit.
         assert fit.objective_trace[-1] == penalized_objective(p, fit.beta0, fit.beta)
