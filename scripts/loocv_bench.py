@@ -1,0 +1,98 @@
+"""Timing of ``select`` by leave-one-out CV on study-1b data.
+
+For each penalty (Spearman, Kendall and marginalized Spearman with S = 20
+sampled tables) and each data seed, one ``select`` by LOOCV over a 4 x 3
+grid: lambda in {0, 0.01n, 10n, 1000n} and alpha in {0, 1e-4 n, 100n} (the
+default ratios with J = 2, K = 1), that is n fold fits at each of 12 grid
+points. Prints one JSON line: per penalty, the median and quartiles of the
+wall time of one ``select`` over the seeds, and each seed's pick.
+
+    PYTHONPATH=src python scripts/loocv_bench.py [--n 100] [--seeds 1-5]
+        [--penalties spearman,kendall,marginalized] [--out scores.json]
+        [--compare other.json]
+
+``--out`` writes every seed's LOOCV scores and pick; ``--compare`` reads such
+a file (for instance from another checkout) and prints the largest relative
+difference of the scores and how many picks agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+
+import numpy as np
+from fit_sweep import study1b
+
+from rasper.concordance import ConcordanceSpec
+from rasper.data_model import external_ranks, standardize
+from rasper.selection import default_grid, select
+from rasper.solver import default_nu
+
+SAMPLES = 20
+PENALTIES = {"spearman": ("spearman", False), "kendall": ("kendall", False),
+             "marginalized": ("spearman", True)}
+
+
+def seed_list(text):
+    """Seeds from "1-5", "1,2,7" or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds += range(int(low), int(high or low) + 1)
+    return seeds
+
+
+def run(penalty, seed, n):
+    """Wall time, scores and pick of one ``select`` by LOOCV."""
+    x, y, scores = study1b(seed, n)
+    design = standardize(x, 4)
+    measure, marginalized = PENALTIES[penalty]
+    spec = ConcordanceSpec(measure, marginalized, default_nu(design, y), SAMPLES, seed)
+    ranks = external_ranks(scores)
+    grid = default_grid(n, j=2, k=1)
+    start = time.perf_counter()
+    report = select(design, y, ranks, spec, grid, criterion="loocv")
+    wall = time.perf_counter() - start
+    return wall, [r.loo for r in report.records], [report.chosen.lam, report.chosen.alpha]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=100)
+    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-5"))
+    parser.add_argument("--penalties", default=",".join(PENALTIES))
+    parser.add_argument("--out")
+    parser.add_argument("--compare")
+    args = parser.parse_args()
+    summary = {"n": args.n, "seeds": args.seeds, "penalties": {}}
+    scores = {}
+    for penalty in args.penalties.split(","):
+        walls, picks = [], {}
+        for seed in args.seeds:
+            wall, loo, pick = run(penalty, seed, args.n)
+            walls.append(wall)
+            picks[str(seed)] = pick
+            scores[f"{penalty}/{seed}"] = {"loo": loo, "pick": pick}
+        q1, median, q3 = np.percentile(walls, [25, 50, 75])
+        summary["penalties"][penalty] = {"median_s": median, "q1_s": q1, "q3_s": q3,
+                                         "picks": picks}
+    print(json.dumps(summary))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(scores, fh)
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as fh:
+            other = json.load(fh)
+        common = sorted(set(scores) & set(other))
+        rel = max((abs(a - b) / max(abs(b), 1e-300)
+                   for key in common
+                   for a, b in zip(scores[key]["loo"], other[key]["loo"])), default=0.0)
+        same = sum(scores[key]["pick"] == other[key]["pick"] for key in common)
+        print(json.dumps({"compared": len(common), "same_picks": same,
+                          "max_rel_score_diff": rel}))
+
+
+if __name__ == "__main__":
+    main()

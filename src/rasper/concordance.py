@@ -3,11 +3,13 @@ concordance measure D.
 
 One engine, ``_pair_sums``, evaluates every weighted pair sum the package
 needs: D, its gradient and Hessian, and the quasi-probability sums of the
-MM map and of the degrees of freedom. It runs on a ``PairWorkspace``: the
-(S, n, p) stack of a problem's design tables (S = 1 without marginal
-tables), the weights as the ranks give them (a Spearman row scale, or a
-constant times the Kendall strict-order mask), and (S, n, n) buffers that
-every pass of one fit reuses. One in-place ``exp`` gives sigma(u) of all S
+MM map and of the degrees of freedom. It runs on a ``PairWorkspace`` of B
+problems of one size, each at its own beta: their (B, S, n, p) stack of
+design tables (S = 1 without marginal tables), the weights as each
+problem's ranks give them (a Spearman row scale, or a constant times the
+Kendall strict-order mask), and (B, S, n, n) buffers that every pass
+reuses. A single fit is a batch of one; the leave-one-out folds of a grid
+point run in chunks. One in-place ``exp`` gives sigma(u) of all B * S
 tables, and every reduction is a matrix-vector product or a gemm over the
 stack; the n^2 x p difference operator and the dense weights
 ``PairWeights.w`` are never built.
@@ -19,6 +21,7 @@ marginalized and the design has novel covariates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,49 +130,89 @@ def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
 
 
 class PairWorkspace:
-    """The fixed pieces and the reusable buffers of one problem's pair sums.
+    """The fixed pieces and the reusable buffers of the pair sums of B
+    problems of one size, held on a leading problem axis.
 
-    ``stack`` is the (S, n, p) stack of the problem's design tables, S = 1
-    for a plain problem. The weights come from the ranks (see
+    ``stack`` is the (S, n, p) stack of one problem's design tables (S = 1
+    for a plain problem), or the (B, S, n, p) stack of B problems; ``r`` is
+    their (n,) or (B, n) ranks. The weights come from the ranks (see
     ``PairWeights.w``): Spearman's are the row scale w_ij = r_i / (4 n^2);
-    Kendall's are the constant 2 / (n (n - 1)) times the strict-order mask
-    I(r_i > r_j), held with its antisymmetric form ``sign`` = mask - mask',
-    which is all the gradient and the Hessian need. ``live`` is False when
-    every weight is zero, as in an all-tied Kendall problem. The (S, n, n)
-    buffers are overwritten by every pass, so a workspace serves one thread
-    at a time; nothing ``_pair_sums`` returns is a view of them.
+    Kendall's are the constant ``const`` = 2 / (n (n - 1)) times the
+    strict-order mask I(r_i > r_j), held with its antisymmetric form
+    ``sign`` = mask - mask', which is all the gradient and the Hessian need.
+    ``live`` (B,) is False for a problem whose weights are all zero, as in an
+    all-tied Kendall problem. The fixed pieces every pass reads live here:
+    ``ends`` = [1 | scale | x] of each table, ``sides`` = [1 | scale], and
+    ``left`` and ``right``, whose fixed rows of ones make -u a rank-2
+    product. The three (B, S, n, n) buffers are overwritten by every pass, so
+    a workspace serves one thread at a time; nothing ``_pair_sums`` returns
+    is a view of them. ``buffers``, when given, are three arrays of that
+    shape or with a longer leading axis, which the workspace uses instead
+    of allocating its own, so a run of equal-sized batches can share them.
     """
 
-    def __init__(self, stack, r, measure):
+    def __init__(self, stack, r, measure, buffers=None):
         stack = np.asarray(stack, dtype=float)
-        count, n, p = stack.shape
         r = np.asarray(r, dtype=float)
         self.stack = stack
-        self.flat = stack.reshape(count * n, p)
+        if stack.ndim == 3:
+            stack, r = stack[None], r[None]
+        size, count, n, p = stack.shape
         if measure == SPEARMAN:
-            self.scale = r / (4.0 * n * n)
-            self.mask = self.sign = None
-            self.live = bool(self.scale.max(initial=0.0) > 0)
+            scale = r / (4.0 * n * n)
+            self.const = self.mask = self.sign = None
+            self.live = (r > 0).any(axis=1)
         else:
-            self.scale = np.full(n, 2.0 / max(n * (n - 1.0), 1.0))
-            order = r[:, None] > r[None, :]
+            self.const = 2.0 / max(n * (n - 1.0), 1.0)
+            scale = np.full((size, n), self.const)
+            order = r[:, None, :, None] > r[:, None, None, :]
             self.mask = order.astype(float)
-            self.sign = self.mask - self.mask.T
-            self.live = bool(order.any())
-        self.scaled = (self.scale[:, None] * stack).reshape(count * n, p)
+            self.sign = self.mask - self.mask.transpose(0, 1, 3, 2)
+            self.live = order.any(axis=(1, 2, 3))
+        self.flat = stack.reshape(size, count * n, p)
+        self.scale = scale
+        self.scaled = (scale[:, None, :, None] * stack).reshape(size, count * n, p)
         # [1 | scale | x]: one product with a table gives its row sums, its
         # product with the scale and its product with the design.
-        self.ends = np.empty((count, n, p + 2))
+        self.ends = np.empty((size, count, n, p + 2))
         self.ends[..., 0] = 1.0
-        self.ends[..., 1] = self.scale
+        self.ends[..., 1] = scale[:, None, :]
         self.ends[..., 2:] = stack
-        self.sides = self.ends[0, :, :2].copy(order="F")      # [1 | scale]
         # -u = t_j - t_i is the rank-2 product [1 | -t] [t ; 1], whose one
         # rounding is the subtraction's; rows 0 and 1 below stay fixed.
-        self.left = np.ones((count, n, 2))
-        self.right = np.ones((count, 2, n))
-        shape = (count, n, n)
-        self.s, self.dens, self.h = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.left = np.ones((size, count, n, 2))
+        self.right = np.ones((size, count, 2, n))
+        self.ones = np.ones(n)
+        if buffers is None:
+            buffers = [np.empty((size, count, n, n)) for _ in range(3)]
+        self.s, self.dens, self.h = (b[:size] for b in buffers)
+        self._views()
+
+    def _views(self):
+        """The views and layouts derived from the per-problem arrays."""
+        self.shape = self.ends.shape[:3] + (self.flat.shape[2],)
+        self.flat_t = self.flat.transpose(0, 2, 1)
+        self.scaled_t = self.scaled.transpose(0, 2, 1)
+        self.rows = self.scale[:, None, :]          # the scale along a table's rows
+        # [1 | scale] of each problem, column-major as a gemm operand
+        sides = np.empty((self.shape[0], 1, 2, self.shape[2])).transpose(0, 1, 3, 2)
+        sides[:, 0] = self.ends[:, 0, :, :2]
+        self.sides = sides
+
+    def take(self, index):
+        """The workspace of the problems ``index`` (in that order), over the
+        leading part of this one's buffers."""
+        index = np.asarray(index)
+        part = copy.copy(self)
+        for name in ("flat", "scale", "scaled", "ends", "left", "right", "live",
+                     "mask", "sign"):
+            value = getattr(self, name)
+            setattr(part, name, None if value is None else value[index])
+        size = len(index)
+        part.stack = part.flat.reshape((size,) + self.shape[1:])
+        part.s, part.dens, part.h = self.s[:size], self.dens[:size], self.h[:size]
+        part._views()
+        return part
 
 
 def pair_workspace(weights: PairWeights, x) -> PairWorkspace:
@@ -213,30 +256,34 @@ def _bound_curvature(u, s, out=None):
     return out
 
 
-def _check_concordance(d, live):
-    """Raise when D is not positive: ``DegenerateWeights`` when every pair
-    weight is zero (``live`` is False), else ``NonpositiveConcordance``."""
-    if not d > 0:
-        if not live:
-            raise DegenerateWeights("all pairwise weights are zero")
-        raise NonpositiveConcordance(f"concordance D = {d} is not positive")
+def _concordance_error(d, live):
+    """The error of a problem whose D is not positive: ``DegenerateWeights``
+    when every pair weight is zero (``live`` is False), else
+    ``NonpositiveConcordance``."""
+    if not live:
+        return DegenerateWeights("all pairwise weights are zero")
+    return NonpositiveConcordance(f"concordance D = {d} is not positive")
 
 
 def _laplacian(work, g):
     """sum over tables of X' diag(g 1) X - X' g X for symmetric tables g,
-    which is half of sum_ij g_ij (x_i - x_j)(x_i - x_j)'."""
+    which is half of sum_ij g_ij (x_i - x_j)(x_i - x_j)', for each problem."""
     gb = g @ work.ends
-    cross = work.flat.T @ gb[..., 2:].reshape(work.flat.shape)
-    return work.flat.T @ (gb[..., :1].reshape(-1, 1) * work.flat) - 0.5 * (cross + cross.T)
+    cross = work.flat_t @ gb[..., 2:].reshape(work.flat.shape)
+    return work.flat_t @ (gb[..., :1].reshape(work.shape[0], -1, 1) * work.flat) \
+        - 0.5 * (cross + cross.transpose(0, 2, 1))
 
 
 def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
     """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
-    averaged over the S design tables of ``work``, a ``PairWorkspace``.
+    averaged over the S design tables of each problem of ``work``, a
+    ``PairWorkspace``, at one beta per problem: ``beta`` is (B, p), or (p,)
+    for a workspace of one problem.
 
-    sigma(u) of all S tables comes from one ``exp`` into the workspace's
-    (S, n, n) buffer, and every reduction is a matrix-vector product or a
-    gemm over the stacked tables. The logistic density is formed as
+    sigma(u) of all B * S tables comes from one ``exp`` into the workspace's
+    (B, S, n, n) buffer, and every reduction is a matrix-vector product or a
+    gemm over the stacked tables, so each problem's sums are those a
+    workspace of it alone gives. The logistic density is formed as
     sigma(u) sigma(-u) = s * s', so each entry carries a relative error of
     a few ulp however far apart the pair is (its zero-difference diagonal is
     set to zero), and the Hessian's density * (1 - 2 s) as the antisymmetric
@@ -252,23 +299,33 @@ def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
     where k runs over the pairs of every table, a_k is the scaled pair
     difference, c_k the logistic-bound curvature at u_k and
     q_k = w_k sigma(u_k) / (S D) the quasi-probabilities; otherwise both are
-    None. None of them is a view of the workspace.
+    None. None of them is a view of the workspace. With a (B, p) ``beta``
+    they come back with shapes (B,), (B, p), (B, p), (B, p, p) and
+    (B, p, p), and a D that is not positive is the caller's to judge; with a
+    (p,) ``beta``, D is a float, the leading axis is dropped, and a D that
+    is not positive raises its ``_concordance_error``.
     """
-    count, n, p = work.stack.shape
-    t = (work.flat @ beta).reshape(count, n) / nu
+    size, count, n, p = work.shape
+    t = np.matmul(work.flat, beta.reshape(-1, p, 1)).reshape(size, count, n) / nu
     work.left[..., 1] = -t
-    work.right[:, 0] = t
+    work.right[:, :, 0] = t
     s = _logistic_of_negated(np.matmul(work.left, work.right, out=work.s))
     if work.mask is None:
-        d = float(np.sum(s @ work.sides[:, 0] @ work.scale)) / count
+        d = np.matmul(s @ work.ones, work.scale[..., None]).reshape(size, count).sum(axis=1)
     else:
-        d = work.scale[0] * float(np.sum(s.reshape(count, n * n) @ work.mask.ravel())) / count
-    _check_concordance(d, work.live)
+        d = np.matmul(s.reshape(size, count, n * n), work.mask.reshape(size, n * n, 1))
+        d = work.const * d.reshape(size, count).sum(axis=1)
+    d /= count
+    if beta.ndim == 1 and not d[0] > 0:
+        raise _concordance_error(float(d[0]), work.live[0])
     grad = hess = lin = quad = None
     if gradient or hessian:
-        st = s.transpose(0, 2, 1)
+        # s' = sigma(-u) is read twice, so it is copied out once: two
+        # transposed reads of an n x n table cost more than one.
+        st = work.h
+        np.copyto(st, s.transpose(0, 1, 3, 2))
         dens = np.multiply(s, st, out=work.dens)         # sigma(u) sigma(-u)
-        dens.reshape(count, n * n)[:, ::n + 1] = 0.0
+        dens.reshape(size * count, n * n)[:, ::n + 1] = 0.0
     if hessian:
         h = np.subtract(st, s, out=work.h)
         h *= dens                                        # dens * (1 - 2 s)
@@ -276,34 +333,38 @@ def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
             # sum_ij scale_i h_ij a_ij a_ij' = X' diag(scale h1 - h scale) X
             # less (scale X)'(h X) and its transpose
             hb = h @ work.ends
-            diag = work.scale * hb[..., 0] - hb[..., 1]
-            cross = work.scaled.T @ hb[..., 2:].reshape(work.flat.shape)
-            hess = work.flat.T @ (diag.reshape(-1, 1) * work.flat) - cross - cross.T
+            diag = work.rows * hb[..., 0] - hb[..., 1]
+            cross = work.scaled_t @ hb[..., 2:].reshape(work.flat.shape)
+            hess = work.flat_t @ (diag.reshape(size, -1, 1) * work.flat) \
+                - cross - cross.transpose(0, 2, 1)
         else:
             h *= work.sign
-            hess = work.scale[0] * _laplacian(work, h)
+            hess = work.const * _laplacian(work, h)
         hess /= nu * nu * count
     if gradient:
         if work.sign is None:
             ends = dens @ work.sides                     # [dens 1 | dens scale]
-            coef = work.scale * ends[..., 0] - ends[..., 1]
+            coef = work.rows * ends[..., 0] - ends[..., 1]
         else:
             dens *= work.sign
-            coef = work.scale[0] * (dens @ work.sides[:, 0])
-        grad = work.flat.T @ coef.ravel() / (nu * count)
+            coef = work.const * (dens @ work.ones)
+        grad = np.matmul(work.flat_t, coef.reshape(size, -1, 1)).reshape(size, p) / (nu * count)
     if mm:
         # The density and Hessian buffers serve as scratch: v = w * s, then u.
         if work.mask is None:
-            v = np.multiply(s, work.scale[:, None], out=work.dens)
+            v = np.multiply(s, work.rows[..., None], out=work.dens)
         else:
             v = np.multiply(s, work.mask, out=work.dens)
-            v *= work.scale[0]
-        lin = work.flat.T @ (v.sum(axis=2) - v.sum(axis=1)).ravel() / (nu * count * d)
+            v *= work.const
+        lin = np.matmul(work.flat_t, (v.sum(axis=3) - v.sum(axis=2)).reshape(size, -1, 1))
+        lin = lin.reshape(size, p) / (nu * count * d[:, None])
         u = np.negative(np.matmul(work.left, work.right, out=work.h), out=work.h)
         v *= _bound_curvature(u, s, out=u)
-        quad = _laplacian(work, np.add(v, v.transpose(0, 2, 1), out=work.h))
-        quad /= nu * nu * count * d
-    return d, grad, lin, quad, hess
+        quad = _laplacian(work, np.add(v, v.transpose(0, 1, 3, 2), out=work.h))
+        quad /= nu * nu * count * d[:, None, None]
+    if beta.ndim == 2:
+        return d, grad, lin, quad, hess
+    return (float(d[0]),) + tuple(None if a is None else a[0] for a in (grad, lin, quad, hess))
 
 
 def fold_pair_sums(r, measure, x, beta, nu):
@@ -321,14 +382,16 @@ def fold_pair_sums(r, measure, x, beta, nu):
     operations and n x n by n x p^2 products, O(n^2 + n p^2) memory.
 
     Returns d (n,), grad (n, p) and hess (n, p, p), fold k in row k. D is not
-    checked here: ``fit_rasper`` passes each fold's to ``_check_concordance``.
+    checked here: ``solver.fit_batch`` fails each fold whose D is not
+    positive with its ``_concordance_error``.
     """
     n, p = x.shape
     r = np.asarray(r, dtype=float)
     s = _sigma_table((x @ beta) / nu)
-    m = s * s.T                              # logistic density sigma(u) sigma(-u)
+    h = s.T.copy()                           # sigma(-u), read twice
+    m = s * h                                # logistic density sigma(u) sigma(-u)
     np.fill_diagonal(m, 0.0)                 # x_i - x_i = 0 anyway
-    h = s.T - s
+    h -= s
     h *= m                                   # m_ij * (1 - 2 s_ij), antisymmetric
     if measure == SPEARMAN:
         omega = r[None, :] - (r[None, :] >= r[:, None])

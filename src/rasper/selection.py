@@ -4,6 +4,13 @@ freedom, and AIC-based selection.
 The full-data fits and every leave-one-out fold take their weights from
 ``concordance.problem_weights``, so all of them marginalize by one rule.
 
+``select`` builds the full-data pair workspace and the beta = 0 curvature
+of the degrees of freedom once, since neither depends on (lambda, alpha).
+``loocv_score`` fits a grid point's n folds in chunks of B through the one
+trust-region loop, ``solver.fit_batch``; each chunk's rows, ranks, gram and
+X_c'y_c are taken from the full data by indexing, and B is fixed by a
+budget of pair entries per engine buffer, so memory stays O(n^2).
+
 Within a grid point every warm fold fit starts at the full fit's beta, so
 ``loocv_score`` downdates all n start points at once from the full-data
 sigma table (``concordance.fold_pair_sums``) and each fold fit makes no
@@ -26,15 +33,30 @@ from .concordance import (
     PairWorkspace,
     _pair_sums,
     fold_pair_sums,
+    pair_weights,
     problem_weights,
 )
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
-from .solver import FitResult, PenalizedProblem, _local_objective, fit_rasper
+from .solver import (
+    FitResult,
+    PenalizedProblem,
+    ProblemBatch,
+    _local_objective,
+    fit_batch,
+    fit_rasper,
+    problem_batch,
+)
 
 # Default (min, max) grid bounds as multiples of n, for lambda and for alpha.
 LAM_RATIOS = (1e-2, 1e3)
 ALPHA_RATIOS = (1e-4, 1e2)
+# Pair entries in each of a fold chunk's (B, S, n - 1, n - 1) engine buffers,
+# which sets the chunk size B. At n = 100 without sampled tables B is 4: the
+# three buffers take about 0.9 MB and stay in a 2 MB L2 cache, where B = 8
+# spilled out of it and ran slower per fold. Stacking all n folds would take
+# O(n^3) memory.
+FOLD_CHUNK_PAIRS = 40_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +118,20 @@ def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
     return cache
 
 
+def _fold_batch(design, y, keep, weights, spec, lam, alpha, buffers) -> ProblemBatch:
+    """The folds whose retained rows are ``keep`` (B, n - 1), with their
+    ``weights`` from ``fold_weight_cache``, as one ``ProblemBatch``: each
+    fold's rows keep the full-data standardization, and its pair workspace
+    takes the fold's ranks and, when marginalized, its sampled tables, and
+    runs on the shared engine ``buffers``."""
+    x = design.x[keep]
+    work = None
+    if lam > 0:
+        stack = x[:, None] if weights[0].tables is None else np.array([w.tables for w in weights])
+        work = PairWorkspace(stack, np.array([w.r for w in weights]), spec.measure, buffers)
+    return problem_batch(x, y[keep], lam, alpha, spec.nu, work)
+
+
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                 spec: ConcordanceSpec, lam, alpha, *,
                 warm: FitResult | None = None, fold_cache=None) -> float:
@@ -107,48 +143,91 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     one ``RuntimeWarning`` per call names how many there were. Without a
     ``fold_cache`` the fold weights are built here by ``fold_weight_cache``.
 
+    The folds are fitted in chunks of B by ``fit_batch``, which runs all of
+    a chunk's folds through one trust-region loop; B is as large as
+    ``FOLD_CHUNK_PAIRS`` pair entries per engine buffer allow, and every
+    chunk runs on the same three engine buffers. Each chunk's rows, ranks,
+    gram and X_c'y_c are taken from the data by indexing, and the inputs are
+    checked once, as the full-data problem.
+
     With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
     fold starts from its slice of one ``fold_pair_sums`` call at
     ``warm.beta``; a fold whose downdated D is not positive fails with the
-    error its engine pass would raise. Cold folds (no ``warm``) and
-    marginalized folds, whose tables are drawn from the fold's own rows,
-    make one engine pass at their start. lambda = 0 folds make no pass while
-    fitting; each makes one value pass at the end, for the D it reports.
+    error its engine pass would raise. Cold folds (no ``warm``, started at
+    their local minimizers) and marginalized folds, whose tables are drawn
+    from the fold's own rows, take one batched engine pass at their start.
+    lambda = 0 folds make no engine pass at all and report no D.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
     if n < 3:
         raise FoldFailure("leave-one-out needs at least 3 rows")
+    lam, alpha = float(lam), float(alpha)
+    # the checks every fold would make, made once on the full-data problem
+    PenalizedProblem(design, y, pair_weights(ranks, spec.measure), spec, lam, alpha)
     if fold_cache is None:
         fold_cache = fold_weight_cache(design, ranks, spec)
     init = warm.beta if warm is not None else None
+    tables = fold_cache[0].tables
     starts = None
-    if init is not None and lam > 0 and fold_cache[0].tables is None:
+    if init is not None and lam > 0 and tables is None:
         starts = fold_pair_sums(ranks.r, spec.measure, design.x, init, spec.nu)
+    rows = np.arange(n - 1)
+    count = 1 if tables is None else len(tables)
+    size = min(n, max(1, FOLD_CHUNK_PAIRS // (count * (n - 1) ** 2)))
+    # One set of engine buffers serves every chunk: a set per chunk faults
+    # its pages in afresh, which made a select about a quarter slower.
+    buffers = [np.empty((size, count, n - 1, n - 1)) for _ in range(3)] if lam > 0 else None
     total = 0.0
     failed = []
     unconverged = 0
-    for i in range(n):
-        keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        try:
-            problem = PenalizedProblem(design=design.subset(keep), y=y[keep],
-                                       weights=fold_cache[i], spec=spec,
-                                       lam=float(lam), alpha=float(alpha))
-            start = None if starts is None else tuple(a[i] for a in starts)
-            fit = fit_rasper(problem, init=init, start=start)
-        except RasperError as exc:
-            failed.append((i, str(exc)))
-            continue
-        unconverged += not fit.converged
-        pred = fit.beta0 + design.x[i] @ fit.beta
-        total += 0.5 * (y[i] - pred) ** 2
+    for first in range(0, n, size):
+        folds = np.arange(first, min(first + size, n))
+        keep = rows + (rows >= folds[:, None])       # fold k drops row k
+        problems = _fold_batch(design, y, keep, [fold_cache[k] for k in folds], spec,
+                               lam, alpha, buffers)
+        beta = None if init is None else np.broadcast_to(init, (len(folds), design.p))
+        start = None if starts is None else tuple(a[folds] for a in starts)
+        for i, fit in zip(folds.tolist(), fit_batch(problems, beta, start)):
+            if isinstance(fit, RasperError):
+                failed.append((i, str(fit)))
+                continue
+            unconverged += not fit.converged
+            pred = fit.beta0 + design.x[i] @ fit.beta
+            total += 0.5 * (y[i] - pred) ** 2
     if unconverged:
         warnings.warn(f"{unconverged} of {n} fold fits did not converge at "
-                      f"lambda={float(lam):g}, alpha={float(alpha):g}",
+                      f"lambda={lam:g}, alpha={alpha:g}",
                       RuntimeWarning, stacklevel=2)
     if failed:
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
     return total / n
+
+
+def _penalty_curvature(design: StandardizedDesign, weights: PairWeights, nu):
+    """The surrogate curvature M0 at beta = 0 on the observed design (see
+    ``degrees_of_freedom``): the pair-sum engine's ``quad`` there, from one
+    pass, or None when every pair weight is zero. It does not depend on
+    (lambda, alpha), so ``select`` takes it once."""
+    work = PairWorkspace(design.x[None], weights.r, weights.measure)
+    if not work.live[0]:
+        return None
+    return _pair_sums(work, np.zeros(design.p), nu, mm=True)[3]
+
+
+def _smoother_df(xtx, m0, lam, alpha) -> float:
+    """Trace of (X'X + alpha I + lam * M0)^{-1} X'X, with no penalty term
+    when ``m0`` is None."""
+    system = xtx + alpha * np.eye(xtx.shape[0])
+    if lam > 0 and m0 is not None:
+        system = system + lam * m0
+    try:
+        sol = np.linalg.solve(system, xtx)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("degrees-of-freedom system is singular") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSystem("degrees-of-freedom system is singular")
+    return float(np.trace(sol))
 
 
 def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
@@ -164,20 +243,8 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     all weights zero (all-tied Kendall ranks) the penalty adds nothing.
     """
     x = design.x
-    p = design.p
-    xtx = x.T @ x
-    system = xtx + alpha * np.eye(p)
-    if lam > 0:
-        work = PairWorkspace(x[None], weights.r, weights.measure)
-        if work.live:
-            system = system + lam * _pair_sums(work, np.zeros(p), nu, mm=True)[3]
-    try:
-        sol = np.linalg.solve(system, xtx)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("degrees-of-freedom system is singular") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("degrees-of-freedom system is singular")
-    return float(np.trace(sol))
+    m0 = _penalty_curvature(design, weights, nu) if lam > 0 else None
+    return _smoother_df(x.T @ x, m0, lam, alpha)
 
 
 def aic(problem: PenalizedProblem, fit: FitResult, df) -> float:
@@ -233,22 +300,24 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     if criterion not in ("loocv", "aic"):
         raise ValueError(f"unknown criterion {criterion!r}")
     y = np.asarray(y, dtype=float)
-    base_w = problem_weights(design, ranks, spec)
+    base = PenalizedProblem(design=design, y=y, weights=problem_weights(design, ranks, spec),
+                            spec=spec)
     fold_cache = None
     if criterion == "loocv":
         fold_cache = fold_weight_cache(design, ranks, spec)
+    xtx = design.x.T @ design.x
+    m0 = _penalty_curvature(design, base.weights, spec.nu)
 
     records = []
     for alpha in grid.alpha_values:
         warm = None
         for lam in grid.lam_values:
-            problem = PenalizedProblem(design=design, y=y, weights=base_w,
-                                       spec=spec, lam=float(lam), alpha=float(alpha))
+            problem = base.with_penalties(float(lam), float(alpha))
             fit = fit_rasper(problem, init=warm.beta if warm is not None else None)
             warm = fit
             flagged = False
             try:
-                df = degrees_of_freedom(design, base_w, spec.nu, lam, alpha)
+                df = _smoother_df(xtx, m0, lam, alpha)
             except SingularSystem:
                 df, flagged = float(design.p), True
             aic_val = aic(problem, fit, df)

@@ -25,16 +25,25 @@ logistic bound with curvature tanh(u/2)/(4u), and minimizing that surrogate
 (``surrogate_value``) is one weighted ridge solve that never increases the
 objective in exact arithmetic. A converged fit is its fixed point.
 
+The loop, ``fit_batch``, fits a ``ProblemBatch``: B problems of one size
+that share (lambda, alpha, nu), held on a leading problem axis. Every round
+takes one trial for each unfinished problem, with one engine pass, one
+batched ``eigh`` and one ``_trust_step`` for the batch, and each problem
+takes the iterates it would take alone. ``fit_rasper`` runs a problem as a
+batch of one, and ``selection.loocv_score`` runs chunks of leave-one-out
+folds, so there is one solver path.
+
 Every pair sum (D, its gradient and Hessian, and the surrogate's pieces)
-comes from the single numpy engine in ``concordance``, on the problem's
-``PairWorkspace``: its stacked design tables, its rank-derived weights and
-the buffers that every pass of the fit reuses. There is one solver path.
+comes from the single numpy engine in ``concordance``, on a
+``PairWorkspace``: the problems' stacked design tables, their rank-derived
+weights and the buffers that every pass reuses.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +51,8 @@ import numpy as np
 from .concordance import (
     ConcordanceSpec,
     PairWeights,
-    _check_concordance,
+    PairWorkspace,
+    _concordance_error,
     _pair_sums,
     pair_workspace,
 )
@@ -51,8 +61,8 @@ from .errors import (
     DimensionMismatch,
     InvalidValue,
     NonFiniteValue,
-    NonpositiveConcordance,
     NonSPDSystem,
+    RasperError,
     SingularDesign,
 )
 
@@ -64,9 +74,10 @@ class PenalizedProblem:
     """Least-squares local objective plus ridge term and rank penalty. The
     parts fixed for one fit are built once, on first use: the pair-sum
     ``workspace`` (stacked design tables, rank-derived weights and the
-    buffers every engine pass of the fit reuses), ``xc`` = X_c,
-    ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c. The workspace's
-    buffers make a problem unsafe to evaluate from two threads at once."""
+    buffers every engine pass of the fit reuses) and ``batch``, the problem
+    as a ``ProblemBatch`` of one, whose ``gram`` = X_c'X_c + alpha I and
+    ``xty`` = X_c'y_c the problem also reads. The workspace's buffers make a
+    problem unsafe to evaluate from two threads at once."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -98,18 +109,76 @@ class PenalizedProblem:
     def workspace(self):
         return pair_workspace(self.weights, self.design)
 
-    @cached_property
-    def xc(self):
-        x = self.design.x
-        return x - x.mean(axis=0)
+    def with_penalties(self, lam, alpha):
+        """This problem at another (lambda, alpha), sharing its pair-sum
+        workspace, so a grid search builds the workspace once; the two must
+        not be evaluated from two threads at once."""
+        other = replace(self, lam=lam, alpha=alpha)
+        other.__dict__["workspace"] = self.workspace      # the cached_property's slot
+        return other
 
     @cached_property
+    def batch(self):
+        """This problem as a ``ProblemBatch`` of one, the form ``fit_batch``
+        takes."""
+        return problem_batch(self.design.x[None], self.y[None], self.lam, self.alpha,
+                             self.nu, self.workspace if self.lam > 0 else None)
+
+    @property
     def gram(self):
-        return self.xc.T @ self.xc + self.alpha * np.eye(self.design.p)
+        return self.batch.gram[0]
 
-    @cached_property
+    @property
     def xty(self):
-        return self.xc.T @ (self.y - self.y.mean())
+        return self.batch.xty[0]
+
+
+@dataclass(frozen=True)
+class ProblemBatch:
+    """B penalized problems of one size that share lambda, alpha and nu,
+    held on a leading problem axis: what the trust-region loop reads. ``x``
+    (B, m, p) is each problem's rows of the design, ``y`` (B, m) its outcome,
+    ``xc`` its centered rows X_c, ``gram`` = X_c'X_c + alpha I and ``xty`` =
+    X_c'y_c. ``scale`` (B,) is the relative gradient's scale ||X_c'y_c||,
+    NaN where y is constant up to rounding. ``work`` is the problems'
+    ``PairWorkspace`` when lambda > 0, else None."""
+
+    x: np.ndarray
+    xc: np.ndarray
+    y: np.ndarray
+    gram: np.ndarray
+    xty: np.ndarray
+    scale: np.ndarray
+    work: PairWorkspace | None
+    lam: float
+    alpha: float
+    nu: float
+
+    def __getitem__(self, index):
+        """The batch of the problems ``index`` (an index array), in that order."""
+        return ProblemBatch(self.x[index], self.xc[index], self.y[index], self.gram[index],
+                            self.xty[index], self.scale[index],
+                            None if self.work is None else self.work.take(index),
+                            self.lam, self.alpha, self.nu)
+
+
+def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
+    """The ``ProblemBatch`` of the designs ``x`` (B, m, p) and outcomes
+    ``y`` (B, m), with ``work`` their ``PairWorkspace`` when lambda > 0.
+    Each problem's pieces are the ones a single problem computes, bit for
+    bit: the stacked products run one BLAS call per problem."""
+    y = np.asarray(y)
+    size, m, p = x.shape
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / m        # x.mean(axis=1)
+    xct = xc.transpose(0, 2, 1)
+    gram = xct @ xc
+    gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
+    xty = _matvec(xct, y - np.add.reduce(y, axis=1, keepdims=True) / m)
+    scale = _norms(xty)
+    flat = xc.reshape(xc.shape[0], -1)
+    constant = scale <= np.finfo(float).eps * np.sqrt(_dots(flat, flat)) * _norms(y)
+    return ProblemBatch(x, xc, y, gram, xty, np.where(constant, np.nan, scale), work,
+                        lam, alpha, nu)
 
 
 @dataclass(frozen=True)
@@ -224,22 +293,50 @@ def surrogate_value(problem, beta0, beta, anchor_beta):
     return value
 
 
+# Row-wise products over leading problem axes, one BLAS call per problem,
+# so each row's value is the one the 1-d product gives: a_k @ b_k, m_k @ v_k
+# and m_k' @ v_k. numpy < 2.2 lacks some of the fused forms.
+_dots = getattr(np, "vecdot", lambda a, b: np.matmul(a[..., None, :], b[..., None])[..., 0, 0])
+_matvec = getattr(np, "matvec", lambda m, v: np.matmul(m, v[..., None])[..., 0])
+_vecmat = getattr(np, "vecmat",
+                  lambda v, m: np.matmul(m.swapaxes(-1, -2), v[..., None])[..., 0])
+
+
+def _norms(a):
+    """Row-wise Euclidean norms, each the one ``np.linalg.norm`` gives."""
+    return np.sqrt(_dots(a, a))
+
+
+def _local_minimizers(problems):
+    """Each problem's minimizer of the local objective alone (ridge, or OLS
+    when alpha = 0), as a (B, p) array, with a ``SingularDesign`` error for
+    every rank-deficient problem when alpha = 0, by index."""
+    if problems.alpha > 0:
+        return np.linalg.solve(problems.gram, problems.xty[..., None])[..., 0], {}
+    beta = np.empty(problems.xty.shape)
+    errors = {}
+    for k, (xc, y) in enumerate(zip(problems.xc, problems.y)):
+        beta[k], _, rank, _ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
+        if rank < xc.shape[1]:
+            errors[k] = SingularDesign("design is rank deficient and alpha = 0")
+    return beta, errors
+
+
 def local_minimizer(problem: PenalizedProblem):
     """Minimizer of the local objective alone (ridge, or OLS when alpha=0)."""
-    if problem.alpha > 0:
-        beta = np.linalg.solve(problem.gram, problem.xty)
-    else:
-        beta, _, rank, _ = np.linalg.lstsq(problem.xc, problem.y - problem.y.mean(),
-                                           rcond=None)
-        if rank < problem.design.p:
-            raise SingularDesign("design is rank deficient and alpha = 0")
+    beta, errors = _local_minimizers(problem.batch)
+    if errors:
+        raise errors[0]
+    beta = beta[0]
     beta0 = float(np.mean(problem.y - problem.design.x @ beta))
     return beta0, beta
 
 
 def _trust_step(evals, evecs, g, radius):
     """Trial step s of the model g's + 0.5*s'Hs, H = evecs diag(evals) evecs'
-    (ascending ``evals``), with pred = -(g's + 0.5*s'Hs) and whether s is damped.
+    (ascending ``evals``), with pred = -(g's + 0.5*s'Hs) and whether s is
+    damped, for one problem or for each of a batch: every argument may carry
+    leading problem axes.
 
     s is the Newton step -H^{-1} g when H is positive definite and that step
     fits in the ``radius`` r, else the damped step -(H + mu I)^{-1} g with
@@ -250,135 +347,211 @@ def _trust_step(evals, evecs, g, radius):
     ||g||/r: in evals + mu, evals[0] + mu rounds to zero once ||g||/r is
     below the rounding of |evals[0]|.
     """
-    gt = evecs.T @ g
-    if evals[0] > 0:
-        st = -gt / evals
-        if np.linalg.norm(st) <= radius:
-            return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st), False
-    st = -gt / ((evals - min(evals[0], 0.0)) + np.linalg.norm(gt) / radius)
-    return evecs @ st, -float(gt @ st + 0.5 * (evals * st) @ st), True
+    gt = _vecmat(g, evecs)
+    low = evals[..., :1]
+    positive = low > 0
+    st = -gt / np.where(positive, evals, 1.0)
+    newton = positive[..., 0] & (_norms(st) <= radius)
+    shift = (evals - np.minimum(low, 0.0)) + (_norms(gt) / radius)[..., None]
+    st = np.where(newton[..., None], st, -gt / shift)
+    pred = -(_dots(gt, st) + 0.5 * _dots(evals * st, st))
+    return _matvec(evecs, st), pred, ~newton
 
 
-def _point(problem, beta0, beta, sums=None):
-    """F at (beta0, beta) with D and the gradient and Hessian of F in beta,
-    all from one pass of the pair-sum engine, or from ``sums`` = (D, dD, d2D)
-    at beta when given, checked by ``_check_concordance``; F is formed in the
-    order ``penalized_objective`` uses, so both give the same value. D is None
-    when lambda = 0 (no pair pass)."""
-    value = _local_objective(problem, beta0, beta)
-    g = problem.gram @ beta - problem.xty
-    lam = problem.lam
+def _points(problems, beta, sums=None):
+    """Each problem's profiled intercept beta0 = mean(y - X beta) and F at
+    (beta0, beta), with D and the gradient and Hessian of F in beta, from
+    one pass of the pair-sum engine over the batch, or from ``sums`` =
+    (D, dD, d2D) at beta when given. F is formed in the order
+    ``penalized_objective`` uses, so both give the same value, and is inf
+    where D is not positive. D is None when lambda = 0 (no pair pass)."""
+    xb = _matvec(problems.x, beta)
+    beta0 = np.add.reduce(problems.y - xb, axis=1) / xb.shape[1]
+    resid = problems.y - beta0[:, None] - xb
+    value = 0.5 * _dots(resid, resid) + 0.5 * problems.alpha * _dots(beta, beta)
+    g = _matvec(problems.gram, beta) - problems.xty
+    lam = problems.lam
     if not lam > 0:
-        return value, None, g, problem.gram
+        return beta0, value, None, g, problems.gram
     if sums is None:
-        d, dd, _, _, hd = _sums(problem, beta, gradient=True, hessian=True)
+        d, dd, _, _, hd = _pair_sums(problems.work, beta, problems.nu,
+                                     gradient=True, hessian=True)
     else:
         d, dd, hd = sums
-        _check_concordance(d, problem.workspace.live)
-    value -= lam * np.log(d)
-    g = g - lam * dd / d
-    return value, d, g, problem.gram + lam * (np.outer(dd, dd) / (d * d) - hd / d)
+    dp = d if d.min() > 0 else np.where(d > 0, d, 1.0)
+    value = value - lam * np.log(dp)
+    if dp is not d:
+        value[~(d > 0)] = np.inf
+    g = g - lam * dd / dp[:, None]
+    dp = dp[:, None, None]
+    hess = problems.gram + lam * (dd[:, :, None] * dd[:, None, :] / (dp * dp) - hd / dp)
+    return beta0, value, d, g, hess
 
 
-def _accepts(value, gnorm, new_value, new_point, delta):
-    """Whether a point with objective ``new_value`` and ``new_point`` =
-    (D, g, H) replaces the iterate (``value``, gradient norm ``gnorm``).
-    Outside the band |new_value - value| <= ``delta`` the lower objective
-    wins. Inside it the difference is rounding, not a decrease that F can
-    resolve, so the point is taken only when it lowers ||g||."""
-    if abs(new_value - value) <= delta:
-        return float(np.linalg.norm(new_point[1])) < gnorm
-    return new_value < value
+def _accepts(decrease, delta, gnorm, new_gnorm):
+    """Whether a trial, which lowers the objective by ``decrease`` (F at the
+    iterate less F at the trial) and has gradient norm ``new_gnorm``,
+    replaces its iterate, whose gradient norm is ``gnorm``. Outside the band
+    |decrease| <= ``delta`` the lower objective wins. Inside it the
+    difference is rounding, not a decrease that F can resolve, so the trial
+    is taken only when it lowers ||g||."""
+    if abs(decrease) <= delta:
+        return new_gnorm < gnorm
+    return decrease > 0
 
 
-def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
-               max_iter=500, start=None) -> FitResult:
-    """Fit the rank-penalized regression by trust-region Newton steps.
+def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
+              max_iter=500) -> list:
+    """Fit the B problems of ``problems`` by trust-region Newton steps, in
+    lock step: every round takes one trial per unfinished problem, with one
+    engine pass, one batched ``eigh`` and one ``_trust_step`` for all of
+    them. Returns one ``FitResult`` per problem, or the ``RasperError`` that
+    stopped it: a D that is not positive at the start, or a rank-deficient
+    design when alpha = 0 and ``beta`` is None.
 
-    Starts from the local-objective minimizer unless ``init`` is given, which
-    guarantees the final objective improves on the unpenalized fit. The
-    intercept is profiled, beta0 = mean(y - X beta), at the start as at every
-    later point, so only the gradient g and Hessian H of F in beta matter.
-    The start and each trial are evaluated by one pair pass (``_point``)
-    that gives F, g and H at once, and an accepted trial keeps them, so no
-    point is evaluated twice and ``evaluations`` is ``iterations + 1``.
-    ``start`` = (D, dD, d2D) at ``init``, as ``concordance.fold_pair_sums``
-    gives each leave-one-out fold, replaces the start's pass: F, g and H
-    there are formed from it. The fit is converged once
-    ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not change
-    with the scale of y. When y is constant X_c' y_c vanishes, and ||g|| at
-    the start iterate is the scale instead.
+    Each problem starts at its row of ``beta`` (B, p), or at its
+    local-objective minimizer when ``beta`` is None, which guarantees the
+    final objective improves on the unpenalized fit. The intercept is
+    profiled, beta0 = mean(y - X beta), at the start as at every later
+    point, so only the gradient g and Hessian H of F in beta matter. The
+    start and each trial are evaluated by one pair pass (``_points``) that
+    gives F, g and H at once, and an accepted trial keeps them, so no point
+    is evaluated twice and ``evaluations`` is ``iterations + 1``. ``start``
+    = (D, dD, d2D) at ``beta``, as ``concordance.fold_pair_sums`` gives
+    leave-one-out folds, replaces the start's pass. A problem is converged
+    once ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not
+    change with the scale of y. When y is constant X_c' y_c vanishes, and
+    ||g|| at the start is the scale instead.
 
     Otherwise the trial step s (``_trust_step``) is the Newton step when it
     fits in the radius r, else a damped step with ||s|| <= r; pred is its
     model decrease. The first radius r is max(1, ||beta_start||). With
     delta = 10*eps*(|F| + lambda), the trial is kept (``_accepts``) when F
     there is below F at the iterate by more than delta, or, when
-    |F_trial - F| <= delta, when its gradient is smaller; ``_point`` forms F
-    exactly as ``penalized_objective`` does. Near a large-lambda solution
-    the decrease falls below the rounding of lambda*log D, and a strict F
-    test would keep or reject such a trial by luck. r doubles when the kept
-    step was damped, so r was binding, and the actual decrease exceeds
-    0.75*pred. A rejected trial keeps the iterate and only shrinks r to
-    ||s||/4 (Conn, Gould & Toint 2000, ch. 6).
+    |F_trial - F| <= delta, when its gradient is smaller. Near a large-lambda
+    solution the decrease falls below the rounding of lambda*log D, and a
+    strict F test would keep or reject such a trial by luck. r doubles when
+    the kept step was damped, so r was binding, and the actual decrease
+    exceeds 0.75*pred. A rejected trial keeps the iterate and only shrinks r
+    to ||s||/4 (Conn, Gould & Toint 2000, ch. 6). So the trace never rises
+    by more than delta, and falls wherever F can resolve the change.
 
-    So the trace never rises by more than delta, and falls wherever F can
-    resolve the change. After ``max_iter`` moves without meeting the test
-    the fit returns with ``converged=False``. Every problem, with or
-    without marginal tables, runs this same loop.
+    A problem leaves the batch when it converges, or after ``max_iter``
+    rounds with ``converged=False``; the rest go on over the batch taken
+    down to them, so no pass is spent on a finished problem. Each problem
+    takes the iterates it would take alone.
     """
-    x = problem.design.x
-    if start is not None and init is None:
-        raise InvalidValue("a start needs the init it was evaluated at")
-    beta = local_minimizer(problem)[1] if init is None else np.asarray(init, dtype=float).copy()
-    beta0 = float(np.mean(problem.y - x @ beta))
-    scale = float(np.linalg.norm(problem.xty))
-    if scale <= np.finfo(float).eps * np.linalg.norm(problem.xc) * np.linalg.norm(problem.y):
-        scale = None                      # y is constant up to rounding
-    value, d, g, hess = _point(problem, beta0, beta, start)
-    trace = [value]
+    size = problems.x.shape[0]
+    results = [None] * size
+    if beta is None:
+        beta, errors = _local_minimizers(problems)
+        for k, exc in errors.items():
+            results[k] = exc
+    else:
+        beta = np.array(beta, dtype=float)
+    beta0, value, d, g, hess = _points(problems, beta, start)
+    if d is not None and not d.min() > 0:
+        for k in np.flatnonzero(~(d > 0)):
+            if results[k] is None:
+                results[k] = _concordance_error(float(d[k]), problems.work.live[k])
+    slots = [k for k, r in enumerate(results) if r is None]
+    if len(slots) < size:
+        if not slots:
+            return results
+        problems, beta0, beta, value, d, g, hess = _rows(
+            slots, problems, beta0, beta, value, d, g, hess)
+    # The arrays hold each problem's iterate on the leading axis; the
+    # lists hold its scalars, which the stop, the acceptance and the
+    # radius read one problem at a time.
+    lam = problems.lam
+    band = 10.0 * np.finfo(float).eps
+    values = value.tolist()
+    gnorm = _norms(g).tolist()
+    scale = [gn if math.isnan(sc) else sc          # NaN: y is constant up to rounding
+             for sc, gn in zip(problems.scale.tolist(), gnorm)]
+    traces = [[v] for v in values]
+    radius = np.maximum(1.0, _norms(beta)).tolist()
     iters = 0
-    radius = max(1.0, float(np.linalg.norm(beta)))
     while True:
-        gnorm = float(np.linalg.norm(g))
-        if scale is None:
-            scale = gnorm
-        grad_norm = gnorm / scale if scale > 0 else 0.0
-        if grad_norm <= tol or iters == max_iter:
-            break
+        grad_norm = [gn / sc if sc > 0 else 0.0 for gn, sc in zip(gnorm, scale)]
+        done = [gn <= tol or iters == max_iter for gn in grad_norm]
+        if True in done:
+            for k, finished in enumerate(done):
+                if finished:
+                    results[slots[k]] = FitResult(
+                        beta0=float(beta0[k]), beta=beta[k], lam=lam, alpha=problems.alpha,
+                        nu=problems.nu, objective_trace=np.asarray(traces[k]),
+                        concordance=None if d is None else float(d[k]),
+                        converged=grad_norm[k] <= tol, iterations=iters,
+                        grad_norm=grad_norm[k], evaluations=iters + 1)
+            keep = [k for k, finished in enumerate(done) if not finished]
+            if not keep:
+                return results
+            slots, values, gnorm, scale, radius, traces = (
+                [a[k] for k in keep] for a in (slots, values, gnorm, scale, radius, traces))
+            problems, beta0, beta, d, g, hess = _rows(keep, problems, beta0, beta, d, g, hess)
         iters += 1
         evals, evecs = np.linalg.eigh(hess)
-        step, pred, damped = _trust_step(evals, evecs, g, radius)
+        step, pred, damped = _trust_step(evals, evecs, g, np.array(radius))
         cand = beta + step
-        cand0 = float(np.mean(problem.y - x @ cand))
-        delta = 10.0 * np.finfo(float).eps * (abs(value) + problem.lam)
-        try:
-            cand_value, *cand_point = _point(problem, cand0, cand)
-        except NonpositiveConcordance:
-            cand_value, cand_point = np.inf, None
-        if _accepts(value, gnorm, cand_value, cand_point, delta):
-            if damped and value - cand_value > 0.75 * pred:
-                radius *= 2.0
-            beta0, beta, value = cand0, cand, cand_value
-            d, g, hess = cand_point
-            trace.append(value)
-        else:
-            radius = 0.25 * float(np.linalg.norm(step))
-    if d is None and problem.workspace.live:
-        d = _sums(problem, beta)[0]
-    return FitResult(
-        beta0=beta0,
-        beta=beta,
-        lam=problem.lam,
-        alpha=problem.alpha,
-        nu=problem.nu,
-        objective_trace=np.asarray(trace),
-        concordance=d,
-        converged=grad_norm <= tol,
-        iterations=iters,
-        grad_norm=grad_norm,
-        evaluations=iters + 1,
-    )
+        cand0, cand_value, cand_d, cand_g, cand_hess = _points(problems, cand)
+        new_values = cand_value.tolist()
+        new_gnorm = _norms(cand_g).tolist()
+        kept = [_accepts(v - nv, band * (abs(v) + lam), gn, ngn)
+                for v, nv, gn, ngn in zip(values, new_values, gnorm, new_gnorm)]
+        # r doubles after a kept damped step that achieved 0.75 pred; a
+        # rejected trial keeps its iterate and sets r = ||s||/4
+        damped = damped.tolist()
+        if not all(kept):
+            sizes = _norms(step).tolist()
+        for k, (ok, v, nv) in enumerate(zip(kept, values, new_values)):
+            if not ok:
+                radius[k] = 0.25 * sizes[k]
+                continue
+            if damped[k] and v - nv > 0.75 * float(pred[k]):
+                radius[k] *= 2.0
+            traces[k].append(nv)
+            values[k], gnorm[k] = nv, new_gnorm[k]
+        if all(kept):
+            beta0, beta, d, g, hess = cand0, cand, cand_d, cand_g, cand_hess
+        elif True in kept:
+            mask = np.array(kept)
+            beta0 = np.where(mask, cand0, beta0)
+            beta = np.where(mask[:, None], cand, beta)
+            d = None if d is None else np.where(mask, cand_d, d)
+            g = np.where(mask[:, None], cand_g, g)
+            hess = np.where(mask[:, None, None], cand_hess, hess)
+
+
+def _rows(index, *arrays):
+    """Each of ``arrays`` (a ``ProblemBatch``, an array or None) taken down
+    to the problems ``index``."""
+    return tuple(None if a is None else a[index] for a in arrays)
+
+
+def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
+               max_iter=500, start=None) -> FitResult:
+    """Fit the rank-penalized regression by trust-region Newton steps:
+    ``fit_batch`` on the problem as a batch of one (``problem.batch``).
+
+    Starts from the local-objective minimizer unless ``init`` is given.
+    ``start`` = (D, dD, d2D) at ``init`` replaces the start's engine pass.
+    A D that is not positive at the start, or a rank-deficient design with
+    alpha = 0 and no ``init``, raises its error. At lambda = 0 the fit makes
+    no pair pass while fitting and one value pass at the end, for the D it
+    reports (None when every pair weight is zero). Every problem, with or
+    without marginal tables, runs this same loop.
+    """
+    if start is not None and init is None:
+        raise InvalidValue("a start needs the init it was evaluated at")
+    beta = None if init is None else np.asarray(init, dtype=float)[None]
+    sums = None if start is None else tuple(np.asarray(a, dtype=float)[None] for a in start)
+    (fit,) = fit_batch(problem.batch, beta, sums, tol=tol, max_iter=max_iter)
+    if isinstance(fit, RasperError):
+        raise fit
+    if fit.concordance is None and problem.workspace.live[0]:
+        fit = replace(fit, concordance=_sums(problem, fit.beta)[0])
+    return fit
 
 
 def objective_gradient(problem: PenalizedProblem, beta0, beta):

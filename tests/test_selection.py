@@ -14,7 +14,13 @@ from rasper.concordance import (
     pair_weights,
 )
 from rasper.data_model import StandardizedDesign, external_ranks, standardize
-from rasper.errors import FoldFailure, InvalidBounds, SingularSystem
+from rasper.errors import (
+    FoldFailure,
+    InvalidBounds,
+    InvalidValue,
+    NonFiniteValue,
+    SingularSystem,
+)
 from rasper.selection import (
     aic,
     build_grid,
@@ -24,7 +30,7 @@ from rasper.selection import (
     loocv_score,
     select,
 )
-from rasper.solver import PenalizedProblem, default_nu, fit_rasper
+from rasper.solver import PenalizedProblem, default_nu, fit_batch, fit_rasper
 
 from conftest import count_calls, make_problem, reference_pair_sums
 
@@ -132,15 +138,15 @@ class TestLOOCV:
 
     def test_unconverged_folds_warn_once(self, monkeypatch):
         design, y, ranks, scores, spec = make_data(seed=4)
-        monkeypatch.setattr(selection, "fit_rasper",
-                            lambda problem, **kw: fit_rasper(problem, max_iter=1, **kw))
+        monkeypatch.setattr(selection, "fit_batch",
+                            lambda problems, beta=None, start=None:
+                            fit_batch(problems, beta, start, max_iter=1))
         with pytest.warns(RuntimeWarning) as record:
             score = loocv_score(design, y, ranks, spec, 3.0, 1.0)
         assert math.isfinite(score)
         assert len(record) == 1
-        message = str(record[0].message)
-        assert f"{design.n} of {design.n} fold fits" in message
-        assert "lambda=3" in message and "alpha=1" in message
+        assert str(record[0].message) == \
+            f"{design.n} of {design.n} fold fits did not converge at lambda=3, alpha=1"
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_all_tied_kendall_fold_keeps_its_typed_error(self, warm):
@@ -159,39 +165,55 @@ class TestLOOCV:
 
     @pytest.mark.parametrize("marginalized", [False, True])
     def test_engine_passes_per_warm_fold(self, monkeypatch, marginalized):
-        # Every point a fold visits costs one pass, except a downdated
-        # start, which costs none; a marginalized fold's start is not
-        # downdated, so it pays one pass there.
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((15, 4))
-        y = x @ [1.0, 0.5, -0.5, 0.8] + 0.4 * rng.standard_normal(15)
-        design = standardize(x, q=2)
-        ranks = external_ranks(x[:, :2] @ [1.0, 0.4])
-        spec = ConcordanceSpec("spearman", marginalized, default_nu(design, y), 3, 0)
+        self._check_engine_passes(monkeypatch, marginalized, warm=True)
+
+    @pytest.mark.parametrize("marginalized", [False, True])
+    def test_engine_passes_per_cold_fold(self, monkeypatch, marginalized):
+        self._check_engine_passes(monkeypatch, marginalized, warm=False)
+
+    @staticmethod
+    def _check_engine_passes(monkeypatch, marginalized, warm):
+        # The engine evaluates one fold table per trial a fold takes, so the
+        # fold tables evaluated are the fold iterations summed, plus one
+        # start table per fold when the starts are not downdated: a
+        # marginalized fold's tables are not rows of the full tables, and a
+        # cold fold starts at its own local minimizer.
+        design, y, ranks, spec = _fold_data(15, "marginalized" if marginalized else "spearman")
         cache = fold_weight_cache(design, ranks, spec)
         assert (cache[0].tables is not None) == marginalized
         weights = selection.problem_weights(design, ranks, spec)
-        warm = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
-        passes = count_calls(monkeypatch, solver, "_pair_sums")
-        folds = []
+        full = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
+        tables = []
+        original = solver._pair_sums
 
-        def fit_fold(problem, **kwargs):
-            before = len(passes)
-            fit = fit_rasper(problem, **kwargs)
-            folds.append((len(passes) - before, fit))
-            return fit
+        def counted(work, beta, nu, **kwargs):
+            tables.append(1 if beta.ndim == 1 else beta.shape[0])
+            return original(work, beta, nu, **kwargs)
 
-        monkeypatch.setattr(selection, "fit_rasper", fit_fold)
-        loocv_score(design, y, ranks, spec, 40.0, 1.0, warm=warm, fold_cache=cache)
+        monkeypatch.setattr(solver, "_pair_sums", counted)
+        folds = _recorded_fold_fits(monkeypatch)
+        loocv_score(design, y, ranks, spec, 40.0, 1.0, warm=full if warm else None,
+                    fold_cache=cache)
         assert len(folds) == design.n
-        start_passes = 1 if marginalized else 0
-        for fold_passes, fit in folds:
+        for fit in folds:
             assert fit.converged and fit.evaluations == fit.iterations + 1
-            assert fold_passes == fit.iterations + start_passes
+        start_tables = 0 if warm and not marginalized else design.n
+        assert sum(tables) == sum(fit.iterations for fit in folds) + start_tables
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_lambda_zero_folds_make_no_engine_pass(self, monkeypatch, warm):
+        design, y, ranks, spec = _fold_data(15, "spearman")
+        full = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, "spearman"),
+                                           spec, 0.0, 1.0))
+        passes = count_calls(monkeypatch, solver, "_pair_sums")
+        folds = _recorded_fold_fits(monkeypatch)
+        loocv_score(design, y, ranks, spec, 0.0, 1.0, warm=full if warm else None)
+        assert not passes
+        assert len(folds) == design.n and all(f.concordance is None for f in folds)
 
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("lam", [3.0, 1e3, 1e5])
-    def test_downdated_starts_match_engine_starts(self, monkeypatch, measure, lam):
+    def test_downdated_starts_match_engine_starts(self, measure, lam):
         design, y, _, _, spec = make_data(seed=13, n=20)
         scores = np.random.default_rng(13).integers(0, 6, design.n).astype(float)
         ranks = external_ranks(scores)                  # tied ranks
@@ -199,16 +221,105 @@ class TestLOOCV:
         warm = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, measure),
                                            spec, lam, 1.0))
         downdated = loocv_score(design, y, ranks, spec, lam, 1.0, warm=warm)
-        monkeypatch.setattr(selection, "fit_rasper",
-                            lambda problem, init=None, start=None: fit_rasper(problem, init=init))
-        engine = loocv_score(design, y, ranks, spec, lam, 1.0, warm=warm)
-        assert downdated == pytest.approx(engine, rel=1e-9)
+        # each fold fitted alone, its start taken by an engine pass
+        engine = 0.0
+        for k, weights in enumerate(fold_weight_cache(design, ranks, spec)):
+            keep = np.delete(np.arange(design.n), k)
+            fit = fit_rasper(PenalizedProblem(design.subset(keep), y[keep], weights, spec,
+                                              lam, 1.0), init=warm.beta)
+            engine += 0.5 * (y[k] - fit.beta0 - design.x[k] @ fit.beta) ** 2
+        assert downdated == pytest.approx(engine / design.n, rel=1e-9)
+
+    @pytest.mark.parametrize("lam, alpha, y_value, error", [
+        (-1.0, 1.0, 0.0, InvalidValue), (3.0, math.inf, 0.0, InvalidValue),
+        (3.0, 1.0, math.nan, NonFiniteValue)])
+    def test_bad_input_raises_typed_error(self, lam, alpha, y_value, error):
+        design, y, ranks, _, spec = make_data(seed=3, n=12)
+        y = y.copy()
+        y[4] += y_value
+        with pytest.raises(error):
+            loocv_score(design, y, ranks, spec, lam, alpha)
 
     def test_too_few_rows(self):
         design, y, ranks, scores, spec = make_data(n=5)
         with pytest.raises(FoldFailure):
             loocv_score(design.subset(np.arange(2)), y[:2],
                         external_ranks(scores[:2]), spec, 0.0, 0.0)
+
+
+def _fold_data(n, case):
+    """Study data with a novel block (q = 2 of p = 4), so a marginalized
+    spec samples tables: (design, y, ranks, spec)."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((n, 4))
+    y = x @ [1.0, 0.5, -0.5, 0.8] + 0.4 * rng.standard_normal(n)
+    design = standardize(x, q=2)
+    ranks = external_ranks(x[:, :2] @ [1.0, 0.4])
+    measure = "kendall" if case == "kendall" else "spearman"
+    spec = ConcordanceSpec(measure, case == "marginalized", default_nu(design, y), 3, 0)
+    return design, y, ranks, spec
+
+
+def _recorded_fold_fits(monkeypatch):
+    """Record every fold fit ``loocv_score`` gets from ``fit_batch``."""
+    fits = []
+
+    def recorded(problems, beta=None, start=None):
+        out = fit_batch(problems, beta, start)
+        fits.extend(out)
+        return out
+
+    monkeypatch.setattr(selection, "fit_batch", recorded)
+    return fits
+
+
+class TestBatchedFolds:
+    # Each fold of a chunk takes the iterates it takes alone. n = 15 is
+    # smaller than a chunk (the budget holds 204 plain folds of 14 rows),
+    # so all folds share one; at n = 37 plain chunks hold 30 folds and
+    # marginalized ones (S = 3) 10, so the last chunk is partial.
+    @pytest.mark.parametrize("n", [15, 37])
+    @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 40.0, 1e5])
+    def test_batched_folds_match_single_fold_fits(self, monkeypatch, n, case, warm, lam):
+        design, y, ranks, spec = _fold_data(n, case)
+        alpha = 0.0 if warm else 1.0                       # cold alpha = 0 folds take lstsq
+        cache = fold_weight_cache(design, ranks, spec)
+        full = fit_rasper(PenalizedProblem(design, y, selection.problem_weights(design, ranks, spec),
+                                           spec, lam, alpha))
+        folds = _recorded_fold_fits(monkeypatch)
+        score = loocv_score(design, y, ranks, spec, lam, alpha, warm=full if warm else None,
+                            fold_cache=cache)
+        starts = None
+        if warm and lam > 0 and case != "marginalized":
+            starts = selection.fold_pair_sums(ranks.r, spec.measure, design.x, full.beta, spec.nu)
+        total = 0.0
+        assert len(folds) == n
+        for k, (fold, weights) in enumerate(zip(folds, cache)):
+            keep = np.delete(np.arange(n), k)
+            problem = PenalizedProblem(design.subset(keep), y[keep], weights, spec, lam, alpha)
+            alone = fit_rasper(problem, init=full.beta if warm else None,
+                               start=None if starts is None else tuple(a[k] for a in starts))
+            assert fold.converged == alone.converged
+            assert fold.iterations == alone.iterations
+            assert np.linalg.norm(fold.beta - alone.beta) <= 1e-12 * np.linalg.norm(alone.beta)
+            assert fold.beta0 == pytest.approx(alone.beta0, rel=1e-12, abs=1e-300)
+            assert (fold.concordance is None) == (lam == 0)
+            total += 0.5 * (y[k] - alone.beta0 - design.x[k] @ alone.beta) ** 2
+        assert score == pytest.approx(total / n, rel=1e-12)
+
+    def test_chunks_cover_the_folds_in_order(self, monkeypatch):
+        design, y, ranks, spec = _fold_data(37, "spearman")
+        sizes = []
+
+        def recorded(problems, beta=None, start=None):
+            sizes.append(problems.x.shape[0])
+            return fit_batch(problems, beta, start)
+
+        monkeypatch.setattr(selection, "fit_batch", recorded)
+        loocv_score(design, y, ranks, spec, 40.0, 1.0)
+        assert sizes == [30, 7]
 
 
 class TestDegreesOfFreedom:
@@ -336,6 +447,34 @@ class TestSelect:
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
         with pytest.raises(ValueError):
             select(design, y, ranks, spec, grid, criterion="cv10")
+
+    @pytest.mark.parametrize("criterion", ["loocv", "aic"])
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_one_curvature_pass_and_one_workspace(self, monkeypatch, criterion, measure):
+        # M0 and the full-data workspace depend on neither lambda nor alpha:
+        # select takes one MM engine pass and builds one full-data workspace
+        # for its whole grid, and each grid point's df is the one
+        # degrees_of_freedom gives, to the last bit.
+        design, y, ranks, scores, spec = make_data(seed=11, n=15)
+        spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
+        grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
+        mm_passes = []
+        original = selection._pair_sums
+
+        def counted(work, beta, nu, **kwargs):
+            mm_passes.append(kwargs.get("mm", False))
+            return original(work, beta, nu, **kwargs)
+
+        monkeypatch.setattr(selection, "_pair_sums", counted)
+        workspaces = count_calls(monkeypatch, solver, "pair_workspace")
+        report = select(design, y, ranks, spec, grid, criterion=criterion)
+        assert mm_passes == [True]
+        assert len(workspaces) == 1
+        weights = pair_weights(ranks, measure)
+        for record in report.records:
+            assert not record.df_flagged
+            assert record.df == degrees_of_freedom(design, weights, spec.nu,
+                                                   record.lam, record.alpha)
 
     def test_report_rows_and_json(self):
         design, y, ranks, scores, spec = make_data(seed=10)
