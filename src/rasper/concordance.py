@@ -129,89 +129,88 @@ def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
     return PairWeights(r=ranks.r, measure=measure)
 
 
+# Pair entries per (C, S, n, n) engine buffer, which sets C: C = 4 at n = 99
+# plain rows keeps the three in a 2 MB L2 cache; C = 8 ran slower per problem.
+CHUNK_PAIRS = 40_000
+
+
 class PairWorkspace:
-    """The fixed pieces and the reusable buffers of the pair sums of B
-    problems of one size, held on a leading problem axis.
+    """The inputs and the reusable buffers of the pair sums of B problems of
+    one size, held on a leading problem axis.
 
     ``stack`` is the (S, n, p) stack of one problem's design tables (S = 1
-    for a plain problem), or the (B, S, n, p) stack of B problems; ``r`` is
-    their (n,) or (B, n) ranks. The weights come from the ranks (see
-    ``PairWeights.w``): Spearman's are the row scale w_ij = r_i / (4 n^2);
-    Kendall's are the constant ``const`` = 2 / (n (n - 1)) times the
-    strict-order mask I(r_i > r_j), held with its antisymmetric form
-    ``sign`` = mask - mask', which is all the gradient and the Hessian need.
-    ``live`` (B,) is False for a problem whose weights are all zero, as in an
-    all-tied Kendall problem. The fixed pieces every pass reads live here:
-    ``ends`` = [1 | scale | x] of each table, ``sides`` = [1 | scale], and
-    ``left`` and ``right``, whose fixed rows of ones make -u a rank-2
-    product. The three (B, S, n, n) buffers are overwritten by every pass, so
-    a workspace serves one thread at a time; nothing ``_pair_sums`` returns
-    is a view of them. ``buffers``, when given, are three arrays of that
-    shape or with a longer leading axis, which the workspace uses instead
-    of allocating its own, so a run of equal-sized batches can share them.
+    for a plain problem), or the B problems' stacks: a (B, S, n, p) array,
+    kept uncopied, or a sequence of B (S, n, p) stacks or tuples of S
+    tables; ``r`` is their (n,) or (B, n) ranks. ``live`` (B,) is False where
+    all of a problem's weights are zero (all-tied Kendall ranks). ``_pair_sums``
+    walks the problems in chunks of ``chunk`` = C, as many as ``CHUNK_PAIRS``
+    pair entries per buffer allow, and ``load`` builds a chunk's stacked
+    tables and fixed pieces: the weights (``PairWeights.w``), Spearman's row
+    scale r_i / (4 n^2) or Kendall's ``const`` = 2 / (n (n - 1)) times the
+    ``mask`` I(r_i > r_j) and its antisymmetric ``sign`` = mask - mask', all
+    the gradient and the Hessian need; ``ends`` = [1 | scale | x] of each
+    table, ``sides`` = [1 | scale], and ``left`` and ``right``, whose fixed
+    rows of ones make -u a rank-2 product. The chunk loaded last is kept, so
+    a batch of one chunk, such as a single fit, builds it once. The three
+    (C, S, n, n) buffers are overwritten by every pass, so a workspace serves
+    one thread at a time; nothing ``_pair_sums`` returns is a view of them.
     """
 
-    def __init__(self, stack, r, measure, buffers=None):
-        stack = np.asarray(stack, dtype=float)
+    def __init__(self, stack, r, measure):
         r = np.asarray(r, dtype=float)
         self.stack = stack
-        if stack.ndim == 3:
-            stack, r = stack[None], r[None]
-        size, count, n, p = stack.shape
-        if measure == SPEARMAN:
+        if r.ndim == 1:
+            stack, r = [stack], r[None]
+        size, n = r.shape
+        self.tables, self.r, self.measure, self.index = stack, r, measure, np.arange(size)
+        self.live = (r > 0).any(axis=1) if measure == SPEARMAN else r.max(axis=1) > r.min(axis=1)
+        count = len(stack[0])
+        self.chunk = min(size, max(1, CHUNK_PAIRS // (count * n * n)))
+        self.s, self.dens, self.h = (np.empty((self.chunk, count, n, n)) for _ in range(3))
+        self.ones, self.loaded = np.ones(n), None
+
+    def load(self, first):
+        """This workspace, with the fixed pieces of the chunk of problems
+        that starts at problem ``first`` built, unless it was loaded last."""
+        ids = self.index[first:first + self.chunk].tolist()
+        if ids == self.loaded:
+            return self
+        stack = np.array([self.tables[k] for k in ids], dtype=float)
+        r = self.r[ids]
+        size, count, n, p = self.shape = stack.shape
+        if self.measure == SPEARMAN:
             scale = r / (4.0 * n * n)
             self.const = self.mask = self.sign = None
-            self.live = (r > 0).any(axis=1)
         else:
             self.const = 2.0 / max(n * (n - 1.0), 1.0)
             scale = np.full((size, n), self.const)
-            order = r[:, None, :, None] > r[:, None, None, :]
-            self.mask = order.astype(float)
+            self.mask = (r[:, None, :, None] > r[:, None, None, :]).astype(float)
             self.sign = self.mask - self.mask.transpose(0, 1, 3, 2)
-            self.live = order.any(axis=(1, 2, 3))
         self.flat = stack.reshape(size, count * n, p)
+        self.flat_t = self.flat.transpose(0, 2, 1)
         self.scale = scale
-        self.scaled = (scale[:, None, :, None] * stack).reshape(size, count * n, p)
+        self.rows = scale[:, None, :]              # the scale along a table's rows
+        self.scaled_t = (self.rows[..., None] * stack).reshape(self.flat.shape).transpose(0, 2, 1)
         # [1 | scale | x]: one product with a table gives its row sums, its
         # product with the scale and its product with the design.
         self.ends = np.empty((size, count, n, p + 2))
         self.ends[..., 0] = 1.0
         self.ends[..., 1] = scale[:, None, :]
         self.ends[..., 2:] = stack
+        # [1 | scale] of each problem, column-major as a gemm operand
+        self.sides = np.empty((size, 1, 2, n)).transpose(0, 1, 3, 2)
+        self.sides[:, 0] = self.ends[:, 0, :, :2]
         # -u = t_j - t_i is the rank-2 product [1 | -t] [t ; 1], whose one
         # rounding is the subtraction's; rows 0 and 1 below stay fixed.
         self.left = np.ones((size, count, n, 2))
         self.right = np.ones((size, count, 2, n))
-        self.ones = np.ones(n)
-        if buffers is None:
-            buffers = [np.empty((size, count, n, n)) for _ in range(3)]
-        self.s, self.dens, self.h = (b[:size] for b in buffers)
-        self._views()
-
-    def _views(self):
-        """The views and layouts derived from the per-problem arrays."""
-        self.shape = self.ends.shape[:3] + (self.flat.shape[2],)
-        self.flat_t = self.flat.transpose(0, 2, 1)
-        self.scaled_t = self.scaled.transpose(0, 2, 1)
-        self.rows = self.scale[:, None, :]          # the scale along a table's rows
-        # [1 | scale] of each problem, column-major as a gemm operand
-        sides = np.empty((self.shape[0], 1, 2, self.shape[2])).transpose(0, 1, 3, 2)
-        sides[:, 0] = self.ends[:, 0, :, :2]
-        self.sides = sides
+        self.loaded = ids
+        return self
 
     def take(self, index):
-        """The workspace of the problems ``index`` (in that order), over the
-        leading part of this one's buffers."""
-        index = np.asarray(index)
+        """The workspace of the problems ``index``, in that order, on these buffers."""
         part = copy.copy(self)
-        for name in ("flat", "scale", "scaled", "ends", "left", "right", "live",
-                     "mask", "sign"):
-            value = getattr(self, name)
-            setattr(part, name, None if value is None else value[index])
-        size = len(index)
-        part.stack = part.flat.reshape((size,) + self.shape[1:])
-        part.s, part.dens, part.h = self.s[:size], self.dens[:size], self.h[:size]
-        part._views()
+        part.index, part.live = self.index[index], self.live[index]
         return part
 
 
@@ -280,9 +279,10 @@ def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
     ``PairWorkspace``, at one beta per problem: ``beta`` is (B, p), or (p,)
     for a workspace of one problem.
 
-    sigma(u) of all B * S tables comes from one ``exp`` into the workspace's
-    (B, S, n, n) buffer, and every reduction is a matrix-vector product or a
-    gemm over the stacked tables, so each problem's sums are those a
+    The problems are taken in the workspace's chunks of C. sigma(u) of a
+    chunk's C * S tables comes from one ``exp`` into the workspace's
+    (C, S, n, n) buffer, and every reduction is a matrix-vector product or
+    a gemm over the stacked tables, so each problem's sums are those a
     workspace of it alone gives. The logistic density is formed as
     sigma(u) sigma(-u) = s * s', so each entry carries a relative error of
     a few ulp however far apart the pair is (its zero-difference diagonal is
@@ -305,29 +305,44 @@ def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
     (p,) ``beta``, D is a float, the leading axis is dropped, and a D that
     is not positive raises its ``_concordance_error``.
     """
+    single, step = beta.ndim == 1, work.chunk
+    beta = beta.reshape(-1, beta.shape[-1])
+    parts = [_chunk_sums(work.load(first), beta[first:first + step], nu, gradient, mm,
+                         hessian, single) for first in range(0, len(work.index), step)]
+    sums = parts[0] if len(parts) == 1 else tuple(
+        None if a[0] is None else np.concatenate(a) for a in zip(*parts))
+    if not single:
+        return sums
+    return (float(sums[0][0]),) + tuple(None if a is None else a[0] for a in sums[1:])
+
+
+def _chunk_sums(work, beta, nu, gradient, mm, hessian, check):
+    """``_pair_sums`` of the loaded chunk at its (C, p) ``beta``; ``check``
+    raises the ``_concordance_error`` of a chunk of one whose D is not positive."""
     size, count, n, p = work.shape
     t = np.matmul(work.flat, beta.reshape(-1, p, 1)).reshape(size, count, n) / nu
     work.left[..., 1] = -t
     work.right[:, :, 0] = t
-    s = _logistic_of_negated(np.matmul(work.left, work.right, out=work.s))
+    s = _logistic_of_negated(np.matmul(work.left, work.right, out=work.s[:size]))
     if work.mask is None:
         d = np.matmul(s @ work.ones, work.scale[..., None]).reshape(size, count).sum(axis=1)
     else:
         d = np.matmul(s.reshape(size, count, n * n), work.mask.reshape(size, n * n, 1))
         d = work.const * d.reshape(size, count).sum(axis=1)
     d /= count
-    if beta.ndim == 1 and not d[0] > 0:
+    if check and not d[0] > 0:
         raise _concordance_error(float(d[0]), work.live[0])
     grad = hess = lin = quad = None
+    h_buf, dens_buf = work.h[:size], work.dens[:size]
     if gradient or hessian:
         # s' = sigma(-u) is read twice, so it is copied out once: two
         # transposed reads of an n x n table cost more than one.
-        st = work.h
+        st = h_buf
         np.copyto(st, s.transpose(0, 1, 3, 2))
-        dens = np.multiply(s, st, out=work.dens)         # sigma(u) sigma(-u)
+        dens = np.multiply(s, st, out=dens_buf)          # sigma(u) sigma(-u)
         dens.reshape(size * count, n * n)[:, ::n + 1] = 0.0
     if hessian:
-        h = np.subtract(st, s, out=work.h)
+        h = np.subtract(st, s, out=h_buf)
         h *= dens                                        # dens * (1 - 2 s)
         if work.sign is None:
             # sum_ij scale_i h_ij a_ij a_ij' = X' diag(scale h1 - h scale) X
@@ -352,19 +367,17 @@ def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
     if mm:
         # The density and Hessian buffers serve as scratch: v = w * s, then u.
         if work.mask is None:
-            v = np.multiply(s, work.rows[..., None], out=work.dens)
+            v = np.multiply(s, work.rows[..., None], out=dens_buf)
         else:
-            v = np.multiply(s, work.mask, out=work.dens)
+            v = np.multiply(s, work.mask, out=dens_buf)
             v *= work.const
         lin = np.matmul(work.flat_t, (v.sum(axis=3) - v.sum(axis=2)).reshape(size, -1, 1))
         lin = lin.reshape(size, p) / (nu * count * d[:, None])
-        u = np.negative(np.matmul(work.left, work.right, out=work.h), out=work.h)
+        u = np.negative(np.matmul(work.left, work.right, out=h_buf), out=h_buf)
         v *= _bound_curvature(u, s, out=u)
-        quad = _laplacian(work, np.add(v, v.transpose(0, 1, 3, 2), out=work.h))
+        quad = _laplacian(work, np.add(v, v.transpose(0, 1, 3, 2), out=h_buf))
         quad /= nu * nu * count * d[:, None, None]
-    if beta.ndim == 2:
-        return d, grad, lin, quad, hess
-    return (float(d[0]),) + tuple(None if a is None else a[0] for a in (grad, lin, quad, hess))
+    return d, grad, lin, quad, hess
 
 
 def fold_pair_sums(r, measure, x, beta, nu):

@@ -6,10 +6,10 @@ The full-data fits and every leave-one-out fold take their weights from
 
 ``select`` builds the full-data pair workspace and the beta = 0 curvature
 of the degrees of freedom once, since neither depends on (lambda, alpha).
-``loocv_score`` fits a grid point's n folds in chunks of B through the one
-trust-region loop, ``solver.fit_batch``; each chunk's rows, ranks, gram and
-X_c'y_c are taken from the full data by indexing, and B is fixed by a
-budget of pair entries per engine buffer, so memory stays O(n^2).
+``loocv_score`` fits a grid point's n folds as one batch through the one
+trust-region loop, ``solver.fit_batch``, on rows, ranks, grams and X_c'y_c
+taken from the full data by indexing (O(n^2 p) memory); the pair-sum engine
+walks the batch in chunks sized by ``concordance.CHUNK_PAIRS``, never O(n^3).
 
 Within a grid point every warm fold fit starts at the full fit's beta, so
 ``loocv_score`` downdates all n start points at once from the full-data
@@ -41,7 +41,6 @@ from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
 from .solver import (
     FitResult,
     PenalizedProblem,
-    ProblemBatch,
     _local_objective,
     fit_batch,
     fit_rasper,
@@ -51,12 +50,6 @@ from .solver import (
 # Default (min, max) grid bounds as multiples of n, for lambda and for alpha.
 LAM_RATIOS = (1e-2, 1e3)
 ALPHA_RATIOS = (1e-4, 1e2)
-# Pair entries in each of a fold chunk's (B, S, n - 1, n - 1) engine buffers,
-# which sets the chunk size B. At n = 100 without sampled tables B is 4: the
-# three buffers take about 0.9 MB and stay in a 2 MB L2 cache, where B = 8
-# spilled out of it and ran slower per fold. Stacking all n folds would take
-# O(n^3) memory.
-FOLD_CHUNK_PAIRS = 40_000
 
 
 @dataclass(frozen=True)
@@ -118,23 +111,25 @@ def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
     return cache
 
 
-def _fold_batch(design, y, keep, weights, spec, lam, alpha, buffers) -> ProblemBatch:
-    """The folds whose retained rows are ``keep`` (B, n - 1), with their
-    ``weights`` from ``fold_weight_cache``, as one ``ProblemBatch``: each
-    fold's rows keep the full-data standardization, and its pair workspace
-    takes the fold's ranks and, when marginalized, its sampled tables, and
-    runs on the shared engine ``buffers``."""
+def _fold_batch(design, y, fold_cache, spec, lam, alpha):
+    """The n leave-one-out folds as one ``ProblemBatch``: fold k's rows are
+    the data's rows other than k, with the full-data standardization, and
+    its pair workspace shares them (or takes the fold's cached tables, when
+    marginalized) and takes the fold's cached ranks."""
+    n = design.n
+    rows = np.arange(n - 1)
+    keep = rows + (rows >= np.arange(n)[:, None])        # fold k drops row k
     x = design.x[keep]
     work = None
     if lam > 0:
-        stack = x[:, None] if weights[0].tables is None else np.array([w.tables for w in weights])
-        work = PairWorkspace(stack, np.array([w.r for w in weights]), spec.measure, buffers)
+        stack = x[:, None] if fold_cache[0].tables is None else [w.tables for w in fold_cache]
+        work = PairWorkspace(stack, np.array([w.r for w in fold_cache]), spec.measure)
     return problem_batch(x, y[keep], lam, alpha, spec.nu, work)
 
 
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                 spec: ConcordanceSpec, lam, alpha, *,
-                warm: FitResult | None = None, fold_cache=None) -> float:
+                warm: FitResult | None = None, fold_cache=None, fits=None) -> float:
     """Mean held-out half squared error over the n leave-one-out refits.
 
     The held-out loss ignores the ridge term. Row subsets keep the full-data
@@ -142,13 +137,14 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     Fold fits that stop without converging still count toward the score;
     one ``RuntimeWarning`` per call names how many there were. Without a
     ``fold_cache`` the fold weights are built here by ``fold_weight_cache``.
+    A ``fits`` list receives the n folds' ``FitResult``, in fold order, from
+    which ``select`` rolls up its report columns.
 
-    The folds are fitted in chunks of B by ``fit_batch``, which runs all of
-    a chunk's folds through one trust-region loop; B is as large as
-    ``FOLD_CHUNK_PAIRS`` pair entries per engine buffer allow, and every
-    chunk runs on the same three engine buffers. Each chunk's rows, ranks,
-    gram and X_c'y_c are taken from the data by indexing, and the inputs are
-    checked once, as the full-data problem.
+    The n folds are one ``ProblemBatch``, which ``fit_batch`` runs through
+    one trust-region loop. Their rows, gram and X_c'y_c are taken from the
+    data by indexing, and their pair workspace shares those rows (or the
+    folds' cached tables) and ranks. The inputs are checked once, as the
+    full-data problem.
 
     With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
     fold starts from its slice of one ``fold_pair_sums`` call at
@@ -168,40 +164,39 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     if fold_cache is None:
         fold_cache = fold_weight_cache(design, ranks, spec)
     init = warm.beta if warm is not None else None
-    tables = fold_cache[0].tables
     starts = None
-    if init is not None and lam > 0 and tables is None:
+    if init is not None and lam > 0 and fold_cache[0].tables is None:
         starts = fold_pair_sums(ranks.r, spec.measure, design.x, init, spec.nu)
-    rows = np.arange(n - 1)
-    count = 1 if tables is None else len(tables)
-    size = min(n, max(1, FOLD_CHUNK_PAIRS // (count * (n - 1) ** 2)))
-    # One set of engine buffers serves every chunk: a set per chunk faults
-    # its pages in afresh, which made a select about a quarter slower.
-    buffers = [np.empty((size, count, n - 1, n - 1)) for _ in range(3)] if lam > 0 else None
+    beta = None if init is None else np.broadcast_to(init, (n, design.p))
+    # Only fit_batch holds the batch, so it is freed once the first folds
+    # finish and the batch is taken down to the rest.
+    results = fit_batch(_fold_batch(design, y, fold_cache, spec, lam, alpha), beta, starts)
     total = 0.0
     failed = []
     unconverged = 0
-    for first in range(0, n, size):
-        folds = np.arange(first, min(first + size, n))
-        keep = rows + (rows >= folds[:, None])       # fold k drops row k
-        problems = _fold_batch(design, y, keep, [fold_cache[k] for k in folds], spec,
-                               lam, alpha, buffers)
-        beta = None if init is None else np.broadcast_to(init, (len(folds), design.p))
-        start = None if starts is None else tuple(a[folds] for a in starts)
-        for i, fit in zip(folds.tolist(), fit_batch(problems, beta, start)):
-            if isinstance(fit, RasperError):
-                failed.append((i, str(fit)))
-                continue
-            unconverged += not fit.converged
-            pred = fit.beta0 + design.x[i] @ fit.beta
-            total += 0.5 * (y[i] - pred) ** 2
+    for i, fit in enumerate(results):
+        if isinstance(fit, RasperError):
+            failed.append((i, str(fit)))
+            continue
+        unconverged += not fit.converged
+        pred = fit.beta0 + design.x[i] @ fit.beta
+        total += 0.5 * (y[i] - pred) ** 2
     if unconverged:
         warnings.warn(f"{unconverged} of {n} fold fits did not converge at "
                       f"lambda={lam:g}, alpha={alpha:g}",
                       RuntimeWarning, stacklevel=2)
     if failed:
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
+    if fits is not None:
+        fits.extend(results)
     return total / n
+
+
+def _fold_rollup(fits):
+    """A grid point's report columns from its fold fits."""
+    return {"fold_iterations": sum(fit.iterations for fit in fits),
+            "fold_unconverged": sum(not fit.converged for fit in fits),
+            "fold_max_grad_norm": max(fit.grad_norm for fit in fits)}
 
 
 def _penalty_curvature(design: StandardizedDesign, weights: PairWeights, nu):
@@ -261,6 +256,10 @@ class GridRecord:
     aic: float
     df_flagged: bool
     fit: FitResult
+    # the roll-up of the grid point's leave-one-out fold fits; None by AIC
+    fold_iterations: int | None = None
+    fold_unconverged: int | None = None
+    fold_max_grad_norm: float | None = None
 
 
 @dataclass
@@ -284,6 +283,9 @@ class SelectionReport:
                 "converged": rec.fit.converged,
                 "grad_norm": rec.fit.grad_norm,
                 "evaluations": rec.fit.evaluations,
+                "fold_iterations": rec.fold_iterations,
+                "fold_unconverged": rec.fold_unconverged,
+                "fold_max_grad_norm": rec.fold_max_grad_norm,
                 "chosen": rec is self.chosen,
             })
         return rows
@@ -321,14 +323,15 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
             except SingularSystem:
                 df, flagged = float(design.p), True
             aic_val = aic(problem, fit, df)
+            loo, rollup = float("nan"), {}
             if criterion == "loocv":
+                folds = []
                 loo = loocv_score(design, y, ranks, spec, lam, alpha,
-                                  warm=fit, fold_cache=fold_cache)
-            else:
-                loo = float("nan")
+                                  warm=fit, fold_cache=fold_cache, fits=folds)
+                rollup = _fold_rollup(folds)
             records.append(GridRecord(lam=float(lam), alpha=float(alpha),
                                       loo=loo, df=df, aic=aic_val,
-                                      df_flagged=flagged, fit=fit))
+                                      df_flagged=flagged, fit=fit, **rollup))
 
     def key(rec):
         return rec.loo if criterion == "loocv" else rec.aic

@@ -30,13 +30,13 @@ that share (lambda, alpha, nu), held on a leading problem axis. Every round
 takes one trial for each unfinished problem, with one engine pass, one
 batched ``eigh`` and one ``_trust_step`` for the batch, and each problem
 takes the iterates it would take alone. ``fit_rasper`` runs a problem as a
-batch of one, and ``selection.loocv_score`` runs chunks of leave-one-out
-folds, so there is one solver path.
+batch of one, and ``selection.loocv_score`` runs the n leave-one-out folds
+of a grid point as one batch, so there is one solver path.
 
 Every pair sum (D, its gradient and Hessian, and the surrogate's pieces)
 comes from the single numpy engine in ``concordance``, on a
-``PairWorkspace``: the problems' stacked design tables, their rank-derived
-weights and the buffers that every pass reuses.
+``PairWorkspace``: the problems' design tables, their ranks and the buffers
+that every pass reuses, filled one chunk of problems at a time.
 """
 
 from __future__ import annotations
@@ -138,13 +138,12 @@ class ProblemBatch:
     """B penalized problems of one size that share lambda, alpha and nu,
     held on a leading problem axis: what the trust-region loop reads. ``x``
     (B, m, p) is each problem's rows of the design, ``y`` (B, m) its outcome,
-    ``xc`` its centered rows X_c, ``gram`` = X_c'X_c + alpha I and ``xty`` =
-    X_c'y_c. ``scale`` (B,) is the relative gradient's scale ||X_c'y_c||,
-    NaN where y is constant up to rounding. ``work`` is the problems'
-    ``PairWorkspace`` when lambda > 0, else None."""
+    ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c, with X_c its
+    centered rows. ``scale`` (B,) is the relative gradient's scale
+    ||X_c'y_c||, NaN where y is constant up to rounding. ``work`` is the
+    problems' ``PairWorkspace`` when lambda > 0, else None."""
 
     x: np.ndarray
-    xc: np.ndarray
     y: np.ndarray
     gram: np.ndarray
     xty: np.ndarray
@@ -156,7 +155,7 @@ class ProblemBatch:
 
     def __getitem__(self, index):
         """The batch of the problems ``index`` (an index array), in that order."""
-        return ProblemBatch(self.x[index], self.xc[index], self.y[index], self.gram[index],
+        return ProblemBatch(self.x[index], self.y[index], self.gram[index],
                             self.xty[index], self.scale[index],
                             None if self.work is None else self.work.take(index),
                             self.lam, self.alpha, self.nu)
@@ -177,7 +176,7 @@ def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
     scale = _norms(xty)
     flat = xc.reshape(xc.shape[0], -1)
     constant = scale <= np.finfo(float).eps * np.sqrt(_dots(flat, flat)) * _norms(y)
-    return ProblemBatch(x, xc, y, gram, xty, np.where(constant, np.nan, scale), work,
+    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), work,
                         lam, alpha, nu)
 
 
@@ -315,7 +314,8 @@ def _local_minimizers(problems):
         return np.linalg.solve(problems.gram, problems.xty[..., None])[..., 0], {}
     beta = np.empty(problems.xty.shape)
     errors = {}
-    for k, (xc, y) in enumerate(zip(problems.xc, problems.y)):
+    xcs = problems.x - np.add.reduce(problems.x, axis=1, keepdims=True) / problems.x.shape[1]
+    for k, (xc, y) in enumerate(zip(xcs, problems.y)):
         beta[k], _, rank, _ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
         if rank < xc.shape[1]:
             errors[k] = SingularDesign("design is rank deficient and alpha = 0")
@@ -405,7 +405,8 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
     """Fit the B problems of ``problems`` by trust-region Newton steps, in
     lock step: every round takes one trial per unfinished problem, with one
     engine pass, one batched ``eigh`` and one ``_trust_step`` for all of
-    them. Returns one ``FitResult`` per problem, or the ``RasperError`` that
+    them; only the engine pass walks the batch in the workspace's chunks.
+    Returns one ``FitResult`` per problem, or the ``RasperError`` that
     stopped it: a D that is not positive at the start, or a rank-deficient
     design when alpha = 0 and ``beta`` is None.
 
@@ -438,8 +439,9 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
 
     A problem leaves the batch when it converges, or after ``max_iter``
     rounds with ``converged=False``; the rest go on over the batch taken
-    down to them, so no pass is spent on a finished problem. Each problem
-    takes the iterates it would take alone.
+    down to them (the workspace by index, sharing its tables), so no pass is
+    spent on a finished problem. Each problem takes the iterates it would
+    take alone.
     """
     size = problems.x.shape[0]
     results = [None] * size

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import rasper.concordance as concordance
 import rasper.selection as selection
 import rasper.solver as solver
 from rasper.concordance import (
@@ -310,16 +313,61 @@ class TestBatchedFolds:
         assert score == pytest.approx(total / n, rel=1e-12)
 
     def test_chunks_cover_the_folds_in_order(self, monkeypatch):
-        design, y, ranks, spec = _fold_data(37, "spearman")
-        sizes = []
+        # One fit_batch call takes all n = 37 folds, fold k on the rows other
+        # than k. The engine walks them in chunks of as many folds as the
+        # pair budget allows (30 plain folds of 36 rows, 10 with S = 3
+        # tables), and no buffer's leading axis is longer.
+        batches, loads = [], []
+        original = concordance.PairWorkspace.load
 
         def recorded(problems, beta=None, start=None):
-            sizes.append(problems.x.shape[0])
+            batches.append(problems)
             return fit_batch(problems, beta, start)
 
+        def load(work, first):
+            loads.append(work.index[first:first + work.chunk].tolist())
+            return original(work, first)
+
         monkeypatch.setattr(selection, "fit_batch", recorded)
-        loocv_score(design, y, ranks, spec, 40.0, 1.0)
-        assert sizes == [30, 7]
+        monkeypatch.setattr(concordance.PairWorkspace, "load", load)
+        for case, count, chunk in [("spearman", 1, 30), ("marginalized", 3, 10)]:
+            design, y, ranks, spec = _fold_data(37, case)
+            assert chunk == concordance.CHUNK_PAIRS // (count * 36 ** 2)
+            batches.clear()
+            loads.clear()
+            loocv_score(design, y, ranks, spec, 40.0, 1.0)
+            (problems,) = batches
+            assert problems.x.shape[0] == 37
+            for k in range(37):
+                assert np.array_equal(problems.x[k], np.delete(design.x, k, axis=0))
+            for buffer in (problems.work.s, problems.work.dens, problems.work.h):
+                assert buffer.shape == (chunk, count, 36, 36)
+            # the cold start pass takes every fold, in order
+            assert loads[:2] == [list(range(chunk)), list(range(chunk, min(2 * chunk, 37)))]
+            assert max(len(ids) for ids in loads) == chunk
+
+
+class TestFoldMemory:
+    # One warm grid point at n = 100 holds the folds' rows (475 KB) and one
+    # chunk's three engine buffers: 0.94 MB for four plain folds, 4.7 MB for
+    # one fold of S = 20 tables. An all-fold (n, n - 1, n - 1) table would
+    # take 7.8 MB, and the folds' stacked tables 9.5 MB at S = 20.
+    @pytest.mark.parametrize("case, limit", [("spearman", 4e6), ("marginalized", 8e6)])
+    def test_heap_peak_of_a_warm_grid_point(self, case, limit):
+        design, y, ranks, spec = _fold_data(100, case)
+        spec = dataclasses.replace(spec, samples=20)
+        lam, alpha = 1000.0, 1.0
+        weights = selection.problem_weights(design, ranks, spec)
+        full = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
+        cache = fold_weight_cache(design, ranks, spec)
+        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, fold_cache=cache)
+        tracemalloc.start()
+        try:
+            loocv_score(design, y, ranks, spec, lam, alpha, warm=full, fold_cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestDegreesOfFreedom:
@@ -475,6 +523,25 @@ class TestSelect:
             assert not record.df_flagged
             assert record.df == degrees_of_freedom(design, weights, spec.nu,
                                                    record.lam, record.alpha)
+
+    @pytest.mark.parametrize("criterion", ["loocv", "aic"])
+    def test_rows_roll_up_the_fold_fits(self, monkeypatch, criterion):
+        design, y, ranks, scores, spec = make_data(seed=10)
+        grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
+        folds = _recorded_fold_fits(monkeypatch)
+        rows = select(design, y, ranks, spec, grid, criterion=criterion).to_rows()
+        n = design.n
+        assert len(folds) == (n * grid.size if criterion == "loocv" else 0)
+        for k, row in enumerate(rows):
+            point = folds[k * n:(k + 1) * n]
+            rollup = [row[name] for name in
+                      ("fold_iterations", "fold_unconverged", "fold_max_grad_norm")]
+            if criterion == "aic":
+                assert rollup == [None, None, None]
+            else:
+                assert rollup == [sum(f.iterations for f in point),
+                                  sum(not f.converged for f in point),
+                                  max(f.grad_norm for f in point)]
 
     def test_report_rows_and_json(self):
         design, y, ranks, scores, spec = make_data(seed=10)

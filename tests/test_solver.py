@@ -10,6 +10,7 @@ import rasper.solver as solver
 from rasper.concordance import (
     ConcordanceSpec,
     PairWeights,
+    PairWorkspace,
     build_marginal_sampler,
     marginalized_weights,
     pair_weights,
@@ -316,7 +317,8 @@ class TestProblemCaches:
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     def test_workspace_built_once_per_fit(self, monkeypatch, lam, marginal):
         # One workspace serves every engine pass of a fit, MM steps
-        # included; the dense weight matrix is never built.
+        # included, and builds its fixed pieces once; the dense weight
+        # matrix is never built.
         problem, _, _ = make_problem(lam=lam, measure="kendall" if marginal else "spearman")
         if marginal:
             x = problem.design.x
@@ -327,10 +329,15 @@ class TestProblemCaches:
         monkeypatch.setattr(PairWeights, "w", property(lambda self: dense.append(self)))
         builds = count_calls(monkeypatch, solver, "pair_workspace")
         passes = count_calls(monkeypatch, solver, "_pair_sums")
+        pieces = []
+        load = PairWorkspace.load
+        monkeypatch.setattr(PairWorkspace, "load",
+                            lambda work, first: pieces.append(load(work, first).ends) or work)
         fit = fit_rasper(problem)
         mm_step(problem, fit.beta0, fit.beta)
         assert fit.iterations >= (lam > 0) and fit.concordance > 0
         assert len(passes) >= 1 + (lam > 0) and len(builds) == 1 and not dense
+        assert len(pieces) == len(passes) and all(e is pieces[0] for e in pieces)
         assert problem.workspace.stack.shape == (3 if marginal else 1, problem.design.n,
                                                  problem.design.p)
 
