@@ -8,6 +8,7 @@ from .concordance import (
     concordance_gradient,
     concordance_value,
     exact_rank_params,
+    jj_coefficient,
     pair_weights,
     smooth_rank_params,
 )
@@ -25,7 +26,6 @@ from .solver import (
     PenalizedProblem,
     default_nu,
     fit_rasper,
-    jj_coefficient,
     mm_step,
     penalized_objective,
 )

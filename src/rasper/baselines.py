@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_model import ExternalRanks, StandardizedDesign
-from .errors import SingularDesign
+from .errors import InvalidValue, SingularDesign
 
 
 def _as_matrix(design):
@@ -50,11 +50,11 @@ def fit_atl(design, y, alpha, lam, beta_external):
     a nonsingular X'X.
     """
     if alpha < 0 or lam < 0:
-        raise ValueError("alpha and lambda must be nonnegative")
+        raise InvalidValue("alpha and lambda must be nonnegative")
     beta_external = np.asarray(beta_external, dtype=float)
     xc, yc, ybar, xbar = _centered(design, y)
     if beta_external.shape[0] != xc.shape[1]:
-        raise ValueError("beta_external length does not match design")
+        raise InvalidValue("beta_external length does not match design")
     system = xc.T @ xc + alpha * np.eye(xc.shape[1])
     if alpha == 0 and np.linalg.matrix_rank(system) < xc.shape[1]:
         raise SingularDesign("X'X is singular")

@@ -189,7 +189,7 @@ def cmd_score(args):
 
 def cmd_simulate(args):
     setting = SimSetting.from_json(args.setting)
-    report = run_benchmark(setting, threads=args.threads)
+    report = run_benchmark(setting)
     os.makedirs(args.out, exist_ok=True)
     _write_config(args.out, args)
     with open(os.path.join(args.out, "benchmark.json"), "w", encoding="utf-8") as fh:
@@ -212,10 +212,6 @@ def _add_data_args(sub):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="rasper")
-    # Replications hold the GIL for most of their time, so a second thread
-    # slows ``simulate`` down (``run_benchmark`` keeps the pool for callers).
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for simulate replications (default 1)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     fit = subs.add_parser("fit", help="fit at fixed hyperparameters")

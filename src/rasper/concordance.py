@@ -67,7 +67,7 @@ class PairWeights:
 
     def __post_init__(self):
         if self.measure not in (SPEARMAN, KENDALL):
-            raise ValueError(f"unknown measure {self.measure!r}")
+            raise InvalidValue(f"unknown measure {self.measure!r}")
 
     @property
     def w(self) -> np.ndarray:
@@ -93,7 +93,7 @@ def _checked_beta(x, beta):
     if x.shape[1] != beta.shape[0]:
         raise DimensionMismatch(f"design has {x.shape[1]} columns, beta has {beta.shape[0]}")
     if not np.all(np.isfinite(beta)):
-        raise ValueError("beta contains non-finite values")
+        raise InvalidValue("beta contains non-finite values")
     return beta
 
 
@@ -119,7 +119,7 @@ def smooth_rank_params(x, beta, nu) -> np.ndarray:
     The diagonal contributes exactly 1/2, so each value lies in (0, n).
     """
     if not nu > 0:
-        raise ValueError("nu must be positive")
+        raise InvalidValue("nu must be positive")
     return _sigma_table(_linear_predictor(x, beta) / nu).sum(axis=1)
 
 
@@ -158,7 +158,6 @@ class PairWorkspace:
 
     def __init__(self, stack, r, measure):
         r = np.asarray(r, dtype=float)
-        self.stack = stack
         if r.ndim == 1:
             stack, r = [stack], r[None]
         size, n = r.shape
@@ -235,23 +234,25 @@ def _logistic_of_negated(s):
     return s
 
 
-def _sigma_table(t, out=None):
+def _sigma_table(t):
     """sigma(u) for u_ij = t_i - t_j over the last axis of ``t`` (one table
-    per leading index), built in one buffer, ``out`` when given: it starts
-    as -u (t_j - t_i, exactly the negation of t_i - t_j)."""
-    return _logistic_of_negated(np.subtract(t[..., None, :], t[..., :, None], out=out))
+    per leading index), built in one buffer: it starts as -u (t_j - t_i,
+    exactly the negation of t_i - t_j)."""
+    return _logistic_of_negated(np.subtract(t[..., None, :], t[..., :, None]))
 
 
-def _bound_curvature(u, s, out=None):
-    """``solver.jj_coefficient(u)`` from s = sigma(u) already in hand:
-    tanh(u/2)/(4u) = (sigma(u) - 1/2)/(2u), with the same series near zero.
-    The result is written into ``out`` when given, which may be ``u``."""
+def jj_coefficient(u):
+    """Curvature of the quadratic logistic bound: tanh(u/2)/(4u).
+
+    Even, positive, maximized at u = 0 with value 1/8; a short series is used
+    near zero. Accepts scalars or arrays.
+    """
+    u = np.asarray(u, dtype=float)
     small = np.abs(u) <= 1e-4
-    near = 0.125 - u[small] ** 2 / 96.0
-    out = np.asarray(np.multiply(u, 2.0, out=out))
-    out[small] = 1.0
-    np.divide(s - 0.5, out, out=out)
-    out[small] = near
+    safe = np.where(small, 1.0, u)
+    out = np.where(small, 0.125 - u * u / 96.0, np.tanh(safe / 2.0) / (4.0 * safe))
+    if out.ndim == 0:
+        return float(out)
     return out
 
 
@@ -373,8 +374,7 @@ def _chunk_sums(work, beta, nu, gradient, mm, hessian, check):
             v *= work.const
         lin = np.matmul(work.flat_t, (v.sum(axis=3) - v.sum(axis=2)).reshape(size, -1, 1))
         lin = lin.reshape(size, p) / (nu * count * d[:, None])
-        u = np.negative(np.matmul(work.left, work.right, out=h_buf), out=h_buf)
-        v *= _bound_curvature(u, s, out=u)
+        v *= jj_coefficient(np.negative(np.matmul(work.left, work.right, out=h_buf), out=h_buf))
         quad = _laplacian(work, np.add(v, v.transpose(0, 1, 3, 2), out=h_buf))
         quad /= nu * nu * count * d[:, None, None]
     return d, grad, lin, quad, hess
@@ -436,14 +436,14 @@ def concordance_value(x, beta, nu, weights: PairWeights) -> float:
     """D = sum_ij w_ij g_nu((x_i - x_j)' beta), averaged over sampled tables
     for marginalized weights."""
     work = pair_workspace(weights, x)
-    beta = _checked_beta(work.stack[0], beta)
+    beta = _checked_beta(work.tables[0][0], beta)
     return _pair_sums(work, beta, nu)[0]
 
 
 def concordance_gradient(x, beta, nu, weights: PairWeights) -> np.ndarray:
     """Gradient of D with respect to beta."""
     work = pair_workspace(weights, x)
-    beta = _checked_beta(work.stack[0], beta)
+    beta = _checked_beta(work.tables[0][0], beta)
     return _pair_sums(work, beta, nu, gradient=True)[1]
 
 
@@ -469,7 +469,7 @@ def build_marginal_sampler(z, b, samples, seed) -> MarginalSampler:
     if z.ndim != 2 or b.ndim != 2 or z.shape[0] != b.shape[0]:
         raise DimensionMismatch("z and b must be 2-d with equal row counts")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidValue("samples must be >= 1")
     n = z.shape[0]
     d = b.shape[1]
     sigma_bz = (b.T @ z) / n

@@ -37,7 +37,7 @@ from .concordance import (
     problem_weights,
 )
 from .data_model import ExternalRanks, StandardizedDesign
-from .errors import FoldFailure, InvalidBounds, RasperError, SingularSystem
+from .errors import FoldFailure, InvalidBounds, InvalidValue, RasperError, SingularSystem
 from .solver import (
     FitResult,
     PenalizedProblem,
@@ -90,6 +90,12 @@ def default_grid(n, j=10, k=10, lam_ratios=LAM_RATIOS,
                       alpha_ratios[0] * n, alpha_ratios[1] * n, k)
 
 
+def _fold_rows(n):
+    """The (n, n - 1) rows of the n leave-one-out folds: fold k drops row k."""
+    rows = np.arange(n - 1)
+    return rows + (rows >= np.arange(n)[:, None])
+
+
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
                       spec: ConcordanceSpec) -> list[PairWeights]:
     """Weights of every leave-one-out fold, as a list indexed by the
@@ -101,14 +107,10 @@ def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
     rule s_j >= s_k exactly when r_j >= r_k, so dropping row k lowers by one
     the rank of every retained row ranked at or above it.
     """
-    n = design.n
-    cache = []
-    for k in range(n):
-        keep = np.concatenate([np.arange(k), np.arange(k + 1, n)])
-        r = ranks.r[keep]
-        cache.append(problem_weights(design.subset(keep),
-                                     ExternalRanks(r=r - (r >= ranks.r[k])), spec))
-    return cache
+    keep = _fold_rows(design.n)
+    r = ranks.r[keep]
+    return [problem_weights(design.subset(rows), ExternalRanks(r=fr), spec)
+            for rows, fr in zip(keep, r - (r >= ranks.r[:, None]))]
 
 
 def _fold_batch(design, y, fold_cache, spec, lam, alpha):
@@ -116,9 +118,7 @@ def _fold_batch(design, y, fold_cache, spec, lam, alpha):
     the data's rows other than k, with the full-data standardization, and
     its pair workspace shares them (or takes the fold's cached tables, when
     marginalized) and takes the fold's cached ranks."""
-    n = design.n
-    rows = np.arange(n - 1)
-    keep = rows + (rows >= np.arange(n)[:, None])        # fold k drops row k
+    keep = _fold_rows(design.n)
     x = design.x[keep]
     work = None
     if lam > 0:
@@ -300,7 +300,7 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     (singular) degrees-of-freedom system are excluded from AIC selection.
     """
     if criterion not in ("loocv", "aic"):
-        raise ValueError(f"unknown criterion {criterion!r}")
+        raise InvalidValue(f"unknown criterion {criterion!r}")
     y = np.asarray(y, dtype=float)
     base = PenalizedProblem(design=design, y=y, weights=problem_weights(design, ranks, spec),
                             spec=spec)

@@ -26,13 +26,13 @@ def spearman_rc(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError("inputs must be equal-length 1-d arrays with n >= 2")
+        raise InvalidValue("inputs must be equal-length 1-d arrays with n >= 2")
     ra = midranks(a)
     rb = midranks(b)
     sa = ra.std()
     sb = rb.std()
     if sa == 0 or sb == 0:
-        raise ValueError("zero-variance input to rank correlation")
+        raise InvalidValue("zero-variance input to rank correlation")
     return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
 
 
@@ -66,6 +66,10 @@ class SimSetting:
             raise InvalidValue("sigma must be positive")
         if self.samples < 1 or not (self.nu is None or self.nu > 0):
             raise InvalidValue("samples must be >= 1 and nu positive")
+        if self.replications < 1 or self.n_test < 1:
+            raise InvalidValue("replications and n_test must be >= 1")
+        if self.criterion not in ("loocv", "aic"):
+            raise InvalidValue(f"unknown criterion {self.criterion!r}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise InvalidValue(f"unknown method {m!r}")
@@ -81,6 +85,11 @@ class SimSetting:
             raise InvalidValue(f"study 2 takes at most {p} beta_internal entries")
         if self.study != "2" and len(self.beta_internal) != p:
             raise InvalidValue(f"study {self.study} takes {p} beta_internal entries")
+        # a constant internal mean or external score has no ranks to correlate
+        if not np.any(self.beta_internal):
+            raise InvalidValue("beta_internal is all zero: the internal mean is constant")
+        if self.study != "2" and not np.any(self.beta_external):
+            raise InvalidValue("beta_external is all zero: the external score is constant")
 
     def grid(self):
         """The (lambda, alpha) grid at n_internal: the bounds are the scale

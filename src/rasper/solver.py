@@ -6,8 +6,8 @@ p is small, so every point the solver visits (the start and each trial)
 takes one pass of the pair-sum engine, which gives F together with its
 gradient g and Hessian H; an accepted trial's g and H are the next
 iterate's, so no point is evaluated twice. A caller that hands in the
-start's D, gradient and Hessian (``fit_rasper(start=...)``, which every
-plain leave-one-out fold gets from ``concordance.fold_pair_sums``) saves the
+start's D, gradient and Hessian (``fit_batch(start=...)``, as the plain
+leave-one-out folds do from ``concordance.fold_pair_sums``) saves the
 start's pass. Each iterate also takes one eigendecomposition of H, which
 gives the trial step in closed form: the Newton step when H is positive
 definite and that step fits in the trust radius, else a damped Newton step
@@ -21,9 +21,10 @@ shrinks the radius. The fit stops on a scale-free relative gradient, so
 ``mm_step`` is the paper's majorize-minimize map, which the fit no longer
 calls: it majorizes -lambda*log D by a convex quadratic built from the
 quasi-probabilities (the normalized pairwise terms of D) and the quadratic
-logistic bound with curvature tanh(u/2)/(4u), and minimizing that surrogate
-(``surrogate_value``) is one weighted ridge solve that never increases the
-objective in exact arithmetic. A converged fit is its fixed point.
+logistic bound with curvature tanh(u/2)/(4u) (``concordance.jj_coefficient``),
+and minimizing that surrogate (``surrogate_value``) is one weighted ridge
+solve that never increases the objective in exact arithmetic. A converged
+fit is its fixed point.
 
 The loop, ``fit_batch``, fits a ``ProblemBatch``: B problems of one size
 that share (lambda, alpha, nu), held on a leading problem axis. Every round
@@ -75,9 +76,9 @@ class PenalizedProblem:
     parts fixed for one fit are built once, on first use: the pair-sum
     ``workspace`` (stacked design tables, rank-derived weights and the
     buffers every engine pass of the fit reuses) and ``batch``, the problem
-    as a ``ProblemBatch`` of one, whose ``gram`` = X_c'X_c + alpha I and
-    ``xty`` = X_c'y_c the problem also reads. The workspace's buffers make a
-    problem unsafe to evaluate from two threads at once."""
+    as a ``ProblemBatch`` of one, which also holds its gram X_c'X_c + alpha I
+    and X_c'y_c. The workspace's buffers make a problem unsafe to evaluate
+    from two threads at once."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -123,14 +124,6 @@ class PenalizedProblem:
         takes."""
         return problem_batch(self.design.x[None], self.y[None], self.lam, self.alpha,
                              self.nu, self.workspace if self.lam > 0 else None)
-
-    @property
-    def gram(self):
-        return self.batch.gram[0]
-
-    @property
-    def xty(self):
-        return self.batch.xty[0]
 
 
 @dataclass(frozen=True)
@@ -195,21 +188,6 @@ class FitResult:
     evaluations: int             # points evaluated: the start plus the trials, iterations + 1
 
 
-def jj_coefficient(u):
-    """Curvature of the quadratic logistic bound: tanh(u/2)/(4u).
-
-    Even, positive, maximized at u = 0 with value 1/8; a short series is used
-    near zero. Accepts scalars or arrays.
-    """
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) <= 1e-4
-    safe = np.where(small, 1.0, u)
-    out = np.where(small, 0.125 - u * u / 96.0, np.tanh(safe / 2.0) / (4.0 * safe))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def default_nu(design: StandardizedDesign, y) -> float:
     """Default smoothing scale: 0.1 times the norm of the unpenalized
     least-squares coefficients, with a ridge fallback for singular designs
@@ -260,7 +238,7 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
     minimizes the surrogate jointly in (beta0, beta). A system without a
     Cholesky factor raises ``NonSPDSystem``."""
     beta = np.asarray(beta, dtype=float)
-    system, rhs = problem.gram, problem.xty
+    system, rhs = problem.batch.gram[0], problem.batch.xty[0]
     if problem.lam > 0:
         _, _, lin, quad, _ = _sums(problem, beta, mm=True)
         system = system + 2.0 * problem.lam * quad
@@ -532,23 +510,19 @@ def _rows(index, *arrays):
 
 
 def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
-               max_iter=500, start=None) -> FitResult:
+               max_iter=500) -> FitResult:
     """Fit the rank-penalized regression by trust-region Newton steps:
     ``fit_batch`` on the problem as a batch of one (``problem.batch``).
 
     Starts from the local-objective minimizer unless ``init`` is given.
-    ``start`` = (D, dD, d2D) at ``init`` replaces the start's engine pass.
     A D that is not positive at the start, or a rank-deficient design with
     alpha = 0 and no ``init``, raises its error. At lambda = 0 the fit makes
     no pair pass while fitting and one value pass at the end, for the D it
     reports (None when every pair weight is zero). Every problem, with or
     without marginal tables, runs this same loop.
     """
-    if start is not None and init is None:
-        raise InvalidValue("a start needs the init it was evaluated at")
     beta = None if init is None else np.asarray(init, dtype=float)[None]
-    sums = None if start is None else tuple(np.asarray(a, dtype=float)[None] for a in start)
-    (fit,) = fit_batch(problem.batch, beta, sums, tol=tol, max_iter=max_iter)
+    (fit,) = fit_batch(problem.batch, beta, tol=tol, max_iter=max_iter)
     if isinstance(fit, RasperError):
         raise fit
     if fit.concordance is None and problem.workspace.live[0]:

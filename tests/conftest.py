@@ -43,7 +43,7 @@ def reference_pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=F
     """The per-table pair-sum formula on a dense weight matrix ``w``, one
     table at a time: the reference the stacked engine
     (``concordance._pair_sums``) is tested against. Same return tuple."""
-    from rasper.solver import jj_coefficient
+    from rasper.concordance import jj_coefficient
 
     p = beta.shape[0]
     d = 0.0

@@ -293,16 +293,14 @@ class TestSimulate:
             "grid_k": 1,
         }
 
-    def test_ols_only_all_ones_and_thread_independence(self, tmp_path):
+    def test_ols_only_all_ones_and_repeatable(self, tmp_path):
         setting = tmp_path / "setting.json"
         setting.write_text(json.dumps(self.setting_payload()),
                            encoding="utf-8")
         out1 = tmp_path / "s1"
         out2 = tmp_path / "s2"
-        assert run(["--threads", "1", "simulate", "--setting", str(setting),
-                    "--out", str(out1)]) == 0
-        assert run(["--threads", "2", "simulate", "--setting", str(setting),
-                    "--out", str(out2)]) == 0
+        assert run(["simulate", "--setting", str(setting), "--out", str(out1)]) == 0
+        assert run(["simulate", "--setting", str(setting), "--out", str(out2)]) == 0
         with open(out1 / "benchmark.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["ols"]
@@ -311,12 +309,6 @@ class TestSimulate:
                            shallow=False)
         payload = json.loads((out1 / "benchmark.json").read_text())
         assert payload["failures"] == 0
-
-    def test_threads_default_to_one(self, tmp_path):
-        setting = tmp_path / "setting.json"
-        setting.write_text(json.dumps(self.setting_payload()), encoding="utf-8")
-        assert run(["simulate", "--setting", str(setting), "--out", str(tmp_path)]) == 0
-        assert json.loads((tmp_path / "config.json").read_text())["threads"] == 1
 
     def test_missing_setting_file(self, tmp_path):
         assert run(["simulate", "--setting", str(tmp_path / "x.json"),
@@ -373,8 +365,15 @@ def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
     ({"study": "1b", "beta_external": [1.0, 0.5], "beta_internal": [1.0] * 4}, "beta_external"),
     ({"study": "2", "beta_internal": [1.0] * 7}, "beta_internal"),
     ({"study": "2", "beta_internal": [1.0] * 6, "theta": [0.1] * 3}, "theta"),
+    ({"criterion": "bic", "methods": ["rasper_spearman"]}, "'bic'"),
+    ({"beta_internal": [0.0, 0.0]}, "internal mean is constant"),
+    ({"study": "1b", "beta_external": [0.0] * 4, "beta_internal": [1.0] * 6},
+     "external score is constant"),
+    ({"replications": 0}, "replications"),
+    ({"n_test": 0}, "n_test"),
 ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
-        "2-theta-3"])
+        "2-theta-3", "bic-criterion", "zero-beta-internal", "1b-zero-beta-external",
+        "no-replications", "no-test-rows"])
 def test_malformed_study_setting_exit_1(tmp_path, capsys, change, needle):
     setting = tmp_path / "setting.json"
     setting.write_text(json.dumps({**TestSimulate().setting_payload(), **change}),

@@ -11,7 +11,6 @@ from rasper.concordance import (
     ConcordanceSpec,
     PairWeights,
     PairWorkspace,
-    _bound_curvature,
     _pair_sums,
     _sigma_table,
     build_marginal_sampler,
@@ -19,6 +18,7 @@ from rasper.concordance import (
     concordance_value,
     exact_rank_params,
     fold_pair_sums,
+    jj_coefficient,
     marginalized_weights,
     pair_weights,
     problem_weights,
@@ -31,7 +31,7 @@ from rasper.errors import (
     InvalidValue,
     NonpositiveConcordance,
 )
-from rasper.solver import fit_rasper, jj_coefficient, penalized_objective
+from rasper.solver import fit_rasper, penalized_objective
 
 from conftest import make_problem, reference_pair_sums
 
@@ -234,11 +234,6 @@ class TestPairSumEngine:
                  (lin, ref_lin / (count * ref_d)), (quad, ref_quad / (count * ref_d))]
         for got, want in pairs:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("u", [0.0, 1e-5, -1e-5, 1e-4, -1e-4, 0.3, -0.3, 20.0, -20.0])
-    def test_curvature_matches_jj_coefficient(self, u):
-        assert float(_bound_curvature(np.array(u), expit(u))) == \
-            pytest.approx(jj_coefficient(u), rel=1e-12)
 
     def test_only_zero_weights_are_degenerate(self):
         # Decided from the ranks: all-tied Kendall ranks give no weight; a

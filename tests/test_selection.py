@@ -302,8 +302,8 @@ class TestBatchedFolds:
         for k, (fold, weights) in enumerate(zip(folds, cache)):
             keep = np.delete(np.arange(n), k)
             problem = PenalizedProblem(design.subset(keep), y[keep], weights, spec, lam, alpha)
-            alone = fit_rasper(problem, init=full.beta if warm else None,
-                               start=None if starts is None else tuple(a[k] for a in starts))
+            (alone,) = fit_batch(problem.batch, full.beta[None] if warm else None,
+                                 None if starts is None else tuple(a[k:k + 1] for a in starts))
             assert fold.converged == alone.converged
             assert fold.iterations == alone.iterations
             assert np.linalg.norm(fold.beta - alone.beta) <= 1e-12 * np.linalg.norm(alone.beta)

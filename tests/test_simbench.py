@@ -155,8 +155,18 @@ class TestSimSetting:
         dict(study="1b", beta_external=(1.0,) * 3, beta_internal=(1.0,) * 5),
         dict(study="2", beta_internal=(1.0,) * 7),
         dict(study="2", beta_internal=(1.0,) * 6, theta=(0.1, 0.1, 0.1)),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), criterion="bic",
+             methods=("rasper_spearman",)),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), replications=0),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), n_test=0),
+        dict(study="1a", beta_external=(1.0, 0.5), beta_internal=(0.0, 0.0)),
+        dict(study="2", beta_internal=()),
+        dict(study="1a", beta_external=(0.0, 0.0), beta_internal=(1.0, 0.5)),
+        dict(study="1b", beta_external=(0.0,) * 4, beta_internal=(1.0,) * 6),
     ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
-            "2-theta-3"])
+            "2-theta-3", "bic-criterion", "no-replications", "no-test-rows",
+            "1a-zero-beta-internal", "2-empty-beta-internal", "1a-zero-beta-external",
+            "1b-zero-beta-external"])
     def test_malformed_study_coefficients_rejected(self, bad):
         with pytest.raises(InvalidValue):
             SimSetting(n_internal=20, **bad)

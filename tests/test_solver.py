@@ -12,6 +12,7 @@ from rasper.concordance import (
     PairWeights,
     PairWorkspace,
     build_marginal_sampler,
+    jj_coefficient,
     marginalized_weights,
     pair_weights,
 )
@@ -28,7 +29,6 @@ from rasper.solver import (
     PenalizedProblem,
     default_nu,
     fit_rasper,
-    jj_coefficient,
     local_minimizer,
     mm_step,
     objective_gradient,
@@ -338,7 +338,7 @@ class TestProblemCaches:
         assert fit.iterations >= (lam > 0) and fit.concordance > 0
         assert len(passes) >= 1 + (lam > 0) and len(builds) == 1 and not dense
         assert len(pieces) == len(passes) and all(e is pieces[0] for e in pieces)
-        assert problem.workspace.stack.shape == (3 if marginal else 1, problem.design.n,
+        assert problem.workspace.tables[0].shape == (3 if marginal else 1, problem.design.n,
                                                  problem.design.p)
 
     def test_rank_count_must_match_rows(self):
@@ -436,12 +436,6 @@ class TestNewtonAndFallback:
         # The trace takes F from the derivative pass in penalized_objective's
         # order, so the two agree to the last bit.
         assert fit.objective_trace[-1] == penalized_objective(p, fit.beta0, fit.beta)
-
-    def test_start_without_init_rejected(self):
-        p, _, _ = make_problem(lam=5.0)
-        d, grad, _, _, hess = solver._sums(p, np.zeros(p.design.p), gradient=True, hessian=True)
-        with pytest.raises(InvalidValue):
-            fit_rasper(p, start=(d, grad, hess))
 
     def test_constant_outcome_converges(self):
         p, _, _ = make_problem(lam=5.0)
