@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,6 +69,8 @@ class SimSetting:
             raise InvalidValue("replications and n_test must be >= 1")
         if self.criterion not in ("loocv", "aic"):
             raise InvalidValue(f"unknown criterion {self.criterion!r}")
+        if self.study2_z5_mode not in ("extra", "reuse_z4"):
+            raise InvalidValue(f"unknown study2_z5_mode {self.study2_z5_mode!r}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise InvalidValue(f"unknown method {m!r}")
@@ -190,26 +191,25 @@ def generate(setting: SimSetting, rng) -> SimData:
                    x_test=xt, scores_test=_external_scores(setting, zt), mu_test=xt @ bi)
 
 
-def _loo_mse(x, y, alpha, lam=0.0, beta_e=None):
-    """Exact leave-one-out mean squared prediction error of the linear fit
-    minimizing 0.5*||y - b0 - X b||^2 + (alpha/2)*||b||^2 - lam*beta_e'b:
-    ridge is lam = 0, DTL lam = alpha, and ATL any lam (``baselines``).
+def _loo_errors(x, y, alpha):
+    """Exact leave-one-out mean squared prediction error of the linear fits
+    minimizing 0.5*||y - b0 - X b||^2 + (alpha/2)*||b||^2 - lam*beta_e'b at
+    one alpha: returns ``mse(lam=0.0, beta_e=None)``. Ridge is lam = 0, DTL
+    lam = alpha, and ATL any lam (``baselines``).
 
     Neither penalty depends on the data, so deleting row i downdates the
     normal equations A theta = b by one rank, with X1 = [1, X],
     A = X1'X1 + diag(0, alpha I) and b = X1'y + (0, lam*beta_e), and the
     held-out residual is e_i / (1 - h_ii) (Allen 1974, PRESS): e are the
-    full-data residuals and h_ii the diagonal of X1 A^{-1} X1'. Raises
-    ``SingularDesign`` where a refit without some row would be singular:
-    A is singular or some h_ii >= 1 - 1e-10.
+    full-data residuals and h_ii the diagonal of X1 A^{-1} X1'. A and h do
+    not depend on lam or beta_e, so they are factored here once and ``mse``
+    only solves for b. Raises ``SingularDesign`` where a refit without some
+    row would be singular: A is singular or some h_ii >= 1 - 1e-10.
     """
     n, p = x.shape
     x1 = np.hstack([np.ones((n, 1)), x])
     a = x1.T @ x1
     a[1:, 1:] += alpha * np.eye(p)
-    b = x1.T @ y
-    if lam:
-        b[1:] += lam * np.asarray(beta_e, dtype=float)
     if np.linalg.matrix_rank(a) <= p:
         raise SingularDesign("leave-one-out system is singular")
     try:
@@ -223,22 +223,31 @@ def _loo_mse(x, y, alpha, lam=0.0, beta_e=None):
     h = np.einsum("ij,ji->i", x1, solve(x1.T))
     if np.any(h >= 1.0 - 1e-10):
         raise SingularDesign("a row has leverage 1; its leave-one-out fit is singular")
-    e = (y - x1 @ solve(b)) / (1.0 - h)
-    return float(e @ e) / n
+    xty = x1.T @ y
+
+    def mse(lam=0.0, beta_e=None):
+        b = xty.copy()
+        if lam:
+            b[1:] += lam * np.asarray(beta_e, dtype=float)
+        e = (y - x1 @ solve(b)) / (1.0 - h)
+        return float(e @ e) / n
+
+    return mse
 
 
-# Each picks the least leave-one-out error; ties go to the smaller lam, then alpha.
-def _select_ridge(x, y, alphas):
-    return baselines.fit_ridge(x, y, min((_loo_mse(x, y, a), a) for a in alphas)[1])
+# Each takes ``loo``, alpha -> ``_loo_errors`` at that alpha, and picks the
+# least leave-one-out error; ties go to the smaller lam, then alpha.
+def _select_ridge(x, y, loo):
+    return baselines.fit_ridge(x, y, min((mse(), a) for a, mse in loo.items())[1])
 
 
-def _select_dtl(x, y, alphas, beta_e):
-    best = min((_loo_mse(x, y, a, a, beta_e), a) for a in alphas)[1]
+def _select_dtl(x, y, loo, beta_e):
+    best = min((mse(a, beta_e), a) for a, mse in loo.items())[1]
     return baselines.fit_dtl(x, y, best, beta_e)
 
 
-def _select_atl(x, y, alphas, lams, beta_e):
-    _, lam, a = min((_loo_mse(x, y, a, lam, beta_e), lam, a) for a in alphas for lam in lams)
+def _select_atl(x, y, loo, lams, beta_e):
+    _, lam, a = min((mse(lam, beta_e), lam, a) for a, mse in loo.items() for lam in lams)
     return baselines.fit_atl(x, y, a, lam, beta_e)
 
 
@@ -272,15 +281,16 @@ def _run_replication(setting: SimSetting, rep: int):
     results["ols"] = mse(beta0, beta)
 
     wanted = set(setting.methods)
-    alphas = grid.alpha_values
+    if wanted & {"ridge", "dtl", "atl"}:
+        loo = {a: _loo_errors(design.x, data.y, a) for a in grid.alpha_values}
     if "ridge" in wanted:
-        results["ridge"] = mse(*_select_ridge(design.x, data.y, alphas))
+        results["ridge"] = mse(*_select_ridge(design.x, data.y, loo))
     if "dtl" in wanted or "atl" in wanted:
         beta_e = _external_target(setting, data, design)
         if "dtl" in wanted:
-            results["dtl"] = mse(*_select_dtl(design.x, data.y, alphas, beta_e))
+            results["dtl"] = mse(*_select_dtl(design.x, data.y, loo, beta_e))
         if "atl" in wanted:
-            results["atl"] = mse(*_select_atl(design.x, data.y, alphas,
+            results["atl"] = mse(*_select_atl(design.x, data.y, loo,
                                               grid.lam_values, beta_e))
     if "stacking" in wanted:
         beta0, beta, r_mean, r_scale = baselines.fit_stacking(design, data.y, ranks)
@@ -337,14 +347,12 @@ class BenchReport:
 
 def run_benchmark(setting: SimSetting, threads=1) -> BenchReport:
     """Run the Monte-Carlo benchmark; per-replication failures are excluded
-    with a count reported. Replication RNG streams are keyed by
-    (seed, replication index), so results do not depend on thread count."""
-    reps = range(setting.replications)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(lambda r: _attempt(setting, r), reps))
-    else:
-        raw = [_attempt(setting, r) for r in reps]
+    with a count reported. Replications run one after another in the calling
+    process: each is many small numpy calls that hold the interpreter lock,
+    so threads ran them slower, not faster. ``threads`` is accepted and
+    ignored. Replication RNG streams are keyed by (seed, replication index),
+    so a replication's result does not depend on how many run."""
+    raw = [_attempt(setting, r) for r in range(setting.replications)]
 
     ok = [r for r in raw if r is not None]
     failures = len(raw) - len(ok)

@@ -17,7 +17,7 @@ from rasper.simbench import (
     SimSetting,
     _f1,
     _f2,
-    _loo_mse,
+    _loo_errors,
     generate,
     run_benchmark,
     spearman_rc,
@@ -99,15 +99,28 @@ class TestClosedFormLOO:
     @pytest.mark.parametrize("alpha", [0.0, 0.005, 0.5, 50.0, 5000.0])
     def test_matches_refits(self, alpha):
         x, y, beta_e = self._data()
-        cases = [(_loo_mse(x, y, alpha),
-                  lambda xs, ys: baselines.fit_ridge(xs, ys, alpha)),
-                 (_loo_mse(x, y, alpha, alpha, beta_e),
+        loo = _loo_errors(x, y, alpha)
+        cases = [(loo(), lambda xs, ys: baselines.fit_ridge(xs, ys, alpha)),
+                 (loo(alpha, beta_e),
                   lambda xs, ys: baselines.fit_dtl(xs, ys, alpha, beta_e))]
-        cases += [(_loo_mse(x, y, alpha, lam, beta_e),
+        cases += [(loo(lam, beta_e),
                    lambda xs, ys, lam=lam: baselines.fit_atl(xs, ys, alpha, lam, beta_e))
                   for lam in (0.0, 0.5, 500.0, 5e4)]
         for closed, fitter in cases:
             assert closed == pytest.approx(_refit_loo_mse(x, y, fitter), rel=1e-12)
+
+    def test_one_factorization_scores_every_lambda(self):
+        # ATL's grid scores several lambda on one alpha's factorization: each
+        # score equals a fresh factorization's bit for bit, in any order.
+        x, y, beta_e = self._data()
+        lams = (5e4, 0.0, 500.0, 0.5)
+        loo = _loo_errors(x, y, 0.5)
+        scores = [loo(lam, beta_e) for lam in lams]
+        assert [loo(lam, beta_e) for lam in reversed(lams)] == scores[::-1]
+        for lam, score in zip(lams, scores):
+            assert score == _loo_errors(x, y, 0.5)(lam, beta_e)
+            assert score == pytest.approx(_refit_loo_mse(
+                x, y, lambda xs, ys: baselines.fit_atl(xs, ys, 0.5, lam, beta_e)), rel=1e-12)
 
     def test_leverage_one_row_is_singular(self):
         # Column 5 is nonzero on row 3 only, so the fit without row 3 is
@@ -116,10 +129,10 @@ class TestClosedFormLOO:
         x[:, 5] = 0.0
         x[3, 5] = 1.0
         with pytest.raises(SingularDesign):
-            _loo_mse(x, y, 0.0)
+            _loo_errors(x, y, 0.0)
         with pytest.raises(SingularDesign):
             _refit_loo_mse(x, y, lambda xs, ys: baselines.fit_ridge(xs, ys, 0.0))
-        assert _loo_mse(x, y, 0.5) == pytest.approx(
+        assert _loo_errors(x, y, 0.5)() == pytest.approx(
             _refit_loo_mse(x, y, lambda xs, ys: baselines.fit_ridge(xs, ys, 0.5)), rel=1e-12)
 
 
@@ -163,10 +176,11 @@ class TestSimSetting:
         dict(study="2", beta_internal=()),
         dict(study="1a", beta_external=(0.0, 0.0), beta_internal=(1.0, 0.5)),
         dict(study="1b", beta_external=(0.0,) * 4, beta_internal=(1.0,) * 6),
+        dict(study="2", beta_internal=(1.0,) * 6, study2_z5_mode="reuse-z4"),
     ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
             "2-theta-3", "bic-criterion", "no-replications", "no-test-rows",
             "1a-zero-beta-internal", "2-empty-beta-internal", "1a-zero-beta-external",
-            "1b-zero-beta-external"])
+            "1b-zero-beta-external", "2-misspelt-z5-mode"])
     def test_malformed_study_coefficients_rejected(self, bad):
         with pytest.raises(InvalidValue):
             SimSetting(n_internal=20, **bad)
@@ -258,14 +272,20 @@ class TestBenchmark:
         assert rep.rel_mse_mean["ols"] == pytest.approx(1.0)
         assert rep.rel_mse_se["ols"] == pytest.approx(0.0)
 
-    def test_thread_count_does_not_change_results(self):
-        s = self.small_setting(methods=("ridge", "rasper_spearman"),
-                               replications=2)
-        one = run_benchmark(s, threads=1)
-        two = run_benchmark(s, threads=2)
-        assert one.rel_mse_mean == two.rel_mse_mean
-        assert one.mse_mean == two.mse_mean
-        assert one.rc_mean == two.rc_mean
+    def test_replications_are_keyed_by_seed_and_index(self):
+        # A replication's RNG stream is keyed by (seed, index), so it does
+        # not depend on how many replications run; threads is ignored.
+        methods = ("ridge", "atl", "rasper_spearman")
+        s = self.small_setting(methods=methods)
+        three = run_benchmark(s)
+        two = run_benchmark(self.small_setting(methods=methods, replications=2))
+        for m in three.methods:
+            assert np.array_equal(three.rel_mse_reps[m][:2], two.rel_mse_reps[m])
+        for threads in (None, 0, 2, 4):
+            other = run_benchmark(s, threads=threads)
+            assert other.to_json() == three.to_json()
+            for m in three.methods:
+                assert np.array_equal(other.rel_mse_reps[m], three.rel_mse_reps[m])
 
     def test_report_serialization(self):
         rep = run_benchmark(self.small_setting())
