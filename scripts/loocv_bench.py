@@ -5,7 +5,9 @@ sampled tables) and each data seed, one ``select`` by LOOCV over a 4 x 3
 grid: lambda in {0, 0.01n, 10n, 1000n} and alpha in {0, 1e-4 n, 100n} (the
 default ratios with J = 2, K = 1), that is n fold fits at each of 12 grid
 points. Prints one JSON line: per penalty, the median and quartiles of the
-wall time of one ``select`` over the seeds, and each seed's pick.
+wall time of one ``select`` over the seeds, each seed's pick, and the
+report's ``fold_iterations`` over the lambda > 0 rows and ``fold_reused``
+(folds started from their fit at the previous alpha), summed over the seeds.
 
     PYTHONPATH=src python scripts/loocv_bench.py [--n 100] [--seeds 1-5]
         [--penalties spearman,kendall,marginalized] [--out scores.json]
@@ -13,7 +15,7 @@ wall time of one ``select`` over the seeds, and each seed's pick.
 
 ``--out`` writes every seed's LOOCV scores and pick; ``--compare`` reads such
 a file (for instance from another checkout) and prints the largest relative
-difference of the scores and how many picks agree.
+difference of the scores, overall and per penalty, and how many picks agree.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def seed_list(text):
 
 
 def run(penalty, seed, n):
-    """Wall time, scores and pick of one ``select`` by LOOCV."""
+    """Wall time, report and pick of one ``select`` by LOOCV."""
     x, y, scores = study1b(seed, n)
     design = standardize(x, 4)
     measure, marginalized = PENALTIES[penalty]
@@ -55,7 +57,7 @@ def run(penalty, seed, n):
     start = time.perf_counter()
     report = select(design, y, ranks, spec, grid, criterion="loocv")
     wall = time.perf_counter() - start
-    return wall, [r.loo for r in report.records], [report.chosen.lam, report.chosen.alpha]
+    return wall, report.records, [report.chosen.lam, report.chosen.alpha]
 
 
 def main():
@@ -69,15 +71,18 @@ def main():
     summary = {"n": args.n, "seeds": args.seeds, "penalties": {}}
     scores = {}
     for penalty in args.penalties.split(","):
-        walls, picks = [], {}
+        walls, picks, iterations, reused = [], {}, 0, 0
         for seed in args.seeds:
-            wall, loo, pick = run(penalty, seed, args.n)
+            wall, records, pick = run(penalty, seed, args.n)
             walls.append(wall)
             picks[str(seed)] = pick
-            scores[f"{penalty}/{seed}"] = {"loo": loo, "pick": pick}
+            iterations += sum(r.fold_iterations for r in records if r.lam > 0)
+            reused += sum(r.fold_reused for r in records)
+            scores[f"{penalty}/{seed}"] = {"loo": [r.loo for r in records], "pick": pick}
         q1, median, q3 = np.percentile(walls, [25, 50, 75])
         summary["penalties"][penalty] = {"median_s": median, "q1_s": q1, "q3_s": q3,
-                                         "picks": picks}
+                                         "picks": picks, "fold_iterations": iterations,
+                                         "fold_reused": reused}
     print(json.dumps(summary))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -86,12 +91,16 @@ def main():
         with open(args.compare, encoding="utf-8") as fh:
             other = json.load(fh)
         common = sorted(set(scores) & set(other))
-        rel = max((abs(a - b) / max(abs(b), 1e-300)
-                   for key in common
-                   for a, b in zip(scores[key]["loo"], other[key]["loo"])), default=0.0)
+        rel = {}
+        for key in common:
+            penalty = key.partition("/")[0]
+            rel[penalty] = max([rel.get(penalty, 0.0)] + [
+                abs(a - b) / max(abs(b), 1e-300)
+                for a, b in zip(scores[key]["loo"], other[key]["loo"])])
         same = sum(scores[key]["pick"] == other[key]["pick"] for key in common)
         print(json.dumps({"compared": len(common), "same_picks": same,
-                          "max_rel_score_diff": rel}))
+                          "max_rel_score_diff": max(rel.values(), default=0.0),
+                          "max_rel_score_diff_by_penalty": rel}))
 
 
 if __name__ == "__main__":

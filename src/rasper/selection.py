@@ -11,19 +11,27 @@ trust-region loop, ``solver.fit_batch``, on rows, ranks, grams and X_c'y_c
 taken from the full data by indexing (O(n^2 p) memory); the pair-sum engine
 walks the batch in chunks sized by ``concordance.CHUNK_PAIRS``, never O(n^3).
 
-Within a grid point every warm fold fit starts at the full fit's beta, so
+D, its gradient and its Hessian depend on beta alone, not on
+(lambda, alpha), so ``select`` starts each warm full fit from the previous
+grid point's beta and its final sums (``FitResult.pair_sums``), and the fit
+is the one an engine pass at its start would give, bit for bit. Within a
+grid point every warm fold fit starts at the full fit's beta, so
 ``loocv_score`` downdates all n start points at once from the full-data
-sigma table (``concordance.fold_pair_sums``) and each fold fit makes no
-engine pass at its start. Folds with sampled design tables are not
-downdated: each fold draws its tables from its own rows, so they are not
-row subsets of the full tables.
+sigma table (``concordance.fold_pair_sums``). ``select`` also keeps each
+lambda's fold solutions and their sums for the next alpha (O(n p^2) floats
+per lambda), and a fold starts from its own solution there instead when
+that point has the smaller gradient of the new grid point's objective,
+which near-equal alpha columns turn into about one Newton step per fold. Either way a plain fold makes no engine pass at its
+start. Folds with sampled design tables take neither start: each fold draws
+its tables from its own rows, so they are not row subsets of the full
+tables, and they start at the full fit's beta with one engine pass.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,11 +45,20 @@ from .concordance import (
     problem_weights,
 )
 from .data_model import ExternalRanks, StandardizedDesign
-from .errors import FoldFailure, InvalidBounds, InvalidValue, RasperError, SingularSystem
+from .errors import (
+    DimensionMismatch,
+    FoldFailure,
+    InvalidBounds,
+    InvalidValue,
+    RasperError,
+    SingularSystem,
+)
 from .solver import (
     FitResult,
     PenalizedProblem,
     _local_objective,
+    _norms,
+    _points,
     fit_batch,
     fit_rasper,
     problem_batch,
@@ -120,16 +137,55 @@ def _fold_batch(design, y, fold_cache, spec, lam, alpha):
     marginalized) and takes the fold's cached ranks."""
     keep = _fold_rows(design.n)
     x = design.x[keep]
-    work = None
-    if lam > 0:
-        stack = x[:, None] if fold_cache[0].tables is None else [w.tables for w in fold_cache]
-        work = PairWorkspace(stack, np.array([w.r for w in fold_cache]), spec.measure)
-    return problem_batch(x, y[keep], lam, alpha, spec.nu, work)
+    batch = problem_batch(x, y[keep], lam, alpha, spec.nu)
+    if not lam > 0:
+        return batch
+    # the engine buffers are allocated once the batch's centered rows are freed
+    stack = x[:, None] if fold_cache[0].tables is None else [w.tables for w in fold_cache]
+    return replace(batch, work=PairWorkspace(stack, np.array([w.r for w in fold_cache]),
+                                             spec.measure))
+
+
+def _fold_points(fits, p):
+    """The fold solutions ``loocv_score`` takes as ``known``, from a grid
+    point's n fold fits in fold order: beta (n, p) and the pair sums
+    (D (n,), dD (n, p), d2D (n, p, p)) there, fold k in row k, with NaN rows
+    where a fold has no ``FitResult`` with pair sums (it failed, or lambda
+    was 0)."""
+    n = len(fits)
+    beta = np.full((n, p), np.nan)
+    sums = np.full(n, np.nan), np.full((n, p), np.nan), np.full((n, p, p), np.nan)
+    for k, fit in enumerate(fits):
+        if isinstance(fit, FitResult) and fit.pair_sums is not None:
+            beta[k] = fit.beta
+            for a, v in zip(sums, fit.pair_sums):
+                a[k] = v
+    return beta, sums
+
+
+def _nearer_starts(problems, beta, starts, known):
+    """Each fold's start: its downdated point (row k of ``beta`` and of the
+    sums ``starts``) or its ``known`` solution at another alpha, whichever
+    has the smaller gradient of this grid point's objective; both carry
+    exact pair sums. A NaN known row has a NaN gradient, so that fold keeps
+    its downdated point. Returns the starts and which folds took their
+    known solution."""
+    other, other_sums = known
+    if other.shape != beta.shape:
+        raise DimensionMismatch(f"known fold solutions of shape {other.shape} for "
+                                f"{beta.shape[0]} folds of {beta.shape[1]} columns")
+    nearer = _norms(_points(problems, other, other_sums)[3]) \
+        < _norms(_points(problems, beta, starts)[3])
+    beta = np.where(nearer[:, None], other, beta)
+    starts = tuple(np.where(nearer.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+                   for a, b in zip(other_sums, starts))
+    return beta, starts, nearer
 
 
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                 spec: ConcordanceSpec, lam, alpha, *,
-                warm: FitResult | None = None, fold_cache=None, fits=None) -> float:
+                warm: FitResult | None = None, fold_cache=None, known=None,
+                fits=None, reused=None) -> float:
     """Mean held-out half squared error over the n leave-one-out refits.
 
     The held-out loss ignores the ridge term. Row subsets keep the full-data
@@ -137,8 +193,9 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     Fold fits that stop without converging still count toward the score;
     one ``RuntimeWarning`` per call names how many there were. Without a
     ``fold_cache`` the fold weights are built here by ``fold_weight_cache``.
-    A ``fits`` list receives the n folds' ``FitResult``, in fold order, from
-    which ``select`` rolls up its report columns.
+    A ``fits`` list receives the n folds' ``FitResult``, in fold order, and
+    a ``reused`` list whether each fold started from its ``known`` solution;
+    ``select`` rolls its report columns up from both.
 
     The n folds are one ``ProblemBatch``, which ``fit_batch`` runs through
     one trust-region loop. Their rows, gram and X_c'y_c are taken from the
@@ -149,10 +206,18 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
     fold starts from its slice of one ``fold_pair_sums`` call at
     ``warm.beta``; a fold whose downdated D is not positive fails with the
-    error its engine pass would raise. Cold folds (no ``warm``, started at
-    their local minimizers) and marginalized folds, whose tables are drawn
-    from the fold's own rows, take one batched engine pass at their start.
-    lambda = 0 folds make no engine pass at all and report no D.
+    error its engine pass would raise. ``known``, the folds' solutions at
+    the same lambda and another alpha with their pair sums, as
+    ``_fold_points`` builds them from those fold fits, offers each of these
+    folds a second start: the fold starts from its known solution when that
+    point has the smaller gradient of this grid point's objective, and from
+    the downdated point otherwise, or when its known fit failed or is
+    missing (a NaN row). Both points carry exact pair sums, so neither takes
+    an engine pass. Cold folds (no ``warm``, started
+    at their local minimizers) and marginalized folds, whose tables are
+    drawn from the fold's own rows, ignore ``known`` and take one batched
+    engine pass at their start. lambda = 0 folds make no engine pass at all
+    and report no D.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
@@ -168,9 +233,11 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     if init is not None and lam > 0 and fold_cache[0].tables is None:
         starts = fold_pair_sums(ranks.r, spec.measure, design.x, init, spec.nu)
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
-    # Only fit_batch holds the batch, so it is freed once the first folds
-    # finish and the batch is taken down to the rest.
-    results = fit_batch(_fold_batch(design, y, fold_cache, spec, lam, alpha), beta, starts)
+    problems = _fold_batch(design, y, fold_cache, spec, lam, alpha)
+    nearer = np.zeros(n, dtype=bool)
+    if starts is not None and known is not None:
+        beta, starts, nearer = _nearer_starts(problems, beta, starts, known)
+    results = fit_batch(problems, beta, starts)
     total = 0.0
     failed = []
     unconverged = 0
@@ -189,14 +256,18 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
     if fits is not None:
         fits.extend(results)
+    if reused is not None:
+        reused.extend(nearer.tolist())
     return total / n
 
 
-def _fold_rollup(fits):
-    """A grid point's report columns from its fold fits."""
+def _fold_rollup(fits, reused):
+    """A grid point's report columns from its fold fits and which of them
+    started from their fit at the previous alpha."""
     return {"fold_iterations": sum(fit.iterations for fit in fits),
             "fold_unconverged": sum(not fit.converged for fit in fits),
-            "fold_max_grad_norm": max(fit.grad_norm for fit in fits)}
+            "fold_max_grad_norm": max(fit.grad_norm for fit in fits),
+            "fold_reused": sum(reused)}
 
 
 def _penalty_curvature(design: StandardizedDesign, weights: PairWeights, nu):
@@ -260,6 +331,7 @@ class GridRecord:
     fold_iterations: int | None = None
     fold_unconverged: int | None = None
     fold_max_grad_norm: float | None = None
+    fold_reused: int | None = None
 
 
 @dataclass
@@ -286,6 +358,7 @@ class SelectionReport:
                 "fold_iterations": rec.fold_iterations,
                 "fold_unconverged": rec.fold_unconverged,
                 "fold_max_grad_norm": rec.fold_max_grad_norm,
+                "fold_reused": rec.fold_reused,
                 "chosen": rec is self.chosen,
             })
         return rows
@@ -295,9 +368,13 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
            spec: ConcordanceSpec, grid: HyperGrid, criterion="loocv") -> SelectionReport:
     """Evaluate the criterion at every grid point and return the argmin.
 
-    Fits are warm-started along increasing lambda within each alpha. Ties
-    break toward smaller lambda, then smaller alpha. Points with a flagged
-    (singular) degrees-of-freedom system are excluded from AIC selection.
+    Fits are warm-started along increasing lambda within each alpha, each
+    from the previous fit's beta and its final pair sums, so a warm fit
+    takes no engine pass at its start. By LOOCV, the fold solutions of each
+    lambda are kept for the next alpha, whose folds may start from them
+    (``loocv_score``'s ``known``). Ties break toward smaller lambda, then
+    smaller alpha. Points with a flagged (singular) degrees-of-freedom
+    system are excluded from AIC selection.
     """
     if criterion not in ("loocv", "aic"):
         raise InvalidValue(f"unknown criterion {criterion!r}")
@@ -311,11 +388,15 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     m0 = _penalty_curvature(design, base.weights, spec.nu)
 
     records = []
+    known = {}                  # lambda index -> its fold solutions at the previous alpha
     for alpha in grid.alpha_values:
         warm = None
-        for lam in grid.lam_values:
+        for j, lam in enumerate(grid.lam_values):
             problem = base.with_penalties(float(lam), float(alpha))
-            fit = fit_rasper(problem, init=warm.beta if warm is not None else None)
+            if warm is None:
+                fit = fit_rasper(problem)
+            else:
+                fit = fit_rasper(problem, init=warm.beta, start=warm.pair_sums)
             warm = fit
             flagged = False
             try:
@@ -325,10 +406,12 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
             aic_val = aic(problem, fit, df)
             loo, rollup = float("nan"), {}
             if criterion == "loocv":
-                folds = []
-                loo = loocv_score(design, y, ranks, spec, lam, alpha,
-                                  warm=fit, fold_cache=fold_cache, fits=folds)
-                rollup = _fold_rollup(folds)
+                folds, reused = [], []
+                loo = loocv_score(design, y, ranks, spec, lam, alpha, warm=fit,
+                                  fold_cache=fold_cache, known=known.get(j), fits=folds,
+                                  reused=reused)
+                rollup = _fold_rollup(folds, reused)
+                known[j] = _fold_points(folds, design.p)
             records.append(GridRecord(lam=float(lam), alpha=float(alpha),
                                       loo=loo, df=df, aic=aic_val,
                                       df_flagged=flagged, fit=fit, **rollup))

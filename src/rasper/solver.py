@@ -8,15 +8,18 @@ gradient g and Hessian H; an accepted trial's g and H are the next
 iterate's, so no point is evaluated twice. A caller that hands in the
 start's D, gradient and Hessian (``fit_batch(start=...)``, as the plain
 leave-one-out folds do from ``concordance.fold_pair_sums``) saves the
-start's pass. Each iterate also takes one eigendecomposition of H, which
-gives the trial step in closed form: the Newton step when H is positive
-definite and that step fits in the trust radius, else a damped Newton step
-inside it, so an indefinite H or an overshooting Newton point still gives a
-useful trial. The trial is kept when it lowers the objective by more than
-the rounding band delta = 10*eps*(|F| + lambda), or, inside that band, where
-F cannot resolve the change, when it lowers ||g||; a rejected trial only
-shrinks the radius. The fit stops on a scale-free relative gradient, so
-``converged`` means stationary.
+start's pass. Every fit returns the sums at its solution
+(``FitResult.pair_sums``), from the pass that evaluated it; they depend on
+beta alone, so a fit at another (lambda, alpha) that starts there can take
+them as its start. Each iterate also takes one eigendecomposition of H,
+which gives the trial step in closed form: the Newton step when H is
+positive definite and that step fits in the trust radius, else a damped
+Newton step inside it, so an indefinite H or an overshooting Newton point
+still gives a useful trial. The trial is kept when it lowers the objective
+by more than the rounding band delta = 10*eps*(|F| + lambda), or, inside
+that band, where F cannot resolve the change, when it lowers ||g||; a
+rejected trial only shrinks the radius. The fit stops on a scale-free
+relative gradient, so ``converged`` means stationary.
 
 ``mm_step`` is the paper's majorize-minimize map, which the fit no longer
 calls: it majorizes -lambda*log D by a convex quadratic built from the
@@ -130,11 +133,15 @@ class PenalizedProblem:
 class ProblemBatch:
     """B penalized problems of one size that share lambda, alpha and nu,
     held on a leading problem axis: what the trust-region loop reads. ``x``
-    (B, m, p) is each problem's rows of the design, ``y`` (B, m) its outcome,
-    ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c, with X_c its
-    centered rows. ``scale`` (B,) is the relative gradient's scale
-    ||X_c'y_c||, NaN where y is constant up to rounding. ``work`` is the
-    problems' ``PairWorkspace`` when lambda > 0, else None."""
+    (N, m, p) holds the problems' rows of the design and ``y`` (N, m) their
+    outcomes, for the N problems the batch was built on; ``index`` (B,)
+    picks this batch's problems from them, or is None for all N, so a batch
+    taken down to fewer problems shares the arrays rather than copying them.
+    ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c, with X_c a
+    problem's centered rows, and ``scale`` (B,), the relative gradient's
+    scale ||X_c'y_c|| (NaN where y is constant up to rounding), are this
+    batch's own. ``work`` is the problems' ``PairWorkspace`` when
+    lambda > 0, else None."""
 
     x: np.ndarray
     y: np.ndarray
@@ -145,13 +152,34 @@ class ProblemBatch:
     lam: float
     alpha: float
     nu: float
+    index: np.ndarray | None = None
 
     def __getitem__(self, index):
         """The batch of the problems ``index`` (an index array), in that order."""
-        return ProblemBatch(self.x[index], self.y[index], self.gram[index],
-                            self.xty[index], self.scale[index],
+        index = np.asarray(index)
+        return ProblemBatch(self.x, self.y, self.gram[index], self.xty[index],
+                            self.scale[index],
                             None if self.work is None else self.work.take(index),
-                            self.lam, self.alpha, self.nu)
+                            self.lam, self.alpha, self.nu,
+                            index if self.index is None else self.index[index])
+
+    def rows(self):
+        """The (B, m, p) designs and (B, m) outcomes of this batch's problems."""
+        if self.index is None:
+            return self.x, self.y
+        return self.x[self.index], self.y[self.index]
+
+    def fitted(self, beta):
+        """X beta (B, m) of each problem at its row of ``beta`` (B, p), and
+        the problems' outcomes. A taken-down batch multiplies every row of
+        ``x``, the dropped problems' at beta = 0, and keeps its problems'
+        products, rather than copy their rows; each product is the one the
+        problem alone gives."""
+        if self.index is None:
+            return _matvec(self.x, beta), self.y
+        every = np.zeros((self.x.shape[0], beta.shape[1]))
+        every[self.index] = beta
+        return _matvec(self.x, every)[self.index], self.y[self.index]
 
 
 def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
@@ -186,6 +214,10 @@ class FitResult:
     iterations: int
     grad_norm: float             # relative gradient ||grad F|| / scale at beta
     evaluations: int             # points evaluated: the start plus the trials, iterations + 1
+    # (D, dD, d2D) at beta from the engine pass that evaluated it, which a
+    # later fit at another (lambda, alpha) may start from; None when no
+    # pass evaluated it (the problems of a batch at lambda = 0)
+    pair_sums: tuple | None = None
 
 
 def default_nu(design: StandardizedDesign, y) -> float:
@@ -292,8 +324,9 @@ def _local_minimizers(problems):
         return np.linalg.solve(problems.gram, problems.xty[..., None])[..., 0], {}
     beta = np.empty(problems.xty.shape)
     errors = {}
-    xcs = problems.x - np.add.reduce(problems.x, axis=1, keepdims=True) / problems.x.shape[1]
-    for k, (xc, y) in enumerate(zip(xcs, problems.y)):
+    x, ys = problems.rows()
+    xcs = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+    for k, (xc, y) in enumerate(zip(xcs, ys)):
         beta[k], _, rank, _ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
         if rank < xc.shape[1]:
             errors[k] = SingularDesign("design is rank deficient and alpha = 0")
@@ -338,14 +371,15 @@ def _trust_step(evals, evecs, g, radius):
 
 def _points(problems, beta, sums=None):
     """Each problem's profiled intercept beta0 = mean(y - X beta) and F at
-    (beta0, beta), with D and the gradient and Hessian of F in beta, from
-    one pass of the pair-sum engine over the batch, or from ``sums`` =
-    (D, dD, d2D) at beta when given. F is formed in the order
-    ``penalized_objective`` uses, so both give the same value, and is inf
-    where D is not positive. D is None when lambda = 0 (no pair pass)."""
-    xb = _matvec(problems.x, beta)
-    beta0 = np.add.reduce(problems.y - xb, axis=1) / xb.shape[1]
-    resid = problems.y - beta0[:, None] - xb
+    (beta0, beta), with the pair sums (D, dD, d2D) at beta and the gradient
+    and Hessian of F in beta. The sums come from one pass of the pair-sum
+    engine over the batch, or are ``sums`` when given. F is formed in the
+    order ``penalized_objective`` uses, so both give the same value, and is
+    inf where D is not positive. The sums are None when lambda = 0 (no
+    pair pass)."""
+    xb, y = problems.fitted(beta)
+    beta0 = np.add.reduce(y - xb, axis=1) / xb.shape[1]
+    resid = y - beta0[:, None] - xb
     value = 0.5 * _dots(resid, resid) + 0.5 * problems.alpha * _dots(beta, beta)
     g = _matvec(problems.gram, beta) - problems.xty
     lam = problems.lam
@@ -363,7 +397,7 @@ def _points(problems, beta, sums=None):
     g = g - lam * dd / dp[:, None]
     dp = dp[:, None, None]
     hess = problems.gram + lam * (dd[:, :, None] * dd[:, None, :] / (dp * dp) - hd / dp)
-    return beta0, value, d, g, hess
+    return beta0, value, (d, dd, hd), g, hess
 
 
 def _accepts(decrease, delta, gnorm, new_gnorm):
@@ -397,9 +431,11 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
     gives F, g and H at once, and an accepted trial keeps them, so no point
     is evaluated twice and ``evaluations`` is ``iterations + 1``. ``start``
     = (D, dD, d2D) at ``beta``, as ``concordance.fold_pair_sums`` gives
-    leave-one-out folds, replaces the start's pass. A problem is converged
-    once ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not
-    change with the scale of y. When y is constant X_c' y_c vanishes, and
+    leave-one-out folds or a previous fit's ``pair_sums`` give a warm fit,
+    replaces the start's pass. Each result's ``pair_sums`` are the sums at
+    its final beta, from the pass that evaluated it, at no extra cost. A
+    problem is converged once ||g|| <= ``tol`` * ||X_c' y_c||, a relative
+    gradient that does not change with the scale of y. When y is constant X_c' y_c vanishes, and
     ||g|| at the start is the scale instead.
 
     Otherwise the trial step s (``_trust_step``) is the Newton step when it
@@ -417,9 +453,9 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
 
     A problem leaves the batch when it converges, or after ``max_iter``
     rounds with ``converged=False``; the rest go on over the batch taken
-    down to them (the workspace by index, sharing its tables), so no pass is
-    spent on a finished problem. Each problem takes the iterates it would
-    take alone.
+    down to them (the rows and the workspace by index, sharing their
+    arrays), so no pass is spent on a finished problem. Each problem takes
+    the iterates it would take alone.
     """
     size = problems.x.shape[0]
     results = [None] * size
@@ -429,8 +465,9 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
             results[k] = exc
     else:
         beta = np.array(beta, dtype=float)
-    beta0, value, d, g, hess = _points(problems, beta, start)
-    if d is not None and not d.min() > 0:
+    beta0, value, sums, g, hess = _points(problems, beta, start)
+    if sums is not None and not sums[0].min() > 0:
+        d = sums[0]
         for k in np.flatnonzero(~(d > 0)):
             if results[k] is None:
                 results[k] = _concordance_error(float(d[k]), problems.work.live[k])
@@ -438,8 +475,8 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
     if len(slots) < size:
         if not slots:
             return results
-        problems, beta0, beta, value, d, g, hess = _rows(
-            slots, problems, beta0, beta, value, d, g, hess)
+        problems, beta0, beta, value, sums, g, hess = _rows(
+            slots, problems, beta0, beta, value, sums, g, hess)
     # The arrays hold each problem's iterate on the leading axis; the
     # lists hold its scalars, which the stop, the acceptance and the
     # radius read one problem at a time.
@@ -461,20 +498,22 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
                     results[slots[k]] = FitResult(
                         beta0=float(beta0[k]), beta=beta[k], lam=lam, alpha=problems.alpha,
                         nu=problems.nu, objective_trace=np.asarray(traces[k]),
-                        concordance=None if d is None else float(d[k]),
+                        concordance=None if sums is None else float(sums[0][k]),
                         converged=grad_norm[k] <= tol, iterations=iters,
-                        grad_norm=grad_norm[k], evaluations=iters + 1)
+                        grad_norm=grad_norm[k], evaluations=iters + 1,
+                        pair_sums=None if sums is None else tuple(a[k] for a in sums))
             keep = [k for k, finished in enumerate(done) if not finished]
             if not keep:
                 return results
             slots, values, gnorm, scale, radius, traces = (
                 [a[k] for k in keep] for a in (slots, values, gnorm, scale, radius, traces))
-            problems, beta0, beta, d, g, hess = _rows(keep, problems, beta0, beta, d, g, hess)
+            problems, beta0, beta, sums, g, hess = _rows(keep, problems, beta0, beta, sums, g,
+                                                         hess)
         iters += 1
         evals, evecs = np.linalg.eigh(hess)
         step, pred, damped = _trust_step(evals, evecs, g, np.array(radius))
         cand = beta + step
-        cand0, cand_value, cand_d, cand_g, cand_hess = _points(problems, cand)
+        cand0, cand_value, cand_sums, cand_g, cand_hess = _points(problems, cand)
         new_values = cand_value.tolist()
         new_gnorm = _norms(cand_g).tolist()
         kept = [_accepts(v - nv, band * (abs(v) + lam), gn, ngn)
@@ -493,40 +532,56 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
             traces[k].append(nv)
             values[k], gnorm[k] = nv, new_gnorm[k]
         if all(kept):
-            beta0, beta, d, g, hess = cand0, cand, cand_d, cand_g, cand_hess
+            beta0, beta, sums, g, hess = cand0, cand, cand_sums, cand_g, cand_hess
         elif True in kept:
             mask = np.array(kept)
-            beta0 = np.where(mask, cand0, beta0)
-            beta = np.where(mask[:, None], cand, beta)
-            d = None if d is None else np.where(mask, cand_d, d)
-            g = np.where(mask[:, None], cand_g, g)
-            hess = np.where(mask[:, None, None], cand_hess, hess)
+            beta0, beta, sums, g, hess = _where(
+                mask, (cand0, cand, cand_sums, cand_g, cand_hess), (beta0, beta, sums, g, hess))
 
 
 def _rows(index, *arrays):
-    """Each of ``arrays`` (a ``ProblemBatch``, an array or None) taken down
-    to the problems ``index``."""
-    return tuple(None if a is None else a[index] for a in arrays)
+    """Each of ``arrays`` (a ``ProblemBatch``, an array, a tuple of arrays
+    or None) taken down to the problems ``index``."""
+    return tuple(None if a is None else tuple(b[index] for b in a) if isinstance(a, tuple)
+                 else a[index] for a in arrays)
+
+
+def _where(mask, new, old):
+    """Each pair of ``new`` and ``old`` (arrays, tuples of arrays or None)
+    merged by problem: the new one's rows where ``mask`` (B,) is set."""
+    return tuple(None if b is None else _where(mask, a, b) if isinstance(a, tuple)
+                 else np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, b)
+                 for a, b in zip(new, old))
 
 
 def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
-               max_iter=500) -> FitResult:
+               max_iter=500, start=None) -> FitResult:
     """Fit the rank-penalized regression by trust-region Newton steps:
     ``fit_batch`` on the problem as a batch of one (``problem.batch``).
 
     Starts from the local-objective minimizer unless ``init`` is given.
-    A D that is not positive at the start, or a rank-deficient design with
-    alpha = 0 and no ``init``, raises its error. At lambda = 0 the fit makes
-    no pair pass while fitting and one value pass at the end, for the D it
-    reports (None when every pair weight is zero). Every problem, with or
-    without marginal tables, runs this same loop.
+    ``start`` = (D, dD, d2D) at ``init``, such as the ``pair_sums`` of a fit
+    of this problem's data at another (lambda, alpha), replaces the start's
+    engine pass; the fit is the one that pass would give, bit for bit,
+    because the sums depend on beta alone. A D that is not positive at the
+    start, or a rank-deficient design with alpha = 0 and no ``init``,
+    raises its error. At lambda = 0 the fit makes no pair pass while
+    fitting and one pass at the end, which gives the D it reports and its
+    ``pair_sums`` (None when every pair weight is zero). Every problem, with
+    or without marginal tables, runs this same loop.
     """
-    beta = None if init is None else np.asarray(init, dtype=float)[None]
-    (fit,) = fit_batch(problem.batch, beta, tol=tol, max_iter=max_iter)
+    beta = None
+    if init is not None:
+        beta = np.asarray(init, dtype=float)[None]
+        start = None if start is None else tuple(np.asarray(a)[None] for a in start)
+    elif start is not None:
+        raise InvalidValue("start sums need the init they were taken at")
+    (fit,) = fit_batch(problem.batch, beta, start, tol=tol, max_iter=max_iter)
     if isinstance(fit, RasperError):
         raise fit
     if fit.concordance is None and problem.workspace.live[0]:
-        fit = replace(fit, concordance=_sums(problem, fit.beta)[0])
+        d, dd, _, _, hd = _sums(problem, fit.beta, gradient=True, hessian=True)
+        fit = replace(fit, concordance=d, pair_sums=(d, dd, hd))
     return fit
 
 

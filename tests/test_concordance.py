@@ -274,6 +274,26 @@ class TestPairSumEngine:
         with pytest.raises(DegenerateWeights):
             fit_rasper(problem)
 
+    def test_kendall_masks_are_built_in_place(self):
+        # Every chunk's order mask and its sign are the broadcast comparison
+        # and the transposed difference, bit for bit, and live in the two
+        # buffers the workspace allocated once. 37 folds of 36 rows take
+        # chunks of 30, so the last one is partial.
+        rng = np.random.default_rng(6)
+        r = rng.integers(0, 9, (37, 36)).astype(float)      # tied ranks
+        work = PairWorkspace(rng.standard_normal((37, 1, 36, 2)), r, "kendall")
+        assert work.chunk == 30
+        buffers = work.mask_buf, work.sign_buf
+        for first in (0, 30, 0):
+            work.load(first)
+            ranks = r[first:first + 30]
+            mask = (ranks[:, None, :, None] > ranks[:, None, None, :]).astype(float)
+            sign = mask - mask.transpose(0, 1, 3, 2)
+            assert work.mask.tobytes() == mask.tobytes()
+            assert work.sign.tobytes() == sign.tobytes()
+            assert work.mask.base is buffers[0] and work.sign.base is buffers[1]
+        assert (work.mask_buf, work.sign_buf) == buffers
+
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     def test_results_do_not_alias_the_workspace(self, measure):
         problem, _, _ = make_problem(measure=measure, lam=5.0)

@@ -18,6 +18,7 @@ from rasper.concordance import (
 )
 from rasper.data_model import StandardizedDesign, external_ranks, standardize
 from rasper.errors import (
+    DimensionMismatch,
     FoldFailure,
     InvalidBounds,
     InvalidValue,
@@ -347,12 +348,82 @@ class TestBatchedFolds:
             assert max(len(ids) for ids in loads) == chunk
 
 
+class TestKnownFoldStarts:
+    # select keeps each lambda's fold solutions for the next alpha, and a
+    # plain fold starts from its solution there when that point has the
+    # smaller gradient of the new grid point's objective.
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_near_equal_alpha_column_starts_from_the_first(self, monkeypatch, measure):
+        # Every fold of the second column starts from its first-column fit
+        # and takes one Newton step, or two at large lambda, where the
+        # Hessian moves more (the folds of the first column take 2-4).
+        design, y, ranks, scores, spec = make_data(seed=10)
+        spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
+        n = design.n
+        # alpha in {0, 1e-4 n, 10}: the second column is nearly the first
+        grid = build_grid(0.5 * n, 50.0 * n, 2, 1e-4 * n, 10.0, 1)
+        folds = _recorded_fold_fits(monkeypatch)
+        report = select(design, y, ranks, spec, grid)
+        monkeypatch.undo()
+        assert all(r.fold_reused == 0 for r in report.records if r.alpha == 0)
+        columns = [[], []]
+        for k, rec in enumerate(report.records):
+            if rec.lam > 0 and rec.alpha in grid.alpha_values[:2]:
+                columns[rec.alpha > 0].append((rec, folds[k * n:(k + 1) * n]))
+        for rec, point in columns[1]:
+            assert rec.fold_reused == n and rec.fold_unconverged == 0
+            assert [f.iterations for f in point] == [1] * n or rec.lam > 100.0
+            assert max(f.iterations for f in point) <= 2
+            plain = loocv_score(design, y, ranks, spec, rec.lam, rec.alpha, warm=rec.fit)
+            assert rec.loo == pytest.approx(plain, rel=1e-7)
+        assert sum(r.fold_iterations for r, _ in columns[0]) \
+            > 2 * sum(r.fold_iterations for r, _ in columns[1])
+
+    def test_failed_or_missing_known_fit_keeps_the_downdated_start(self, monkeypatch):
+        design, y, ranks, scores, spec = make_data(seed=10)
+        n, lam = design.n, 0.5 * design.n
+        weights = pair_weights(ranks, spec.measure)
+        before = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, 0.0))
+        fits = []
+        loocv_score(design, y, ranks, spec, lam, 0.0, warm=before, fits=fits)
+        fits[3], fits[7] = FoldFailure("fold 3 failed"), None
+        known = selection._fold_points(fits, design.p)
+        assert np.isnan(known[0][[3, 7]]).all() and not np.isnan(known[1][2][5]).any()
+        alpha = 1e-4 * n
+        full = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
+        folds = _recorded_fold_fits(monkeypatch)
+        reused = []
+        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, known=known,
+                    reused=reused)
+        offered = folds[:]
+        folds.clear()
+        loocv_score(design, y, ranks, spec, lam, alpha, warm=full)
+        assert [k for k in range(n) if not reused[k]] == [3, 7]
+        for k in range(n):
+            if reused[k]:
+                assert offered[k].iterations <= folds[k].iterations
+                continue
+            assert offered[k].iterations == folds[k].iterations
+            assert np.linalg.norm(offered[k].beta - folds[k].beta) \
+                <= 1e-12 * np.linalg.norm(folds[k].beta)
+
+    def test_known_fits_must_match_the_folds(self):
+        design, y, ranks, scores, spec = make_data(seed=10)
+        weights = pair_weights(ranks, spec.measure)
+        full = fit_rasper(PenalizedProblem(design, y, weights, spec, 5.0, 1.0))
+        known = selection._fold_points([full] * 3, design.p)
+        with pytest.raises(DimensionMismatch):
+            loocv_score(design, y, ranks, spec, 5.0, 1.0, warm=full, known=known)
+
+
 class TestFoldMemory:
     # One warm grid point at n = 100 holds the folds' rows (475 KB) and one
     # chunk's three engine buffers: 0.94 MB for four plain folds, 4.7 MB for
     # one fold of S = 20 tables. An all-fold (n, n - 1, n - 1) table would
-    # take 7.8 MB, and the folds' stacked tables 9.5 MB at S = 20.
-    @pytest.mark.parametrize("case, limit", [("spearman", 4e6), ("marginalized", 8e6)])
+    # take 7.8 MB, and the folds' stacked tables 9.5 MB at S = 20. The
+    # plain peak is 1.86 MB here: the rows are never copied, and the
+    # buffers are allocated after the batch's centered rows are freed.
+    @pytest.mark.parametrize("case, limit", [("spearman", 2.1e6), ("marginalized", 8e6)])
     def test_heap_peak_of_a_warm_grid_point(self, case, limit):
         design, y, ranks, spec = _fold_data(100, case)
         spec = dataclasses.replace(spec, samples=20)
@@ -524,6 +595,18 @@ class TestSelect:
             assert record.df == degrees_of_freedom(design, weights, spec.nu,
                                                    record.lam, record.alpha)
 
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_warm_full_fits_make_no_start_pass(self, monkeypatch, measure):
+        # Each alpha's lambda = 0 fit makes one closing pass, and every later
+        # fit starts from the previous fit's sums: one pass per trial.
+        design, y, ranks, scores, spec = make_data(seed=11, n=15)
+        spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
+        grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
+        passes = count_calls(monkeypatch, solver, "_pair_sums")
+        report = select(design, y, ranks, spec, grid, criterion="aic")
+        assert len(passes) == len(grid.alpha_values) + sum(
+            r.fit.iterations for r in report.records if r.lam > 0)
+
     @pytest.mark.parametrize("criterion", ["loocv", "aic"])
     def test_rows_roll_up_the_fold_fits(self, monkeypatch, criterion):
         design, y, ranks, scores, spec = make_data(seed=10)
@@ -535,13 +618,15 @@ class TestSelect:
         for k, row in enumerate(rows):
             point = folds[k * n:(k + 1) * n]
             rollup = [row[name] for name in
-                      ("fold_iterations", "fold_unconverged", "fold_max_grad_norm")]
+                      ("fold_iterations", "fold_unconverged", "fold_max_grad_norm",
+                       "fold_reused")]
             if criterion == "aic":
-                assert rollup == [None, None, None]
+                assert rollup == [None, None, None, None]
             else:
-                assert rollup == [sum(f.iterations for f in point),
-                                  sum(not f.converged for f in point),
-                                  max(f.grad_norm for f in point)]
+                assert rollup[:3] == [sum(f.iterations for f in point),
+                                      sum(not f.converged for f in point),
+                                      max(f.grad_norm for f in point)]
+                assert 0 <= rollup[3] <= (n if row["alpha"] > 0 and row["lambda"] > 0 else 0)
 
     def test_report_rows_and_json(self):
         design, y, ranks, scores, spec = make_data(seed=10)

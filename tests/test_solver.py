@@ -215,6 +215,41 @@ class TestFitRasper:
         assert warm.iterations <= 2
         assert np.allclose(warm.beta, fit.beta, atol=1e-6)
 
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("previous_lam", [0.0, 3.0])
+    def test_warm_fit_from_previous_sums_is_bit_identical(self, monkeypatch, measure,
+                                                          previous_lam):
+        # The sums depend on beta alone, so a fit started from the previous
+        # grid point's final (D, dD, d2D) is the fit an engine pass at its
+        # start gives, bit for bit, one pass cheaper. At lambda = 0 the sums
+        # come from the fit's one closing pass.
+        previous, _, _ = make_problem(seed=5, lam=previous_lam, measure=measure)
+        before = fit_rasper(previous)
+        d, dd, hd = before.pair_sums
+        assert d == before.concordance
+        want = solver._pair_sums(previous.workspace, before.beta, previous.nu,
+                                 gradient=True, hessian=True)
+        assert d == want[0]
+        assert np.array_equal(dd, want[1]) and np.array_equal(hd, want[4])
+        problem = previous.with_penalties(40.0, previous.alpha)
+        passes = count_calls(monkeypatch, solver, "_pair_sums")
+        engine = fit_rasper(problem, init=before.beta)
+        engine_passes = len(passes)
+        passes.clear()
+        reused = fit_rasper(problem, init=before.beta, start=before.pair_sums)
+        assert len(passes) == engine_passes - 1
+        assert np.array_equal(reused.beta, engine.beta) and reused.beta0 == engine.beta0
+        assert np.array_equal(reused.objective_trace, engine.objective_trace)
+        assert (reused.iterations, reused.evaluations) == (engine.iterations,
+                                                           engine.evaluations)
+        for a, b in zip(reused.pair_sums, engine.pair_sums):
+            assert np.array_equal(a, b)
+
+    def test_start_sums_need_init(self, small_problem):
+        fit = fit_rasper(small_problem)
+        with pytest.raises(InvalidValue):
+            fit_rasper(small_problem, start=fit.pair_sums)
+
     def test_warm_start_value_is_at_profiled_intercept(self, small_problem):
         # the first trace value is F at the point the solver starts from
         init = np.linspace(-0.5, 0.5, small_problem.design.p)
@@ -310,6 +345,24 @@ def _oracle_problem(case, lam_ratio):
     if marginal:
         weights = marginalized_weights(weights, build_marginal_sampler(design.z, design.b, 3, 1))
     return PenalizedProblem(design, y, weights, spec, lam=lam_ratio * n, alpha=0.04 * n)
+
+
+class TestProblemBatch:
+    def test_taken_down_batch_shares_the_rows(self):
+        # A batch taken down to some problems keeps the design and outcome
+        # arrays it was built on and picks its problems by index; each
+        # problem's X beta is the one its copied rows give, bit for bit.
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((6, 9, 3)), rng.standard_normal((6, 9))
+        batch = solver.problem_batch(x, y, 0.0, 1.0, 0.1)
+        part = batch[np.array([4, 1, 5])][np.array([2, 0])]
+        assert part.x is x and part.y is y and part.index.tolist() == [5, 4]
+        assert np.array_equal(part.gram, batch.gram[[5, 4]])
+        beta = rng.standard_normal((2, 3))
+        xb, rows = part.fitted(beta)
+        assert np.array_equal(xb, solver._matvec(x[[5, 4]], beta))
+        assert np.array_equal(rows, y[[5, 4]])
+        assert all(np.array_equal(a, b) for a, b in zip(part.rows(), (x[[5, 4]], y[[5, 4]])))
 
 
 class TestProblemCaches:
