@@ -5,12 +5,8 @@ from .concordance import (
     ConcordanceSpec,
     PairWeights,
     build_marginal_sampler,
-    concordance_gradient,
-    concordance_value,
-    exact_rank_params,
     jj_coefficient,
     pair_weights,
-    smooth_rank_params,
 )
 from .data_model import (
     ExternalRanks,
@@ -32,9 +28,7 @@ from .solver import (
 from .survival import NomogramInput, SurvivalSample, km_curve, nomogram_score, pseudovalues, rmst
 
 __all__ = [
-    "ConcordanceSpec", "PairWeights", "build_marginal_sampler",
-    "concordance_gradient", "concordance_value", "exact_rank_params",
-    "pair_weights", "smooth_rank_params",
+    "ConcordanceSpec", "PairWeights", "build_marginal_sampler", "pair_weights",
     "ExternalRanks", "RawDataset", "StandardizedDesign", "external_ranks",
     "load_dataset", "standardize",
     "HyperGrid", "SelectionReport", "build_grid", "degrees_of_freedom",

@@ -1,17 +1,18 @@
-"""Ranking parameters, pairwise concordance weights, and the smoothed
-concordance measure D.
+"""Pairwise concordance weights and the smoothed concordance measure D.
 
 One engine, ``_pair_sums``, evaluates every weighted pair sum the package
 needs: D, its gradient and Hessian, and the quasi-probability sums of the
 MM map and of the degrees of freedom. It runs on a ``PairWorkspace`` of B
-problems of one size, each at its own beta: their (B, S, n, p) stack of
-design tables (S = 1 without marginal tables), the weights as each
-problem's ranks give them (a Spearman row scale, or a constant times the
-Kendall strict-order mask), and (B, S, n, n) buffers that every pass
-reuses. A single fit is a batch of one; the leave-one-out folds of a grid
-point run in chunks. One in-place ``exp`` gives sigma(u) of all B * S
-tables, and every reduction is a matrix-vector product or a gemm over the
-stack; the n^2 x p difference operator and the dense weights
+problems of one size, each at its own beta, built from one input form:
+their (B, S, n, p) float array of design tables (S = 1 without marginal
+tables) and their (B, n) ranks. The workspace holds the weights as the
+ranks give them (a Spearman row scale, or a constant times the Kendall
+strict-order mask) and (C, S, n, n) buffers that every pass reuses. A
+single fit is a batch of one (``pair_workspace``); the leave-one-out folds
+of a grid point hand in their stacked rows or tables and their rank rows
+as they are, and run in chunks of C. One in-place ``exp`` gives sigma(u)
+of all C * S tables, and every reduction is a matrix-vector product or a
+gemm over the stack; the n^2 x p difference operator and the dense weights
 ``PairWeights.w`` are never built.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ExternalRanks, StandardizedDesign, ge_counts
+from .data_model import ExternalRanks, StandardizedDesign
 from .errors import DegenerateWeights, DimensionMismatch, InvalidValue, NonpositiveConcordance
 
 SPEARMAN = "spearman"
@@ -88,41 +89,6 @@ class PairWeights:
         return 2.0 * (r[:, None] > r[None, :]) / (n * (n - 1.0))
 
 
-def _checked_beta(x, beta):
-    beta = np.asarray(beta, dtype=float)
-    if x.shape[1] != beta.shape[0]:
-        raise DimensionMismatch(f"design has {x.shape[1]} columns, beta has {beta.shape[0]}")
-    if not np.all(np.isfinite(beta)):
-        raise InvalidValue("beta contains non-finite values")
-    return beta
-
-
-def _linear_predictor(x, beta):
-    if isinstance(x, StandardizedDesign):
-        x = x.x
-    x = np.asarray(x)
-    return x @ _checked_beta(x, beta)
-
-
-def exact_rank_params(x, beta) -> np.ndarray:
-    """Exact ranking parameters: psi_i = #{j : (x_i - x_j)' beta >= 0}.
-
-    The diagonal term is included, so psi_i >= 1; beta = 0 gives psi_i = n.
-    """
-    eta = _linear_predictor(x, beta)
-    return ge_counts(eta, eta)
-
-
-def smooth_rank_params(x, beta, nu) -> np.ndarray:
-    """Smoothed ranking parameters with the logistic kernel of scale nu.
-
-    The diagonal contributes exactly 1/2, so each value lies in (0, n).
-    """
-    if not nu > 0:
-        raise InvalidValue("nu must be positive")
-    return _sigma_table(_linear_predictor(x, beta) / nu).sum(axis=1)
-
-
 def pair_weights(ranks: ExternalRanks, measure: str) -> PairWeights:
     """Pairwise weights for the chosen association measure (see
     ``PairWeights.w``)."""
@@ -138,33 +104,28 @@ class PairWorkspace:
     """The inputs and the reusable buffers of the pair sums of B problems of
     one size, held on a leading problem axis.
 
-    ``stack`` is the (S, n, p) stack of one problem's design tables (S = 1
-    for a plain problem), or the B problems' stacks: a (B, S, n, p) array,
-    kept uncopied, or a sequence of B (S, n, p) stacks or tuples of S
-    tables; ``r`` is their (n,) or (B, n) ranks. ``live`` (B,) is False where
-    all of a problem's weights are zero (all-tied Kendall ranks). ``_pair_sums``
-    walks the problems in chunks of ``chunk`` = C, as many as ``CHUNK_PAIRS``
-    pair entries per buffer allow, and ``load`` builds a chunk's stacked
-    tables and fixed pieces: the weights (``PairWeights.w``), Spearman's row
-    scale r_i / (4 n^2) or Kendall's ``const`` = 2 / (n (n - 1)) times the
-    ``mask`` I(r_i > r_j) and its antisymmetric ``sign`` = mask - mask', all
-    the gradient and the Hessian need, built in two (C, 1, n, n) buffers of
-    their own; ``ends`` = [1 | scale | x] of each table, ``sides`` =
-    [1 | scale], and ``left`` and ``right``, whose fixed rows of ones make
-    -u a rank-2 product. The chunk loaded last is kept, so
-    a batch of one chunk, such as a single fit, builds it once. The three
-    (C, S, n, n) buffers are overwritten by every pass, so a workspace serves
-    one thread at a time; nothing ``_pair_sums`` returns is a view of them.
+    ``stack`` is the problems' (B, S, n, p) float array of design tables
+    (S = 1 for plain problems), kept uncopied, and ``r`` their (B, n)
+    ranks. ``live`` (B,) is False where all of a problem's weights are zero
+    (all-tied Kendall ranks). ``_pair_sums`` walks the problems in chunks of
+    ``chunk`` = C, as many as ``CHUNK_PAIRS`` pair entries per buffer allow,
+    and ``load`` builds a chunk's stacked tables and fixed pieces: the
+    weights (``PairWeights.w``), Spearman's row scale r_i / (4 n^2) or
+    Kendall's ``const`` = 2 / (n (n - 1)) times the ``mask`` I(r_i > r_j)
+    and its antisymmetric ``sign`` = mask - mask', all the gradient and the
+    Hessian need, built in two (C, 1, n, n) buffers of their own; ``ends`` =
+    [1 | scale | x] of each table, ``sides`` = [1 | scale], and ``left`` and
+    ``right``, whose fixed rows of ones make -u a rank-2 product. The chunk
+    loaded last is kept, so a batch of one chunk, such as a single fit,
+    builds it once. The three (C, S, n, n) buffers are overwritten by every
+    pass, so a workspace serves one thread at a time; nothing
+    ``_pair_sums`` returns is a view of them.
     """
 
     def __init__(self, stack, r, measure):
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 1:
-            stack, r = [stack], r[None]
-        size, n = r.shape
+        size, count, n, _ = stack.shape
         self.tables, self.r, self.measure, self.index = stack, r, measure, np.arange(size)
         self.live = (r > 0).any(axis=1) if measure == SPEARMAN else r.max(axis=1) > r.min(axis=1)
-        count = len(stack[0])
         self.chunk = min(size, max(1, CHUNK_PAIRS // (count * n * n)))
         self.s, self.dens, self.h = (np.empty((self.chunk, count, n, n)) for _ in range(3))
         if measure == KENDALL:                # the chunk's order mask and its sign
@@ -177,7 +138,7 @@ class PairWorkspace:
         ids = self.index[first:first + self.chunk].tolist()
         if ids == self.loaded:
             return self
-        stack = np.array([self.tables[k] for k in ids], dtype=float)
+        stack = self.tables[ids]
         r = self.r[ids]
         size, count, n, p = self.shape = stack.shape
         if self.measure == SPEARMAN:
@@ -221,13 +182,10 @@ class PairWorkspace:
 
 
 def pair_workspace(weights: PairWeights, x) -> PairWorkspace:
-    """The workspace of a problem on design ``x`` with these weights: the
-    weights' sampled tables when they have them, else ``x`` alone."""
-    if weights.tables is not None:
-        stack = np.stack(weights.tables)
-    else:
-        stack = np.asarray(x.x if isinstance(x, StandardizedDesign) else x, dtype=float)[None]
-    return PairWorkspace(stack, weights.r, weights.measure)
+    """The workspace of one problem on the (n, p) design ``x`` with these
+    weights: the weights' sampled tables when they have them, else ``x``."""
+    stack = x[None] if weights.tables is None else np.stack(weights.tables)
+    return PairWorkspace(stack[None], weights.r[None], weights.measure)
 
 
 def _logistic_of_negated(s):
@@ -437,21 +395,6 @@ def fold_pair_sums(r, measure, x, beta, nu):
     cols = b @ xx - outer(bx, x) - outer(x, bx) + b.sum(axis=1)[:, None] * xx
     hess = (omega @ rows - cols).reshape(n, p, p)
     return c * d, (c / nu) * grad, (c / (nu * nu)) * hess
-
-
-def concordance_value(x, beta, nu, weights: PairWeights) -> float:
-    """D = sum_ij w_ij g_nu((x_i - x_j)' beta), averaged over sampled tables
-    for marginalized weights."""
-    work = pair_workspace(weights, x)
-    beta = _checked_beta(work.tables[0][0], beta)
-    return _pair_sums(work, beta, nu)[0]
-
-
-def concordance_gradient(x, beta, nu, weights: PairWeights) -> np.ndarray:
-    """Gradient of D with respect to beta."""
-    work = pair_workspace(weights, x)
-    beta = _checked_beta(work.tables[0][0], beta)
-    return _pair_sums(work, beta, nu, gradient=True)[1]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ tables, and they start at the full fit's beta with one engine pass.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -89,9 +90,11 @@ def _log_spaced(vmin, vmax, count):
 def build_grid(lam_min, lam_max, j, alpha_min, alpha_max, k) -> HyperGrid:
     """Grid per the log-spacing rule: value_i = min * exp((i-1) log(max/min)/J)
     for i >= 1, with a zero entry prepended. Endpoints land exactly on the
-    stated bounds."""
+    stated bounds, so the sizes J and K must be integers >= 1."""
     if not (0 < lam_min < lam_max) or not (0 < alpha_min < alpha_max):
         raise InvalidBounds("require 0 < min < max for both lambda and alpha")
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (j, k)):
+        raise InvalidBounds(f"grid sizes J and K must be integers, not {j!r} and {k!r}")
     if j < 1 or k < 1:
         raise InvalidBounds("grid sizes J and K must be >= 1")
     lam = np.concatenate([[0.0], _log_spaced(lam_min, lam_max, j)])
@@ -114,11 +117,12 @@ def _fold_rows(n):
 
 
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
-                      spec: ConcordanceSpec) -> list[PairWeights]:
-    """Weights of every leave-one-out fold, as a list indexed by the
-    left-out row: n - 1 ranks per fold, plus the fold's sampled tables when
-    marginalized. They depend only on the data, not on (lambda, alpha), so a
-    grid search computes them once.
+                      spec: ConcordanceSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weights of every leave-one-out fold, fold k in row k: ``(r, tables)``
+    with ``r`` the folds' (n, n - 1) ranks and ``tables`` their
+    (n, S, n - 1, p) sampled design tables when the spec marginalizes
+    (``problem_weights`` decides), else None. They depend only on the data,
+    not on (lambda, alpha), so a grid search computes them once.
 
     Each fold's ranks follow from the full-data ranks: under the >=-count
     rule s_j >= s_k exactly when r_j >= r_k, so dropping row k lowers by one
@@ -126,23 +130,31 @@ def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
     """
     keep = _fold_rows(design.n)
     r = ranks.r[keep]
-    return [problem_weights(design.subset(rows), ExternalRanks(r=fr), spec)
-            for rows, fr in zip(keep, r - (r >= ranks.r[:, None]))]
+    r = r - (r >= ranks.r[:, None])
+    tables = None
+    for k, (rows, fr) in enumerate(zip(keep, r)):
+        fold = problem_weights(design.subset(rows), ExternalRanks(r=fr), spec).tables
+        if fold is None:
+            break
+        if tables is None:                # filled in place: no second copy of the folds
+            tables = np.empty((design.n, len(fold)) + fold[0].shape)
+        tables[k] = fold
+    return r, tables
 
 
 def _fold_batch(design, y, fold_cache, spec, lam, alpha):
     """The n leave-one-out folds as one ``ProblemBatch``: fold k's rows are
     the data's rows other than k, with the full-data standardization, and
-    its pair workspace shares them (or takes the fold's cached tables, when
-    marginalized) and takes the fold's cached ranks."""
+    its pair workspace takes the ranks and the tables of ``fold_cache`` as
+    they are, or shares the rows when the folds have no tables."""
     keep = _fold_rows(design.n)
     x = design.x[keep]
     batch = problem_batch(x, y[keep], lam, alpha, spec.nu)
     if not lam > 0:
         return batch
+    r, tables = fold_cache
     # the engine buffers are allocated once the batch's centered rows are freed
-    stack = x[:, None] if fold_cache[0].tables is None else [w.tables for w in fold_cache]
-    return replace(batch, work=PairWorkspace(stack, np.array([w.r for w in fold_cache]),
+    return replace(batch, work=PairWorkspace(x[:, None] if tables is None else tables, r,
                                              spec.measure))
 
 
@@ -191,17 +203,19 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     The held-out loss ignores the ridge term. Row subsets keep the full-data
     standardization so the hat-matrix identity holds exactly at lam=alpha=0.
     Fold fits that stop without converging still count toward the score;
-    one ``RuntimeWarning`` per call names how many there were. Without a
-    ``fold_cache`` the fold weights are built here by ``fold_weight_cache``.
+    one ``RuntimeWarning`` per call names how many there were.
+    ``fold_cache`` is the folds' ``(r, tables)`` as ``fold_weight_cache``
+    returns them, ranks (n, n - 1) and sampled tables (n, S, n - 1, p) or
+    None; without it they are built here.
     A ``fits`` list receives the n folds' ``FitResult``, in fold order, and
     a ``reused`` list whether each fold started from its ``known`` solution;
     ``select`` rolls its report columns up from both.
 
     The n folds are one ``ProblemBatch``, which ``fit_batch`` runs through
     one trust-region loop. Their rows, gram and X_c'y_c are taken from the
-    data by indexing, and their pair workspace shares those rows (or the
-    folds' cached tables) and ranks. The inputs are checked once, as the
-    full-data problem.
+    data by indexing, and their pair workspace takes the cached ranks and
+    tables unchanged, or shares those rows when ``tables`` is None. The
+    inputs are checked once, as the full-data problem.
 
     With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
     fold starts from its slice of one ``fold_pair_sums`` call at
@@ -228,9 +242,10 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     PenalizedProblem(design, y, pair_weights(ranks, spec.measure), spec, lam, alpha)
     if fold_cache is None:
         fold_cache = fold_weight_cache(design, ranks, spec)
+    _, tables = fold_cache
     init = warm.beta if warm is not None else None
     starts = None
-    if init is not None and lam > 0 and fold_cache[0].tables is None:
+    if init is not None and lam > 0 and tables is None:
         starts = fold_pair_sums(ranks.r, spec.measure, design.x, init, spec.nu)
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
     problems = _fold_batch(design, y, fold_cache, spec, lam, alpha)
@@ -275,7 +290,7 @@ def _penalty_curvature(design: StandardizedDesign, weights: PairWeights, nu):
     ``degrees_of_freedom``): the pair-sum engine's ``quad`` there, from one
     pass, or None when every pair weight is zero. It does not depend on
     (lambda, alpha), so ``select`` takes it once."""
-    work = PairWorkspace(design.x[None], weights.r, weights.measure)
+    work = PairWorkspace(design.x[None, None], weights.r[None], weights.measure)
     if not work.live[0]:
         return None
     return _pair_sums(work, np.zeros(design.p), nu, mm=True)[3]

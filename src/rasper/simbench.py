@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,6 +62,11 @@ class SimSetting:
     def __post_init__(self):
         if self.study not in ("1a", "1b", "2"):
             raise InvalidValue(f"unknown study {self.study!r}")
+        for name in ("n_internal", "n_test", "replications", "samples", "grid_j", "grid_k",
+                     "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidValue(f"{name} must be an integer, not {value!r}")
         if self.sigma <= 0:
             raise InvalidValue("sigma must be positive")
         if self.samples < 1 or not (self.nu is None or self.nu > 0):

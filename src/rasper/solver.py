@@ -25,9 +25,9 @@ relative gradient, so ``converged`` means stationary.
 calls: it majorizes -lambda*log D by a convex quadratic built from the
 quasi-probabilities (the normalized pairwise terms of D) and the quadratic
 logistic bound with curvature tanh(u/2)/(4u) (``concordance.jj_coefficient``),
-and minimizing that surrogate (``surrogate_value``) is one weighted ridge
-solve that never increases the objective in exact arithmetic. A converged
-fit is its fixed point.
+and minimizing that surrogate is one weighted ridge solve that never
+increases the objective in exact arithmetic. A converged fit is its fixed
+point.
 
 The loop, ``fit_batch``, fits a ``ProblemBatch``: B problems of one size
 that share (lambda, alpha, nu), held on a leading problem axis. Every round
@@ -111,7 +111,7 @@ class PenalizedProblem:
 
     @cached_property
     def workspace(self):
-        return pair_workspace(self.weights, self.design)
+        return pair_workspace(self.weights, self.design.x)
 
     def with_penalties(self, lam, alpha):
         """This problem at another (lambda, alpha), sharing its pair-sum
@@ -282,24 +282,6 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
     beta_new = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
     beta0_new = float(np.mean(problem.y - problem.design.x @ beta_new))
     return beta0_new, beta_new
-
-
-def surrogate_value(problem, beta0, beta, anchor_beta):
-    """Value of the MM quadratic surrogate of the objective, anchored at
-    ``anchor_beta``. Touches the objective there and upper-bounds it
-    everywhere; used for validating the descent construction."""
-    beta = np.asarray(beta, dtype=float)
-    anchor_beta = np.asarray(anchor_beta, dtype=float)
-    value = _local_objective(problem, beta0, beta)
-    if problem.lam > 0:
-        d_anchor, _, lin, quad, _ = _sums(problem, anchor_beta, mm=True)
-
-        def quad_part(b):
-            return -0.5 * float(lin @ b) + float(b @ quad @ b)
-
-        const = -np.log(d_anchor) - quad_part(anchor_beta)
-        value += problem.lam * (quad_part(beta) + const)
-    return value
 
 
 # Row-wise products over leading problem axes, one BLAS call per problem,

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rasper.concordance import ConcordanceSpec, pair_weights
+from rasper.concordance import (
+    ConcordanceSpec,
+    PairWeights,
+    _pair_sums,
+    pair_weights,
+    pair_workspace,
+)
 from rasper.data_model import external_ranks, standardize
 from rasper.solver import PenalizedProblem, default_nu
 
@@ -62,6 +68,23 @@ def reference_pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=F
     d /= count
     return (d, grad / count if gradient else None, lin / (count * d) if mm else None,
             quad / (count * d) if mm else None, hess / count if hessian else None)
+
+
+def engine_sums(weights, x, beta, nu, **kinds):
+    """``concordance._pair_sums`` of one problem on the (n, p) design ``x``
+    with these ``weights``, on the workspace a fit builds: (d, grad, lin,
+    quad, hess), the ones ``kinds`` (``gradient``, ``mm``, ``hessian``) ask
+    for, with a D that is not positive raising its error."""
+    return _pair_sums(pair_workspace(weights, x), beta, nu, **kinds)
+
+
+def fold_weights(cache, measure):
+    """Each leave-one-out fold's ``PairWeights`` from a fold cache
+    ``(r, tables)``, fold k at index k."""
+    r, tables = cache
+    return [PairWeights(r=fr, measure=measure,
+                        tables=None if tables is None else tuple(tables[k]))
+            for k, fr in enumerate(r)]
 
 
 def count_calls(monkeypatch, module, name):

@@ -371,9 +371,13 @@ def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
      "external score is constant"),
     ({"replications": 0}, "replications"),
     ({"n_test": 0}, "n_test"),
+    ({"n_internal": 40.5}, "n_internal must be an integer"),
+    ({"replications": 2.0}, "replications must be an integer"),
+    ({"grid_j": 1.5}, "grid_j must be an integer"),
 ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
         "2-theta-3", "bic-criterion", "zero-beta-internal", "1b-zero-beta-external",
-        "no-replications", "no-test-rows"])
+        "no-replications", "no-test-rows", "fractional-n-internal", "float-replications",
+        "fractional-grid-j"])
 def test_malformed_study_setting_exit_1(tmp_path, capsys, change, needle):
     setting = tmp_path / "setting.json"
     setting.write_text(json.dumps({**TestSimulate().setting_payload(), **change}),

@@ -14,15 +14,11 @@ from rasper.concordance import (
     _pair_sums,
     _sigma_table,
     build_marginal_sampler,
-    concordance_gradient,
-    concordance_value,
-    exact_rank_params,
     fold_pair_sums,
     jj_coefficient,
     marginalized_weights,
     pair_weights,
     problem_weights,
-    smooth_rank_params,
 )
 from rasper.data_model import external_ranks, standardize
 from rasper.errors import (
@@ -33,7 +29,8 @@ from rasper.errors import (
 )
 from rasper.solver import fit_rasper, penalized_objective
 
-from conftest import make_problem, reference_pair_sums
+from conftest import engine_sums, make_problem, reference_pair_sums
+from oracles import exact_rank_params, smooth_rank_params
 
 
 class TestRankParams:
@@ -115,7 +112,7 @@ class TestConcordanceValue:
         ranks = external_ranks(scores)
         w = pair_weights(ranks, "spearman")
         x = rng.standard_normal((13, 3))
-        d = concordance_value(x, np.zeros(3), 0.2, w)
+        d = engine_sums(w, x, np.zeros(3), 0.2)[0]
         assert d == pytest.approx(ranks.r.sum() / (8.0 * 13), abs=1e-12)
 
     def test_kendall_zero_beta_is_half(self):
@@ -123,7 +120,7 @@ class TestConcordanceValue:
         ranks = external_ranks(rng.standard_normal(9))
         w = pair_weights(ranks, "kendall")
         x = rng.standard_normal((9, 2))
-        assert concordance_value(x, np.zeros(2), 0.5, w) == pytest.approx(0.5)
+        assert engine_sums(w, x, np.zeros(2), 0.5)[0] == pytest.approx(0.5)
 
     def test_kendall_bounded_by_one(self):
         rng = np.random.default_rng(2)
@@ -132,7 +129,7 @@ class TestConcordanceValue:
         w = pair_weights(ranks, "kendall")
         for _ in range(20):
             beta = 3.0 * rng.standard_normal(2)
-            assert 0.0 < concordance_value(x, beta, 0.1, w) <= 1.0
+            assert 0.0 < engine_sums(w, x, beta, 0.1)[0] <= 1.0
 
     def test_perfect_concordance_approaches_total_kendall(self):
         # beta reproducing the external order drives every concordant sigmoid
@@ -140,7 +137,7 @@ class TestConcordanceValue:
         x = np.arange(8.0)[:, None]
         ranks = external_ranks(np.arange(8.0))
         w = pair_weights(ranks, "kendall")
-        d = concordance_value(x, np.array([5.0]), 1e-3, w)
+        d = engine_sums(w, x, np.array([5.0]), 1e-3)[0]
         assert d == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_weights_rejected(self):
@@ -148,7 +145,7 @@ class TestConcordanceValue:
         # weight is zero
         w = pair_weights(external_ranks(np.ones(4)), "kendall")
         with pytest.raises(DegenerateWeights):
-            concordance_value(np.ones((4, 2)), np.zeros(2), 0.1, w)
+            engine_sums(w, np.ones((4, 2)), np.zeros(2), 0.1)
 
 
 class TestConcordanceGradient:
@@ -162,13 +159,13 @@ class TestConcordanceGradient:
         w = pair_weights(ranks, measure)
         beta = rng.standard_normal(p)
         nu = 0.3
-        grad = concordance_gradient(x, beta, nu, w)
+        grad = engine_sums(w, x, beta, nu, gradient=True)[1]
         h = 1e-6
         for j in range(p):
             e = np.zeros(p)
             e[j] = h
-            fd = (concordance_value(x, beta + e, nu, w)
-                  - concordance_value(x, beta - e, nu, w)) / (2 * h)
+            fd = (engine_sums(w, x, beta + e, nu)[0]
+                  - engine_sums(w, x, beta - e, nu)[0]) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_zero_gradient_for_constant_direction(self):
@@ -176,7 +173,7 @@ class TestConcordanceGradient:
         x = np.ones((6, 2))
         ranks = external_ranks(np.arange(6.0))
         w = pair_weights(ranks, "spearman")
-        grad = concordance_gradient(x, np.array([1.0, -1.0]), 0.2, w)
+        grad = engine_sums(w, x, np.array([1.0, -1.0]), 0.2, gradient=True)[1]
         assert np.allclose(grad, 0.0, atol=1e-14)
 
 
@@ -212,8 +209,9 @@ class TestPairSumEngine:
         if case == "marginalized":
             tables = build_marginal_sampler(x[:, :2], x[:, 2:], 3, 0).tables
         beta = rng.standard_normal(3)
-        d, grad, lin, quad, hess = _pair_sums(PairWorkspace(np.stack(tables), ranks.r, measure),
-                                              beta, nu, gradient=True, mm=True, hessian=True)
+        work = PairWorkspace(np.stack(tables)[None], ranks.r[None], measure)
+        d, grad, lin, quad, hess = _pair_sums(work, beta, nu, gradient=True, mm=True,
+                                              hessian=True)
 
         ref_d, ref_grad, ref_hess = 0.0, np.zeros(3), np.zeros((3, 3))
         ref_lin, ref_quad = np.zeros(3), np.zeros((3, 3))
@@ -238,11 +236,12 @@ class TestPairSumEngine:
     def test_only_zero_weights_are_degenerate(self):
         # Decided from the ranks: all-tied Kendall ranks give no weight; a
         # strict order whose every pair the model reverses gives D = 0.
-        x = np.arange(4.0)[None, :, None]
+        x = np.arange(4.0)[None, None, :, None]
         with pytest.raises(DegenerateWeights):
-            _pair_sums(PairWorkspace(x, np.full(4, 4), "kendall"), np.ones(1), 0.1)
+            _pair_sums(PairWorkspace(x, np.full((1, 4), 4), "kendall"), np.ones(1), 0.1)
+        reversed_ranks = np.arange(4, 0, -1)[None]
         with pytest.raises(NonpositiveConcordance):
-            _pair_sums(PairWorkspace(x, np.arange(4, 0, -1), "kendall"), np.ones(1), 1e-4)
+            _pair_sums(PairWorkspace(x, reversed_ranks, "kendall"), np.ones(1), 1e-4)
 
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("count", [1, 3])
@@ -255,7 +254,7 @@ class TestPairSumEngine:
         ranks = external_ranks(rng.integers(0, 7, n).astype(float))
         assert len(np.unique(ranks.r)) < n               # tied
         w = pair_weights(ranks, measure).w
-        work = PairWorkspace(np.stack(tables), ranks.r, measure)
+        work = PairWorkspace(np.stack(tables)[None], ranks.r[None], measure)
         for _ in range(3):
             beta = rng.standard_normal(p)
             got = _pair_sums(work, beta, nu, gradient=True, mm=True, hessian=True)
@@ -328,8 +327,8 @@ class TestFoldPairSums:
         want = [np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))]
         for k in range(n):
             # each fold's weights from its own scores, not from the full ranks
-            work = PairWorkspace(np.delete(x, k, axis=0)[None],
-                                 external_ranks(np.delete(scores, k)).r, measure)
+            work = PairWorkspace(np.delete(x, k, axis=0)[None, None],
+                                 external_ranks(np.delete(scores, k)).r[None], measure)
             if work.live:
                 d, grad, _, _, hess = _pair_sums(work, beta, nu, gradient=True, hessian=True)
                 want[0][k], want[1][k], want[2][k] = d, grad, hess
@@ -372,7 +371,7 @@ class TestFoldPairSums:
             beta *= rng.uniform(50.0, 65.0) * nu / np.ptp(x @ beta)
             scores = rng.standard_normal(n)
             r = external_ranks(scores).r
-            got = _pair_sums(PairWorkspace(x[None], r, measure), beta, nu,
+            got = _pair_sums(PairWorkspace(x[None, None], r[None], measure), beta, nu,
                              gradient=True, hessian=True)
             want = self._long_double_sums(pair_weights(external_ranks(scores), measure).w,
                                           x, beta, nu)
@@ -452,7 +451,7 @@ class TestMarginalSampler:
         direct = np.mean([
             np.sum(base.w * expit(((t @ beta)[:, None] - (t @ beta)[None, :]) / 0.3))
             for t in sampler.tables])
-        assert concordance_value(z, beta, 0.3, mw) == pytest.approx(direct)
+        assert engine_sums(mw, z, beta, 0.3)[0] == pytest.approx(direct)
 
 
 class TestProblemWeights:

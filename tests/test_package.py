@@ -37,6 +37,28 @@ def exported_names(source):
     return set()
 
 
+def unreferenced_definitions(sources):
+    """Module-level functions and classes of ``sources`` (a list of module
+    sources) that no code of theirs reads, as a name or an attribute,
+    outside the definition itself."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                names.discard(node.name)
+            read |= names
+    return defined - read
+
+
+# Kept only because the benchmark (perfbench/) wraps or imports them. They
+# wait for its upkeep (ROADMAP item 1); every other name has a caller here.
+BENCHMARK_ONLY = {"degrees_of_freedom", "local_minimizer", "mm_step", "objective_gradient",
+                  "penalized_objective"}
+
+
 def test_checker_sees_unused_and_used_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\nimport scipy.linalg\n"
@@ -44,6 +66,19 @@ def test_checker_sees_unused_and_used_names():
               "def f(v: c) -> None:\n    return scipy.linalg.solve(sys, v)\n")
     assert unused_imports(source) == ["a", "os"]
     assert unused_imports(source, exported={"a", "os"}) == []
+
+
+def test_checker_sees_unreferenced_definitions():
+    sources = ["def f(n):\n    return f(n - 1)\n\nclass A:\n    pass\n\n"
+               "def g():\n    return h\n",
+               "import m\n\ndef h():\n    return m.A()\n"]
+    assert unreferenced_definitions(sources) == {"f", "g"}
+
+
+def test_only_benchmark_entry_points_lack_a_package_caller():
+    # A test-only helper belongs under tests/, not in the package.
+    sources = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "__init__.py"]
+    assert unreferenced_definitions(sources) == BENCHMARK_ONLY
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

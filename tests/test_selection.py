@@ -16,7 +16,7 @@ from rasper.concordance import (
     _pair_sums,
     pair_weights,
 )
-from rasper.data_model import StandardizedDesign, external_ranks, standardize
+from rasper.data_model import ExternalRanks, StandardizedDesign, external_ranks, standardize
 from rasper.errors import (
     DimensionMismatch,
     FoldFailure,
@@ -36,7 +36,7 @@ from rasper.selection import (
 )
 from rasper.solver import PenalizedProblem, default_nu, fit_batch, fit_rasper
 
-from conftest import count_calls, make_problem, reference_pair_sums
+from conftest import count_calls, fold_weights, make_problem, reference_pair_sums
 
 
 def make_data(seed=0, n=25, p=4):
@@ -81,6 +81,13 @@ class TestGrid:
             build_grid(0.0, 1.0, 3, 0.1, 1.0, 3)
         with pytest.raises(InvalidBounds):
             build_grid(0.1, 1.0, 0, 0.1, 1.0, 3)
+        # a fractional J would overshoot lambda_max: [0, 1, 21.5, 464]
+        with pytest.raises(InvalidBounds):
+            build_grid(1.0, 100.0, 1.5, 0.1, 1.0, 1)
+        with pytest.raises(InvalidBounds):
+            build_grid(1.0, 100.0, 1, 0.1, 1.0, 2.0)
+        with pytest.raises(InvalidBounds):
+            build_grid(1.0, 100.0, True, 0.1, 1.0, 1)
 
 
 class TestLOOCV:
@@ -111,15 +118,24 @@ class TestLOOCV:
     def test_fold_cache_holds_only_ranks(self):
         # n - 1 ranks per fold, no (n - 1) x (n - 1) weight matrix
         design, y, ranks, scores, spec = make_data(seed=5, n=100)
-        arrays = [value for fold in fold_weight_cache(design, ranks, spec)
-                  for value in vars(fold).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == design.n
-        assert max(a.size for a in arrays) <= design.n
+        r, tables = fold_weight_cache(design, ranks, spec)
+        assert tables is None
+        assert r.shape == (design.n, design.n - 1)
+
+    def test_fold_cache_stacks_marginal_tables(self):
+        # fold k's tables are the ones its own problem_weights draws
+        design, y, ranks, spec = _fold_data(9, "marginalized")
+        r, tables = fold_weight_cache(design, ranks, spec)
+        assert tables.shape == (9, spec.samples, 8, design.p)
+        for k in range(9):
+            keep = np.delete(np.arange(9), k)
+            fold = selection.problem_weights(design.subset(keep), ExternalRanks(r=r[k]), spec)
+            assert np.array_equal(tables[k], np.stack(fold.tables))
 
     def test_fold_ranks_recomputed_from_scores(self):
         # deleting the top-ranked row must compress the remaining ranks
         design, y, ranks, scores, spec = make_data(seed=2, n=10)
-        cache = fold_weight_cache(design, ranks, spec)
+        cache = fold_weights(fold_weight_cache(design, ranks, spec), "spearman")
         top = int(np.argmax(scores))
         kept = np.delete(scores, top)
         sub = external_ranks(kept)
@@ -134,7 +150,7 @@ class TestLOOCV:
         scores = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], dtype=float)
         ranks = external_ranks(scores)
         spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
-        cache = fold_weight_cache(design, ranks, spec)
+        cache = fold_weights(fold_weight_cache(design, ranks, spec), measure)
         assert len(cache) == design.n
         for k, fold in enumerate(cache):
             expected = pair_weights(external_ranks(np.delete(scores, k)), measure)
@@ -184,7 +200,7 @@ class TestLOOCV:
         # cold fold starts at its own local minimizer.
         design, y, ranks, spec = _fold_data(15, "marginalized" if marginalized else "spearman")
         cache = fold_weight_cache(design, ranks, spec)
-        assert (cache[0].tables is not None) == marginalized
+        assert (cache[1] is not None) == marginalized
         weights = selection.problem_weights(design, ranks, spec)
         full = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
         tables = []
@@ -227,7 +243,8 @@ class TestLOOCV:
         downdated = loocv_score(design, y, ranks, spec, lam, 1.0, warm=warm)
         # each fold fitted alone, its start taken by an engine pass
         engine = 0.0
-        for k, weights in enumerate(fold_weight_cache(design, ranks, spec)):
+        for k, weights in enumerate(fold_weights(fold_weight_cache(design, ranks, spec),
+                                                 measure)):
             keep = np.delete(np.arange(design.n), k)
             fit = fit_rasper(PenalizedProblem(design.subset(keep), y[keep], weights, spec,
                                               lam, 1.0), init=warm.beta)
@@ -300,7 +317,7 @@ class TestBatchedFolds:
             starts = selection.fold_pair_sums(ranks.r, spec.measure, design.x, full.beta, spec.nu)
         total = 0.0
         assert len(folds) == n
-        for k, (fold, weights) in enumerate(zip(folds, cache)):
+        for k, (fold, weights) in enumerate(zip(folds, fold_weights(cache, spec.measure))):
             keep = np.delete(np.arange(n), k)
             problem = PenalizedProblem(design.subset(keep), y[keep], weights, spec, lam, alpha)
             (alone,) = fit_batch(problem.batch, full.beta[None] if warm else None,
@@ -512,8 +529,8 @@ class TestDegreesOfFreedom:
             w = pair_weights(ranks, measure)
             nu = float(rng.uniform(0.05, 2.0))
             x = design.x
-            m0 = _pair_sums(PairWorkspace(x[None], ranks.r, measure), np.zeros(2), nu,
-                            mm=True)[3]
+            m0 = _pair_sums(PairWorkspace(x[None, None], ranks.r[None], measure), np.zeros(2),
+                            nu, mm=True)[3]
             want = reference_pair_sums(w.w, (x,), np.zeros(2), nu, mm=True)[3]
             assert np.linalg.norm(m0 - want) <= 1e-12 * np.linalg.norm(want)
             for lam, alpha in [(0.5, 0.0), (7.0, 0.3), (1e4, 2.0)]:

@@ -177,13 +177,23 @@ class TestSimSetting:
         dict(study="1a", beta_external=(0.0, 0.0), beta_internal=(1.0, 0.5)),
         dict(study="1b", beta_external=(0.0,) * 4, beta_internal=(1.0,) * 6),
         dict(study="2", beta_internal=(1.0,) * 6, study2_z5_mode="reuse-z4"),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), n_internal=40.5),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), n_test=200.0),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), replications=2.0),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), replications=True),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), samples=2.5),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), grid_j=1.5),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), grid_k=2.0),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), seed="1"),
     ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
             "2-theta-3", "bic-criterion", "no-replications", "no-test-rows",
             "1a-zero-beta-internal", "2-empty-beta-internal", "1a-zero-beta-external",
-            "1b-zero-beta-external", "2-misspelt-z5-mode"])
+            "1b-zero-beta-external", "2-misspelt-z5-mode", "fractional-n-internal",
+            "float-n-test", "float-replications", "bool-replications", "fractional-samples",
+            "fractional-grid-j", "float-grid-k", "string-seed"])
     def test_malformed_study_coefficients_rejected(self, bad):
         with pytest.raises(InvalidValue):
-            SimSetting(n_internal=20, **bad)
+            SimSetting(**{"n_internal": 20, **bad})
 
     @pytest.mark.parametrize("text,error", [
         ('{"study": "1a", "beta_external": [1.0', ParseError),

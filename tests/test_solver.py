@@ -33,10 +33,10 @@ from rasper.solver import (
     mm_step,
     objective_gradient,
     penalized_objective,
-    surrogate_value,
 )
 
-from conftest import count_calls, make_problem
+from conftest import count_calls, engine_sums, fold_weights, make_problem
+from oracles import surrogate_value
 
 
 class TestJJCoefficient:
@@ -92,15 +92,13 @@ class TestDefaultNu:
 
 class TestObjective:
     def test_matches_manual_computation(self, small_problem):
-        from rasper.concordance import concordance_value
         p = small_problem
         rng = np.random.default_rng(0)
         beta = rng.standard_normal(p.design.p)
         beta0 = 0.3
         resid = p.y - beta0 - p.design.x @ beta
         manual = 0.5 * resid @ resid + 0.5 * p.alpha * beta @ beta
-        manual -= p.lam * np.log(
-            concordance_value(p.design.x, beta, p.nu, p.weights))
+        manual -= p.lam * np.log(engine_sums(p.weights, p.design.x, beta, p.nu)[0])
         assert penalized_objective(p, beta0, beta) == pytest.approx(manual)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -603,7 +601,8 @@ class TestTrustRegion:
         spec = ConcordanceSpec("spearman", False, nu)
         full = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, "spearman"),
                                            spec, lam=1e5, alpha=0.0))
-        for k, weights in enumerate(fold_weight_cache(design, ranks, spec)):
+        for k, weights in enumerate(fold_weights(fold_weight_cache(design, ranks, spec),
+                                                 "spearman")):
             keep = np.delete(np.arange(design.n), k)
             problem = PenalizedProblem(design.subset(keep), y[keep], weights, spec,
                                        lam=1e5, alpha=0.0)
