@@ -1,19 +1,19 @@
 """Pairwise concordance weights and the smoothed concordance measure D.
 
-One engine, ``_pair_sums``, evaluates every weighted pair sum the package
-needs: D, its gradient and Hessian, and the quasi-probability sums of the
-MM map and of the degrees of freedom. It runs on a ``PairWorkspace`` of B
-problems of one size, each at its own beta, built from one input form:
-their (B, S, n, p) float array of design tables (S = 1 without marginal
-tables) and their (B, n) ranks. The workspace holds the weights as the
-ranks give them (a Spearman row scale, or a constant times the Kendall
-strict-order mask) and (C, S, n, n) buffers that every pass reuses. A
-single fit is a batch of one (``pair_workspace``); the leave-one-out folds
-of a grid point hand in their stacked rows or tables and their rank rows
-as they are, and run in chunks of C. One in-place ``exp`` gives sigma(u)
-of all C * S tables, and every reduction is a matrix-vector product or a
-gemm over the stack; the n^2 x p difference operator and the dense weights
-``PairWeights.w`` are never built.
+Every weighted pair sum runs on a ``PairWorkspace``: B problems of one size
+given as their (B, S, n, p) float array of design tables (S = 1 without
+marginal tables) and their (B, n) ranks, with the weights as the ranks give
+them (a Spearman row scale, or a constant times the Kendall strict-order
+mask) and (C, S, n, n) buffers that every pass reuses, C problems at a time.
+One kernel, ``_sigma``, builds sigma(u) of a chunk's C * S tables with one
+rank-2 gemm and one in-place ``exp``. Three entry points with fixed outputs
+reduce it by matrix-vector products and gemms over the stack, so neither the
+n^2 x p difference operator nor the dense weights ``PairWeights.w`` is built:
+``_pair_sums`` gives (D, gradient, Hessian) of every problem at its own beta;
+``_surrogate_sums`` gives D and the MM surrogate's pieces of one problem; and
+``fold_pair_sums`` gives (D, gradient, Hessian) of every leave-one-out fold
+at one beta from a workspace of the full data. The first and the last share
+``_densities``, the logistic density and the Hessian weight.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
 measure's pair weights, plus sampled design tables when the spec is
@@ -23,6 +23,7 @@ marginalized and the design has novel covariates.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,12 @@ class ConcordanceSpec:
     def __post_init__(self):
         if self.measure not in (SPEARMAN, KENDALL):
             raise InvalidValue(f"unknown measure {self.measure!r}")
-        if not self.nu > 0:
-            raise InvalidValue("nu must be positive")
-        if self.samples < 1:
-            raise InvalidValue("samples must be >= 1")
+        if not 0 < self.nu < np.inf:                  # NaN fails both comparisons
+            raise InvalidValue(f"nu must be positive and finite, not {self.nu!r}")
+        for name, low in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise InvalidValue(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ class PairWorkspace:
     ``right``, whose fixed rows of ones make -u a rank-2 product. The chunk
     loaded last is kept, so a batch of one chunk, such as a single fit,
     builds it once. The three (C, S, n, n) buffers are overwritten by every
-    pass, so a workspace serves one thread at a time; nothing
-    ``_pair_sums`` returns is a view of them.
+    pass, so a workspace serves one thread at a time; nothing an entry
+    point returns is a view of them.
     """
 
     def __init__(self, stack, r, measure):
@@ -199,13 +202,6 @@ def _logistic_of_negated(s):
     return s
 
 
-def _sigma_table(t):
-    """sigma(u) for u_ij = t_i - t_j over the last axis of ``t`` (one table
-    per leading index), built in one buffer: it starts as -u (t_j - t_i,
-    exactly the negation of t_i - t_j)."""
-    return _logistic_of_negated(np.subtract(t[..., None, :], t[..., :, None]))
-
-
 def jj_coefficient(u):
     """Curvature of the quadratic logistic bound: tanh(u/2)/(4u).
 
@@ -239,77 +235,68 @@ def _laplacian(work, g):
         - 0.5 * (cross + cross.transpose(0, 2, 1))
 
 
-def _pair_sums(work, beta, nu, gradient=False, mm=False, hessian=False):
-    """Weighted pair sums of sigma(u_ij), u_ij = (x_i - x_j)' beta / nu,
-    averaged over the S design tables of each problem of ``work``, a
-    ``PairWorkspace``, at one beta per problem: ``beta`` is (B, p), or (p,)
-    for a workspace of one problem.
-
-    The problems are taken in the workspace's chunks of C. sigma(u) of a
-    chunk's C * S tables comes from one ``exp`` into the workspace's
-    (C, S, n, n) buffer, and every reduction is a matrix-vector product or
-    a gemm over the stacked tables, so each problem's sums are those a
-    workspace of it alone gives. The logistic density is formed as
-    sigma(u) sigma(-u) = s * s', so each entry carries a relative error of
-    a few ulp however far apart the pair is (its zero-difference diagonal is
-    set to zero), and the Hessian's density * (1 - 2 s) as the antisymmetric
-    h = density * (s' - s). A pair sum sum_ij w_ij f_ij (x_i - x_j) of a
-    symmetric f, or the outer-product sum of an antisymmetric f, only sees
-    w - w', which for Kendall is the constant times ``sign``.
-
-    Returns (d, grad, lin, quad, hess). d is D = mean_T sum_ij w_ij sigma(u_ij).
-    grad is dD/dbeta when ``gradient`` is set, else None; hess is the Hessian
-    of D, mean_T sum_ij w_ij s_ij (1 - s_ij)(1 - 2 s_ij) a_ij a_ij' / nu^2 with
-    s = sigma(u) and a_ij = x_i - x_j, when ``hessian`` is set, else None.
-    When ``mm`` is set, lin = sum_k q_k a_k and quad = sum_k q_k c_k a_k a_k',
-    where k runs over the pairs of every table, a_k is the scaled pair
-    difference, c_k the logistic-bound curvature at u_k and
-    q_k = w_k sigma(u_k) / (S D) the quasi-probabilities; otherwise both are
-    None. None of them is a view of the workspace. With a (B, p) ``beta``
-    they come back with shapes (B,), (B, p), (B, p), (B, p, p) and
-    (B, p, p), and a D that is not positive is the caller's to judge; with a
-    (p,) ``beta``, D is a float, the leading axis is dropped, and a D that
-    is not positive raises its ``_concordance_error``.
-    """
-    single, step = beta.ndim == 1, work.chunk
-    beta = beta.reshape(-1, beta.shape[-1])
-    parts = [_chunk_sums(work.load(first), beta[first:first + step], nu, gradient, mm,
-                         hessian, single) for first in range(0, len(work.index), step)]
-    sums = parts[0] if len(parts) == 1 else tuple(
-        None if a[0] is None else np.concatenate(a) for a in zip(*parts))
-    if not single:
-        return sums
-    return (float(sums[0][0]),) + tuple(None if a is None else a[0] for a in sums[1:])
-
-
-def _chunk_sums(work, beta, nu, gradient, mm, hessian, check):
-    """``_pair_sums`` of the loaded chunk at its (C, p) ``beta``; ``check``
-    raises the ``_concordance_error`` of a chunk of one whose D is not positive."""
+def _sigma(work, beta, nu):
+    """The kernel: sigma(u_ij), u_ij = (x_i - x_j)' beta / nu, of every table
+    of the loaded chunk at its problem's row of ``beta`` (C, p), in the
+    workspace's ``s`` buffer: -u is one rank-2 gemm of ``left`` and
+    ``right`` for the chunk's C * S tables, made sigma(u) by one ``exp``."""
     size, count, n, p = work.shape
     t = np.matmul(work.flat, beta.reshape(-1, p, 1)).reshape(size, count, n) / nu
     work.left[..., 1] = -t
     work.right[:, :, 0] = t
-    s = _logistic_of_negated(np.matmul(work.left, work.right, out=work.s[:size]))
+    return _logistic_of_negated(np.matmul(work.left, work.right, out=work.s[:size]))
+
+
+def _concordance(work, s):
+    """D of each problem of the loaded chunk, from its sigma tables ``s``."""
+    size, count, n, _ = s.shape
     if work.mask is None:
         d = np.matmul(s @ work.ones, work.scale[..., None]).reshape(size, count).sum(axis=1)
     else:
         d = np.matmul(s.reshape(size, count, n * n), work.mask.reshape(size, n * n, 1))
         d = work.const * d.reshape(size, count).sum(axis=1)
-    d /= count
-    if check and not d[0] > 0:
-        raise _concordance_error(float(d[0]), work.live[0])
-    grad = hess = lin = quad = None
-    h_buf, dens_buf = work.h[:size], work.dens[:size]
-    if gradient or hessian:
-        # s' = sigma(-u) is read twice, so it is copied out once: two
-        # transposed reads of an n x n table cost more than one.
-        st = h_buf
-        np.copyto(st, s.transpose(0, 1, 3, 2))
-        dens = np.multiply(s, st, out=dens_buf)          # sigma(u) sigma(-u)
-        dens.reshape(size * count, n * n)[:, ::n + 1] = 0.0
-    if hessian:
-        h = np.subtract(st, s, out=h_buf)
-        h *= dens                                        # dens * (1 - 2 s)
+    return d / count
+
+
+def _densities(work, s):
+    """The logistic density sigma(u) sigma(-u) = s * s' of the sigma tables
+    ``s``, accurate to a few ulp however far apart the pair is, with its
+    zero-difference diagonal set to zero, and the antisymmetric Hessian
+    weight density * (1 - 2 s) as density * (s' - s), in the workspace's
+    ``dens`` and ``h`` buffers."""
+    size, count, n, _ = s.shape
+    # s' = sigma(-u) is read twice, so it is copied out once: two
+    # transposed reads of an n x n table cost more than one.
+    st = work.h[:size]
+    np.copyto(st, s.transpose(0, 1, 3, 2))
+    dens = np.multiply(s, st, out=work.dens[:size])
+    dens.reshape(size * count, n * n)[:, ::n + 1] = 0.0
+    h = np.subtract(st, s, out=st)
+    h *= dens
+    return dens, h
+
+
+def _pair_sums(work, beta, nu):
+    """(d, grad, hess) of every problem of ``work``, a ``PairWorkspace``, at
+    its row of ``beta`` (B, p), with shapes (B,), (B, p) and (B, p, p):
+    D = mean_T sum_ij w_ij sigma(u_ij) over the problem's S tables, dD/dbeta
+    and mean_T sum_ij w_ij s_ij (1 - s_ij)(1 - 2 s_ij) a_ij a_ij' / nu^2 with
+    s = sigma(u) and a_ij = x_i - x_j. None is a view of the workspace, and
+    a D that is not positive is the caller's to judge.
+
+    The problems are taken in the workspace's chunks of C, and every
+    reduction is a matrix-vector product or a gemm over a chunk's stacked
+    tables, so each problem's sums are those a workspace of it alone gives.
+    A pair sum sum_ij w_ij f_ij (x_i - x_j) of a symmetric f, or the
+    outer-product sum of an antisymmetric f, only sees w - w', which for
+    Kendall is the constant times ``sign``.
+    """
+    parts = []
+    for first in range(0, len(work.index), work.chunk):
+        size, count, _, p = work.load(first).shape
+        s = _sigma(work, beta[first:first + size], nu)
+        d = _concordance(work, s)
+        dens, h = _densities(work, s)
         if work.sign is None:
             # sum_ij scale_i h_ij a_ij a_ij' = X' diag(scale h1 - h scale) X
             # less (scale X)'(h X) and its transpose
@@ -318,65 +305,77 @@ def _chunk_sums(work, beta, nu, gradient, mm, hessian, check):
             cross = work.scaled_t @ hb[..., 2:].reshape(work.flat.shape)
             hess = work.flat_t @ (diag.reshape(size, -1, 1) * work.flat) \
                 - cross - cross.transpose(0, 2, 1)
-        else:
-            h *= work.sign
-            hess = work.const * _laplacian(work, h)
-        hess /= nu * nu * count
-    if gradient:
-        if work.sign is None:
             ends = dens @ work.sides                     # [dens 1 | dens scale]
             coef = work.rows * ends[..., 0] - ends[..., 1]
         else:
+            h *= work.sign
+            hess = work.const * _laplacian(work, h)
             dens *= work.sign
             coef = work.const * (dens @ work.ones)
+        hess /= nu * nu * count
         grad = np.matmul(work.flat_t, coef.reshape(size, -1, 1)).reshape(size, p) / (nu * count)
-    if mm:
-        # The density and Hessian buffers serve as scratch: v = w * s, then u.
-        if work.mask is None:
-            v = np.multiply(s, work.rows[..., None], out=dens_buf)
-        else:
-            v = np.multiply(s, work.mask, out=dens_buf)
-            v *= work.const
-        lin = np.matmul(work.flat_t, (v.sum(axis=3) - v.sum(axis=2)).reshape(size, -1, 1))
-        lin = lin.reshape(size, p) / (nu * count * d[:, None])
-        v *= jj_coefficient(np.negative(np.matmul(work.left, work.right, out=h_buf), out=h_buf))
-        quad = _laplacian(work, np.add(v, v.transpose(0, 1, 3, 2), out=h_buf))
-        quad /= nu * nu * count * d[:, None, None]
-    return d, grad, lin, quad, hess
+        parts.append((d, grad, hess))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _surrogate_sums(work, beta, nu):
+    """The MM surrogate's pieces (d, lin, quad) of a one-problem ``work`` at
+    one beta (p,): D, lin = sum_k q_k a_k and quad = sum_k q_k c_k a_k a_k',
+    where k runs over the pairs of every table, a_k is the scaled pair
+    difference, c_k the logistic-bound curvature at u_k and
+    q_k = w_k sigma(u_k) / (S D) the quasi-probabilities. Neither array is
+    a view of the workspace; a D that is not positive raises its
+    ``_concordance_error``."""
+    work = work.load(0)
+    size, count, _, p = work.shape
+    s = _sigma(work, beta[None], nu)
+    d = _concordance(work, s)
+    if not d[0] > 0:
+        raise _concordance_error(float(d[0]), work.live[0])
+    # The density and Hessian buffers serve as scratch: v = w * s, then u.
+    h_buf = work.h[:size]
+    if work.mask is None:
+        v = np.multiply(s, work.rows[..., None], out=work.dens[:size])
+    else:
+        v = np.multiply(s, work.mask, out=work.dens[:size])
+        v *= work.const
+    lin = np.matmul(work.flat_t, (v.sum(axis=3) - v.sum(axis=2)).reshape(size, -1, 1))
+    lin = lin.reshape(size, p) / (nu * count * d[:, None])
+    v *= jj_coefficient(np.negative(np.matmul(work.left, work.right, out=h_buf), out=h_buf))
+    quad = _laplacian(work, np.add(v, v.transpose(0, 1, 3, 2), out=h_buf))
+    quad /= nu * nu * count * d[:, None, None]
+    return float(d[0]), lin[0], quad[0]
 
 
 def fold_pair_sums(r, measure, x, beta, nu):
     """``_pair_sums``' D, gradient and Hessian for every leave-one-out fold k
-    at one beta, from one full-data sigma table, with the engine's density
-    s * s' and antisymmetric Hessian weight.
+    at one beta, from the sigma table and the densities of a one-problem
+    ``PairWorkspace`` of the full data (``_sigma`` and ``_densities``).
 
     Fold k keeps the rows i != k with ranks r_i - [r_i >= r_k], so its weights
     are w_ij = c * omega_ki * o_ij over i, j != k. Spearman: o = 1,
     omega_ki = r_i - [r_i >= r_k] and c = 1 / (4 (n-1)^2). Kendall:
-    o_ij = [r_i > r_j], which dropping a row does not change, omega_ki = 1 and
-    c = 2 / ((n-1)(n-2)). With omega_kk = 0, a fold's sum of any pair term
-    f_ij is sum_i omega_ki (sum_j o_ij f_ij - o_ik f_ik): the full table's row
-    sums weighted by omega, less fold k's column. That is a few n x n
-    operations and n x n by n x p^2 products, O(n^2 + n p^2) memory.
+    o_ij = [r_i > r_j], the workspace's order mask, which dropping a row does
+    not change, omega_ki = 1 and c = 2 / ((n-1)(n-2)). With omega_kk = 0, a
+    fold's sum of any pair term f_ij is
+    sum_i omega_ki (sum_j o_ij f_ij - o_ik f_ik): the full table's row sums
+    weighted by omega, less fold k's column. That is a few n x n operations
+    and n x n by n x p^2 products, O(n^2 + n p^2) memory.
 
-    Returns d (n,), grad (n, p) and hess (n, p, p), fold k in row k. D is not
-    checked here: ``solver.fit_batch`` fails each fold whose D is not
-    positive with its ``_concordance_error``.
+    Returns d (n,), grad (n, p) and hess (n, p, p), fold k in row k, none a
+    view of the workspace. D is not checked here: ``solver.fit_batch`` fails
+    each fold whose D is not positive with its ``_concordance_error``.
     """
     n, p = x.shape
     r = np.asarray(r, dtype=float)
-    s = _sigma_table((x @ beta) / nu)
-    h = s.T.copy()                           # sigma(-u), read twice
-    m = s * h                                # logistic density sigma(u) sigma(-u)
-    np.fill_diagonal(m, 0.0)                 # x_i - x_i = 0 anyway
-    h -= s
-    h *= m                                   # m_ij * (1 - 2 s_ij), antisymmetric
+    work = PairWorkspace(x[None, None], r[None], measure).load(0)
+    s = _sigma(work, np.asarray(beta, dtype=float)[None], nu)
+    s, m, h = (a[0, 0] for a in (s, *_densities(work, s)))
     if measure == SPEARMAN:
         omega = r[None, :] - (r[None, :] >= r[:, None])
         c = 1.0 / (4.0 * (n - 1.0) ** 2)
     else:
-        order = r[:, None] > r[None, :]
-        s, m, h = s * order, m * order, h * order
+        s, m, h = (a * work.mask[0, 0] for a in (s, m, h))
         omega = np.ones((n, n))
         c = 2.0 / ((n - 1.0) * (n - 2.0))
     np.fill_diagonal(omega, 0.0)

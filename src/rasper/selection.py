@@ -5,11 +5,12 @@ The full-data fits and every leave-one-out fold take their weights from
 ``concordance.problem_weights``, so all of them marginalize by one rule.
 
 ``select`` builds the full-data pair workspace and the beta = 0 curvature
-of the degrees of freedom once, since neither depends on (lambda, alpha).
-``loocv_score`` fits a grid point's n folds as one batch through the one
-trust-region loop, ``solver.fit_batch``, on rows, ranks, grams and X_c'y_c
-taken from the full data by indexing (O(n^2 p) memory); the pair-sum engine
-walks the batch in chunks sized by ``concordance.CHUNK_PAIRS``, never O(n^3).
+of the degrees of freedom (one ``_surrogate_sums`` pass) once, since
+neither depends on (lambda, alpha). ``loocv_score`` fits a grid point's n
+folds as one batch through the one trust-region loop, ``solver.fit_batch``,
+on rows, ranks, grams and X_c'y_c taken from the full data by indexing
+(O(n^2 p) memory); its ``_pair_sums`` passes walk the batch in chunks sized
+by ``concordance.CHUNK_PAIRS``, never O(n^3).
 
 D, its gradient and its Hessian depend on beta alone, not on
 (lambda, alpha), so ``select`` starts each warm full fit from the previous
@@ -40,7 +41,7 @@ from .concordance import (
     ConcordanceSpec,
     PairWeights,
     PairWorkspace,
-    _pair_sums,
+    _surrogate_sums,
     fold_pair_sums,
     pair_weights,
     problem_weights,
@@ -287,13 +288,13 @@ def _fold_rollup(fits, reused):
 
 def _penalty_curvature(design: StandardizedDesign, weights: PairWeights, nu):
     """The surrogate curvature M0 at beta = 0 on the observed design (see
-    ``degrees_of_freedom``): the pair-sum engine's ``quad`` there, from one
+    ``degrees_of_freedom``): ``_surrogate_sums``' ``quad`` there, from one
     pass, or None when every pair weight is zero. It does not depend on
     (lambda, alpha), so ``select`` takes it once."""
     work = PairWorkspace(design.x[None, None], weights.r[None], weights.measure)
     if not work.live[0]:
         return None
-    return _pair_sums(work, np.zeros(design.p), nu, mm=True)[3]
+    return _surrogate_sums(work, np.zeros(design.p), nu)[2]
 
 
 def _smoother_df(xtx, m0, lam, alpha) -> float:
@@ -319,7 +320,7 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     curvature at beta = 0: quasi-probabilities w_k / sum(w) times the
     logistic-bound curvature 1/8 on each scaled pair difference. M0 is
     taken on the observed design even for marginalized weights. It is the
-    pair-sum engine's ``quad`` at beta = 0, where every sigma is 1/2 and every
+    ``_surrogate_sums`` quad at beta = 0, where every sigma is 1/2 and every
     curvature 1/8, from one pass on a workspace of the observed design; with
     all weights zero (all-tied Kendall ranks) the penalty adds nothing.
     """

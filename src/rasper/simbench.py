@@ -67,12 +67,12 @@ class SimSetting:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidValue(f"{name} must be an integer, not {value!r}")
-        if self.sigma <= 0:
-            raise InvalidValue("sigma must be positive")
-        if self.samples < 1 or not (self.nu is None or self.nu > 0):
-            raise InvalidValue("samples must be >= 1 and nu positive")
-        if self.replications < 1 or self.n_test < 1:
-            raise InvalidValue("replications and n_test must be >= 1")
+        if not 0 < self.sigma < math.inf:             # NaN fails both comparisons
+            raise InvalidValue(f"sigma must be positive and finite, not {self.sigma!r}")
+        if self.samples < 1 or not (self.nu is None or 0 < self.nu < math.inf):
+            raise InvalidValue("samples must be >= 1 and nu positive and finite")
+        if self.replications < 1 or self.n_test < 1 or self.seed < 0:
+            raise InvalidValue("replications and n_test must be >= 1 and seed >= 0")
         if self.criterion not in ("loocv", "aic"):
             raise InvalidValue(f"unknown criterion {self.criterion!r}")
         if self.study2_z5_mode not in ("extra", "reuse_z4"):

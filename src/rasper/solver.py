@@ -37,10 +37,10 @@ takes the iterates it would take alone. ``fit_rasper`` runs a problem as a
 batch of one, and ``selection.loocv_score`` runs the n leave-one-out folds
 of a grid point as one batch, so there is one solver path.
 
-Every pair sum (D, its gradient and Hessian, and the surrogate's pieces)
-comes from the single numpy engine in ``concordance``, on a
-``PairWorkspace``: the problems' design tables, their ranks and the buffers
-that every pass reuses, filled one chunk of problems at a time.
+Every pair sum comes from an entry point of the one engine in
+``concordance``, on the problems' ``PairWorkspace``: ``_pair_sums`` for a
+batch (``_points``) or for one problem (``_sums``), ``_surrogate_sums`` for
+``mm_step``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .concordance import (
     PairWorkspace,
     _concordance_error,
     _pair_sums,
+    _surrogate_sums,
     pair_workspace,
 )
 from .data_model import StandardizedDesign
@@ -247,10 +248,13 @@ def _local_objective(problem, beta0, beta):
     return 0.5 * float(resid @ resid) + 0.5 * problem.alpha * float(beta @ beta)
 
 
-def _sums(problem, beta, gradient=False, mm=False, hessian=False):
-    """The pair-sum engine on the problem's workspace."""
-    return _pair_sums(problem.workspace, beta, problem.nu,
-                      gradient=gradient, mm=mm, hessian=hessian)
+def _sums(problem, beta):
+    """(D, dD, d2D) of one problem at one beta (p,), from one engine pass;
+    a D that is not positive raises its ``_concordance_error``."""
+    d, dd, hd = _pair_sums(problem.workspace, beta[None], problem.nu)
+    if not d[0] > 0:
+        raise _concordance_error(float(d[0]), problem.workspace.live[0])
+    return float(d[0]), dd[0], hd[0]
 
 
 def penalized_objective(problem: PenalizedProblem, beta0, beta) -> float:
@@ -272,7 +276,7 @@ def mm_step(problem: PenalizedProblem, beta0, beta):
     beta = np.asarray(beta, dtype=float)
     system, rhs = problem.batch.gram[0], problem.batch.xty[0]
     if problem.lam > 0:
-        _, _, lin, quad, _ = _sums(problem, beta, mm=True)
+        _, lin, quad = _surrogate_sums(problem.workspace, beta, problem.nu)
         system = system + 2.0 * problem.lam * quad
         rhs = rhs + 0.5 * problem.lam * lin
     try:
@@ -367,11 +371,7 @@ def _points(problems, beta, sums=None):
     lam = problems.lam
     if not lam > 0:
         return beta0, value, None, g, problems.gram
-    if sums is None:
-        d, dd, _, _, hd = _pair_sums(problems.work, beta, problems.nu,
-                                     gradient=True, hessian=True)
-    else:
-        d, dd, hd = sums
+    d, dd, hd = _pair_sums(problems.work, beta, problems.nu) if sums is None else sums
     dp = d if d.min() > 0 else np.where(d > 0, d, 1.0)
     value = value - lam * np.log(dp)
     if dp is not d:
@@ -562,8 +562,8 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
     if isinstance(fit, RasperError):
         raise fit
     if fit.concordance is None and problem.workspace.live[0]:
-        d, dd, _, _, hd = _sums(problem, fit.beta, gradient=True, hessian=True)
-        fit = replace(fit, concordance=d, pair_sums=(d, dd, hd))
+        sums = _sums(problem, fit.beta)
+        fit = replace(fit, concordance=sums[0], pair_sums=sums)
     return fit
 
 
@@ -575,6 +575,6 @@ def objective_gradient(problem: PenalizedProblem, beta0, beta):
     g0 = -float(resid.sum())
     g = -(x.T @ resid) + problem.alpha * beta
     if problem.lam > 0:
-        d, dd, _, _, _ = _sums(problem, beta, gradient=True)
+        d, dd, _ = _sums(problem, beta)
         g -= problem.lam * dd / d
     return g0, g

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from rasper.concordance import (
     ConcordanceSpec,
     PairWeights,
+    _concordance_error,
     _pair_sums,
     pair_weights,
     pair_workspace,
@@ -45,10 +46,12 @@ def _reference_pair_outer(xs, t):
     return xs.T @ (diag[:, None] * xs) - xt - xt.T
 
 
-def reference_pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=False):
+def reference_sums(w, tables, beta, nu):
     """The per-table pair-sum formula on a dense weight matrix ``w``, one
-    table at a time: the reference the stacked engine
-    (``concordance._pair_sums``) is tested against. Same return tuple."""
+    table at a time: the reference the stacked engine is tested against.
+    Returns the tuples of its two entry points at one beta, (d, grad, hess)
+    as ``concordance._pair_sums`` gives a problem's row and (d, lin, quad)
+    as ``concordance._surrogate_sums`` gives them."""
     from rasper.concordance import jj_coefficient
 
     p = beta.shape[0]
@@ -66,16 +69,19 @@ def reference_pair_sums(w, tables, beta, nu, gradient=False, mm=False, hessian=F
         quad += _reference_pair_outer(xs, v * jj_coefficient(np.subtract.outer(t, t))) / (nu * nu)
     count = len(tables)
     d /= count
-    return (d, grad / count if gradient else None, lin / (count * d) if mm else None,
-            quad / (count * d) if mm else None, hess / count if hessian else None)
+    return (d, grad / count, hess / count), (d, lin / (count * d), quad / (count * d))
 
 
-def engine_sums(weights, x, beta, nu, **kinds):
+def engine_sums(weights, x, beta, nu):
     """``concordance._pair_sums`` of one problem on the (n, p) design ``x``
-    with these ``weights``, on the workspace a fit builds: (d, grad, lin,
-    quad, hess), the ones ``kinds`` (``gradient``, ``mm``, ``hessian``) ask
-    for, with a D that is not positive raising its error."""
-    return _pair_sums(pair_workspace(weights, x), beta, nu, **kinds)
+    with these ``weights`` at one beta (p,), on the workspace a fit builds:
+    (d, grad, hess), with a D that is not positive raising its error, as
+    ``solver._sums`` gives them."""
+    work = pair_workspace(weights, x)
+    d, grad, hess = _pair_sums(work, beta[None], nu)
+    if not d[0] > 0:
+        raise _concordance_error(float(d[0]), work.live[0])
+    return float(d[0]), grad[0], hess[0]
 
 
 def fold_weights(cache, measure):

@@ -4,10 +4,10 @@ package's engine and solver against them."""
 
 import numpy as np
 
-from rasper.concordance import _sigma_table
+from rasper.concordance import _logistic_of_negated, _surrogate_sums
 from rasper.data_model import StandardizedDesign, ge_counts
 from rasper.errors import DimensionMismatch, InvalidValue
-from rasper.solver import _local_objective, _sums
+from rasper.solver import _local_objective
 
 
 def _checked_beta(x, beta):
@@ -35,6 +35,13 @@ def exact_rank_params(x, beta) -> np.ndarray:
     return ge_counts(eta, eta)
 
 
+def _sigma_table(t):
+    """sigma(u) for u_ij = t_i - t_j over the last axis of ``t`` (one table
+    per leading index), built in one buffer: it starts as -u (t_j - t_i,
+    exactly the negation of t_i - t_j)."""
+    return _logistic_of_negated(np.subtract(t[..., None, :], t[..., :, None]))
+
+
 def smooth_rank_params(x, beta, nu) -> np.ndarray:
     """Smoothed ranking parameters with the logistic kernel of scale nu.
 
@@ -53,7 +60,7 @@ def surrogate_value(problem, beta0, beta, anchor_beta):
     anchor_beta = np.asarray(anchor_beta, dtype=float)
     value = _local_objective(problem, beta0, beta)
     if problem.lam > 0:
-        d_anchor, _, lin, quad, _ = _sums(problem, anchor_beta, mm=True)
+        d_anchor, lin, quad = _surrogate_sums(problem.workspace, anchor_beta, problem.nu)
 
         def quad_part(b):
             return -0.5 * float(lin @ b) + float(b @ quad @ b)

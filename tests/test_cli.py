@@ -326,6 +326,8 @@ def _one_error_line(capsys, needle):
     (["--samples", "0"], "samples"),
     (["--lambda", "-1"], "lambda"),
     (["--alpha", "-2"], "alpha"),
+    (["--marginalized", "--seed", "-1"], "seed"),
+    (["--nu", "inf", "--lambda", "5"], "nu"),
 ])
 def test_bad_option_value_exit_1(dataset, tmp_path, capsys, extra, needle):
     data, schema = dataset
@@ -374,10 +376,13 @@ def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
     ({"n_internal": 40.5}, "n_internal must be an integer"),
     ({"replications": 2.0}, "replications must be an integer"),
     ({"grid_j": 1.5}, "grid_j must be an integer"),
+    ({"seed": -1}, "seed"),
+    ({"sigma": float("nan")}, "sigma"),
+    ({"sigma": float("inf")}, "sigma"),
 ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
         "2-theta-3", "bic-criterion", "zero-beta-internal", "1b-zero-beta-external",
         "no-replications", "no-test-rows", "fractional-n-internal", "float-replications",
-        "fractional-grid-j"])
+        "fractional-grid-j", "negative-seed", "nan-sigma", "infinite-sigma"])
 def test_malformed_study_setting_exit_1(tmp_path, capsys, change, needle):
     setting = tmp_path / "setting.json"
     setting.write_text(json.dumps({**TestSimulate().setting_payload(), **change}),

@@ -12,7 +12,8 @@ from rasper.concordance import (
     PairWeights,
     PairWorkspace,
     _pair_sums,
-    _sigma_table,
+    _sigma,
+    _surrogate_sums,
     build_marginal_sampler,
     fold_pair_sums,
     jj_coefficient,
@@ -29,8 +30,8 @@ from rasper.errors import (
 )
 from rasper.solver import fit_rasper, penalized_objective
 
-from conftest import engine_sums, make_problem, reference_pair_sums
-from oracles import exact_rank_params, smooth_rank_params
+from conftest import engine_sums, make_problem, reference_sums
+from oracles import _sigma_table, exact_rank_params, smooth_rank_params
 
 
 class TestRankParams:
@@ -159,7 +160,7 @@ class TestConcordanceGradient:
         w = pair_weights(ranks, measure)
         beta = rng.standard_normal(p)
         nu = 0.3
-        grad = engine_sums(w, x, beta, nu, gradient=True)[1]
+        grad = engine_sums(w, x, beta, nu)[1]
         h = 1e-6
         for j in range(p):
             e = np.zeros(p)
@@ -173,14 +174,24 @@ class TestConcordanceGradient:
         x = np.ones((6, 2))
         ranks = external_ranks(np.arange(6.0))
         w = pair_weights(ranks, "spearman")
-        grad = engine_sums(w, x, np.array([1.0, -1.0]), 0.2, gradient=True)[1]
+        grad = engine_sums(w, x, np.array([1.0, -1.0]), 0.2)[1]
         assert np.allclose(grad, 0.0, atol=1e-14)
 
 
 class TestSigmaTable:
+    # The engine's kernel on a one-column design at beta = 1 and nu = 1,
+    # where u_ij = t_i - t_j; the tests' subtraction-built table is the
+    # same, bit for bit.
+    @staticmethod
+    def _kernel_table(t):
+        work = PairWorkspace(t[None, None, :, None], np.arange(t.size)[None], "spearman")
+        s = _sigma(work.load(0), np.ones((1, 1)), 1.0)[0, 0]
+        assert np.array_equal(s, _sigma_table(t))
+        return s
+
     def test_matches_expit(self):
         t = 15.0 * np.random.default_rng(5).standard_normal(60)
-        s = _sigma_table(t)
+        s = self._kernel_table(t)
         assert np.max(np.abs(s - expit(np.subtract.outer(t, t)))) <= 1e-15
         assert np.all(np.diag(s) == 0.5)
 
@@ -189,7 +200,7 @@ class TestSigmaTable:
         u = np.subtract.outer(t, t)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = _sigma_table(t)
+            s = self._kernel_table(t)
         far = np.abs(u) > 2e4
         assert far.sum() == 32              # the pairs at least 20.98 apart
         assert np.array_equal(s[far], expit(u[far]))
@@ -210,8 +221,9 @@ class TestPairSumEngine:
             tables = build_marginal_sampler(x[:, :2], x[:, 2:], 3, 0).tables
         beta = rng.standard_normal(3)
         work = PairWorkspace(np.stack(tables)[None], ranks.r[None], measure)
-        d, grad, lin, quad, hess = _pair_sums(work, beta, nu, gradient=True, mm=True,
-                                              hessian=True)
+        d, grad, hess = (a[0] for a in _pair_sums(work, beta[None], nu))
+        surrogate_d, lin, quad = _surrogate_sums(work, beta, nu)
+        assert surrogate_d == d
 
         ref_d, ref_grad, ref_hess = 0.0, np.zeros(3), np.zeros((3, 3))
         ref_lin, ref_quad = np.zeros(3), np.zeros((3, 3))
@@ -236,18 +248,23 @@ class TestPairSumEngine:
     def test_only_zero_weights_are_degenerate(self):
         # Decided from the ranks: all-tied Kendall ranks give no weight; a
         # strict order whose every pair the model reverses gives D = 0.
+        # _pair_sums leaves D to its caller; the one-problem surrogate raises.
         x = np.arange(4.0)[None, None, :, None]
+        tied = PairWorkspace(x, np.full((1, 4), 4), "kendall")
+        assert _pair_sums(tied, np.ones((1, 1)), 0.1)[0][0] == 0.0 and not tied.live[0]
         with pytest.raises(DegenerateWeights):
-            _pair_sums(PairWorkspace(x, np.full((1, 4), 4), "kendall"), np.ones(1), 0.1)
-        reversed_ranks = np.arange(4, 0, -1)[None]
+            _surrogate_sums(tied, np.ones(1), 0.1)
+        reversed_work = PairWorkspace(x, np.arange(4, 0, -1)[None], "kendall")
+        assert _pair_sums(reversed_work, np.ones((1, 1)), 1e-4)[0][0] == 0.0
+        assert reversed_work.live[0]
         with pytest.raises(NonpositiveConcordance):
-            _pair_sums(PairWorkspace(x, reversed_ranks, "kendall"), np.ones(1), 1e-4)
+            _surrogate_sums(reversed_work, np.ones(1), 1e-4)
 
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("count", [1, 3])
     def test_stack_matches_per_table_formula(self, measure, count):
         # The per-table formula on dense weights, kept in conftest, is the
-        # reference; ties in the ranks, mm pieces included.
+        # reference of both entry points; ties in the ranks.
         rng = np.random.default_rng(20 + count)
         n, p, nu = 23, 4, 0.35
         tables = tuple(rng.standard_normal((n, p)) for _ in range(count))
@@ -257,10 +274,10 @@ class TestPairSumEngine:
         work = PairWorkspace(np.stack(tables)[None], ranks.r[None], measure)
         for _ in range(3):
             beta = rng.standard_normal(p)
-            got = _pair_sums(work, beta, nu, gradient=True, mm=True, hessian=True)
-            want = reference_pair_sums(w, tables, beta, nu, gradient=True, mm=True,
-                                       hessian=True)
-            for a, b in zip(got, want):
+            got = [a[0] for a in _pair_sums(work, beta[None], nu)]
+            got += _surrogate_sums(work, beta, nu)
+            pair, surrogate = reference_sums(w, tables, beta, nu)
+            for a, b in zip(got, pair + surrogate):
                 assert np.linalg.norm(np.subtract(a, b)) <= 1e-12 * np.linalg.norm(b)
 
     def test_all_tied_kendall_problem_is_degenerate(self):
@@ -293,16 +310,26 @@ class TestPairSumEngine:
             assert work.mask.base is buffers[0] and work.sign.base is buffers[1]
         assert (work.mask_buf, work.sign_buf) == buffers
 
+    @pytest.mark.parametrize("entry", ["pair", "surrogate", "fold"])
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
-    def test_results_do_not_alias_the_workspace(self, measure):
-        problem, _, _ = make_problem(measure=measure, lam=5.0)
+    def test_results_do_not_alias_the_workspace(self, measure, entry):
+        # Every entry point writes into workspace buffers, so a second call
+        # must leave the first call's arrays as they were.
+        problem, ranks, _ = make_problem(measure=measure, lam=5.0)
         work = problem.workspace
         rng = np.random.default_rng(4)
         beta = rng.standard_normal(problem.design.p)
-        first = _pair_sums(work, beta, problem.nu, gradient=True, mm=True, hessian=True)
+
+        def sums(b):
+            if entry == "pair":
+                return _pair_sums(work, b[None], problem.nu)
+            if entry == "surrogate":
+                return _surrogate_sums(work, b, problem.nu)
+            return fold_pair_sums(ranks.r, measure, problem.design.x, b, problem.nu)
+
+        first = sums(beta)
         kept = [np.array(a, copy=True) for a in first]
-        second = _pair_sums(work, -2.0 * beta, problem.nu, gradient=True, mm=True,
-                            hessian=True)
+        second = sums(-2.0 * beta)
         for a, b, c in zip(first, kept, second):
             assert np.array_equal(a, b)
             assert not np.array_equal(a, c)
@@ -330,8 +357,8 @@ class TestFoldPairSums:
             work = PairWorkspace(np.delete(x, k, axis=0)[None, None],
                                  external_ranks(np.delete(scores, k)).r[None], measure)
             if work.live:
-                d, grad, _, _, hess = _pair_sums(work, beta, nu, gradient=True, hessian=True)
-                want[0][k], want[1][k], want[2][k] = d, grad, hess
+                d, grad, hess = _pair_sums(work, beta[None], nu)
+                want[0][k], want[1][k], want[2][k] = d[0], grad[0], hess[0]
         # A fold whose weights are all zero is the engine's error, not a value
         # (see TestLOOCV), so its sums are left out. Where a fold's sum
         # vanishes by symmetry (a tied pair in a two-row fold), both sides
@@ -371,11 +398,10 @@ class TestFoldPairSums:
             beta *= rng.uniform(50.0, 65.0) * nu / np.ptp(x @ beta)
             scores = rng.standard_normal(n)
             r = external_ranks(scores).r
-            got = _pair_sums(PairWorkspace(x[None, None], r[None], measure), beta, nu,
-                             gradient=True, hessian=True)
+            got = _pair_sums(PairWorkspace(x[None, None], r[None], measure), beta[None], nu)
             want = self._long_double_sums(pair_weights(external_ranks(scores), measure).w,
                                           x, beta, nu)
-            for a, b in zip((got[0], got[1], got[4]), want):
+            for a, b in zip((a[0] for a in got), want):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
             # A fold's sums are the full table's less the left-out row's
             # pairs, so their scale is the largest entry over all folds.
@@ -519,3 +545,15 @@ class TestAppendixIdentities:
             ConcordanceSpec(nu=0.0)
         with pytest.raises(ValueError):
             ConcordanceSpec(samples=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"seed": -1}, {"seed": 2.5}, {"seed": True}, {"samples": 2.5}, {"samples": True},
+        {"nu": np.inf}, {"nu": -np.inf}, {"nu": np.nan},
+    ], ids=["negative-seed", "fractional-seed", "bool-seed", "fractional-samples",
+            "bool-samples", "infinite-nu", "negative-infinite-nu", "nan-nu"])
+    def test_spec_rejects_bad_seed_samples_and_nu(self, bad):
+        # A negative seed fails deep in numpy, a fractional count is taken as
+        # a count, and an infinite nu gives a constant D, so the penalty does
+        # nothing: each is refused when the spec is built.
+        with pytest.raises(InvalidValue, match=next(iter(bad))):
+            ConcordanceSpec(**bad)

@@ -13,7 +13,7 @@ from rasper.concordance import (
     ConcordanceSpec,
     PairWeights,
     PairWorkspace,
-    _pair_sums,
+    _surrogate_sums,
     pair_weights,
 )
 from rasper.data_model import ExternalRanks, StandardizedDesign, external_ranks, standardize
@@ -36,7 +36,7 @@ from rasper.selection import (
 )
 from rasper.solver import PenalizedProblem, default_nu, fit_batch, fit_rasper
 
-from conftest import count_calls, fold_weights, make_problem, reference_pair_sums
+from conftest import count_calls, fold_weights, make_problem, reference_sums
 
 
 def make_data(seed=0, n=25, p=4):
@@ -206,9 +206,9 @@ class TestLOOCV:
         tables = []
         original = solver._pair_sums
 
-        def counted(work, beta, nu, **kwargs):
-            tables.append(1 if beta.ndim == 1 else beta.shape[0])
-            return original(work, beta, nu, **kwargs)
+        def counted(work, beta, nu):
+            tables.append(beta.shape[0])
+            return original(work, beta, nu)
 
         monkeypatch.setattr(solver, "_pair_sums", counted)
         folds = _recorded_fold_fits(monkeypatch)
@@ -529,9 +529,9 @@ class TestDegreesOfFreedom:
             w = pair_weights(ranks, measure)
             nu = float(rng.uniform(0.05, 2.0))
             x = design.x
-            m0 = _pair_sums(PairWorkspace(x[None, None], ranks.r[None], measure), np.zeros(2),
-                            nu, mm=True)[3]
-            want = reference_pair_sums(w.w, (x,), np.zeros(2), nu, mm=True)[3]
+            m0 = _surrogate_sums(PairWorkspace(x[None, None], ranks.r[None], measure),
+                                 np.zeros(2), nu)[2]
+            want = reference_sums(w.w, (x,), np.zeros(2), nu)[1][2]
             assert np.linalg.norm(m0 - want) <= 1e-12 * np.linalg.norm(want)
             for lam, alpha in [(0.5, 0.0), (7.0, 0.3), (1e4, 2.0)]:
                 xtx = x.T @ x
@@ -588,23 +588,16 @@ class TestSelect:
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     def test_one_curvature_pass_and_one_workspace(self, monkeypatch, criterion, measure):
         # M0 and the full-data workspace depend on neither lambda nor alpha:
-        # select takes one MM engine pass and builds one full-data workspace
+        # select takes one surrogate pass and builds one full-data workspace
         # for its whole grid, and each grid point's df is the one
         # degrees_of_freedom gives, to the last bit.
         design, y, ranks, scores, spec = make_data(seed=11, n=15)
         spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
-        mm_passes = []
-        original = selection._pair_sums
-
-        def counted(work, beta, nu, **kwargs):
-            mm_passes.append(kwargs.get("mm", False))
-            return original(work, beta, nu, **kwargs)
-
-        monkeypatch.setattr(selection, "_pair_sums", counted)
+        mm_passes = count_calls(monkeypatch, selection, "_surrogate_sums")
         workspaces = count_calls(monkeypatch, solver, "pair_workspace")
         report = select(design, y, ranks, spec, grid, criterion=criterion)
-        assert mm_passes == [True]
+        assert len(mm_passes) == 1
         assert len(workspaces) == 1
         weights = pair_weights(ranks, measure)
         for record in report.records:

@@ -185,12 +185,16 @@ class TestSimSetting:
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), grid_j=1.5),
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), grid_k=2.0),
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), seed="1"),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), seed=-1),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), sigma=float("nan")),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), sigma=float("inf")),
     ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
             "2-theta-3", "bic-criterion", "no-replications", "no-test-rows",
             "1a-zero-beta-internal", "2-empty-beta-internal", "1a-zero-beta-external",
             "1b-zero-beta-external", "2-misspelt-z5-mode", "fractional-n-internal",
             "float-n-test", "float-replications", "bool-replications", "fractional-samples",
-            "fractional-grid-j", "float-grid-k", "string-seed"])
+            "fractional-grid-j", "float-grid-k", "string-seed", "negative-seed", "nan-sigma",
+            "infinite-sigma"])
     def test_malformed_study_coefficients_rejected(self, bad):
         with pytest.raises(InvalidValue):
             SimSetting(**{"n_internal": 20, **bad})

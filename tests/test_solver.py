@@ -225,10 +225,9 @@ class TestFitRasper:
         before = fit_rasper(previous)
         d, dd, hd = before.pair_sums
         assert d == before.concordance
-        want = solver._pair_sums(previous.workspace, before.beta, previous.nu,
-                                 gradient=True, hessian=True)
+        want = solver._sums(previous, before.beta)
         assert d == want[0]
-        assert np.array_equal(dd, want[1]) and np.array_equal(hd, want[4])
+        assert np.array_equal(dd, want[1]) and np.array_equal(hd, want[2])
         problem = previous.with_penalties(40.0, previous.alpha)
         passes = count_calls(monkeypatch, solver, "_pair_sums")
         engine = fit_rasper(problem, init=before.beta)
@@ -380,6 +379,7 @@ class TestProblemCaches:
         monkeypatch.setattr(PairWeights, "w", property(lambda self: dense.append(self)))
         builds = count_calls(monkeypatch, solver, "pair_workspace")
         passes = count_calls(monkeypatch, solver, "_pair_sums")
+        mm_passes = count_calls(monkeypatch, solver, "_surrogate_sums")
         pieces = []
         load = PairWorkspace.load
         monkeypatch.setattr(PairWorkspace, "load",
@@ -388,7 +388,9 @@ class TestProblemCaches:
         mm_step(problem, fit.beta0, fit.beta)
         assert fit.iterations >= (lam > 0) and fit.concordance > 0
         assert len(passes) >= 1 + (lam > 0) and len(builds) == 1 and not dense
-        assert len(pieces) == len(passes) and all(e is pieces[0] for e in pieces)
+        assert len(mm_passes) == (lam > 0)
+        assert len(pieces) == len(passes) + len(mm_passes)
+        assert all(e is pieces[0] for e in pieces)
         assert problem.workspace.tables[0].shape == (3 if marginal else 1, problem.design.n,
                                                  problem.design.p)
 
