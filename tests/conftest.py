@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,13 +7,11 @@ from hypothesis import strategies as st
 from rasper.concordance import (
     ConcordanceSpec,
     PairWeights,
-    _concordance_error,
-    _pair_sums,
     pair_weights,
     pair_workspace,
 )
 from rasper.data_model import external_ranks, standardize
-from rasper.solver import PenalizedProblem, default_nu
+from rasper.solver import PenalizedProblem, _sums, default_nu
 
 
 def make_problem(seed=0, n=20, p=3, lam=5.0, alpha=1.0, measure="spearman",
@@ -73,15 +73,11 @@ def reference_sums(w, tables, beta, nu):
 
 
 def engine_sums(weights, x, beta, nu):
-    """``concordance._pair_sums`` of one problem on the (n, p) design ``x``
-    with these ``weights`` at one beta (p,), on the workspace a fit builds:
-    (d, grad, hess), with a D that is not positive raising its error, as
-    ``solver._sums`` gives them."""
-    work = pair_workspace(weights, x)
-    d, grad, hess = _pair_sums(work, beta[None], nu)
-    if not d[0] > 0:
-        raise _concordance_error(float(d[0]), work.live[0])
-    return float(d[0]), grad[0], hess[0]
+    """``solver._sums`` of one problem on the (n, p) design ``x`` with these
+    ``weights`` at one beta (p,), on the workspace a fit builds: (d, grad,
+    hess) from one ``concordance._pair_sums`` pass, with a D that is not
+    positive raising its error."""
+    return _sums(SimpleNamespace(workspace=pair_workspace(weights, x), nu=nu), beta)
 
 
 def fold_weights(cache, measure):
