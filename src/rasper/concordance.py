@@ -5,14 +5,18 @@ given as their (B, S, n, p) float array of design tables (S = 1 without
 marginal tables) and their (B, n) ranks, with the weights as the ranks give
 them (a Spearman row scale, or a constant times the Kendall strict-order
 mask) and (C, S, n, n) buffers that every pass reuses, C problems at a time.
-One kernel, ``_sigma``, builds sigma(u) of a chunk's C * S tables with one
-rank-2 gemm and one in-place ``exp``. Three entry points with fixed outputs
+It builds a plain problem's fixed pieces once, so a pass only selects a
+chunk's; the Kendall mask (in place, in two buffers) and the pieces of
+S > 1 tables, which would copy the stack, are built per chunk. One kernel,
+``_sigma``, builds sigma(u) of a chunk's C * S tables with one rank-2 gemm
+and one in-place ``exp``. Three entry points with fixed outputs
 reduce it by matrix-vector products and gemms over the stack, so neither the
 n^2 x p difference operator nor the dense weights ``PairWeights.w`` is built:
 ``_pair_sums`` gives (D, gradient, Hessian) of every problem at its own beta;
 ``_surrogate_sums`` gives D and the MM surrogate's pieces of one problem; and
 ``fold_pair_sums`` gives (D, gradient, Hessian) of every leave-one-out fold
-at one beta from a workspace of the full data. The first and the last share
+at one beta from a ``FoldDowndate``, the beta-independent pieces of the
+full data, built once per data set. The first and the last share
 ``_densities``, the logistic density and the Hessian weight.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
@@ -110,78 +114,117 @@ class PairWorkspace:
     ``stack`` is the problems' (B, S, n, p) float array of design tables
     (S = 1 for plain problems), kept uncopied, and ``r`` their (B, n)
     ranks. ``live`` (B,) is False where all of a problem's weights are zero
-    (all-tied Kendall ranks). ``_pair_sums`` walks the problems in chunks of
-    ``chunk`` = C, as many as ``CHUNK_PAIRS`` pair entries per buffer allow,
-    and ``load`` builds a chunk's stacked tables and fixed pieces: the
-    weights (``PairWeights.w``), Spearman's row scale r_i / (4 n^2) or
-    Kendall's ``const`` = 2 / (n (n - 1)) times the ``mask`` I(r_i > r_j)
-    and its antisymmetric ``sign`` = mask - mask', all the gradient and the
-    Hessian need, built in two (C, 1, n, n) buffers of their own; ``ends`` =
-    [1 | scale | x] of each table, ``sides`` = [1 | scale], and ``left`` and
-    ``right``, whose fixed rows of ones make -u a rank-2 product. The chunk
-    loaded last is kept, so a batch of one chunk, such as a single fit,
-    builds it once. The three (C, S, n, n) buffers are overwritten by every
-    pass, so a workspace serves one thread at a time; nothing an entry
-    point returns is a view of them.
+    (all-tied Kendall ranks). The weights (``PairWeights.w``) are
+    Spearman's row ``scale`` r_i / (4 n^2), or Kendall's ``const`` =
+    2 / (n (n - 1)) times the ``mask`` I(r_i > r_j) and its antisymmetric
+    ``sign`` = mask - mask', all the gradient and the Hessian need.
+
+    Each problem's fixed pieces are built once, here: its scale, ``sides``
+    = [1 | scale] and, for plain problems (S = 1), ``ends`` = [1 | scale |
+    x] and the scaled rows. With S > 1 tables those two would copy the
+    stack, so they are built per chunk instead. ``_pair_sums`` walks the
+    problems in chunks of ``chunk`` = C, as many as ``CHUNK_PAIRS`` pair
+    entries per buffer allow, and ``load`` selects a chunk's pieces: a slice
+    when its problems are contiguous, a gather after ``take``. It builds the
+    Kendall mask and sign in place in two (C, 1, n, n) buffers, and ``left``
+    and ``right``, whose fixed rows of ones make -u a rank-2 product, are
+    allocated once. The chunk loaded last is kept, so a batch of one chunk,
+    such as a single fit, loads it once. The buffers are overwritten by
+    every pass, and a workspace ``take`` returns shares them, so a
+    workspace serves one thread at a time; nothing an entry point returns
+    is a view of them.
     """
 
     def __init__(self, stack, r, measure):
         size, count, n, _ = stack.shape
         self.tables, self.r, self.measure, self.index = stack, r, measure, np.arange(size)
         self.live = (r > 0).any(axis=1) if measure == SPEARMAN else r.max(axis=1) > r.min(axis=1)
-        self.chunk = min(size, max(1, CHUNK_PAIRS // (count * n * n)))
-        self.s, self.dens, self.h = (np.empty((self.chunk, count, n, n)) for _ in range(3))
-        if measure == KENDALL:                # the chunk's order mask and its sign
-            self.mask_buf, self.sign_buf = (np.empty((self.chunk, 1, n, n)) for _ in range(2))
-        self.ones, self.loaded = np.ones(n), None
-
-    def load(self, first):
-        """This workspace, with the fixed pieces of the chunk of problems
-        that starts at problem ``first`` built, unless it was loaded last."""
-        ids = self.index[first:first + self.chunk].tolist()
-        if ids == self.loaded:
-            return self
-        stack = self.tables[ids]
-        r = self.r[ids]
-        size, count, n, p = self.shape = stack.shape
-        if self.measure == SPEARMAN:
-            scale = r / (4.0 * n * n)
-            self.const = self.mask = self.sign = None
+        self.chunk = chunk = min(size, max(1, CHUNK_PAIRS // (count * n * n)))
+        self.s, self.dens, self.h = (np.empty((chunk, count, n, n)) for _ in range(3))
+        # -u = t_j - t_i is the rank-2 product [1 | -t] [t ; 1], whose one
+        # rounding is the subtraction's; _sigma writes the t rows only.
+        self.left_buf = np.ones((chunk, count, n, 2))
+        self.right_buf = np.ones((chunk, count, 2, n))
+        self.ones, self.mask, self.sign = np.ones(n), None, None
+        if measure == SPEARMAN:
+            self.const = None
+            self.scales = r / (4.0 * n * n)
         else:
             self.const = 2.0 / max(n * (n - 1.0), 1.0)
-            scale = np.full((size, n), self.const)
-            # built in place in the workspace's buffers; np.sign of r_i - r_j
-            # gives the same sign but took twice as long here
-            self.mask = np.greater(r[:, None, :, None], r[:, None, None, :],
-                                   out=self.mask_buf[:size])
-            self.sign = np.subtract(self.mask, self.mask.transpose(0, 1, 3, 2),
-                                    out=self.sign_buf[:size])
+            self.scales = np.full((size, n), self.const)
+            self.ranks = r.astype(float)
+            self.mask_buf, self.sign_buf = (np.empty((chunk, 1, n, n)) for _ in range(2))
+            self.order = np.empty((2, chunk, 1, n, n), dtype=bool)
+            self.masked = [None]        # the problems whose mask the buffers hold
+        # [1 | scale] of each problem, column-major as a gemm operand
+        self.sides_rows = np.empty((size, 1, 2, n))
+        self.sides_rows[:, 0, 0] = 1.0
+        self.sides_rows[:, 0, 1] = self.scales
+        self.fixed = _fixed_pieces(stack, self.scales) if count == 1 else None
+        self.loaded = None
+
+    def load(self, first):
+        """This workspace, with the pieces of the chunk of problems that
+        starts at problem ``first`` selected, unless it was loaded last."""
+        ids = self.index[first:first + self.chunk].tolist()
+        if ids == self.loaded and (self.mask is None or self.masked[0] == ids):
+            return self
+        low, size = ids[0], len(ids)
+        pick = slice(low, low + size) if ids == list(range(low, low + size)) else ids
+        stack = self.tables[pick]
+        _, count, n, p = self.shape = stack.shape
+        self.scale = self.scales[pick]
+        self.rows = self.scale[:, None, :]         # the scale along a table's rows
+        self.ends, scaled = (_fixed_pieces(stack, self.scale) if self.fixed is None
+                             else (a[pick] for a in self.fixed))
+        self.scaled_t = scaled.transpose(0, 2, 1)
+        self.sides = self.sides_rows[pick].transpose(0, 1, 3, 2)
         self.flat = stack.reshape(size, count * n, p)
         self.flat_t = self.flat.transpose(0, 2, 1)
-        self.scale = scale
-        self.rows = scale[:, None, :]              # the scale along a table's rows
-        self.scaled_t = (self.rows[..., None] * stack).reshape(self.flat.shape).transpose(0, 2, 1)
-        # [1 | scale | x]: one product with a table gives its row sums, its
-        # product with the scale and its product with the design.
-        self.ends = np.empty((size, count, n, p + 2))
-        self.ends[..., 0] = 1.0
-        self.ends[..., 1] = scale[:, None, :]
-        self.ends[..., 2:] = stack
-        # [1 | scale] of each problem, column-major as a gemm operand
-        self.sides = np.empty((size, 1, 2, n)).transpose(0, 1, 3, 2)
-        self.sides[:, 0] = self.ends[:, 0, :, :2]
-        # -u = t_j - t_i is the rank-2 product [1 | -t] [t ; 1], whose one
-        # rounding is the subtraction's; rows 0 and 1 below stay fixed.
-        self.left = np.ones((size, count, n, 2))
-        self.right = np.ones((size, count, 2, n))
+        self.left, self.right = self.left_buf[:size], self.right_buf[:size]
+        if self.const is not None:
+            self.mask, self.sign = self.mask_buf[:size], self.sign_buf[:size]
+            if self.masked[0] != ids:
+                self._build_mask(self.ranks[pick])
+                self.masked[0] = ids
         self.loaded = ids
         return self
+
+    def _build_mask(self, r):
+        """The chunk's order mask I(r_i > r_j) and its sign mask - mask', in
+        place. The ranks are broadcast into the two buffers first, and the
+        comparisons write to bool buffers: numpy copies a broadcast operand,
+        or a bool result bound for a float array, through transient
+        buffers (142 KB a load at n = 100)."""
+        size = r.shape[0]
+        ri, rj = self.mask, self.sign
+        np.copyto(ri, r[:, None, :, None])
+        np.copyto(rj, r[:, None, None, :])
+        greater, less = self.order[:, :size]
+        np.greater(ri, rj, out=greater)
+        np.less(ri, rj, out=less)                  # the transposed mask
+        np.copyto(self.mask, greater)
+        np.copyto(self.sign, less)
+        np.subtract(self.mask, self.sign, out=self.sign)
 
     def take(self, index):
         """The workspace of the problems ``index``, in that order, on these buffers."""
         part = copy.copy(self)
         part.index, part.live = self.index[index], self.live[index]
         return part
+
+
+def _fixed_pieces(stack, scale):
+    """``ends`` = [1 | scale | x] of each table of the problems ``stack``
+    (B, S, n, p), whose one product with a table gives its row sums, its
+    product with the scale and its product with the design, and the tables'
+    rows times the scale, (B, S n, p)."""
+    size, count, n, p = stack.shape
+    ends = np.empty((size, count, n, p + 2))
+    ends[..., 0] = 1.0
+    ends[..., 1] = scale[:, None, :]
+    ends[..., 2:] = stack
+    return ends, (scale[:, None, :, None] * stack).reshape(size, count * n, p)
 
 
 def pair_workspace(weights: PairWeights, x) -> PairWorkspace:
@@ -347,10 +390,34 @@ def _surrogate_sums(work, beta, nu):
     return float(d[0]), lin[0], quad[0]
 
 
-def fold_pair_sums(r, measure, x, beta, nu):
+class FoldDowndate:
+    """What ``fold_pair_sums`` needs of a data set besides beta, built once:
+    a one-problem ``PairWorkspace`` of the full (n, p) design ``x`` with the
+    full-data ranks ``r`` (its sigma table, densities and Kendall mask), the
+    folds' rank weights ``omega`` (n, n) and constant ``c``, and the rows'
+    outer products ``xx`` (n, p^2)."""
+
+    def __init__(self, r, measure, x):
+        n, p = x.shape
+        r = np.asarray(r, dtype=float)
+        self.x, self.measure = x, measure
+        self.work = PairWorkspace(x[None, None], r[None], measure).load(0)
+        if measure == SPEARMAN:
+            omega = r[None, :] - (r[None, :] >= r[:, None])
+            self.c = 1.0 / (4.0 * (n - 1.0) ** 2)
+        else:
+            omega = np.ones((n, n))
+            self.c = 2.0 / ((n - 1.0) * (n - 2.0))
+        np.fill_diagonal(omega, 0.0)
+        self.omega = omega
+        self.xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
+
+
+def fold_pair_sums(down, beta, nu):
     """``_pair_sums``' D, gradient and Hessian for every leave-one-out fold k
-    at one beta, from the sigma table and the densities of a one-problem
-    ``PairWorkspace`` of the full data (``_sigma`` and ``_densities``).
+    at one beta, from the sigma table and the densities of the one-problem
+    workspace of the full data that ``down``, a ``FoldDowndate``, holds
+    (``_sigma`` and ``_densities``).
 
     Fold k keeps the rows i != k with ranks r_i - [r_i >= r_k], so its weights
     are w_ij = c * omega_ki * o_ij over i, j != k. Spearman: o = 1,
@@ -366,20 +433,13 @@ def fold_pair_sums(r, measure, x, beta, nu):
     view of the workspace. D is not checked here: ``solver.fit_batch`` fails
     each fold whose D is not positive with its ``_concordance_error``.
     """
+    x, omega, xx, c = down.x, down.omega, down.xx, down.c
     n, p = x.shape
-    r = np.asarray(r, dtype=float)
-    work = PairWorkspace(x[None, None], r[None], measure).load(0)
+    work = down.work.load(0)
     s = _sigma(work, np.asarray(beta, dtype=float)[None], nu)
     s, m, h = (a[0, 0] for a in (s, *_densities(work, s)))
-    if measure == SPEARMAN:
-        omega = r[None, :] - (r[None, :] >= r[:, None])
-        c = 1.0 / (4.0 * (n - 1.0) ** 2)
-    else:
+    if down.measure == KENDALL:
         s, m, h = (a * work.mask[0, 0] for a in (s, m, h))
-        omega = np.ones((n, n))
-        c = 2.0 / ((n - 1.0) * (n - 2.0))
-    np.fill_diagonal(omega, 0.0)
-    xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
 
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(n, p * p)

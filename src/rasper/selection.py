@@ -4,13 +4,17 @@ freedom, and AIC-based selection.
 The full-data fits and every leave-one-out fold take their weights from
 ``concordance.problem_weights``, so all of them marginalize by one rule.
 
-``select`` builds the full-data pair workspace and the beta = 0 curvature
-of the degrees of freedom (one ``_surrogate_sums`` pass) once, since
-neither depends on (lambda, alpha). ``loocv_score`` fits a grid point's n
-folds as one batch through the one trust-region loop, ``solver.fit_batch``,
-on rows, ranks, grams and X_c'y_c taken from the full data by indexing
-(O(n^2 p) memory); its ``_pair_sums`` passes walk the batch in chunks sized
-by ``concordance.CHUNK_PAIRS``, never O(n^3).
+``select`` builds once what does not depend on (lambda, alpha): the
+full-data pair workspace and unpenalized batch, the beta = 0 curvature of
+the degrees of freedom (one ``_surrogate_sums`` pass) and, by LOOCV, one
+``_FoldState``: the folds' rows, grams and X_c'y_c taken from the full data
+by indexing, their pair workspace and the full-data ``FoldDowndate``
+(O(n^2 p) memory in all). A grid point then only adds alpha to a copy of
+the grams' diagonals. ``loocv_score`` fits a grid point's n folds as one
+batch through the one trust-region loop, ``solver.fit_batch``; its
+``_pair_sums`` passes walk the batch in chunks sized by
+``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is cached between
+``select`` calls.
 
 D, its gradient and its Hessian depend on beta alone, not on
 (lambda, alpha), so ``select`` starts each warm full fit from the previous
@@ -22,10 +26,11 @@ sigma table (``concordance.fold_pair_sums``). ``select`` also keeps each
 lambda's fold solutions and their sums for the next alpha (O(n p^2) floats
 per lambda), and a fold starts from its own solution there instead when
 that point has the smaller gradient of the new grid point's objective,
-which near-equal alpha columns turn into about one Newton step per fold. Either way a plain fold makes no engine pass at its
-start. Folds with sampled design tables take neither start: each fold draws
-its tables from its own rows, so they are not row subsets of the full
-tables, and they start at the full fit's beta with one engine pass.
+which near-equal alpha columns turn into about one Newton step per fold.
+Either way a plain fold makes no engine pass at its start. Folds with
+sampled design tables take neither start: each fold draws its tables from
+its own rows, so they are not row subsets of the full tables, and they
+start at the full fit's beta with one engine pass.
 """
 
 from __future__ import annotations
@@ -33,12 +38,14 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .concordance import (
     ConcordanceSpec,
+    FoldDowndate,
     PairWeights,
     PairWorkspace,
     _surrogate_sums,
@@ -58,6 +65,7 @@ from .errors import (
 from .solver import (
     FitResult,
     PenalizedProblem,
+    _dots,
     _local_objective,
     _norms,
     _points,
@@ -143,20 +151,36 @@ def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
     return r, tables
 
 
-def _fold_batch(design, y, fold_cache, spec, lam, alpha):
-    """The n leave-one-out folds as one ``ProblemBatch``: fold k's rows are
-    the data's rows other than k, with the full-data standardization, and
-    its pair workspace takes the ranks and the tables of ``fold_cache`` as
-    they are, or shares the rows when the folds have no tables."""
-    keep = _fold_rows(design.n)
-    x = design.x[keep]
-    batch = problem_batch(x, y[keep], lam, alpha, spec.nu)
-    if not lam > 0:
-        return batch
-    r, tables = fold_cache
-    # the engine buffers are allocated once the batch's centered rows are freed
-    return replace(batch, work=PairWorkspace(x[:, None] if tables is None else tables, r,
-                                             spec.measure))
+class _FoldState:
+    """The leave-one-out folds of one data set, built once for a grid:
+    ``batch``, the folds as one ``ProblemBatch`` at lambda = alpha = 0
+    (fold k's rows are the data's rows other than k, with the full-data
+    standardization, and their centered gram, X_c'y_c and relative-gradient
+    scale), and, each on first use, ``work``, their ``PairWorkspace`` on the
+    ranks and tables of ``fold_cache`` as they are, or on the batch's rows
+    when the folds have no tables, and ``down``, the ``FoldDowndate`` of the
+    full data that the plain folds' starts come from. None of it depends on
+    (lambda, alpha); ``at`` adds them."""
+
+    def __init__(self, design, y, ranks, spec, fold_cache):
+        keep = _fold_rows(design.n)
+        self.batch = problem_batch(design.x[keep], y[keep], 0.0, 0.0, spec.nu)
+        self.design, self.ranks, self.measure = design, ranks, spec.measure
+        self.r, self.tables = fold_cache
+
+    @cached_property
+    def work(self):
+        # built after the batch's centered rows are freed
+        stack = self.batch.x[:, None] if self.tables is None else self.tables
+        return PairWorkspace(stack, self.r, self.measure)
+
+    @cached_property
+    def down(self):
+        return FoldDowndate(self.ranks.r, self.measure, self.design.x)
+
+    def at(self, lam, alpha):
+        """The folds as the ``ProblemBatch`` of the grid point (lam, alpha)."""
+        return self.batch.with_penalties(lam, alpha, self.work if lam > 0 else None)
 
 
 def _fold_points(fits, p):
@@ -168,11 +192,12 @@ def _fold_points(fits, p):
     n = len(fits)
     beta = np.full((n, p), np.nan)
     sums = np.full(n, np.nan), np.full((n, p), np.nan), np.full((n, p, p), np.nan)
-    for k, fit in enumerate(fits):
-        if isinstance(fit, FitResult) and fit.pair_sums is not None:
-            beta[k] = fit.beta
-            for a, v in zip(sums, fit.pair_sums):
-                a[k] = v
+    done = [k for k, fit in enumerate(fits)
+            if isinstance(fit, FitResult) and fit.pair_sums is not None]
+    if done:
+        beta[done] = [fits[k].beta for k in done]
+        for a, values in zip(sums, zip(*(fits[k].pair_sums for k in done))):
+            a[done] = values
     return beta, sums
 
 
@@ -197,7 +222,7 @@ def _nearer_starts(problems, beta, starts, known):
 
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                 spec: ConcordanceSpec, lam, alpha, *,
-                warm: FitResult | None = None, fold_cache=None, known=None,
+                warm: FitResult | None = None, fold_cache=None, state=None, known=None,
                 fits=None, reused=None) -> float:
     """Mean held-out half squared error over the n leave-one-out refits.
 
@@ -207,7 +232,10 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     one ``RuntimeWarning`` per call names how many there were.
     ``fold_cache`` is the folds' ``(r, tables)`` as ``fold_weight_cache``
     returns them, ranks (n, n - 1) and sampled tables (n, S, n - 1, p) or
-    None; without it they are built here.
+    None; without it they are built here. ``state`` is the folds' private
+    ``_FoldState``, which ``select`` builds once from that cache for its
+    whole grid; without it, it is built here, and ``fold_cache`` is read
+    only then.
     A ``fits`` list receives the n folds' ``FitResult``, in fold order, and
     a ``reused`` list whether each fold started from its ``known`` solution;
     ``select`` rolls its report columns up from both.
@@ -215,20 +243,22 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     The n folds are one ``ProblemBatch``, which ``fit_batch`` runs through
     one trust-region loop. Their rows, gram and X_c'y_c are taken from the
     data by indexing, and their pair workspace takes the cached ranks and
-    tables unchanged, or shares those rows when ``tables`` is None. The
-    inputs are checked once, as the full-data problem.
+    tables unchanged, or shares those rows when ``tables`` is None; the
+    state holds all of it, and a grid point only adds alpha to a copy of
+    the gram's diagonal. The inputs are checked once, as the full-data
+    problem.
 
     With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
     fold starts from its slice of one ``fold_pair_sums`` call at
-    ``warm.beta``; a fold whose downdated D is not positive fails with the
-    error its engine pass would raise. ``known``, the folds' solutions at
-    the same lambda and another alpha with their pair sums, as
-    ``_fold_points`` builds them from those fold fits, offers each of these
-    folds a second start: the fold starts from its known solution when that
-    point has the smaller gradient of this grid point's objective, and from
-    the downdated point otherwise, or when its known fit failed or is
-    missing (a NaN row). Both points carry exact pair sums, so neither takes
-    an engine pass. Cold folds (no ``warm``, started
+    ``warm.beta``, on the state's ``FoldDowndate``; a fold whose downdated
+    D is not positive fails with the error its engine pass would raise.
+    ``known``, the folds' solutions at the same lambda and another alpha
+    with their pair sums, as ``_fold_points`` builds them from those fold
+    fits, offers each of these folds a second start: the fold starts from
+    its known solution when that point has the smaller gradient of this grid
+    point's objective, and from the downdated point otherwise, or when its
+    known fit failed or is missing (a NaN row). Both points carry exact pair
+    sums, so neither takes an engine pass. Cold folds (no ``warm``, started
     at their local minimizers) and marginalized folds, whose tables are
     drawn from the fold's own rows, ignore ``known`` and take one batched
     engine pass at their start. lambda = 0 folds make no engine pass at all
@@ -241,35 +271,34 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     lam, alpha = float(lam), float(alpha)
     # the checks every fold would make, made once on the full-data problem
     PenalizedProblem(design, y, pair_weights(ranks, spec.measure), spec, lam, alpha)
-    if fold_cache is None:
-        fold_cache = fold_weight_cache(design, ranks, spec)
-    _, tables = fold_cache
+    if state is None:
+        if fold_cache is None:
+            fold_cache = fold_weight_cache(design, ranks, spec)
+        state = _FoldState(design, y, ranks, spec, fold_cache)
     init = warm.beta if warm is not None else None
     starts = None
-    if init is not None and lam > 0 and tables is None:
-        starts = fold_pair_sums(ranks.r, spec.measure, design.x, init, spec.nu)
+    if init is not None and lam > 0 and state.tables is None:
+        starts = fold_pair_sums(state.down, init, spec.nu)
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
-    problems = _fold_batch(design, y, fold_cache, spec, lam, alpha)
+    problems = state.at(lam, alpha)
     nearer = np.zeros(n, dtype=bool)
     if starts is not None and known is not None:
         beta, starts, nearer = _nearer_starts(problems, beta, starts, known)
     results = fit_batch(problems, beta, starts)
-    total = 0.0
-    failed = []
-    unconverged = 0
-    for i, fit in enumerate(results):
-        if isinstance(fit, RasperError):
-            failed.append((i, str(fit)))
-            continue
-        unconverged += not fit.converged
-        pred = fit.beta0 + design.x[i] @ fit.beta
-        total += 0.5 * (y[i] - pred) ** 2
+    failed = [(i, str(fit)) for i, fit in enumerate(results) if isinstance(fit, RasperError)]
+    unconverged = sum(not fit.converged for fit in results if isinstance(fit, FitResult))
     if unconverged:
         warnings.warn(f"{unconverged} of {n} fold fits did not converge at "
                       f"lambda={lam:g}, alpha={alpha:g}",
                       RuntimeWarning, stacklevel=2)
     if failed:
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
+    # the held-out losses summed in fold order, each as one fold alone gives it
+    pred = np.array([fit.beta0 for fit in results]) \
+        + _dots(design.x, np.array([fit.beta for fit in results]))
+    total = 0.0
+    for yk, pk in zip(y.tolist(), pred.tolist()):
+        total += 0.5 * (yk - pk) ** 2
     if fits is not None:
         fits.extend(results)
     if reused is not None:
@@ -397,9 +426,9 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     y = np.asarray(y, dtype=float)
     base = PenalizedProblem(design=design, y=y, weights=problem_weights(design, ranks, spec),
                             spec=spec)
-    fold_cache = None
+    state = None
     if criterion == "loocv":
-        fold_cache = fold_weight_cache(design, ranks, spec)
+        state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec))
     xtx = design.x.T @ design.x
     m0 = _penalty_curvature(design, base.weights, spec.nu)
 
@@ -423,9 +452,8 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
             loo, rollup = float("nan"), {}
             if criterion == "loocv":
                 folds, reused = [], []
-                loo = loocv_score(design, y, ranks, spec, lam, alpha, warm=fit,
-                                  fold_cache=fold_cache, known=known.get(j), fits=folds,
-                                  reused=reused)
+                loo = loocv_score(design, y, ranks, spec, lam, alpha, warm=fit, state=state,
+                                  known=known.get(j), fits=folds, reused=reused)
                 rollup = _fold_rollup(folds, reused)
                 known[j] = _fold_points(folds, design.p)
             records.append(GridRecord(lam=float(lam), alpha=float(alpha),

@@ -81,8 +81,9 @@ class PenalizedProblem:
     ``workspace`` (stacked design tables, rank-derived weights and the
     buffers every engine pass of the fit reuses) and ``batch``, the problem
     as a ``ProblemBatch`` of one, which also holds its gram X_c'X_c + alpha I
-    and X_c'y_c. The workspace's buffers make a problem unsafe to evaluate
-    from two threads at once."""
+    and X_c'y_c: ``unpenalized``, the problem at alpha = 0, with alpha
+    added to a copy of its gram. The workspace's buffers make a problem
+    unsafe to evaluate from two threads at once."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -116,18 +117,25 @@ class PenalizedProblem:
 
     def with_penalties(self, lam, alpha):
         """This problem at another (lambda, alpha), sharing its pair-sum
-        workspace, so a grid search builds the workspace once; the two must
-        not be evaluated from two threads at once."""
+        workspace and its unpenalized batch, so a grid search builds each
+        once; the two must not be evaluated from two threads at once."""
         other = replace(self, lam=lam, alpha=alpha)
-        other.__dict__["workspace"] = self.workspace      # the cached_property's slot
+        for name in ("workspace", "unpenalized"):          # the cached_properties' slots
+            other.__dict__[name] = getattr(self, name)
         return other
+
+    @cached_property
+    def unpenalized(self):
+        """This problem's data as a ``ProblemBatch`` of one at
+        lambda = alpha = 0, which ``batch`` adds the penalties to."""
+        return problem_batch(self.design.x[None], self.y[None], 0.0, 0.0, self.nu)
 
     @cached_property
     def batch(self):
         """This problem as a ``ProblemBatch`` of one, the form ``fit_batch``
         takes."""
-        return problem_batch(self.design.x[None], self.y[None], self.lam, self.alpha,
-                             self.nu, self.workspace if self.lam > 0 else None)
+        return self.unpenalized.with_penalties(self.lam, self.alpha,
+                                               self.workspace if self.lam > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,19 @@ class ProblemBatch:
                             self.lam, self.alpha, self.nu,
                             index if self.index is None else self.index[index])
 
+    def with_penalties(self, lam, alpha, work=None):
+        """This batch, which has alpha = 0, at (lambda, alpha) with ``work``
+        its ``PairWorkspace`` when lambda > 0: alpha is added to the
+        diagonal of a copy of the gram, as ``problem_batch`` adds it, and
+        every other array is shared, so one unpenalized batch serves a
+        whole grid."""
+        if self.alpha != 0.0:
+            raise InvalidValue("penalties are added to a batch at alpha = 0")
+        gram = self.gram.copy()
+        size, p, _ = gram.shape
+        gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
+        return replace(self, gram=gram, work=work, lam=lam, alpha=alpha)
+
     def rows(self):
         """The (B, m, p) designs and (B, m) outcomes of this batch's problems."""
         if self.index is None:
@@ -189,17 +210,16 @@ def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
     Each problem's pieces are the ones a single problem computes, bit for
     bit: the stacked products run one BLAS call per problem."""
     y = np.asarray(y)
-    size, m, p = x.shape
+    m = x.shape[1]
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / m        # x.mean(axis=1)
     xct = xc.transpose(0, 2, 1)
     gram = xct @ xc
-    gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
     xty = _matvec(xct, y - np.add.reduce(y, axis=1, keepdims=True) / m)
     scale = _norms(xty)
     flat = xc.reshape(xc.shape[0], -1)
     constant = scale <= np.finfo(float).eps * np.sqrt(_dots(flat, flat)) * _norms(y)
-    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), work,
-                        lam, alpha, nu)
+    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), None,
+                        0.0, 0.0, nu).with_penalties(lam, alpha, work)
 
 
 @dataclass(frozen=True)

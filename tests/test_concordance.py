@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+import rasper.concordance as concordance
 from rasper.concordance import (
     ConcordanceSpec,
+    FoldDowndate,
     PairWeights,
     PairWorkspace,
     _pair_sums,
@@ -310,6 +313,58 @@ class TestPairSumEngine:
             assert work.mask.base is buffers[0] and work.sign.base is buffers[1]
         assert (work.mask_buf, work.sign_buf) == buffers
 
+    def test_kendall_load_takes_no_transient_buffers(self):
+        # A comparison of broadcast ranks, or a bool result cast into a float
+        # buffer, makes numpy copy operands through 64 KB iterator buffers
+        # (a load of one n = 100 problem peaked at 142 KB). The mask and its
+        # sign are built in the workspace's own buffers instead, so a load
+        # allocates only its views: the first load of a one-problem
+        # workspace, and the second chunk of a fold-sized one.
+        rng = np.random.default_rng(8)
+        r = rng.integers(0, 30, (8, 100)).astype(float)
+        for work, first in [(PairWorkspace(rng.standard_normal((1, 1, 100, 3)), r[:1],
+                                           "kendall"), 0),
+                            (PairWorkspace(rng.standard_normal((8, 1, 100, 3)), r,
+                                           "kendall").load(0), 4)]:
+            tracemalloc.start()
+            try:
+                work.load(first)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20_000
+            mask = (r[first:first + work.chunk, None, :, None]
+                    > r[first:first + work.chunk, None, None, :]).astype(float)
+            assert work.mask.tobytes() == mask[:len(work.mask)].tobytes()
+
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("kind", ["contiguous", "scattered"])
+    def test_taken_down_sums_equal_the_full_rows(self, measure, count, kind):
+        # A taken-down workspace selects its chunks' pieces by a slice when
+        # their problems are contiguous and by a gather otherwise, on the
+        # buffers it shares with the workspace it came from; each problem's
+        # sums are the ones the whole workspace gives it, bit for bit. The
+        # whole workspace then gives the same sums again: with one chunk it
+        # keeps that chunk loaded, but the take-down has since built its own
+        # masks in the shared buffers, so the whole one must build its again.
+        rng = np.random.default_rng(40 + count)
+        n, p, nu = 40, 3, 0.3
+        chunk = concordance.CHUNK_PAIRS // (count * n * n)
+        for size in (chunk, 60):
+            work = PairWorkspace(rng.standard_normal((size, count, n, p)),
+                                 rng.integers(0, 12, (size, n)), measure)
+            assert work.chunk == chunk
+            beta = rng.standard_normal((size, p))
+            full = _pair_sums(work, beta, nu)
+            idx = (np.arange(size // 8, size - 3) if kind == "contiguous"
+                   else rng.permutation(size)[:2 * size // 3])
+            part = _pair_sums(work.take(idx), beta[idx], nu)
+            for a, b in zip(part, full):
+                assert a.tobytes() == b[idx].tobytes()
+            for a, b in zip(_pair_sums(work, beta, nu), full):
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("entry", ["pair", "surrogate", "fold"])
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     def test_results_do_not_alias_the_workspace(self, measure, entry):
@@ -325,7 +380,7 @@ class TestPairSumEngine:
                 return _pair_sums(work, b[None], problem.nu)
             if entry == "surrogate":
                 return _surrogate_sums(work, b, problem.nu)
-            return fold_pair_sums(ranks.r, measure, problem.design.x, b, problem.nu)
+            return fold_pair_sums(FoldDowndate(ranks.r, measure, problem.design.x), b, problem.nu)
 
         first = sums(beta)
         kept = [np.array(a, copy=True) for a in first]
@@ -350,7 +405,7 @@ class TestFoldPairSums:
         x = rng.standard_normal((n, p))
         beta = rng.standard_normal(p)
         scores = rng.integers(0, 4, n).astype(float) if tied else rng.standard_normal(n)
-        got = fold_pair_sums(external_ranks(scores).r, measure, x, beta, nu)
+        got = fold_pair_sums(FoldDowndate(external_ranks(scores).r, measure, x), beta, nu)
         want = [np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))]
         for k in range(n):
             # each fold's weights from its own scores, not from the full ranks
@@ -409,7 +464,7 @@ class TestFoldPairSums:
                 self._long_double_sums(
                     pair_weights(external_ranks(np.delete(scores, k)), measure).w,
                     np.delete(x, k, axis=0), beta, nu) for k in range(n)))]
-            for a, b in zip(fold_pair_sums(r, measure, x, beta, nu), want):
+            for a, b in zip(fold_pair_sums(FoldDowndate(r, measure, x), beta, nu), want):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 

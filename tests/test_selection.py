@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import rasper.selection as selection
 import rasper.solver as solver
 from rasper.concordance import (
     ConcordanceSpec,
+    FoldDowndate,
     PairWeights,
     PairWorkspace,
     _surrogate_sums,
@@ -314,7 +318,8 @@ class TestBatchedFolds:
                             fold_cache=cache)
         starts = None
         if warm and lam > 0 and case != "marginalized":
-            starts = selection.fold_pair_sums(ranks.r, spec.measure, design.x, full.beta, spec.nu)
+            starts = selection.fold_pair_sums(
+                FoldDowndate(ranks.r, spec.measure, design.x), full.beta, spec.nu)
         total = 0.0
         assert len(folds) == n
         for k, (fold, weights) in enumerate(zip(folds, fold_weights(cache, spec.measure))):
@@ -434,12 +439,12 @@ class TestKnownFoldStarts:
 
 
 class TestFoldMemory:
-    # One warm grid point at n = 100 holds the folds' rows (475 KB) and one
-    # chunk's three engine buffers: 0.94 MB for four plain folds, 4.7 MB for
-    # one fold of S = 20 tables. An all-fold (n, n - 1, n - 1) table would
-    # take 7.8 MB, and the folds' stacked tables 9.5 MB at S = 20. The
-    # plain peak is 1.86 MB here: the rows are never copied, and the
-    # buffers are allocated after the batch's centered rows are freed.
+    # One warm grid point at n = 100 on the folds' state, which select
+    # builds once, allocates little besides the fold fits' results: the
+    # rows (317 KB here, p = 4) and the chunk's engine buffers (0.94 MB for
+    # four plain folds, 4.7 MB for one fold of S = 20 tables) are the
+    # state's. An all-fold (n, n - 1, n - 1) table would take 7.8 MB, and
+    # the folds' stacked tables 6.3 MB at S = 20.
     @pytest.mark.parametrize("case, limit", [("spearman", 2.1e6), ("marginalized", 8e6)])
     def test_heap_peak_of_a_warm_grid_point(self, case, limit):
         design, y, ranks, spec = _fold_data(100, case)
@@ -447,15 +452,117 @@ class TestFoldMemory:
         lam, alpha = 1000.0, 1.0
         weights = selection.problem_weights(design, ranks, spec)
         full = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
-        cache = fold_weight_cache(design, ranks, spec)
-        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, fold_cache=cache)
+        state = selection._FoldState(design, y, ranks, spec,
+                                     fold_weight_cache(design, ranks, spec))
+        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, state=state)
         tracemalloc.start()
         try:
-            loocv_score(design, y, ranks, spec, lam, alpha, warm=full, fold_cache=cache)
+            loocv_score(design, y, ranks, spec, lam, alpha, warm=full, state=state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+    # The state holds the folds' rows, their [1 | scale | x] ends and
+    # scaled rows (1.1 MB together at n = 100, p = 4), one chunk's engine
+    # buffers (0.94 MB plain) and the full-data downdate (0.33 MB); Kendall
+    # adds the mask buffers (0.7 MB). Marginalized folds hold no piece of
+    # their tables' size: their ends are built per chunk, so the state is
+    # the buffers (4.7 MB) plus O(n p) floats per fold, and a second copy of
+    # the (n, S, n - 1, p) tables would not fit.
+    @pytest.mark.parametrize("case, limit", [("spearman", 3.2e6), ("kendall", 4.2e6),
+                                             ("marginalized", None)])
+    def test_heap_peak_of_the_fold_state(self, case, limit):
+        design, y, ranks, spec = _fold_data(100, case)
+        spec = dataclasses.replace(spec, samples=20)
+        cache = fold_weight_cache(design, ranks, spec)
+        tracemalloc.start()
+        try:
+            state = selection._FoldState(design, y, ranks, spec, cache)
+            buffers = 3 * state.work.s.nbytes
+            if cache[1] is None:
+                assert state.down.work.s.shape == (1, 1, 100, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if limit is None:
+            limit = buffers + 8 * state.batch.x.nbytes
+            assert limit < buffers + cache[1].nbytes
+        assert peak < limit
+
+
+class TestFoldState:
+    # select builds the folds' batch, their pair workspace and the
+    # downdate's full-data workspace once per call, and every grid point's
+    # score is the one loocv_score gives without that state, bit for bit.
+    @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
+    def test_select_builds_the_fold_state_once(self, monkeypatch, case):
+        design, y, ranks, spec = _fold_data(12, case)
+        grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
+        batches = []
+        workspaces = []
+        downdates = count_calls(monkeypatch, selection, "FoldDowndate")
+        calls = []
+        originals = selection.problem_batch, selection.PairWorkspace, selection.loocv_score
+
+        def batch(x, *args, **kwargs):
+            batches.append(x.shape[0])
+            return originals[0](x, *args, **kwargs)
+
+        def workspace(stack, *args):
+            workspaces.append(stack.shape[0])
+            return originals[1](stack, *args)
+
+        def score(*args, **kwargs):
+            calls.append((args, kwargs, originals[2](*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(selection, "problem_batch", batch)
+        monkeypatch.setattr(selection, "PairWorkspace", workspace)
+        monkeypatch.setattr(selection, "loocv_score", score)
+        report = select(design, y, ranks, spec, grid)
+        monkeypatch.undo()
+        assert batches == [design.n]
+        assert workspaces.count(design.n) == 1
+        assert len(downdates) == (case != "marginalized")
+        assert len(calls) == grid.size
+        for (args, kwargs, loo), record in zip(calls, report.records):
+            assert record.loo == loo
+            alone = {k: v for k, v in kwargs.items() if k not in ("state", "fits", "reused")}
+            assert loocv_score(*args, **alone) == loo
+
+    _ALONE = """
+import json, sys
+sys.path[:0] = sys.argv[3:]
+from test_selection import _select_rows
+print(json.dumps(_select_rows(sys.argv[1], int(sys.argv[2]))))
+"""
+
+    @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
+    def test_no_state_leaks_between_calls(self, case):
+        # Two selects in one process, on different data of the same n, each
+        # give the rows the same select gives in a process of its own.
+        here = [str(Path(__file__).parent), str(Path(selection.__file__).parents[1])]
+        alone = [subprocess.Popen([sys.executable, "-c", self._ALONE, case, str(seed), *here],
+                                  stdout=subprocess.PIPE, text=True) for seed in (1, 2)]
+        together = [_select_rows(case, seed) for seed in (1, 2)]
+        outs = [run.communicate(timeout=120)[0] for run in alone]
+        assert [run.returncode for run in alone] == [0, 0]
+        assert [json.loads(out) for out in outs] == together
+
+
+def _select_rows(case, seed):
+    """The LOOCV report rows of ``select`` on 12 rows of study data drawn
+    from ``seed``, without the fits."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((12, 4))
+    y = x @ [1.0, 0.5, -0.5, 0.8] + 0.4 * rng.standard_normal(12)
+    design = standardize(x, q=2)
+    ranks = external_ranks(x[:, :2] @ [1.0, 0.4])
+    measure = "kendall" if case == "kendall" else "spearman"
+    spec = ConcordanceSpec(measure, case == "marginalized", default_nu(design, y), 3, 0)
+    report = select(design, y, ranks, spec, build_grid(0.5, 50.0, 2, 0.1, 5.0, 1))
+    return report.to_rows()
 
 
 class TestDegreesOfFreedom:
