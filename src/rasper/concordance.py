@@ -16,7 +16,8 @@ n^2 x p difference operator nor the dense weights ``PairWeights.w`` is built:
 ``_surrogate_sums`` gives D and the MM surrogate's pieces of one problem; and
 ``fold_pair_sums`` gives (D, gradient, Hessian) of every leave-one-out fold
 at one beta from a ``FoldDowndate``, the beta-independent pieces of the
-full data, built once per data set. The first and the last share
+full data around the one-problem workspace its plain fits use, built once
+per data set. The first and the last share
 ``_densities``, the logistic density and the Hessian weight.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
@@ -119,20 +120,22 @@ class PairWorkspace:
     2 / (n (n - 1)) times the ``mask`` I(r_i > r_j) and its antisymmetric
     ``sign`` = mask - mask', all the gradient and the Hessian need.
 
-    Each problem's fixed pieces are built once, here: its scale, ``sides``
-    = [1 | scale] and, for plain problems (S = 1), ``ends`` = [1 | scale |
-    x] and the scaled rows. With S > 1 tables those two would copy the
-    stack, so they are built per chunk instead. ``_pair_sums`` walks the
-    problems in chunks of ``chunk`` = C, as many as ``CHUNK_PAIRS`` pair
-    entries per buffer allow, and ``load`` selects a chunk's pieces: a slice
-    when its problems are contiguous, a gather after ``take``. It builds the
-    Kendall mask and sign in place in two (C, 1, n, n) buffers, and ``left``
-    and ``right``, whose fixed rows of ones make -u a rank-2 product, are
-    allocated once. The chunk loaded last is kept, so a batch of one chunk,
-    such as a single fit, loads it once. The buffers are overwritten by
-    every pass, and a workspace ``take`` returns shares them, so a
-    workspace serves one thread at a time; nothing an entry point returns
-    is a view of them.
+    Each problem's fixed pieces are built once, here: for plain problems
+    (S = 1), ``ends`` = [1 | scale | x], whose one product with a table
+    gives its row sums, its product with the scale and its product with the
+    design (the scale is Kendall's constant), and, for Spearman, its scale,
+    ``sides`` = [1 | scale] and the scaled rows. With S > 1 tables ``ends``
+    and the scaled rows would copy the stack, so they are built per chunk
+    instead. ``_pair_sums`` walks the problems in chunks of ``chunk`` = C,
+    as many as ``CHUNK_PAIRS`` pair entries per buffer allow, and ``load``
+    selects a chunk's pieces: a slice when its problems are contiguous, a
+    gather after ``take``. It builds the Kendall mask and sign in place in
+    two (C, 1, n, n) buffers, and ``left`` and ``right``, whose fixed rows
+    of ones make -u a rank-2 product, are allocated once. The chunk loaded
+    last is kept, so a batch of one chunk, such as a single fit, loads it
+    once. The buffers are overwritten by every pass, and a workspace
+    ``take`` returns shares them, so a workspace serves one thread at a
+    time; nothing an entry point returns is a view of them.
     """
 
     def __init__(self, stack, r, measure):
@@ -146,22 +149,29 @@ class PairWorkspace:
         self.left_buf = np.ones((chunk, count, n, 2))
         self.right_buf = np.ones((chunk, count, 2, n))
         self.ones, self.mask, self.sign = np.ones(n), None, None
+        self.ends_all = self.scaled_all = None
         if measure == SPEARMAN:
             self.const = None
             self.scales = r / (4.0 * n * n)
+            # [1 | scale] of each problem, column-major as a gemm operand
+            self.sides_rows = np.empty((size, 1, 2, n))
+            self.sides_rows[:, 0, 0] = 1.0
+            self.sides_rows[:, 0, 1] = self.scales
+            if count == 1:
+                self.scaled_all = _scaled_rows(stack, self.scales)
         else:
             self.const = 2.0 / max(n * (n - 1.0), 1.0)
-            self.scales = np.full((size, n), self.const)
             self.ranks = r.astype(float)
             self.mask_buf, self.sign_buf = (np.empty((chunk, 1, n, n)) for _ in range(2))
             self.order = np.empty((2, chunk, 1, n, n), dtype=bool)
             self.masked = [None]        # the problems whose mask the buffers hold
-        # [1 | scale] of each problem, column-major as a gemm operand
-        self.sides_rows = np.empty((size, 1, 2, n))
-        self.sides_rows[:, 0, 0] = 1.0
-        self.sides_rows[:, 0, 1] = self.scales
-        self.fixed = _fixed_pieces(stack, self.scales) if count == 1 else None
+        if count == 1:
+            self.ends_all = _ends(stack, self._column(slice(None)))
         self.loaded = None
+
+    def _column(self, pick):
+        """The scale column of ``ends`` for the problems ``pick``."""
+        return self.const if self.const is not None else self.scales[pick][:, None, :]
 
     def load(self, first):
         """This workspace, with the pieces of the chunk of problems that
@@ -173,16 +183,19 @@ class PairWorkspace:
         pick = slice(low, low + size) if ids == list(range(low, low + size)) else ids
         stack = self.tables[pick]
         _, count, n, p = self.shape = stack.shape
-        self.scale = self.scales[pick]
-        self.rows = self.scale[:, None, :]         # the scale along a table's rows
-        self.ends, scaled = (_fixed_pieces(stack, self.scale) if self.fixed is None
-                             else (a[pick] for a in self.fixed))
-        self.scaled_t = scaled.transpose(0, 2, 1)
-        self.sides = self.sides_rows[pick].transpose(0, 1, 3, 2)
+        self.ends = (_ends(stack, self._column(pick)) if self.ends_all is None
+                     else self.ends_all[pick])
         self.flat = stack.reshape(size, count * n, p)
         self.flat_t = self.flat.transpose(0, 2, 1)
         self.left, self.right = self.left_buf[:size], self.right_buf[:size]
-        if self.const is not None:
+        if self.const is None:
+            self.scale = self.scales[pick]
+            self.rows = self.scale[:, None, :]         # the scale along a table's rows
+            scaled = (_scaled_rows(stack, self.scale) if self.scaled_all is None
+                      else self.scaled_all[pick])
+            self.scaled_t = scaled.transpose(0, 2, 1)
+            self.sides = self.sides_rows[pick].transpose(0, 1, 3, 2)
+        else:
             self.mask, self.sign = self.mask_buf[:size], self.sign_buf[:size]
             if self.masked[0] != ids:
                 self._build_mask(self.ranks[pick])
@@ -214,17 +227,22 @@ class PairWorkspace:
         return part
 
 
-def _fixed_pieces(stack, scale):
-    """``ends`` = [1 | scale | x] of each table of the problems ``stack``
-    (B, S, n, p), whose one product with a table gives its row sums, its
-    product with the scale and its product with the design, and the tables'
-    rows times the scale, (B, S n, p)."""
+def _ends(stack, column):
+    """[1 | scale | x] of each table of the problems ``stack`` (B, S, n, p),
+    with ``column`` the scale as it broadcasts along a table's rows."""
     size, count, n, p = stack.shape
     ends = np.empty((size, count, n, p + 2))
     ends[..., 0] = 1.0
-    ends[..., 1] = scale[:, None, :]
+    ends[..., 1] = column
     ends[..., 2:] = stack
-    return ends, (scale[:, None, :, None] * stack).reshape(size, count * n, p)
+    return ends
+
+
+def _scaled_rows(stack, scale):
+    """The tables' rows of the problems ``stack`` (B, S, n, p) times their
+    problem's Spearman row scale (B, n), as (B, S n, p)."""
+    size, count, n, p = stack.shape
+    return (scale[:, None, :, None] * stack).reshape(size, count * n, p)
 
 
 def pair_workspace(weights: PairWeights, x) -> PairWorkspace:
@@ -392,17 +410,18 @@ def _surrogate_sums(work, beta, nu):
 
 class FoldDowndate:
     """What ``fold_pair_sums`` needs of a data set besides beta, built once:
-    a one-problem ``PairWorkspace`` of the full (n, p) design ``x`` with the
-    full-data ranks ``r`` (its sigma table, densities and Kendall mask), the
-    folds' rank weights ``omega`` (n, n) and constant ``c``, and the rows'
-    outer products ``xx`` (n, p^2)."""
+    ``work``, the one-problem ``PairWorkspace`` of the full (n, p) design
+    with the full-data ranks (as ``pair_workspace`` builds it for a plain
+    problem, whose fits may share it), whose sigma table, densities and
+    Kendall mask the folds' sums reduce; the folds' rank weights ``omega``
+    (n, n) and constant ``c``; and the rows' outer products ``xx``
+    (n, p^2)."""
 
-    def __init__(self, r, measure, x):
+    def __init__(self, work):
+        x, r = work.tables[0, 0], work.r[0].astype(float)
         n, p = x.shape
-        r = np.asarray(r, dtype=float)
-        self.x, self.measure = x, measure
-        self.work = PairWorkspace(x[None, None], r[None], measure).load(0)
-        if measure == SPEARMAN:
+        self.work, self.x, self.measure = work, x, work.measure
+        if self.measure == SPEARMAN:
             omega = r[None, :] - (r[None, :] >= r[:, None])
             self.c = 1.0 / (4.0 * (n - 1.0) ** 2)
         else:

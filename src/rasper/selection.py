@@ -5,10 +5,10 @@ The full-data fits and every leave-one-out fold take their weights from
 ``concordance.problem_weights``, so all of them marginalize by one rule.
 
 ``select`` builds once what does not depend on (lambda, alpha): the
-full-data pair workspace and unpenalized batch, the beta = 0 curvature of
-the degrees of freedom (one ``_surrogate_sums`` pass) and, by LOOCV, one
-``_FoldState``: the folds' rows, grams and X_c'y_c taken from the full data
-by indexing, their pair workspace and the full-data ``FoldDowndate``
+full-data pair workspace, the beta = 0 curvature of the degrees of freedom
+(one ``_surrogate_sums`` pass) and, by LOOCV, one ``_FoldState``: the
+folds' rows, grams and X_c'y_c taken from the full data by indexing, their
+pair workspace and the ``FoldDowndate`` around the full-data workspace
 (O(n^2 p) memory in all). A grid point then only adds alpha to a copy of
 the grams' diagonals. ``loocv_score`` fits a grid point's n folds as one
 batch through the one trust-region loop, ``solver.fit_batch``; its
@@ -51,6 +51,7 @@ from .concordance import (
     _surrogate_sums,
     fold_pair_sums,
     pair_weights,
+    pair_workspace,
     problem_weights,
 )
 from .data_model import ExternalRanks, StandardizedDesign
@@ -157,15 +158,18 @@ class _FoldState:
     (fold k's rows are the data's rows other than k, with the full-data
     standardization, and their centered gram, X_c'y_c and relative-gradient
     scale), and, each on first use, ``work``, their ``PairWorkspace`` on the
-    ranks and tables of ``fold_cache`` as they are, or on the batch's rows
-    when the folds have no tables, and ``down``, the ``FoldDowndate`` of the
-    full data that the plain folds' starts come from. None of it depends on
-    (lambda, alpha); ``at`` adds them."""
+    ranks and tables of ``fold_cache`` (``fold_weight_cache``'s
+    ``(r, tables)``) as they are, or on the batch's rows when the folds have
+    no tables, and ``down``, the ``FoldDowndate`` that the plain folds'
+    starts come from. It is built on ``full``, the full data's one-problem
+    ``PairWorkspace`` that ``select``'s fits use, or on one of its own when
+    ``full`` is None. None of it depends on (lambda, alpha); ``at`` adds
+    them."""
 
-    def __init__(self, design, y, ranks, spec, fold_cache):
+    def __init__(self, design, y, ranks, spec, fold_cache, full=None):
         keep = _fold_rows(design.n)
         self.batch = problem_batch(design.x[keep], y[keep], 0.0, 0.0, spec.nu)
-        self.design, self.ranks, self.measure = design, ranks, spec.measure
+        self.design, self.ranks, self.measure, self.full = design, ranks, spec.measure, full
         self.r, self.tables = fold_cache
 
     @cached_property
@@ -176,7 +180,10 @@ class _FoldState:
 
     @cached_property
     def down(self):
-        return FoldDowndate(self.ranks.r, self.measure, self.design.x)
+        full = self.full
+        if full is None:
+            full = pair_workspace(pair_weights(self.ranks, self.measure), self.design.x)
+        return FoldDowndate(full)
 
     def at(self, lam, alpha):
         """The folds as the ``ProblemBatch`` of the grid point (lam, alpha)."""
@@ -222,7 +229,7 @@ def _nearer_starts(problems, beta, starts, known):
 
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                 spec: ConcordanceSpec, lam, alpha, *,
-                warm: FitResult | None = None, fold_cache=None, state=None, known=None,
+                warm: FitResult | None = None, state=None, known=None,
                 fits=None, reused=None) -> float:
     """Mean held-out half squared error over the n leave-one-out refits.
 
@@ -230,12 +237,10 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     standardization so the hat-matrix identity holds exactly at lam=alpha=0.
     Fold fits that stop without converging still count toward the score;
     one ``RuntimeWarning`` per call names how many there were.
-    ``fold_cache`` is the folds' ``(r, tables)`` as ``fold_weight_cache``
-    returns them, ranks (n, n - 1) and sampled tables (n, S, n - 1, p) or
-    None; without it they are built here. ``state`` is the folds' private
-    ``_FoldState``, which ``select`` builds once from that cache for its
-    whole grid; without it, it is built here, and ``fold_cache`` is read
-    only then.
+    ``state`` is the folds' private ``_FoldState``, which ``select`` builds
+    once for its whole grid from ``fold_weight_cache``'s ``(r, tables)``,
+    ranks (n, n - 1) and sampled tables (n, S, n - 1, p) or None; without
+    it, it is built here.
     A ``fits`` list receives the n folds' ``FitResult``, in fold order, and
     a ``reused`` list whether each fold started from its ``known`` solution;
     ``select`` rolls its report columns up from both.
@@ -272,9 +277,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     # the checks every fold would make, made once on the full-data problem
     PenalizedProblem(design, y, pair_weights(ranks, spec.measure), spec, lam, alpha)
     if state is None:
-        if fold_cache is None:
-            fold_cache = fold_weight_cache(design, ranks, spec)
-        state = _FoldState(design, y, ranks, spec, fold_cache)
+        state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec))
     init = warm.beta if warm is not None else None
     starts = None
     if init is not None and lam > 0 and state.tables is None:
@@ -428,7 +431,8 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
                             spec=spec)
     state = None
     if criterion == "loocv":
-        state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec))
+        state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec),
+                           base.workspace)
     xtx = design.x.T @ design.x
     m0 = _penalty_curvature(design, base.weights, spec.nu)
 

@@ -81,9 +81,8 @@ class PenalizedProblem:
     ``workspace`` (stacked design tables, rank-derived weights and the
     buffers every engine pass of the fit reuses) and ``batch``, the problem
     as a ``ProblemBatch`` of one, which also holds its gram X_c'X_c + alpha I
-    and X_c'y_c: ``unpenalized``, the problem at alpha = 0, with alpha
-    added to a copy of its gram. The workspace's buffers make a problem
-    unsafe to evaluate from two threads at once."""
+    and X_c'y_c. The workspace's buffers make a problem unsafe to evaluate
+    from two threads at once."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -117,25 +116,18 @@ class PenalizedProblem:
 
     def with_penalties(self, lam, alpha):
         """This problem at another (lambda, alpha), sharing its pair-sum
-        workspace and its unpenalized batch, so a grid search builds each
-        once; the two must not be evaluated from two threads at once."""
+        workspace, so a grid search builds the workspace once; the two must
+        not be evaluated from two threads at once."""
         other = replace(self, lam=lam, alpha=alpha)
-        for name in ("workspace", "unpenalized"):          # the cached_properties' slots
-            other.__dict__[name] = getattr(self, name)
+        other.__dict__["workspace"] = self.workspace      # the cached_property's slot
         return other
-
-    @cached_property
-    def unpenalized(self):
-        """This problem's data as a ``ProblemBatch`` of one at
-        lambda = alpha = 0, which ``batch`` adds the penalties to."""
-        return problem_batch(self.design.x[None], self.y[None], 0.0, 0.0, self.nu)
 
     @cached_property
     def batch(self):
         """This problem as a ``ProblemBatch`` of one, the form ``fit_batch``
         takes."""
-        return self.unpenalized.with_penalties(self.lam, self.alpha,
-                                               self.workspace if self.lam > 0 else None)
+        return problem_batch(self.design.x[None], self.y[None], self.lam, self.alpha,
+                             self.nu, self.workspace if self.lam > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -210,16 +202,17 @@ def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
     Each problem's pieces are the ones a single problem computes, bit for
     bit: the stacked products run one BLAS call per problem."""
     y = np.asarray(y)
-    m = x.shape[1]
+    size, m, p = x.shape
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / m        # x.mean(axis=1)
     xct = xc.transpose(0, 2, 1)
     gram = xct @ xc
+    gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
     xty = _matvec(xct, y - np.add.reduce(y, axis=1, keepdims=True) / m)
     scale = _norms(xty)
     flat = xc.reshape(xc.shape[0], -1)
     constant = scale <= np.finfo(float).eps * np.sqrt(_dots(flat, flat)) * _norms(y)
-    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), None,
-                        0.0, 0.0, nu).with_penalties(lam, alpha, work)
+    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), work,
+                        lam, alpha, nu)
 
 
 @dataclass(frozen=True)

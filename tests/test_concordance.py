@@ -380,7 +380,7 @@ class TestPairSumEngine:
                 return _pair_sums(work, b[None], problem.nu)
             if entry == "surrogate":
                 return _surrogate_sums(work, b, problem.nu)
-            return fold_pair_sums(FoldDowndate(ranks.r, measure, problem.design.x), b, problem.nu)
+            return fold_pair_sums(FoldDowndate(work), b, problem.nu)
 
         first = sums(beta)
         kept = [np.array(a, copy=True) for a in first]
@@ -405,7 +405,8 @@ class TestFoldPairSums:
         x = rng.standard_normal((n, p))
         beta = rng.standard_normal(p)
         scores = rng.integers(0, 4, n).astype(float) if tied else rng.standard_normal(n)
-        got = fold_pair_sums(FoldDowndate(external_ranks(scores).r, measure, x), beta, nu)
+        full = PairWorkspace(x[None, None], external_ranks(scores).r[None], measure)
+        got = fold_pair_sums(FoldDowndate(full), beta, nu)
         want = [np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))]
         for k in range(n):
             # each fold's weights from its own scores, not from the full ranks
@@ -464,7 +465,8 @@ class TestFoldPairSums:
                 self._long_double_sums(
                     pair_weights(external_ranks(np.delete(scores, k)), measure).w,
                     np.delete(x, k, axis=0), beta, nu) for k in range(n)))]
-            for a, b in zip(fold_pair_sums(FoldDowndate(r, measure, x), beta, nu), want):
+            full = PairWorkspace(x[None, None], r[None], measure)
+            for a, b in zip(fold_pair_sums(FoldDowndate(full), beta, nu), want):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 

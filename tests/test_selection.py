@@ -19,6 +19,7 @@ from rasper.concordance import (
     PairWorkspace,
     _surrogate_sums,
     pair_weights,
+    pair_workspace,
 )
 from rasper.data_model import ExternalRanks, StandardizedDesign, external_ranks, standardize
 from rasper.errors import (
@@ -115,7 +116,7 @@ class TestLOOCV:
         fit = fit_rasper(PenalizedProblem(design, y, w, spec, 3.0, 1.0))
         cache = fold_weight_cache(design, ranks, spec)
         a = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit,
-                        fold_cache=cache)
+                        state=selection._FoldState(design, y, ranks, spec, cache))
         b = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit)
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -217,7 +218,7 @@ class TestLOOCV:
         monkeypatch.setattr(solver, "_pair_sums", counted)
         folds = _recorded_fold_fits(monkeypatch)
         loocv_score(design, y, ranks, spec, 40.0, 1.0, warm=full if warm else None,
-                    fold_cache=cache)
+                    state=selection._FoldState(design, y, ranks, spec, cache))
         assert len(folds) == design.n
         for fit in folds:
             assert fit.converged and fit.evaluations == fit.iterations + 1
@@ -315,11 +316,12 @@ class TestBatchedFolds:
                                            spec, lam, alpha))
         folds = _recorded_fold_fits(monkeypatch)
         score = loocv_score(design, y, ranks, spec, lam, alpha, warm=full if warm else None,
-                            fold_cache=cache)
+                            state=selection._FoldState(design, y, ranks, spec, cache))
         starts = None
         if warm and lam > 0 and case != "marginalized":
             starts = selection.fold_pair_sums(
-                FoldDowndate(ranks.r, spec.measure, design.x), full.beta, spec.nu)
+                FoldDowndate(pair_workspace(pair_weights(ranks, spec.measure), design.x)),
+                full.beta, spec.nu)
         total = 0.0
         assert len(folds) == n
         for k, (fold, weights) in enumerate(zip(folds, fold_weights(cache, spec.measure))):
@@ -463,25 +465,27 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert peak < limit
 
-    # The state holds the folds' rows, their [1 | scale | x] ends and
-    # scaled rows (1.1 MB together at n = 100, p = 4), one chunk's engine
-    # buffers (0.94 MB plain) and the full-data downdate (0.33 MB); Kendall
-    # adds the mask buffers (0.7 MB). Marginalized folds hold no piece of
-    # their tables' size: their ends are built per chunk, so the state is
-    # the buffers (4.7 MB) plus O(n p) floats per fold, and a second copy of
-    # the (n, S, n - 1, p) tables would not fit.
-    @pytest.mark.parametrize("case, limit", [("spearman", 3.2e6), ("kendall", 4.2e6),
+    # The state holds the folds' rows (0.32 MB at n = 100, p = 4), their
+    # [1 | scale | x] ends (0.48 MB) and one chunk's engine buffers (0.94 MB
+    # plain); Spearman adds the scaled rows and [1 | scale] (0.48 MB),
+    # Kendall the mask buffers (0.7 MB). The downdate is built on the full
+    # data's workspace, which select's fits already hold. Marginalized folds
+    # hold no piece of their tables' size: their ends are built per chunk,
+    # so the state is the buffers (4.7 MB) plus O(n p) floats per fold, and
+    # a second copy of the (n, S, n - 1, p) tables would not fit.
+    @pytest.mark.parametrize("case, limit", [("spearman", 2.8e6), ("kendall", 2.9e6),
                                              ("marginalized", None)])
     def test_heap_peak_of_the_fold_state(self, case, limit):
         design, y, ranks, spec = _fold_data(100, case)
         spec = dataclasses.replace(spec, samples=20)
         cache = fold_weight_cache(design, ranks, spec)
+        full = pair_workspace(selection.problem_weights(design, ranks, spec), design.x)
         tracemalloc.start()
         try:
-            state = selection._FoldState(design, y, ranks, spec, cache)
+            state = selection._FoldState(design, y, ranks, spec, cache, full)
             buffers = 3 * state.work.s.nbytes
             if cache[1] is None:
-                assert state.down.work.s.shape == (1, 1, 100, 100)
+                assert state.down.work is full
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -492,18 +496,17 @@ class TestFoldMemory:
 
 
 class TestFoldState:
-    # select builds the folds' batch, their pair workspace and the
-    # downdate's full-data workspace once per call, and every grid point's
-    # score is the one loocv_score gives without that state, bit for bit.
+    # select builds the folds' batch and their pair workspace once per call,
+    # and the downdate once, on the full-data workspace its fits use; every
+    # grid point's score is the one loocv_score gives without that state,
+    # bit for bit.
     @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
     def test_select_builds_the_fold_state_once(self, monkeypatch, case):
         design, y, ranks, spec = _fold_data(12, case)
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
-        batches = []
-        workspaces = []
-        downdates = count_calls(monkeypatch, selection, "FoldDowndate")
-        calls = []
-        originals = selection.problem_batch, selection.PairWorkspace, selection.loocv_score
+        batches, workspaces, downdates, fitted, calls = [], [], [], [], []
+        originals = (selection.problem_batch, concordance.PairWorkspace, selection.loocv_score,
+                     selection.FoldDowndate, selection.fit_rasper)
 
         def batch(x, *args, **kwargs):
             batches.append(x.shape[0])
@@ -517,14 +520,29 @@ class TestFoldState:
             calls.append((args, kwargs, originals[2](*args, **kwargs)))
             return calls[-1][2]
 
+        def downdate(work):
+            downdates.append(work)
+            return originals[3](work)
+
+        def fit(problem, **kwargs):
+            fitted.append(problem.workspace)
+            return originals[4](problem, **kwargs)
+
+        for module in (concordance, selection):
+            monkeypatch.setattr(module, "PairWorkspace", workspace)
         monkeypatch.setattr(selection, "problem_batch", batch)
-        monkeypatch.setattr(selection, "PairWorkspace", workspace)
         monkeypatch.setattr(selection, "loocv_score", score)
+        monkeypatch.setattr(selection, "FoldDowndate", downdate)
+        monkeypatch.setattr(selection, "fit_rasper", fit)
+        select(design, y, ranks, spec, grid, criterion="aic")
+        by_aic = sorted(workspaces)
+        workspaces.clear()
         report = select(design, y, ranks, spec, grid)
         monkeypatch.undo()
         assert batches == [design.n]
-        assert workspaces.count(design.n) == 1
+        assert sorted(workspaces) == sorted(by_aic + [design.n])
         assert len(downdates) == (case != "marginalized")
+        assert all(work is fitted[-1] for work in downdates + fitted[len(fitted) // 2:])
         assert len(calls) == grid.size
         for (args, kwargs, loo), record in zip(calls, report.records):
             assert record.loo == loo
