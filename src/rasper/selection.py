@@ -161,7 +161,7 @@ class _FoldState:
     ranks and tables of ``fold_cache`` (``fold_weight_cache``'s
     ``(r, tables)``) as they are, or on the batch's rows when the folds have
     no tables, and ``down``, the ``FoldDowndate`` that the plain folds'
-    starts come from. It is built on ``full``, the full data's one-problem
+    starts come from, built on ``full``, the full data's one-problem
     ``PairWorkspace`` that ``select``'s fits use, or on one of its own when
     ``full`` is None. None of it depends on (lambda, alpha); ``at`` adds
     them."""
