@@ -5,9 +5,8 @@ given as their (B, S, n, p) float array of design tables (S = 1 without
 marginal tables) and their (B, n) ranks, with the weights as the ranks give
 them (a Spearman row scale, or a constant times the Kendall strict-order
 mask) and (C, S, n, n) buffers that every pass reuses, C problems at a time.
-It builds a plain problem's fixed pieces once, so a pass only selects a
-chunk's; the Kendall mask (in place, in two buffers) and the pieces of
-S > 1 tables, which would copy the stack, are built per chunk. One kernel,
+A pass builds a chunk's fixed pieces in buffers allocated once, the same
+way for plain problems and for S > 1 tables. One kernel,
 ``_sigma``, builds sigma(u) of a chunk's C * S tables with one rank-2 gemm
 and one in-place ``exp``. Three entry points with fixed outputs
 reduce it by matrix-vector products and gemms over the stack, so neither the
@@ -112,26 +111,24 @@ class PairWorkspace:
     """The inputs and the reusable buffers of the pair sums of B problems of
     one size, held on a leading problem axis.
 
-    ``stack`` is the problems' (B, S, n, p) float array of design tables
+    ``tables`` is the problems' (B, S, n, p) float array of design tables
     (S = 1 for plain problems), kept uncopied, and ``r`` their (B, n)
-    ranks. ``live`` (B,) is False where all of a problem's weights are zero
-    (all-tied Kendall ranks). The weights (``PairWeights.w``) are
-    Spearman's row ``scale`` r_i / (4 n^2), or Kendall's ``const`` =
-    2 / (n (n - 1)) times the ``mask`` I(r_i > r_j) and its antisymmetric
-    ``sign`` = mask - mask', all the gradient and the Hessian need.
+    ranks, as floats. ``live`` (B,) is False where all of a problem's
+    weights are zero (all-tied Kendall ranks). The weights
+    (``PairWeights.w``) are Spearman's row ``scale`` r_i / (4 n^2), or
+    Kendall's ``const`` = 2 / (n (n - 1)) times the ``mask`` I(r_i > r_j)
+    and its antisymmetric ``sign`` = mask - mask', all the gradient and the
+    Hessian need.
 
-    Each problem's fixed pieces are built once, here: for plain problems
-    (S = 1), ``ends`` = [1 | scale | x], whose one product with a table
-    gives its row sums, its product with the scale and its product with the
-    design (the scale is Kendall's constant), and, for Spearman, its scale,
-    ``sides`` = [1 | scale] and the scaled rows. With S > 1 tables ``ends``
-    and the scaled rows would copy the stack, so they are built per chunk
-    instead. ``_pair_sums`` walks the problems in chunks of ``chunk`` = C,
-    as many as ``CHUNK_PAIRS`` pair entries per buffer allow, and ``load``
-    selects a chunk's pieces: a slice when its problems are contiguous, a
-    gather after ``take``. It builds the Kendall mask and sign in place in
-    two (C, 1, n, n) buffers, and ``left`` and ``right``, whose fixed rows
-    of ones make -u a rank-2 product, are allocated once. The chunk loaded
+    ``_pair_sums`` walks the problems in chunks of ``chunk`` = C, as many as
+    ``CHUNK_PAIRS`` pair entries per buffer allow, and ``load`` builds a
+    chunk's pieces, the same way for any S, into (C, ...) buffers allocated
+    once, here: ``ends`` = [1 | scale | x] of each table, whose one product
+    with a table gives its row sums, its product with the scale and its
+    product with the design (the scale is Kendall's constant); for
+    Spearman, the scaled rows and ``sides`` = [1 | scale]; for Kendall, the
+    mask and its sign, in place. ``left`` and ``right``, whose fixed rows of
+    ones make -u a rank-2 product, are allocated once too. The chunk loaded
     last is kept, so a batch of one chunk, such as a single fit, loads it
     once. The buffers are overwritten by every pass, and a workspace
     ``take`` returns shares them, so a workspace serves one thread at a
@@ -139,8 +136,9 @@ class PairWorkspace:
     """
 
     def __init__(self, stack, r, measure):
-        size, count, n, _ = stack.shape
-        self.tables, self.r, self.measure, self.index = stack, r, measure, np.arange(size)
+        size, count, n, p = stack.shape
+        r = np.asarray(r, dtype=float)
+        self.tables, self.r, self.measure = stack, r, measure
         self.live = (r > 0).any(axis=1) if measure == SPEARMAN else r.max(axis=1) > r.min(axis=1)
         self.chunk = chunk = min(size, max(1, CHUNK_PAIRS // (count * n * n)))
         self.s, self.dens, self.h = (np.empty((chunk, count, n, n)) for _ in range(3))
@@ -148,59 +146,45 @@ class PairWorkspace:
         # rounding is the subtraction's; _sigma writes the t rows only.
         self.left_buf = np.ones((chunk, count, n, 2))
         self.right_buf = np.ones((chunk, count, 2, n))
+        self.ends_buf = np.ones((chunk, count, n, p + 2))      # load writes scale and x
         self.ones, self.mask, self.sign = np.ones(n), None, None
-        self.ends_all = self.scaled_all = None
         if measure == SPEARMAN:
             self.const = None
-            self.scales = r / (4.0 * n * n)
+            self.scaled_buf = np.empty((chunk, count, n, p))
             # [1 | scale] of each problem, column-major as a gemm operand
-            self.sides_rows = np.empty((size, 1, 2, n))
-            self.sides_rows[:, 0, 0] = 1.0
-            self.sides_rows[:, 0, 1] = self.scales
-            if count == 1:
-                self.scaled_all = _scaled_rows(stack, self.scales)
+            self.sides_buf = np.ones((chunk, 1, 2, n))
         else:
             self.const = 2.0 / max(n * (n - 1.0), 1.0)
-            self.ranks = r.astype(float)
+            self.ends_buf[..., 1] = self.const
             self.mask_buf, self.sign_buf = (np.empty((chunk, 1, n, n)) for _ in range(2))
             self.order = np.empty((2, chunk, 1, n, n), dtype=bool)
-            self.masked = [None]        # the problems whose mask the buffers hold
-        if count == 1:
-            self.ends_all = _ends(stack, self._column(slice(None)))
         self.loaded = None
-
-    def _column(self, pick):
-        """The scale column of ``ends`` for the problems ``pick``."""
-        return self.const if self.const is not None else self.scales[pick][:, None, :]
 
     def load(self, first):
         """This workspace, with the pieces of the chunk of problems that
-        starts at problem ``first`` selected, unless it was loaded last."""
-        ids = self.index[first:first + self.chunk].tolist()
-        if ids == self.loaded and (self.mask is None or self.masked[0] == ids):
+        starts at problem ``first`` built in its buffers, unless it was
+        loaded last."""
+        if first == self.loaded:
             return self
-        low, size = ids[0], len(ids)
-        pick = slice(low, low + size) if ids == list(range(low, low + size)) else ids
-        stack = self.tables[pick]
-        _, count, n, p = self.shape = stack.shape
-        self.ends = (_ends(stack, self._column(pick)) if self.ends_all is None
-                     else self.ends_all[pick])
+        stack = self.tables[first:first + self.chunk]
+        size, count, n, p = self.shape = stack.shape
         self.flat = stack.reshape(size, count * n, p)
         self.flat_t = self.flat.transpose(0, 2, 1)
         self.left, self.right = self.left_buf[:size], self.right_buf[:size]
+        self.ends = self.ends_buf[:size]
+        self.ends[..., 2:] = stack
         if self.const is None:
-            self.scale = self.scales[pick]
+            self.scale = self.r[first:first + size] / (4.0 * n * n)
             self.rows = self.scale[:, None, :]         # the scale along a table's rows
-            scaled = (_scaled_rows(stack, self.scale) if self.scaled_all is None
-                      else self.scaled_all[pick])
-            self.scaled_t = scaled.transpose(0, 2, 1)
-            self.sides = self.sides_rows[pick].transpose(0, 1, 3, 2)
+            self.ends[..., 1] = self.rows
+            scaled = np.multiply(self.rows[..., None], stack, out=self.scaled_buf[:size])
+            self.scaled_t = scaled.reshape(size, count * n, p).transpose(0, 2, 1)
+            self.sides_buf[:size, 0, 1] = self.scale
+            self.sides = self.sides_buf[:size].transpose(0, 1, 3, 2)
         else:
             self.mask, self.sign = self.mask_buf[:size], self.sign_buf[:size]
-            if self.masked[0] != ids:
-                self._build_mask(self.ranks[pick])
-                self.masked[0] = ids
-        self.loaded = ids
+            self._build_mask(self.r[first:first + size])
+        self.loaded = first
         return self
 
     def _build_mask(self, r):
@@ -221,28 +205,15 @@ class PairWorkspace:
         np.subtract(self.mask, self.sign, out=self.sign)
 
     def take(self, index):
-        """The workspace of the problems ``index``, in that order, on these buffers."""
+        """The workspace of the problems ``index``, in that order: a copy of
+        their inputs, on these buffers. Both workspaces are left unloaded,
+        so the next pass of either builds its pieces afresh, but a pass of
+        one does not unload the other, so the two must not take turns after
+        that; ``fit_batch`` drops the batch it takes from."""
         part = copy.copy(self)
-        part.index, part.live = self.index[index], self.live[index]
+        part.tables, part.r, part.live = self.tables[index], self.r[index], self.live[index]
+        self.loaded = part.loaded = None
         return part
-
-
-def _ends(stack, column):
-    """[1 | scale | x] of each table of the problems ``stack`` (B, S, n, p),
-    with ``column`` the scale as it broadcasts along a table's rows."""
-    size, count, n, p = stack.shape
-    ends = np.empty((size, count, n, p + 2))
-    ends[..., 0] = 1.0
-    ends[..., 1] = column
-    ends[..., 2:] = stack
-    return ends
-
-
-def _scaled_rows(stack, scale):
-    """The tables' rows of the problems ``stack`` (B, S, n, p) times their
-    problem's Spearman row scale (B, n), as (B, S n, p)."""
-    size, count, n, p = stack.shape
-    return (scale[:, None, :, None] * stack).reshape(size, count * n, p)
 
 
 def pair_workspace(weights: PairWeights, x) -> PairWorkspace:
@@ -353,7 +324,7 @@ def _pair_sums(work, beta, nu):
     Kendall is the constant times ``sign``.
     """
     parts = []
-    for first in range(0, len(work.index), work.chunk):
+    for first in range(0, len(work.r), work.chunk):
         size, count, _, p = work.load(first).shape
         s = _sigma(work, beta[first:first + size], nu)
         d = _concordance(work, s)
@@ -418,7 +389,7 @@ class FoldDowndate:
     (n, p^2)."""
 
     def __init__(self, work):
-        x, r = work.tables[0, 0], work.r[0].astype(float)
+        x, r = work.tables[0, 0], work.r[0]
         n, p = x.shape
         self.work, self.x, self.measure = work, x, work.measure
         if self.measure == SPEARMAN:

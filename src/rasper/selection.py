@@ -6,7 +6,8 @@ The full-data fits and every leave-one-out fold take their weights from
 
 ``select`` builds once what does not depend on (lambda, alpha): the
 full-data pair workspace, the beta = 0 curvature of the degrees of freedom
-(one ``_surrogate_sums`` pass) and, by LOOCV, one ``_FoldState``: the
+(one ``_surrogate_sums`` pass, on that workspace unless the spec samples
+tables) and, by LOOCV, one ``_FoldState``: the
 folds' rows, grams and X_c'y_c taken from the full data by indexing, their
 pair workspace and the ``FoldDowndate`` around the full-data workspace
 (O(n^2 p) memory in all). A grid point then only adds alpha to a copy of
@@ -318,15 +319,15 @@ def _fold_rollup(fits, reused):
             "fold_reused": sum(reused)}
 
 
-def _penalty_curvature(design: StandardizedDesign, weights: PairWeights, nu):
-    """The surrogate curvature M0 at beta = 0 on the observed design (see
-    ``degrees_of_freedom``): ``_surrogate_sums``' ``quad`` there, from one
-    pass, or None when every pair weight is zero. It does not depend on
-    (lambda, alpha), so ``select`` takes it once."""
-    work = PairWorkspace(design.x[None, None], weights.r[None], weights.measure)
+def _penalty_curvature(work, nu):
+    """The surrogate curvature M0 at beta = 0 (see ``degrees_of_freedom``):
+    ``_surrogate_sums``' ``quad`` there, from one pass on ``work``, a
+    one-problem workspace of the observed design, or None when every pair
+    weight is zero. It does not depend on (lambda, alpha), so ``select``
+    takes it once."""
     if not work.live[0]:
         return None
-    return _surrogate_sums(work, np.zeros(design.p), nu)[2]
+    return _surrogate_sums(work, np.zeros(work.tables.shape[-1]), nu)[2]
 
 
 def _smoother_df(xtx, m0, lam, alpha) -> float:
@@ -357,7 +358,9 @@ def degrees_of_freedom(design: StandardizedDesign, weights: PairWeights,
     all weights zero (all-tied Kendall ranks) the penalty adds nothing.
     """
     x = design.x
-    m0 = _penalty_curvature(design, weights, nu) if lam > 0 else None
+    m0 = None
+    if lam > 0:
+        m0 = _penalty_curvature(PairWorkspace(x[None, None], weights.r[None], weights.measure), nu)
     return _smoother_df(x.T @ x, m0, lam, alpha)
 
 
@@ -434,7 +437,10 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
         state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec),
                            base.workspace)
     xtx = design.x.T @ design.x
-    m0 = _penalty_curvature(design, base.weights, spec.nu)
+    # M0 is taken on the observed design, which a plain spec's workspace holds
+    observed = base.workspace if base.weights.tables is None else \
+        PairWorkspace(design.x[None, None], ranks.r[None], spec.measure)
+    m0 = _penalty_curvature(observed, spec.nu)
 
     records = []
     known = {}                  # lambda index -> its fold solutions at the previous alpha

@@ -134,15 +134,11 @@ class PenalizedProblem:
 class ProblemBatch:
     """B penalized problems of one size that share lambda, alpha and nu,
     held on a leading problem axis: what the trust-region loop reads. ``x``
-    (N, m, p) holds the problems' rows of the design and ``y`` (N, m) their
-    outcomes, for the N problems the batch was built on; ``index`` (B,)
-    picks this batch's problems from them, or is None for all N, so a batch
-    taken down to fewer problems shares the arrays rather than copying them.
-    ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c, with X_c a
+    (B, m, p) holds the problems' rows of the design and ``y`` (B, m) their
+    outcomes; ``gram`` = X_c'X_c + alpha I and ``xty`` = X_c'y_c, with X_c a
     problem's centered rows, and ``scale`` (B,), the relative gradient's
-    scale ||X_c'y_c|| (NaN where y is constant up to rounding), are this
-    batch's own. ``work`` is the problems' ``PairWorkspace`` when
-    lambda > 0, else None."""
+    scale ||X_c'y_c|| (NaN where y is constant up to rounding). ``work`` is
+    the problems' ``PairWorkspace`` when lambda > 0, else None."""
 
     x: np.ndarray
     y: np.ndarray
@@ -153,16 +149,15 @@ class ProblemBatch:
     lam: float
     alpha: float
     nu: float
-    index: np.ndarray | None = None
 
     def __getitem__(self, index):
-        """The batch of the problems ``index`` (an index array), in that order."""
+        """The batch of the problems ``index`` (an index array), in that
+        order, with copies of their arrays."""
         index = np.asarray(index)
-        return ProblemBatch(self.x, self.y, self.gram[index], self.xty[index],
+        return ProblemBatch(self.x[index], self.y[index], self.gram[index], self.xty[index],
                             self.scale[index],
                             None if self.work is None else self.work.take(index),
-                            self.lam, self.alpha, self.nu,
-                            index if self.index is None else self.index[index])
+                            self.lam, self.alpha, self.nu)
 
     def with_penalties(self, lam, alpha, work=None):
         """This batch, which has alpha = 0, at (lambda, alpha) with ``work``
@@ -176,24 +171,6 @@ class ProblemBatch:
         size, p, _ = gram.shape
         gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
         return replace(self, gram=gram, work=work, lam=lam, alpha=alpha)
-
-    def rows(self):
-        """The (B, m, p) designs and (B, m) outcomes of this batch's problems."""
-        if self.index is None:
-            return self.x, self.y
-        return self.x[self.index], self.y[self.index]
-
-    def fitted(self, beta):
-        """X beta (B, m) of each problem at its row of ``beta`` (B, p), and
-        the problems' outcomes. A taken-down batch multiplies every row of
-        ``x``, the dropped problems' at beta = 0, and keeps its problems'
-        products, rather than copy their rows; each product is the one the
-        problem alone gives."""
-        if self.index is None:
-            return _matvec(self.x, beta), self.y
-        every = np.zeros((self.x.shape[0], beta.shape[1]))
-        every[self.index] = beta
-        return _matvec(self.x, every)[self.index], self.y[self.index]
 
 
 def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
@@ -323,9 +300,9 @@ def _local_minimizers(problems):
         return np.linalg.solve(problems.gram, problems.xty[..., None])[..., 0], {}
     beta = np.empty(problems.xty.shape)
     errors = {}
-    x, ys = problems.rows()
+    x = problems.x
     xcs = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
-    for k, (xc, y) in enumerate(zip(xcs, ys)):
+    for k, (xc, y) in enumerate(zip(xcs, problems.y)):
         beta[k], _, rank, _ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
         if rank < xc.shape[1]:
             errors[k] = SingularDesign("design is rank deficient and alpha = 0")
@@ -376,7 +353,7 @@ def _points(problems, beta, sums=None):
     order ``penalized_objective`` uses, so both give the same value, and is
     inf where D is not positive. The sums are None when lambda = 0 (no
     pair pass)."""
-    xb, y = problems.fitted(beta)
+    xb, y = _matvec(problems.x, beta), problems.y
     beta0 = np.add.reduce(y - xb, axis=1) / xb.shape[1]
     resid = y - beta0[:, None] - xb
     value = 0.5 * _dots(resid, resid) + 0.5 * problems.alpha * _dots(beta, beta)
@@ -448,8 +425,8 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
 
     A problem leaves the batch when it converges, or after ``max_iter``
     rounds with ``converged=False``; the rest go on over the batch taken
-    down to them (the rows and the workspace by index, sharing their
-    arrays), so no pass is spent on a finished problem. Each problem takes
+    down to them (copies of their rows, on the workspace's buffers), so no
+    pass is spent on a finished problem. Each problem takes
     the iterates it would take alone.
     """
     size = problems.x.shape[0]

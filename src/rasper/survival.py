@@ -29,8 +29,8 @@ class SurvivalSample:
             raise EmptyData("events shape must match times")
         if not np.all(t > 0):
             raise InvalidValue("all times must be positive")
-        if not self.tau > 0:
-            raise InvalidValue("tau must be positive")
+        if not 0 < self.tau < np.inf:                   # NaN fails both comparisons
+            raise InvalidValue(f"tau must be positive and finite, not {self.tau!r}")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "events", e)
 

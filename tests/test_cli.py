@@ -243,6 +243,8 @@ def test_bad_survival_input_exit_1(tmp_path, capsys, command, header, rows, need
 @pytest.mark.parametrize("command,header,rows,extra,needle", [
     ("pseudo", ["time", "event"], [[3.0, 1], [-2.0, 0]], [], "positive"),
     ("pseudo", ["time", "event"], [[3.0, 1], [5.0, 0]], ["--tau", "-1"], "tau"),
+    ("pseudo", ["time", "event"], [[3.0, 1], [5.0, 0]], ["--tau", "inf"], "finite"),
+    ("pseudo", ["time", "event"], [[3.0, 1], [5.0, 0]], ["--tau", "nan"], "finite"),
     ("score", ["psa", "visceral_mets", "ecog_ge2", "days_to_progression"],
      [[10.0, 0, 0, 400.0], [-5.0, 1, 1, 0.0]], [], "psa"),
 ])

@@ -350,8 +350,8 @@ class TestBatchedFolds:
             return fit_batch(problems, beta, start)
 
         def load(work, first):
-            loads.append(work.index[first:first + work.chunk].tolist())
-            return original(work, first)
+            loads.append(original(work, first).flat.copy())
+            return work
 
         monkeypatch.setattr(selection, "fit_batch", recorded)
         monkeypatch.setattr(concordance.PairWorkspace, "load", load)
@@ -367,9 +367,14 @@ class TestBatchedFolds:
                 assert np.array_equal(problems.x[k], np.delete(design.x, k, axis=0))
             for buffer in (problems.work.s, problems.work.dens, problems.work.h):
                 assert buffer.shape == (chunk, count, 36, 36)
-            # the cold start pass takes every fold, in order
-            assert loads[:2] == [list(range(chunk)), list(range(chunk, min(2 * chunk, 37)))]
-            assert max(len(ids) for ids in loads) == chunk
+            # the cold start pass takes every fold, in order: fold k's rows,
+            # or its sampled tables
+            tables = fold_weight_cache(design, ranks, spec)[1]
+            folds = (problems.x if tables is None else tables).reshape(37, -1, design.p)
+            assert [len(a) for a in loads[:2]] == [chunk, min(chunk, 37 - chunk)]
+            assert np.array_equal(loads[0], folds[:chunk])
+            assert np.array_equal(loads[1], folds[chunk:2 * chunk])
+            assert max(len(a) for a in loads) == chunk
 
 
 class TestKnownFoldStarts:
@@ -499,7 +504,9 @@ class TestFoldState:
     # select builds the folds' batch and their pair workspace once per call,
     # and the downdate once, on the full-data workspace its fits use; every
     # grid point's score is the one loocv_score gives without that state,
-    # bit for bit.
+    # bit for bit. Only root workspaces are counted: a batch taken down to
+    # its unfinished folds copies its problems' inputs into a copy of the
+    # root, on the root's buffers, and builds none.
     @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
     def test_select_builds_the_fold_state_once(self, monkeypatch, case):
         design, y, ranks, spec = _fold_data(12, case)
@@ -713,17 +720,28 @@ class TestSelect:
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     def test_one_curvature_pass_and_one_workspace(self, monkeypatch, criterion, measure):
         # M0 and the full-data workspace depend on neither lambda nor alpha:
-        # select takes one surrogate pass and builds one full-data workspace
-        # for its whole grid, and each grid point's df is the one
-        # degrees_of_freedom gives, to the last bit.
+        # select takes one surrogate pass and builds one workspace on the
+        # observed design for its whole grid, its fits' and M0's, and each
+        # grid point's df is the one degrees_of_freedom gives, to the last
+        # bit.
         design, y, ranks, scores, spec = make_data(seed=11, n=15)
         spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
         mm_passes = count_calls(monkeypatch, selection, "_surrogate_sums")
-        workspaces = count_calls(monkeypatch, solver, "pair_workspace")
+        observed = []
+        original = concordance.PairWorkspace
+
+        def workspace(stack, *args):
+            if stack.shape[:2] == (1, 1) and np.array_equal(stack[0, 0], design.x):
+                observed.append(stack)
+            return original(stack, *args)
+
+        for module in (concordance, selection):
+            monkeypatch.setattr(module, "PairWorkspace", workspace)
         report = select(design, y, ranks, spec, grid, criterion=criterion)
+        monkeypatch.undo()
         assert len(mm_passes) == 1
-        assert len(workspaces) == 1
+        assert len(observed) == 1
         weights = pair_weights(ranks, measure)
         for record in report.records:
             assert not record.df_flagged

@@ -345,21 +345,26 @@ def _oracle_problem(case, lam_ratio):
 
 
 class TestProblemBatch:
-    def test_taken_down_batch_shares_the_rows(self):
-        # A batch taken down to some problems keeps the design and outcome
-        # arrays it was built on and picks its problems by index; each
-        # problem's X beta is the one its copied rows give, bit for bit.
+    def test_taken_down_batch_holds_its_problems_rows(self):
+        # A batch taken down to some problems holds exactly their rows, and
+        # each problem's point (intercept, objective, pair sums, gradient
+        # and Hessian) is the one the full batch gives it, bit for bit.
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((6, 9, 3)), rng.standard_normal((6, 9))
-        batch = solver.problem_batch(x, y, 0.0, 1.0, 0.1)
+        work = PairWorkspace(x[:, None], rng.integers(0, 5, (6, 9)), "kendall")
+        batch = solver.problem_batch(x, y, 2.0, 1.0, 0.5, work)
         part = batch[np.array([4, 1, 5])][np.array([2, 0])]
-        assert part.x is x and part.y is y and part.index.tolist() == [5, 4]
+        assert np.array_equal(part.x, x[[5, 4]]) and np.array_equal(part.y, y[[5, 4]])
         assert np.array_equal(part.gram, batch.gram[[5, 4]])
-        beta = rng.standard_normal((2, 3))
-        xb, rows = part.fitted(beta)
-        assert np.array_equal(xb, solver._matvec(x[[5, 4]], beta))
-        assert np.array_equal(rows, y[[5, 4]])
-        assert all(np.array_equal(a, b) for a, b in zip(part.rows(), (x[[5, 4]], y[[5, 4]])))
+        beta = rng.standard_normal((6, 3))
+
+        def arrays(point):
+            beta0, value, sums, g, hess = point
+            return beta0, value, *sums, g, hess
+
+        full = arrays(solver._points(batch, beta))
+        for a, b in zip(arrays(solver._points(part, beta[[5, 4]])), full, strict=True):
+            assert a.tobytes() == b[[5, 4]].tobytes()
 
 
 class TestProblemCaches:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rasper.errors import EmptyData
+from rasper.errors import EmptyData, InvalidValue
 from rasper.survival import (
     DEFAULT_TAU,
     KMCurve,
@@ -36,6 +36,12 @@ class TestSample:
             SurvivalSample(np.array([0.0, 1.0]), np.array([True, True]))
         with pytest.raises(ValueError):
             SurvivalSample(np.array([1.0]), np.array([True]), tau=0.0)
+
+    @pytest.mark.parametrize("tau", [np.inf, np.nan, -np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # an infinite horizon would make rmst NaN or inf
+        with pytest.raises(InvalidValue, match="positive and finite"):
+            SurvivalSample(np.array([1.0, 2.0]), np.array([True, False]), tau=tau)
 
     def test_default_tau(self):
         s = SurvivalSample(np.array([1.0]), np.array([True]))
