@@ -52,8 +52,11 @@ class ConcordanceSpec:
     def __post_init__(self):
         if self.measure not in (SPEARMAN, KENDALL):
             raise InvalidValue(f"unknown measure {self.measure!r}")
-        if not 0 < self.nu < np.inf:                  # NaN fails both comparisons
-            raise InvalidValue(f"nu must be positive and finite, not {self.nu!r}")
+        # NaN fails every comparison; the Hessian divides by nu^2, which
+        # must not underflow to 0
+        if not (0 < self.nu < np.inf and self.nu * self.nu >= np.finfo(float).tiny):
+            raise InvalidValue(f"nu must be positive and finite, and nu^2 a normal float, "
+                               f"not {self.nu!r}")
         for name, low in (("samples", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:

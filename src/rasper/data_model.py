@@ -198,12 +198,32 @@ def load_schema(path) -> dict:
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(schema, dict):
         raise SchemaMismatch(f"{path}: schema must be a JSON object")
-    for key in ("outcome", "conventional"):
-        if key not in schema:
-            raise SchemaMismatch(f"schema missing required key {key!r}")
+    _check_schema(schema)
     schema.setdefault("novel", [])
     schema.setdefault("score", None)
     return schema
+
+
+def _column_names(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_schema(schema):
+    """Raise ``SchemaMismatch`` unless ``outcome`` is a column name,
+    ``conventional`` a non-empty list of them, ``novel`` (optional) a list
+    of them and ``score`` (optional) a column name or None."""
+    for key in ("outcome", "conventional"):
+        if key not in schema:
+            raise SchemaMismatch(f"schema missing required key {key!r}")
+    score = schema.get("score")
+    for key, ok, want in (
+            ("outcome", isinstance(schema["outcome"], str), "a column name"),
+            ("conventional", _column_names(schema["conventional"]) and schema["conventional"],
+             "a non-empty list of column names"),
+            ("novel", _column_names(schema.get("novel", [])), "a list of column names"),
+            ("score", score is None or isinstance(score, str), "a column name or null")):
+        if not ok:
+            raise SchemaMismatch(f"schema {key!r} must be {want}, not {schema[key]!r}")
 
 
 def _parse_column(rows, name):
@@ -243,10 +263,12 @@ def load_dataset(path, schema: dict) -> RawDataset:
     """Load a UTF-8 CSV with a header row into a RawDataset.
 
     ``schema`` maps roles to column names: ``outcome`` (str), ``conventional``
-    (list of str), ``novel`` (list of str) and optional ``score`` (str).
+    (non-empty list of str), optional ``novel`` (list of str) and optional
+    ``score`` (str); anything else raises ``SchemaMismatch``.
     """
-    novel = list(schema.get("novel") or [])
-    used = [schema["outcome"]] + list(schema["conventional"]) + novel
+    _check_schema(schema)
+    novel = schema.get("novel", [])
+    used = [schema["outcome"]] + schema["conventional"] + novel
     if schema.get("score"):
         used.append(schema["score"])
     try:

@@ -23,14 +23,14 @@ grid point's beta and its final sums (``FitResult.pair_sums``), and the fit
 is the one an engine pass at its start would give, bit for bit. Within a
 grid point every warm fold fit starts at the full fit's beta, so
 ``loocv_score`` downdates all n start points at once from the full-data
-sigma table (``concordance.fold_pair_sums``). ``select`` also keeps each
-lambda's fold solutions and their sums for the next alpha (O(n p^2) floats
-per lambda), and a fold starts from its own solution there instead when
-that point has the smaller gradient of the new grid point's objective,
-which near-equal alpha columns turn into about one Newton step per fold.
-Either way a plain fold makes no engine pass at its start. Folds with
-sampled design tables take neither start: each fold draws its tables from
-its own rows, so they are not row subsets of the full tables, and they
+sigma table (``concordance.fold_pair_sums``). The fold state also keeps
+each lambda's fold solutions and their sums at the last alpha scored
+(O(n p^2) floats per lambda), and a fold starts from its own solution there
+instead when that point has the smaller gradient of the new grid point's
+objective, which near-equal alpha columns turn into about one Newton step
+per fold. Either way a plain fold makes no engine pass at its start. Folds
+with sampled design tables take neither start: each fold draws its tables
+from its own rows, so they are not row subsets of the full tables, and they
 start at the full fit's beta with one engine pass.
 """
 
@@ -57,7 +57,6 @@ from .concordance import (
 )
 from .data_model import ExternalRanks, StandardizedDesign
 from .errors import (
-    DimensionMismatch,
     FoldFailure,
     InvalidBounds,
     InvalidValue,
@@ -158,20 +157,26 @@ class _FoldState:
     ``batch``, the folds as one ``ProblemBatch`` at lambda = alpha = 0
     (fold k's rows are the data's rows other than k, with the full-data
     standardization, and their centered gram, X_c'y_c and relative-gradient
-    scale), and, each on first use, ``work``, their ``PairWorkspace`` on the
-    ranks and tables of ``fold_cache`` (``fold_weight_cache``'s
-    ``(r, tables)``) as they are, or on the batch's rows when the folds have
-    no tables, and ``down``, the ``FoldDowndate`` that the plain folds'
-    starts come from, built on ``full``, the full data's one-problem
-    ``PairWorkspace`` that ``select``'s fits use, or on one of its own when
-    ``full`` is None. None of it depends on (lambda, alpha); ``at`` adds
-    them."""
+    scale), ``r`` and ``tables``, ``fold_weight_cache``'s ranks and sampled
+    tables, and, each on first use, ``work``, their ``PairWorkspace`` on
+    those as they are, or on the batch's rows when the folds have no tables,
+    and ``down``, the ``FoldDowndate`` that the plain folds' starts come
+    from, built on ``full``, the full data's one-problem ``PairWorkspace``
+    that ``select``'s fits use, or on one of its own when ``full`` is None.
+    None of it depends on (lambda, alpha); ``at`` adds them.
 
-    def __init__(self, design, y, ranks, spec, fold_cache, full=None):
+    ``loocv_score`` leaves two things here after each grid point it scores:
+    in ``known[lam]`` (lambda > 0 only), the folds' solutions, beta (n, p),
+    and their pair sums (D (n,), dD (n, p), d2D (n, p, p)), which the next
+    alpha's folds at that lambda may start from; and in ``rollup``, the
+    point's report columns, which ``select`` reads for its ``GridRecord``."""
+
+    def __init__(self, design, y, ranks, spec, full=None):
         keep = _fold_rows(design.n)
         self.batch = problem_batch(design.x[keep], y[keep], 0.0, 0.0, spec.nu)
         self.design, self.ranks, self.measure, self.full = design, ranks, spec.measure, full
-        self.r, self.tables = fold_cache
+        self.r, self.tables = fold_weight_cache(design, ranks, spec)
+        self.known, self.rollup = {}, None
 
     @cached_property
     def work(self):
@@ -191,35 +196,13 @@ class _FoldState:
         return self.batch.with_penalties(lam, alpha, self.work if lam > 0 else None)
 
 
-def _fold_points(fits, p):
-    """The fold solutions ``loocv_score`` takes as ``known``, from a grid
-    point's n fold fits in fold order: beta (n, p) and the pair sums
-    (D (n,), dD (n, p), d2D (n, p, p)) there, fold k in row k, with NaN rows
-    where a fold has no ``FitResult`` with pair sums (it failed, or lambda
-    was 0)."""
-    n = len(fits)
-    beta = np.full((n, p), np.nan)
-    sums = np.full(n, np.nan), np.full((n, p), np.nan), np.full((n, p, p), np.nan)
-    done = [k for k, fit in enumerate(fits)
-            if isinstance(fit, FitResult) and fit.pair_sums is not None]
-    if done:
-        beta[done] = [fits[k].beta for k in done]
-        for a, values in zip(sums, zip(*(fits[k].pair_sums for k in done))):
-            a[done] = values
-    return beta, sums
-
-
 def _nearer_starts(problems, beta, starts, known):
     """Each fold's start: its downdated point (row k of ``beta`` and of the
-    sums ``starts``) or its ``known`` solution at another alpha, whichever
-    has the smaller gradient of this grid point's objective; both carry
-    exact pair sums. A NaN known row has a NaN gradient, so that fold keeps
-    its downdated point. Returns the starts and which folds took their
+    sums ``starts``) or its ``known`` solution at the last alpha scored,
+    whichever has the smaller gradient of this grid point's objective; both
+    carry exact pair sums. Returns the starts and which folds took their
     known solution."""
     other, other_sums = known
-    if other.shape != beta.shape:
-        raise DimensionMismatch(f"known fold solutions of shape {other.shape} for "
-                                f"{beta.shape[0]} folds of {beta.shape[1]} columns")
     nearer = _norms(_points(problems, other, other_sums)[3]) \
         < _norms(_points(problems, beta, starts)[3])
     beta = np.where(nearer[:, None], other, beta)
@@ -230,8 +213,7 @@ def _nearer_starts(problems, beta, starts, known):
 
 def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                 spec: ConcordanceSpec, lam, alpha, *,
-                warm: FitResult | None = None, state=None, known=None,
-                fits=None, reused=None) -> float:
+                warm: FitResult | None = None, state=None) -> float:
     """Mean held-out half squared error over the n leave-one-out refits.
 
     The held-out loss ignores the ridge term. Row subsets keep the full-data
@@ -239,12 +221,9 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     Fold fits that stop without converging still count toward the score;
     one ``RuntimeWarning`` per call names how many there were.
     ``state`` is the folds' private ``_FoldState``, which ``select`` builds
-    once for its whole grid from ``fold_weight_cache``'s ``(r, tables)``,
-    ranks (n, n - 1) and sampled tables (n, S, n - 1, p) or None; without
-    it, it is built here.
-    A ``fits`` list receives the n folds' ``FitResult``, in fold order, and
-    a ``reused`` list whether each fold started from its ``known`` solution;
-    ``select`` rolls its report columns up from both.
+    once for its whole grid; without it, it is built here. The call leaves
+    the folds' solutions (at lambda > 0) and the point's report columns in
+    the state.
 
     The n folds are one ``ProblemBatch``, which ``fit_batch`` runs through
     one trust-region loop. Their rows, gram and X_c'y_c are taken from the
@@ -258,17 +237,15 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     fold starts from its slice of one ``fold_pair_sums`` call at
     ``warm.beta``, on the state's ``FoldDowndate``; a fold whose downdated
     D is not positive fails with the error its engine pass would raise.
-    ``known``, the folds' solutions at the same lambda and another alpha
-    with their pair sums, as ``_fold_points`` builds them from those fold
-    fits, offers each of these folds a second start: the fold starts from
-    its known solution when that point has the smaller gradient of this grid
-    point's objective, and from the downdated point otherwise, or when its
-    known fit failed or is missing (a NaN row). Both points carry exact pair
-    sums, so neither takes an engine pass. Cold folds (no ``warm``, started
-    at their local minimizers) and marginalized folds, whose tables are
-    drawn from the fold's own rows, ignore ``known`` and take one batched
-    engine pass at their start. lambda = 0 folds make no engine pass at all
-    and report no D.
+    When the state holds the folds' solutions at the same lambda from an
+    earlier call, each of these folds starts from its solution there when
+    that point has the smaller gradient of this grid point's objective, and
+    from the downdated point otherwise. Both points carry exact pair sums,
+    so neither takes an engine pass. Cold folds (no ``warm``, started at
+    their local minimizers) and marginalized folds, whose tables are drawn
+    from the fold's own rows, take neither start and one batched engine pass
+    at their start. lambda = 0 folds make no engine pass at all and report
+    no D.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
@@ -278,7 +255,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     # the checks every fold would make, made once on the full-data problem
     PenalizedProblem(design, y, pair_weights(ranks, spec.measure), spec, lam, alpha)
     if state is None:
-        state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec))
+        state = _FoldState(design, y, ranks, spec)
     init = warm.beta if warm is not None else None
     starts = None
     if init is not None and lam > 0 and state.tables is None:
@@ -286,8 +263,8 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
     problems = state.at(lam, alpha)
     nearer = np.zeros(n, dtype=bool)
-    if starts is not None and known is not None:
-        beta, starts, nearer = _nearer_starts(problems, beta, starts, known)
+    if starts is not None and lam in state.known:
+        beta, starts, nearer = _nearer_starts(problems, beta, starts, state.known[lam])
     results = fit_batch(problems, beta, starts)
     failed = [(i, str(fit)) for i, fit in enumerate(results) if isinstance(fit, RasperError)]
     unconverged = sum(not fit.converged for fit in results if isinstance(fit, FitResult))
@@ -297,26 +274,20 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
                       RuntimeWarning, stacklevel=2)
     if failed:
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
+    if lam > 0:
+        state.known[lam] = (np.array([fit.beta for fit in results]),
+                            tuple(map(np.array, zip(*(fit.pair_sums for fit in results)))))
+    state.rollup = {"fold_iterations": sum(fit.iterations for fit in results),
+                    "fold_unconverged": unconverged,
+                    "fold_max_grad_norm": max(fit.grad_norm for fit in results),
+                    "fold_reused": int(nearer.sum())}
     # the held-out losses summed in fold order, each as one fold alone gives it
     pred = np.array([fit.beta0 for fit in results]) \
         + _dots(design.x, np.array([fit.beta for fit in results]))
     total = 0.0
     for yk, pk in zip(y.tolist(), pred.tolist()):
         total += 0.5 * (yk - pk) ** 2
-    if fits is not None:
-        fits.extend(results)
-    if reused is not None:
-        reused.extend(nearer.tolist())
     return total / n
-
-
-def _fold_rollup(fits, reused):
-    """A grid point's report columns from its fold fits and which of them
-    started from their fit at the previous alpha."""
-    return {"fold_iterations": sum(fit.iterations for fit in fits),
-            "fold_unconverged": sum(not fit.converged for fit in fits),
-            "fold_max_grad_norm": max(fit.grad_norm for fit in fits),
-            "fold_reused": sum(reused)}
 
 
 def _penalty_curvature(work, nu):
@@ -421,11 +392,11 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
 
     Fits are warm-started along increasing lambda within each alpha, each
     from the previous fit's beta and its final pair sums, so a warm fit
-    takes no engine pass at its start. By LOOCV, the fold solutions of each
-    lambda are kept for the next alpha, whose folds may start from them
-    (``loocv_score``'s ``known``). Ties break toward smaller lambda, then
-    smaller alpha. Points with a flagged (singular) degrees-of-freedom
-    system are excluded from AIC selection.
+    takes no engine pass at its start. By LOOCV, the fold state keeps the
+    fold solutions of each lambda for the next alpha, whose folds may start
+    from them. Ties break toward smaller lambda, then smaller alpha. Points
+    with a flagged (singular) degrees-of-freedom system are excluded from
+    AIC selection.
     """
     if criterion not in ("loocv", "aic"):
         raise InvalidValue(f"unknown criterion {criterion!r}")
@@ -434,8 +405,7 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
                             spec=spec)
     state = None
     if criterion == "loocv":
-        state = _FoldState(design, y, ranks, spec, fold_weight_cache(design, ranks, spec),
-                           base.workspace)
+        state = _FoldState(design, y, ranks, spec, base.workspace)
     xtx = design.x.T @ design.x
     # M0 is taken on the observed design, which a plain spec's workspace holds
     observed = base.workspace if base.weights.tables is None else \
@@ -443,10 +413,9 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     m0 = _penalty_curvature(observed, spec.nu)
 
     records = []
-    known = {}                  # lambda index -> its fold solutions at the previous alpha
     for alpha in grid.alpha_values:
         warm = None
-        for j, lam in enumerate(grid.lam_values):
+        for lam in grid.lam_values:
             problem = base.with_penalties(float(lam), float(alpha))
             if warm is None:
                 fit = fit_rasper(problem)
@@ -460,12 +429,9 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
                 df, flagged = float(design.p), True
             aic_val = aic(problem, fit, df)
             loo, rollup = float("nan"), {}
-            if criterion == "loocv":
-                folds, reused = [], []
-                loo = loocv_score(design, y, ranks, spec, lam, alpha, warm=fit, state=state,
-                                  known=known.get(j), fits=folds, reused=reused)
-                rollup = _fold_rollup(folds, reused)
-                known[j] = _fold_points(folds, design.p)
+            if state is not None:
+                loo = loocv_score(design, y, ranks, spec, lam, alpha, warm=fit, state=state)
+                rollup = state.rollup
             records.append(GridRecord(lam=float(lam), alpha=float(alpha),
                                       loo=loo, df=df, aic=aic_val,
                                       df_flagged=flagged, fit=fit, **rollup))

@@ -69,8 +69,10 @@ class SimSetting:
                 raise InvalidValue(f"{name} must be an integer, not {value!r}")
         if not 0 < self.sigma < math.inf:             # NaN fails both comparisons
             raise InvalidValue(f"sigma must be positive and finite, not {self.sigma!r}")
-        if self.samples < 1 or not (self.nu is None or 0 < self.nu < math.inf):
-            raise InvalidValue("samples must be >= 1 and nu positive and finite")
+        if self.samples < 1:
+            raise InvalidValue("samples must be >= 1")
+        if self.nu is not None:
+            ConcordanceSpec(nu=self.nu)         # the fits' own bound on nu
         if self.replications < 1 or self.n_test < 1 or self.seed < 0:
             raise InvalidValue("replications and n_test must be >= 1 and seed >= 0")
         if self.criterion not in ("loocv", "aic"):

@@ -330,6 +330,7 @@ def _one_error_line(capsys, needle):
     (["--alpha", "-2"], "alpha"),
     (["--marginalized", "--seed", "-1"], "seed"),
     (["--nu", "inf", "--lambda", "5"], "nu"),
+    (["--nu", "1e-300"], "nu"),
 ])
 def test_bad_option_value_exit_1(dataset, tmp_path, capsys, extra, needle):
     data, schema = dataset
@@ -341,6 +342,8 @@ def test_bad_option_value_exit_1(dataset, tmp_path, capsys, extra, needle):
 @pytest.mark.parametrize("text,needle", [
     ('{"outcome": "y", "conventional": ["z1"', "not valid JSON"),
     ('["y", "z1"]', "JSON object"),
+    ('{"outcome": "y", "conventional": []}', "conventional"),
+    ('{"outcome": "y", "conventional": "z1"}', "conventional"),
 ])
 def test_malformed_schema_exit_1(dataset, tmp_path, capsys, text, needle):
     data, _ = dataset

@@ -235,12 +235,22 @@ class TestLoading:
     @pytest.mark.parametrize("text,error", [
         ('{"outcome": "y", "conventional": ["z1"', ParseError),
         ('["y"]', SchemaMismatch),
+        ('{"outcome": "y", "conventional": []}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": "z1"}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1", 2]}', SchemaMismatch),
+        ('{"outcome": ["y"], "conventional": ["z1"]}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1"], "novel": "b1"}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1"], "score": 3}', SchemaMismatch),
     ])
     def test_malformed_schema_json_rejected(self, tmp_path, text, error):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(error):
             load_schema(str(path))
+        if text.startswith("{") and error is SchemaMismatch:
+            # a schema passed to load_dataset directly is checked the same way
+            with pytest.raises(SchemaMismatch):
+                load_dataset(self.write(tmp_path, self.CSV), json.loads(text))
 
     def test_schema_requires_outcome(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -23,7 +23,6 @@ from rasper.concordance import (
 )
 from rasper.data_model import ExternalRanks, StandardizedDesign, external_ranks, standardize
 from rasper.errors import (
-    DimensionMismatch,
     FoldFailure,
     InvalidBounds,
     InvalidValue,
@@ -114,9 +113,8 @@ class TestLOOCV:
         design, y, ranks, scores, spec = make_data(seed=1)
         w = pair_weights(ranks, "spearman")
         fit = fit_rasper(PenalizedProblem(design, y, w, spec, 3.0, 1.0))
-        cache = fold_weight_cache(design, ranks, spec)
         a = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit,
-                        state=selection._FoldState(design, y, ranks, spec, cache))
+                        state=selection._FoldState(design, y, ranks, spec))
         b = loocv_score(design, y, ranks, spec, 3.0, 1.0, warm=fit)
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -204,8 +202,8 @@ class TestLOOCV:
         # marginalized fold's tables are not rows of the full tables, and a
         # cold fold starts at its own local minimizer.
         design, y, ranks, spec = _fold_data(15, "marginalized" if marginalized else "spearman")
-        cache = fold_weight_cache(design, ranks, spec)
-        assert (cache[1] is not None) == marginalized
+        state = selection._FoldState(design, y, ranks, spec)
+        assert (state.tables is not None) == marginalized
         weights = selection.problem_weights(design, ranks, spec)
         full = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
         tables = []
@@ -218,7 +216,7 @@ class TestLOOCV:
         monkeypatch.setattr(solver, "_pair_sums", counted)
         folds = _recorded_fold_fits(monkeypatch)
         loocv_score(design, y, ranks, spec, 40.0, 1.0, warm=full if warm else None,
-                    state=selection._FoldState(design, y, ranks, spec, cache))
+                    state=state)
         assert len(folds) == design.n
         for fit in folds:
             assert fit.converged and fit.evaluations == fit.iterations + 1
@@ -316,7 +314,7 @@ class TestBatchedFolds:
                                            spec, lam, alpha))
         folds = _recorded_fold_fits(monkeypatch)
         score = loocv_score(design, y, ranks, spec, lam, alpha, warm=full if warm else None,
-                            state=selection._FoldState(design, y, ranks, spec, cache))
+                            state=selection._FoldState(design, y, ranks, spec))
         starts = None
         if warm and lam > 0 and case != "marginalized":
             starts = selection.fold_pair_sums(
@@ -408,25 +406,40 @@ class TestKnownFoldStarts:
         assert sum(r.fold_iterations for r, _ in columns[0]) \
             > 2 * sum(r.fold_iterations for r, _ in columns[1])
 
-    def test_failed_or_missing_known_fit_keeps_the_downdated_start(self, monkeypatch):
+    def test_farther_known_fit_keeps_the_downdated_start(self, monkeypatch):
+        # The state holds the folds' alpha = 0 solutions, except folds 3
+        # and 7, whose rows are their solutions at a large alpha: there the
+        # gradient of the new point's objective is larger than at the
+        # downdated point, so those two folds start and end exactly as
+        # without the state's solutions.
         design, y, ranks, scores, spec = make_data(seed=10)
         n, lam = design.n, 0.5 * design.n
         weights = pair_weights(ranks, spec.measure)
-        before = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, 0.0))
-        fits = []
-        loocv_score(design, y, ranks, spec, lam, 0.0, warm=before, fits=fits)
-        fits[3], fits[7] = FoldFailure("fold 3 failed"), None
-        known = selection._fold_points(fits, design.p)
-        assert np.isnan(known[0][[3, 7]]).all() and not np.isnan(known[1][2][5]).any()
+        state = selection._FoldState(design, y, ranks, spec)
+        far = selection._FoldState(design, y, ranks, spec)
+        for at, alpha in ((state, 0.0), (far, 1e3 * n)):
+            before = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
+            loocv_score(design, y, ranks, spec, lam, alpha, warm=before, state=at)
+        (beta, sums), (far_beta, far_sums) = state.known[lam], far.known[lam]
+        for mine, other in zip((beta, *sums), (far_beta, *far_sums)):
+            mine[[3, 7]] = other[[3, 7]]
         alpha = 1e-4 * n
         full = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
         folds = _recorded_fold_fits(monkeypatch)
-        reused = []
-        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, known=known,
-                    reused=reused)
+        chosen = []
+        original = selection._nearer_starts
+
+        def nearer(*args):
+            chosen.append(original(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(selection, "_nearer_starts", nearer)
+        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, state=state)
         offered = folds[:]
         folds.clear()
         loocv_score(design, y, ranks, spec, lam, alpha, warm=full)
+        ((_, _, reused),) = chosen
+        assert state.rollup["fold_reused"] == n - 2
         assert [k for k in range(n) if not reused[k]] == [3, 7]
         for k in range(n):
             if reused[k]:
@@ -436,14 +449,6 @@ class TestKnownFoldStarts:
             assert np.linalg.norm(offered[k].beta - folds[k].beta) \
                 <= 1e-12 * np.linalg.norm(folds[k].beta)
 
-    def test_known_fits_must_match_the_folds(self):
-        design, y, ranks, scores, spec = make_data(seed=10)
-        weights = pair_weights(ranks, spec.measure)
-        full = fit_rasper(PenalizedProblem(design, y, weights, spec, 5.0, 1.0))
-        known = selection._fold_points([full] * 3, design.p)
-        with pytest.raises(DimensionMismatch):
-            loocv_score(design, y, ranks, spec, 5.0, 1.0, warm=full, known=known)
-
 
 class TestFoldMemory:
     # One warm grid point at n = 100 on the folds' state, which select
@@ -451,7 +456,9 @@ class TestFoldMemory:
     # rows (317 KB here, p = 4) and the chunk's engine buffers (0.94 MB for
     # four plain folds, 4.7 MB for one fold of S = 20 tables) are the
     # state's. An all-fold (n, n - 1, n - 1) table would take 7.8 MB, and
-    # the folds' stacked tables 6.3 MB at S = 20.
+    # the folds' stacked tables 6.3 MB at S = 20. As in select, the state
+    # holds the folds' solutions at an earlier alpha, which plain folds
+    # may start from.
     @pytest.mark.parametrize("case, limit", [("spearman", 2.1e6), ("marginalized", 8e6)])
     def test_heap_peak_of_a_warm_grid_point(self, case, limit):
         design, y, ranks, spec = _fold_data(100, case)
@@ -459,9 +466,8 @@ class TestFoldMemory:
         lam, alpha = 1000.0, 1.0
         weights = selection.problem_weights(design, ranks, spec)
         full = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
-        state = selection._FoldState(design, y, ranks, spec,
-                                     fold_weight_cache(design, ranks, spec))
-        loocv_score(design, y, ranks, spec, lam, alpha, warm=full, state=state)
+        state = selection._FoldState(design, y, ranks, spec)
+        loocv_score(design, y, ranks, spec, lam, alpha / 2, warm=full, state=state)
         tracemalloc.start()
         try:
             loocv_score(design, y, ranks, spec, lam, alpha, warm=full, state=state)
@@ -474,39 +480,41 @@ class TestFoldMemory:
     # [1 | scale | x] ends (0.48 MB) and one chunk's engine buffers (0.94 MB
     # plain); Spearman adds the scaled rows and [1 | scale] (0.48 MB),
     # Kendall the mask buffers (0.7 MB). The downdate is built on the full
-    # data's workspace, which select's fits already hold. Marginalized folds
-    # hold no piece of their tables' size: their ends are built per chunk,
-    # so the state is the buffers (4.7 MB) plus O(n p) floats per fold, and
-    # a second copy of the (n, S, n - 1, p) tables would not fit.
+    # data's workspace, which select's fits already hold. The state builds
+    # its folds' ranks (79 KB) and, marginalized, their (n, S, n - 1, p)
+    # tables (6.3 MB) itself, and holds no other piece of the tables' size:
+    # their ends are built per chunk, so the state is the tables, the
+    # buffers (4.7 MB) and O(n p) floats per fold, and a second copy of the
+    # tables would not fit.
     @pytest.mark.parametrize("case, limit", [("spearman", 2.8e6), ("kendall", 2.9e6),
                                              ("marginalized", None)])
     def test_heap_peak_of_the_fold_state(self, case, limit):
         design, y, ranks, spec = _fold_data(100, case)
         spec = dataclasses.replace(spec, samples=20)
-        cache = fold_weight_cache(design, ranks, spec)
         full = pair_workspace(selection.problem_weights(design, ranks, spec), design.x)
         tracemalloc.start()
         try:
-            state = selection._FoldState(design, y, ranks, spec, cache, full)
+            state = selection._FoldState(design, y, ranks, spec, full)
             buffers = 3 * state.work.s.nbytes
-            if cache[1] is None:
+            if state.tables is None:
                 assert state.down.work is full
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         if limit is None:
-            limit = buffers + 8 * state.batch.x.nbytes
-            assert limit < buffers + cache[1].nbytes
+            limit = state.tables.nbytes + buffers + 8 * state.batch.x.nbytes
+            assert limit < 2 * state.tables.nbytes + buffers
         assert peak < limit
 
 
 class TestFoldState:
     # select builds the folds' batch and their pair workspace once per call,
-    # and the downdate once, on the full-data workspace its fits use; every
-    # grid point's score is the one loocv_score gives without that state,
-    # bit for bit. Only root workspaces are counted: a batch taken down to
-    # its unfinished folds copies its problems' inputs into a copy of the
-    # root, on the root's buffers, and builds none.
+    # and the downdate once, on the full-data workspace its fits use; a
+    # fresh state, given select's (lambda, alpha) sequence, gives every grid
+    # point's score and fold roll-up bit for bit. Only root workspaces are
+    # counted: a batch taken down to its unfinished folds copies its
+    # problems' inputs into a copy of the root, on the root's buffers, and
+    # builds none.
     @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
     def test_select_builds_the_fold_state_once(self, monkeypatch, case):
         design, y, ranks, spec = _fold_data(12, case)
@@ -551,10 +559,11 @@ class TestFoldState:
         assert len(downdates) == (case != "marginalized")
         assert all(work is fitted[-1] for work in downdates + fitted[len(fitted) // 2:])
         assert len(calls) == grid.size
+        fresh = selection._FoldState(design, y, ranks, spec)
         for (args, kwargs, loo), record in zip(calls, report.records):
             assert record.loo == loo
-            alone = {k: v for k, v in kwargs.items() if k not in ("state", "fits", "reused")}
-            assert loocv_score(*args, **alone) == loo
+            assert loocv_score(*args, warm=kwargs["warm"], state=fresh) == loo
+            assert fresh.rollup == {k: getattr(record, k) for k in fresh.rollup}
 
     _ALONE = """
 import json, sys

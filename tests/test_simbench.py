@@ -156,6 +156,8 @@ class TestSimSetting:
             SimSetting(study="1a", beta_external=(1.0,), samples=0)
         with pytest.raises(InvalidValue):
             SimSetting(study="1a", beta_external=(1.0,), nu=-1.0)
+        with pytest.raises(InvalidValue, match="nu"):
+            SimSetting(study="1a", beta_external=(1.0,), nu=1e-300)
 
     @pytest.mark.parametrize("bad", [{"lam_scale": (5.0, 1.0)}, {"alpha_scale": (0.0, 1.0)},
                                      {"grid_j": 0}, {"grid_k": 0}])
