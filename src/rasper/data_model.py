@@ -211,7 +211,8 @@ def _column_names(value):
 def _check_schema(schema):
     """Raise ``SchemaMismatch`` unless ``outcome`` is a column name,
     ``conventional`` a non-empty list of them, ``novel`` (optional) a list
-    of them and ``score`` (optional) a column name or None."""
+    of them and ``score`` (optional) a column name or None, and no column
+    is named twice across ``outcome``, ``conventional`` and ``novel``."""
     for key in ("outcome", "conventional"):
         if key not in schema:
             raise SchemaMismatch(f"schema missing required key {key!r}")
@@ -224,6 +225,10 @@ def _check_schema(schema):
             ("score", score is None or isinstance(score, str), "a column name or null")):
         if not ok:
             raise SchemaMismatch(f"schema {key!r} must be {want}, not {schema[key]!r}")
+    names = [schema["outcome"], *schema["conventional"], *schema.get("novel", [])]
+    for name in names:
+        if names.count(name) > 1:
+            raise SchemaMismatch(f"schema names column {name!r} more than once")
 
 
 def _parse_column(rows, name):

@@ -20,18 +20,17 @@ batch through the one trust-region loop, ``solver.fit_batch``; its
 D, its gradient and its Hessian depend on beta alone, not on
 (lambda, alpha), so ``select`` starts each warm full fit from the previous
 grid point's beta and its final sums (``FitResult.pair_sums``), and the fit
-is the one an engine pass at its start would give, bit for bit. Within a
-grid point every warm fold fit starts at the full fit's beta, so
-``loocv_score`` downdates all n start points at once from the full-data
-sigma table (``concordance.fold_pair_sums``). The fold state also keeps
-each lambda's fold solutions and their sums at the last alpha scored
-(O(n p^2) floats per lambda), and a fold starts from its own solution there
-instead when that point has the smaller gradient of the new grid point's
-objective, which near-equal alpha columns turn into about one Newton step
-per fold. Either way a plain fold makes no engine pass at its start. Folds
-with sampled design tables take neither start: each fold draws its tables
-from its own rows, so they are not row subsets of the full tables, and they
-start at the full fit's beta with one engine pass.
+is the one an engine pass at its start would give, bit for bit. Every warm
+fold fit at lambda > 0 starts at the full fit's beta or, once the fold
+state holds it, at the fold's own solution at the last alpha scored at
+that lambda (kept with its sums, O(n p^2) floats per lambda), whichever
+has the smaller gradient of the new grid point's objective; near-equal
+alpha columns turn the second into about one Newton step per fold. Both
+points carry exact pair sums; only the source of the sums at the full
+fit's beta depends on the folds. Plain folds downdate all n at once from
+the full-data sigma table (``concordance.fold_pair_sums``), so they make
+no engine pass at their start. Folds with sampled design tables, which
+each fold draws from its own rows, take them from one batched engine pass.
 """
 
 from __future__ import annotations
@@ -160,20 +159,22 @@ class _FoldState:
     scale), ``r`` and ``tables``, ``fold_weight_cache``'s ranks and sampled
     tables, and, each on first use, ``work``, their ``PairWorkspace`` on
     those as they are, or on the batch's rows when the folds have no tables,
-    and ``down``, the ``FoldDowndate`` that the plain folds' starts come
-    from, built on ``full``, the full data's one-problem ``PairWorkspace``
-    that ``select``'s fits use, or on one of its own when ``full`` is None.
-    None of it depends on (lambda, alpha); ``at`` adds them.
+    and ``down``, the ``FoldDowndate`` that the plain folds' sums at the
+    full fit's beta come from, built on ``full``, the full data's
+    one-problem ``PairWorkspace`` that ``select``'s fits use, or on one of
+    its own when ``full`` is None. None of it depends on (lambda, alpha);
+    ``at`` adds them.
 
     ``loocv_score`` leaves two things here after each grid point it scores:
     in ``known[lam]`` (lambda > 0 only), the folds' solutions, beta (n, p),
-    and their pair sums (D (n,), dD (n, p), d2D (n, p, p)), which the next
-    alpha's folds at that lambda may start from; and in ``rollup``, the
-    point's report columns, which ``select`` reads for its ``GridRecord``."""
+    and their pair sums (D (n,), dD (n, p), d2D (n, p, p)), which every
+    fold may start from at the next alpha at that lambda; and in
+    ``rollup``, the point's report columns, which ``select`` reads for its
+    ``GridRecord``."""
 
     def __init__(self, design, y, ranks, spec, full=None):
         keep = _fold_rows(design.n)
-        self.batch = problem_batch(design.x[keep], y[keep], 0.0, 0.0, spec.nu)
+        self.batch = problem_batch(design.x[keep], y[keep], spec.nu)
         self.design, self.ranks, self.measure, self.full = design, ranks, spec.measure, full
         self.r, self.tables = fold_weight_cache(design, ranks, spec)
         self.known, self.rollup = {}, None
@@ -197,14 +198,14 @@ class _FoldState:
 
 
 def _nearer_starts(problems, beta, starts, known):
-    """Each fold's start: its downdated point (row k of ``beta`` and of the
-    sums ``starts``) or its ``known`` solution at the last alpha scored,
-    whichever has the smaller gradient of this grid point's objective; both
-    carry exact pair sums. Returns the starts and which folds took their
-    known solution."""
+    """Each fold's start: row k of ``beta``, with the sums ``starts`` there
+    or, when they are None, the sums of one engine pass over the batch, or
+    its ``known`` solution at the last alpha scored, whichever has the
+    smaller gradient of this grid point's objective; both carry exact pair
+    sums. Returns the starts and which folds took their known solution."""
     other, other_sums = known
-    nearer = _norms(_points(problems, other, other_sums)[3]) \
-        < _norms(_points(problems, beta, starts)[3])
+    _, _, starts, g, _ = _points(problems, beta, starts)
+    nearer = _norms(_points(problems, other, other_sums)[3]) < _norms(g)
     beta = np.where(nearer[:, None], other, beta)
     starts = tuple(np.where(nearer.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
                    for a, b in zip(other_sums, starts))
@@ -233,19 +234,18 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     the gram's diagonal. The inputs are checked once, as the full-data
     problem.
 
-    With a ``warm`` fit, lambda > 0 and folds without sampled tables, every
-    fold starts from its slice of one ``fold_pair_sums`` call at
-    ``warm.beta``, on the state's ``FoldDowndate``; a fold whose downdated
-    D is not positive fails with the error its engine pass would raise.
-    When the state holds the folds' solutions at the same lambda from an
-    earlier call, each of these folds starts from its solution there when
-    that point has the smaller gradient of this grid point's objective, and
-    from the downdated point otherwise. Both points carry exact pair sums,
-    so neither takes an engine pass. Cold folds (no ``warm``, started at
-    their local minimizers) and marginalized folds, whose tables are drawn
-    from the fold's own rows, take neither start and one batched engine pass
-    at their start. lambda = 0 folds make no engine pass at all and report
-    no D.
+    With a ``warm`` fit and lambda > 0, every fold starts at ``warm.beta``
+    or, when the state holds the folds' solutions at the same lambda from
+    an earlier call, at its own solution there when that point has the
+    smaller gradient of this grid point's objective. Both points carry
+    exact pair sums. At ``warm.beta`` a plain fold's sums are its slice of
+    one ``fold_pair_sums`` call on the state's ``FoldDowndate``, so plain
+    folds take no engine pass at their start; marginalized folds, whose
+    tables are drawn from the fold's own rows, take theirs from one batched
+    engine pass. A fold whose D is not positive at its start fails with the
+    error its engine pass would raise. Cold folds (no ``warm``) start at
+    their local minimizers with one batched engine pass. lambda = 0 folds
+    make no engine pass at all and report no D.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
@@ -263,7 +263,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
     problems = state.at(lam, alpha)
     nearer = np.zeros(n, dtype=bool)
-    if starts is not None and lam in state.known:
+    if init is not None and lam in state.known:
         beta, starts, nearer = _nearer_starts(problems, beta, starts, state.known[lam])
     results = fit_batch(problems, beta, starts)
     failed = [(i, str(fit)) for i, fit in enumerate(results) if isinstance(fit, RasperError)]

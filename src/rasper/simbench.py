@@ -36,6 +36,14 @@ def spearman_rc(a, b) -> float:
     return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
 
 
+def _finite_reals(value):
+    """Whether ``value`` is a tuple or list of finite real numbers, with no
+    bool among them."""
+    return isinstance(value, (tuple, list)) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        for v in value)
+
+
 @dataclass(frozen=True)
 class SimSetting:
     """One benchmark configuration: generator parameters plus method list."""
@@ -62,6 +70,18 @@ class SimSetting:
     def __post_init__(self):
         if self.study not in ("1a", "1b", "2"):
             raise InvalidValue(f"unknown study {self.study!r}")
+        for name in ("beta_external", "beta_internal", "theta"):
+            value = getattr(self, name)
+            if not _finite_reals(value):
+                raise InvalidValue(f"{name} must hold finite real numbers, not {value!r}")
+        for name in ("lam_scale", "alpha_scale"):
+            value = getattr(self, name)
+            if not (_finite_reals(value) and len(value) == 2):
+                raise InvalidValue(f"{name} must be a (min, max) pair of finite real "
+                                   f"numbers, not {value!r}")
+        if not (isinstance(self.methods, (tuple, list))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise InvalidValue(f"methods must hold method names, not {self.methods!r}")
         for name in ("n_internal", "n_test", "replications", "samples", "grid_j", "grid_k",
                      "seed"):
             value = getattr(self, name)
@@ -116,8 +136,9 @@ class SimSetting:
     @classmethod
     def from_json(cls, path):
         """Read a setting from a JSON object of field values. Invalid JSON
-        raises ``ParseError``; an unknown or missing key, or a value of the
-        wrong type, raises ``SchemaMismatch``."""
+        raises ``ParseError``; an unknown or missing key, a value of the
+        wrong type, or a list field that is not a JSON list, raises
+        ``SchemaMismatch``."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -129,6 +150,9 @@ class SimSetting:
             for key in ("beta_external", "beta_internal", "theta", "methods",
                         "lam_scale", "alpha_scale"):
                 if key in raw:
+                    if not isinstance(raw[key], list):
+                        raise SchemaMismatch(f"{path}: {key} must be a JSON list, "
+                                             f"not {raw[key]!r}")
                     raw[key] = tuple(raw[key])
             return cls(**raw)
         except TypeError as exc:

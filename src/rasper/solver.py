@@ -126,8 +126,8 @@ class PenalizedProblem:
     def batch(self):
         """This problem as a ``ProblemBatch`` of one, the form ``fit_batch``
         takes."""
-        return problem_batch(self.design.x[None], self.y[None], self.lam, self.alpha,
-                             self.nu, self.workspace if self.lam > 0 else None)
+        return problem_batch(self.design.x[None], self.y[None], self.nu).with_penalties(
+            self.lam, self.alpha, self.workspace if self.lam > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -162,34 +162,33 @@ class ProblemBatch:
     def with_penalties(self, lam, alpha, work=None):
         """This batch, which has alpha = 0, at (lambda, alpha) with ``work``
         its ``PairWorkspace`` when lambda > 0: alpha is added to the
-        diagonal of a copy of the gram, as ``problem_batch`` adds it, and
-        every other array is shared, so one unpenalized batch serves a
-        whole grid."""
+        diagonal of a copy of the gram, and every other array is shared, so
+        one unpenalized batch serves a whole grid."""
         if self.alpha != 0.0:
             raise InvalidValue("penalties are added to a batch at alpha = 0")
         gram = self.gram.copy()
         size, p, _ = gram.shape
         gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
-        return replace(self, gram=gram, work=work, lam=lam, alpha=alpha)
+        return ProblemBatch(self.x, self.y, gram, self.xty, self.scale, work, lam, alpha,
+                            self.nu)
 
 
-def problem_batch(x, y, lam, alpha, nu, work=None) -> ProblemBatch:
+def problem_batch(x, y, nu) -> ProblemBatch:
     """The ``ProblemBatch`` of the designs ``x`` (B, m, p) and outcomes
-    ``y`` (B, m), with ``work`` their ``PairWorkspace`` when lambda > 0.
+    ``y`` (B, m) at lambda = alpha = 0, which ``with_penalties`` penalizes.
     Each problem's pieces are the ones a single problem computes, bit for
     bit: the stacked products run one BLAS call per problem."""
     y = np.asarray(y)
-    size, m, p = x.shape
+    m = x.shape[1]
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / m        # x.mean(axis=1)
     xct = xc.transpose(0, 2, 1)
     gram = xct @ xc
-    gram.reshape(size, p * p)[:, ::p + 1] += alpha                # + alpha I
     xty = _matvec(xct, y - np.add.reduce(y, axis=1, keepdims=True) / m)
     scale = _norms(xty)
     flat = xc.reshape(xc.shape[0], -1)
     constant = scale <= np.finfo(float).eps * np.sqrt(_dots(flat, flat)) * _norms(y)
-    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), work,
-                        lam, alpha, nu)
+    return ProblemBatch(x, y, gram, xty, np.where(constant, np.nan, scale), None,
+                        0.0, 0.0, nu)
 
 
 @dataclass(frozen=True)

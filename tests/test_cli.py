@@ -344,6 +344,9 @@ def test_bad_option_value_exit_1(dataset, tmp_path, capsys, extra, needle):
     ('["y", "z1"]', "JSON object"),
     ('{"outcome": "y", "conventional": []}', "conventional"),
     ('{"outcome": "y", "conventional": "z1"}', "conventional"),
+    ('{"outcome": "y", "conventional": ["z1", "z2"], "novel": ["z1"]}', "'z1'"),
+    ('{"outcome": "y", "conventional": ["z1", "z1"]}', "'z1'"),
+    ('{"outcome": "y", "conventional": ["z1", "y"]}', "'y'"),
 ])
 def test_malformed_schema_exit_1(dataset, tmp_path, capsys, text, needle):
     data, _ = dataset
@@ -384,10 +387,17 @@ def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
     ({"seed": -1}, "seed"),
     ({"sigma": float("nan")}, "sigma"),
     ({"sigma": float("inf")}, "sigma"),
+    ({"study": "1b", "beta_external": [1.0] * 4, "beta_internal": "123456"}, "beta_internal"),
+    ({"study": "1b", "beta_external": ["1", "0.5", "0.3", "0.2"], "beta_internal": [1.0] * 6},
+     "beta_external"),
+    ({"study": "2", "beta_internal": [1.0] * 6, "theta": "abcd"}, "theta"),
+    ({"methods": "ridge"}, "methods"),
+    ({"lam_scale": ["a", "b"]}, "lam_scale"),
 ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
         "2-theta-3", "bic-criterion", "zero-beta-internal", "1b-zero-beta-external",
         "no-replications", "no-test-rows", "fractional-n-internal", "float-replications",
-        "fractional-grid-j", "negative-seed", "nan-sigma", "infinite-sigma"])
+        "fractional-grid-j", "negative-seed", "nan-sigma", "infinite-sigma", "string-beta-internal",
+        "string-beta-external", "string-theta", "string-methods", "string-lam-scale"])
 def test_malformed_study_setting_exit_1(tmp_path, capsys, change, needle):
     setting = tmp_path / "setting.json"
     setting.write_text(json.dumps({**TestSimulate().setting_payload(), **change}),

@@ -241,6 +241,9 @@ class TestLoading:
         ('{"outcome": ["y"], "conventional": ["z1"]}', SchemaMismatch),
         ('{"outcome": "y", "conventional": ["z1"], "novel": "b1"}', SchemaMismatch),
         ('{"outcome": "y", "conventional": ["z1"], "score": 3}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1", "z2"], "novel": ["z1"]}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1", "z1"]}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1", "y"]}', SchemaMismatch),
     ])
     def test_malformed_schema_json_rejected(self, tmp_path, text, error):
         path = tmp_path / "bad.json"

@@ -194,17 +194,28 @@ class TestLOOCV:
     def test_engine_passes_per_cold_fold(self, monkeypatch, marginalized):
         self._check_engine_passes(monkeypatch, marginalized, warm=False)
 
+    @pytest.mark.parametrize("marginalized", [False, True])
+    def test_engine_passes_per_fold_with_previous_alpha_solutions(self, monkeypatch,
+                                                                  marginalized):
+        self._check_engine_passes(monkeypatch, marginalized, warm=True, known=True)
+
     @staticmethod
-    def _check_engine_passes(monkeypatch, marginalized, warm):
+    def _check_engine_passes(monkeypatch, marginalized, warm, known=False):
         # The engine evaluates one fold table per trial a fold takes, so the
         # fold tables evaluated are the fold iterations summed, plus one
         # start table per fold when the starts are not downdated: a
         # marginalized fold's tables are not rows of the full tables, and a
-        # cold fold starts at its own local minimizer.
+        # cold fold starts at its own local minimizer. With the folds'
+        # solutions at an earlier alpha in the state, the marginalized
+        # folds' start tables are still one batched pass, which both starts
+        # are weighed on, and the plain folds still take none.
         design, y, ranks, spec = _fold_data(15, "marginalized" if marginalized else "spearman")
         state = selection._FoldState(design, y, ranks, spec)
         assert (state.tables is not None) == marginalized
         weights = selection.problem_weights(design, ranks, spec)
+        if known:
+            before = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 0.8))
+            loocv_score(design, y, ranks, spec, 40.0, 0.8, warm=before, state=state)
         full = fit_rasper(PenalizedProblem(design, y, weights, spec, 40.0, 1.0))
         tables = []
         original = solver._pair_sums
@@ -222,6 +233,9 @@ class TestLOOCV:
             assert fit.converged and fit.evaluations == fit.iterations + 1
         start_tables = 0 if warm and not marginalized else design.n
         assert sum(tables) == sum(fit.iterations for fit in folds) + start_tables
+        if start_tables:
+            assert tables[0] == design.n
+        assert (state.rollup["fold_reused"] > 0) == known
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_lambda_zero_folds_make_no_engine_pass(self, monkeypatch, warm):
@@ -377,8 +391,8 @@ class TestBatchedFolds:
 
 class TestKnownFoldStarts:
     # select keeps each lambda's fold solutions for the next alpha, and a
-    # plain fold starts from its solution there when that point has the
-    # smaller gradient of the new grid point's objective.
+    # fold, plain or marginalized, starts from its solution there when that
+    # point has the smaller gradient of the new grid point's objective.
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     def test_near_equal_alpha_column_starts_from_the_first(self, monkeypatch, measure):
         # Every fold of the second column starts from its first-column fit
@@ -405,6 +419,24 @@ class TestKnownFoldStarts:
             assert rec.loo == pytest.approx(plain, rel=1e-7)
         assert sum(r.fold_iterations for r, _ in columns[0]) \
             > 2 * sum(r.fold_iterations for r, _ in columns[1])
+
+    def test_sampled_folds_start_from_their_previous_alpha_solutions(self):
+        # A marginalized fold keeps its sampled tables for the whole grid,
+        # so its solution at the previous alpha is an exact start at the
+        # next: the folds that take it end at the fresh state's solutions,
+        # to the solver's tolerance, in no more iterations.
+        design, y, ranks, spec = _fold_data(15, "marginalized")
+        weights = selection.problem_weights(design, ranks, spec)
+        lam, n = 40.0, design.n
+        state = selection._FoldState(design, y, ranks, spec)
+        fresh = selection._FoldState(design, y, ranks, spec)
+        scores = []
+        for alpha, at in ((0.8, state), (1.0, state), (1.0, fresh)):
+            full = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, alpha))
+            scores.append(loocv_score(design, y, ranks, spec, lam, alpha, warm=full, state=at))
+        assert 0 < state.rollup["fold_reused"] <= n and fresh.rollup["fold_reused"] == 0
+        assert scores[1] == pytest.approx(scores[2], rel=1e-8)
+        assert state.rollup["fold_iterations"] <= fresh.rollup["fold_iterations"]
 
     def test_farther_known_fit_keeps_the_downdated_start(self, monkeypatch):
         # The state holds the folds' alpha = 0 solutions, except folds 3
@@ -457,7 +489,7 @@ class TestFoldMemory:
     # four plain folds, 4.7 MB for one fold of S = 20 tables) are the
     # state's. An all-fold (n, n - 1, n - 1) table would take 7.8 MB, and
     # the folds' stacked tables 6.3 MB at S = 20. As in select, the state
-    # holds the folds' solutions at an earlier alpha, which plain folds
+    # holds the folds' solutions at an earlier alpha, which every fold
     # may start from.
     @pytest.mark.parametrize("case, limit", [("spearman", 2.1e6), ("marginalized", 8e6)])
     def test_heap_peak_of_a_warm_grid_point(self, case, limit):

@@ -190,13 +190,23 @@ class TestSimSetting:
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), seed=-1),
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), sigma=float("nan")),
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), sigma=float("inf")),
+        dict(study="1b", beta_external=(1.0,) * 4, beta_internal="123456"),
+        dict(study="1b", beta_external=("1", "0.5", "0.3", "0.2"), beta_internal=(1.0,) * 6),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(True,)),
+        dict(study="1a", beta_external=(float("nan"),), beta_internal=(1.0,)),
+        dict(study="2", beta_internal=(1.0,) * 6, theta="abcd"),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), methods="ridge"),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), lam_scale=("a", "b")),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), alpha_scale=(1.0,)),
     ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
             "2-theta-3", "bic-criterion", "no-replications", "no-test-rows",
             "1a-zero-beta-internal", "2-empty-beta-internal", "1a-zero-beta-external",
             "1b-zero-beta-external", "2-misspelt-z5-mode", "fractional-n-internal",
             "float-n-test", "float-replications", "bool-replications", "fractional-samples",
             "fractional-grid-j", "float-grid-k", "string-seed", "negative-seed", "nan-sigma",
-            "infinite-sigma"])
+            "infinite-sigma", "string-beta-internal", "string-beta-external",
+            "bool-beta-internal", "nan-beta-external", "string-theta", "string-methods",
+            "string-lam-scale", "one-alpha-scale"])
     def test_malformed_study_coefficients_rejected(self, bad):
         with pytest.raises(InvalidValue):
             SimSetting(**{"n_internal": 20, **bad})

@@ -352,7 +352,7 @@ class TestProblemBatch:
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((6, 9, 3)), rng.standard_normal((6, 9))
         work = PairWorkspace(x[:, None], rng.integers(0, 5, (6, 9)), "kendall")
-        batch = solver.problem_batch(x, y, 2.0, 1.0, 0.5, work)
+        batch = solver.problem_batch(x, y, 0.5).with_penalties(2.0, 1.0, work)
         part = batch[np.array([4, 1, 5])][np.array([2, 0])]
         assert np.array_equal(part.x, x[[5, 4]]) and np.array_equal(part.y, y[[5, 4]])
         assert np.array_equal(part.gram, batch.gram[[5, 4]])
