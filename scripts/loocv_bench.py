@@ -13,14 +13,19 @@ report's ``fold_iterations`` over the lambda > 0 rows and ``fold_reused``
         [--penalties spearman,kendall,marginalized] [--out scores.json]
         [--compare other.json]
 
-``--out`` writes every seed's LOOCV scores and pick; ``--compare`` reads such
-a file (for instance from another checkout) and prints the largest relative
-difference of the scores, overall and per penalty, and how many picks agree.
+``--out`` writes every seed's LOOCV scores and pick, each report row's
+score and fold roll-up (``fold_iterations``, ``fold_reused`` and
+``fold_max_grad_norm``, floats as hex) and the chosen fit's beta0 and beta
+as hex. ``--compare`` reads such a file (for instance from another
+checkout) and prints the largest relative difference of the scores, overall
+and per penalty, how many picks and chosen fits agree, and how many of the
+report ``rows`` compared are ``identical_rows``, bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import time
 
@@ -57,7 +62,7 @@ def run(penalty, seed, n):
     start = time.perf_counter()
     report = select(design, y, ranks, spec, grid, criterion="loocv")
     wall = time.perf_counter() - start
-    return wall, report.records, [report.chosen.lam, report.chosen.alpha]
+    return wall, report.records, report.chosen
 
 
 def main():
@@ -73,12 +78,16 @@ def main():
     for penalty in args.penalties.split(","):
         walls, picks, iterations, reused = [], {}, 0, 0
         for seed in args.seeds:
-            wall, records, pick = run(penalty, seed, args.n)
+            wall, records, chosen = run(penalty, seed, args.n)
             walls.append(wall)
-            picks[str(seed)] = pick
+            picks[str(seed)] = pick = [chosen.lam, chosen.alpha]
             iterations += sum(r.fold_iterations for r in records if r.lam > 0)
             reused += sum(r.fold_reused for r in records)
-            scores[f"{penalty}/{seed}"] = {"loo": [r.loo for r in records], "pick": pick}
+            scores[f"{penalty}/{seed}"] = {
+                "loo": [r.loo for r in records], "pick": pick,
+                "rows": [[r.loo.hex(), r.fold_iterations, r.fold_reused,
+                          r.fold_max_grad_norm.hex()] for r in records],
+                "fit": [chosen.fit.beta0.hex()] + [float(b).hex() for b in chosen.fit.beta]}
         q1, median, q3 = np.percentile(walls, [25, 50, 75])
         summary["penalties"][penalty] = {"median_s": median, "q1_s": q1, "q3_s": q3,
                                          "picks": picks, "fold_iterations": iterations,
@@ -98,7 +107,11 @@ def main():
                 abs(a - b) / max(abs(b), 1e-300)
                 for a, b in zip(scores[key]["loo"], other[key]["loo"])])
         same = sum(scores[key]["pick"] == other[key]["pick"] for key in common)
-        print(json.dumps({"compared": len(common), "same_picks": same,
+        fits = sum(scores[key]["fit"] == other[key].get("fit") for key in common)
+        rows = [(a, b) for key in common
+                for a, b in itertools.zip_longest(scores[key]["rows"], other[key].get("rows", []))]
+        print(json.dumps({"compared": len(common), "same_picks": same, "same_fits": fits,
+                          "rows": len(rows), "identical_rows": sum(a == b for a, b in rows),
                           "max_rel_score_diff": max(rel.values(), default=0.0),
                           "max_rel_score_diff_by_penalty": rel}))
 

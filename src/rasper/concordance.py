@@ -14,9 +14,8 @@ n^2 x p difference operator nor the dense weights ``PairWeights.w`` is built:
 ``_pair_sums`` gives (D, gradient, Hessian) of every problem at its own beta;
 ``_surrogate_sums`` gives D and the MM surrogate's pieces of one problem; and
 ``fold_pair_sums`` gives (D, gradient, Hessian) of every leave-one-out fold
-at one beta from a ``FoldDowndate``, the beta-independent pieces of the
-full data around the one-problem workspace its plain fits use, built once
-per data set. The first and the last share
+at one beta from the one-problem workspace of the full data, which its
+plain fits use. The first and the last share
 ``_densities``, the logistic density and the Hessian weight.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
@@ -382,35 +381,12 @@ def _surrogate_sums(work, beta, nu):
     return float(d[0]), lin[0], quad[0]
 
 
-class FoldDowndate:
-    """What ``fold_pair_sums`` needs of a data set besides beta, built once:
-    ``work``, the one-problem ``PairWorkspace`` of the full (n, p) design
-    with the full-data ranks (as ``pair_workspace`` builds it for a plain
-    problem, whose fits may share it), whose sigma table, densities and
-    Kendall mask the folds' sums reduce; the folds' rank weights ``omega``
-    (n, n) and constant ``c``; and the rows' outer products ``xx``
-    (n, p^2)."""
-
-    def __init__(self, work):
-        x, r = work.tables[0, 0], work.r[0]
-        n, p = x.shape
-        self.work, self.x, self.measure = work, x, work.measure
-        if self.measure == SPEARMAN:
-            omega = r[None, :] - (r[None, :] >= r[:, None])
-            self.c = 1.0 / (4.0 * (n - 1.0) ** 2)
-        else:
-            omega = np.ones((n, n))
-            self.c = 2.0 / ((n - 1.0) * (n - 2.0))
-        np.fill_diagonal(omega, 0.0)
-        self.omega = omega
-        self.xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
-
-
-def fold_pair_sums(down, beta, nu):
+def fold_pair_sums(work, beta, nu):
     """``_pair_sums``' D, gradient and Hessian for every leave-one-out fold k
-    at one beta, from the sigma table and the densities of the one-problem
-    workspace of the full data that ``down``, a ``FoldDowndate``, holds
-    (``_sigma`` and ``_densities``).
+    at one beta, from the sigma table and the densities (``_sigma`` and
+    ``_densities``) of ``work``, the one-problem ``PairWorkspace`` of the
+    full (n, p) design with the full-data ranks, as ``pair_workspace``
+    builds it for a plain problem, whose fits may share it.
 
     Fold k keeps the rows i != k with ranks r_i - [r_i >= r_k], so its weights
     are w_ij = c * omega_ki * o_ij over i, j != k. Spearman: o = 1,
@@ -420,18 +396,27 @@ def fold_pair_sums(down, beta, nu):
     fold's sum of any pair term f_ij is
     sum_i omega_ki (sum_j o_ij f_ij - o_ik f_ik): the full table's row sums
     weighted by omega, less fold k's column. That is a few n x n operations
-    and n x n by n x p^2 products, O(n^2 + n p^2) memory.
+    and n x n by n x p^2 products with the rows' outer products,
+    O(n^2 + n p^2) memory.
 
     Returns d (n,), grad (n, p) and hess (n, p, p), fold k in row k, none a
     view of the workspace. D is not checked here: ``solver.fit_batch`` fails
     each fold whose D is not positive with its ``_concordance_error``.
     """
-    x, omega, xx, c = down.x, down.omega, down.xx, down.c
+    x, r = work.tables[0, 0], work.r[0]
     n, p = x.shape
-    work = down.work.load(0)
+    if work.measure == SPEARMAN:
+        omega = r[None, :] - (r[None, :] >= r[:, None])
+        c = 1.0 / (4.0 * (n - 1.0) ** 2)
+    else:
+        omega = np.ones((n, n))
+        c = 2.0 / ((n - 1.0) * (n - 2.0))
+    np.fill_diagonal(omega, 0.0)
+    xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
+    work = work.load(0)
     s = _sigma(work, np.asarray(beta, dtype=float)[None], nu)
     s, m, h = (a[0, 0] for a in (s, *_densities(work, s)))
-    if down.measure == KENDALL:
+    if work.measure == KENDALL:
         s, m, h = (a * work.mask[0, 0] for a in (s, m, h))
 
     def outer(a, b):

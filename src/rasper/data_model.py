@@ -211,8 +211,9 @@ def _column_names(value):
 def _check_schema(schema):
     """Raise ``SchemaMismatch`` unless ``outcome`` is a column name,
     ``conventional`` a non-empty list of them, ``novel`` (optional) a list
-    of them and ``score`` (optional) a column name or None, and no column
-    is named twice across ``outcome``, ``conventional`` and ``novel``."""
+    of them and ``score`` (optional) a column name or None, no column is
+    named twice across ``outcome``, ``conventional`` and ``novel``, and
+    ``score`` is not the outcome (it may be a covariate)."""
     for key in ("outcome", "conventional"):
         if key not in schema:
             raise SchemaMismatch(f"schema missing required key {key!r}")
@@ -229,6 +230,8 @@ def _check_schema(schema):
     for name in names:
         if names.count(name) > 1:
             raise SchemaMismatch(f"schema names column {name!r} more than once")
+    if score == schema["outcome"]:
+        raise SchemaMismatch(f"schema 'score' names the outcome column {score!r}")
 
 
 def _parse_column(rows, name):
@@ -249,12 +252,16 @@ def _parse_column(rows, name):
 def read_rows(path, columns) -> list[dict]:
     """Data rows of a UTF-8 CSV file with a header row, as dicts keyed by the
     header names with surrounding spaces stripped. The header must name every
-    one of ``columns``. A file that cannot be opened raises ``OSError``."""
+    one of ``columns``, and no name twice. A file that cannot be opened
+    raises ``OSError``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file, header row required")
         header = [h.strip() for h in reader.fieldnames]
+        for name in header:
+            if header.count(name) > 1:
+                raise ParseError(f"{path}: header names column {name!r} more than once")
         rows = list(reader)
     if any(None in row.values() or None in row for row in rows):
         raise ParseError(f"{path}: ragged rows detected")

@@ -5,17 +5,16 @@ The full-data fits and every leave-one-out fold take their weights from
 ``concordance.problem_weights``, so all of them marginalize by one rule.
 
 ``select`` builds once what does not depend on (lambda, alpha): the
-full-data pair workspace, the beta = 0 curvature of the degrees of freedom
-(one ``_surrogate_sums`` pass, on that workspace unless the spec samples
-tables) and, by LOOCV, one ``_FoldState``: the
-folds' rows, grams and X_c'y_c taken from the full data by indexing, their
-pair workspace and the ``FoldDowndate`` around the full-data workspace
-(O(n^2 p) memory in all). A grid point then only adds alpha to a copy of
-the grams' diagonals. ``loocv_score`` fits a grid point's n folds as one
-batch through the one trust-region loop, ``solver.fit_batch``; its
-``_pair_sums`` passes walk the batch in chunks sized by
-``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is cached between
-``select`` calls.
+full-data pair workspace, the observed design's workspace (that one unless
+the spec samples tables), the beta = 0 curvature of the degrees of freedom
+(one ``_surrogate_sums`` pass on the observed workspace) and, by LOOCV, one
+``_FoldState``: the folds' rows, grams and X_c'y_c taken from the full data
+by indexing and their pair workspace (O(n^2 p) memory in all). A grid point
+then only adds alpha to a copy of the grams' diagonals. ``loocv_score``
+fits a grid point's n folds as one batch through the one trust-region
+loop, ``solver.fit_batch``; its ``_pair_sums`` passes walk the batch in
+chunks sized by ``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is
+cached between ``select`` calls.
 
 D, its gradient and its Hessian depend on beta alone, not on
 (lambda, alpha), so ``select`` starts each warm full fit from the previous
@@ -28,9 +27,10 @@ has the smaller gradient of the new grid point's objective; near-equal
 alpha columns turn the second into about one Newton step per fold. Both
 points carry exact pair sums; only the source of the sums at the full
 fit's beta depends on the folds. Plain folds downdate all n at once from
-the full-data sigma table (``concordance.fold_pair_sums``), so they make
-no engine pass at their start. Folds with sampled design tables, which
-each fold draws from its own rows, take them from one batched engine pass.
+the observed workspace's sigma table (``concordance.fold_pair_sums``), so
+they make no engine pass at their start. Folds with sampled design tables,
+which each fold draws from its own rows, take them from one batched engine
+pass.
 """
 
 from __future__ import annotations
@@ -39,19 +39,16 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .concordance import (
     ConcordanceSpec,
-    FoldDowndate,
     PairWeights,
     PairWorkspace,
     _surrogate_sums,
     fold_pair_sums,
     pair_weights,
-    pair_workspace,
     problem_weights,
 )
 from .data_model import ExternalRanks, StandardizedDesign
@@ -69,6 +66,7 @@ from .solver import (
     _local_objective,
     _norms,
     _points,
+    _where,
     fit_batch,
     fit_rasper,
     problem_batch,
@@ -157,13 +155,12 @@ class _FoldState:
     (fold k's rows are the data's rows other than k, with the full-data
     standardization, and their centered gram, X_c'y_c and relative-gradient
     scale), ``r`` and ``tables``, ``fold_weight_cache``'s ranks and sampled
-    tables, and, each on first use, ``work``, their ``PairWorkspace`` on
-    those as they are, or on the batch's rows when the folds have no tables,
-    and ``down``, the ``FoldDowndate`` that the plain folds' sums at the
-    full fit's beta come from, built on ``full``, the full data's
-    one-problem ``PairWorkspace`` that ``select``'s fits use, or on one of
-    its own when ``full`` is None. None of it depends on (lambda, alpha);
-    ``at`` adds them.
+    tables, ``work``, their ``PairWorkspace`` on those as they are, or on
+    the batch's rows when the folds have no tables, and ``full``, the
+    observed design's one-problem ``PairWorkspace`` that the plain folds'
+    sums at the full fit's beta are downdated from: the one ``select``'s
+    fits use, or one of its own when ``full`` is None and the folds are
+    plain. None of it depends on (lambda, alpha); ``at`` adds them.
 
     ``loocv_score`` leaves two things here after each grid point it scores:
     in ``known[lam]`` (lambda > 0 only), the folds' solutions, beta (n, p),
@@ -175,22 +172,13 @@ class _FoldState:
     def __init__(self, design, y, ranks, spec, full=None):
         keep = _fold_rows(design.n)
         self.batch = problem_batch(design.x[keep], y[keep], spec.nu)
-        self.design, self.ranks, self.measure, self.full = design, ranks, spec.measure, full
         self.r, self.tables = fold_weight_cache(design, ranks, spec)
-        self.known, self.rollup = {}, None
-
-    @cached_property
-    def work(self):
         # built after the batch's centered rows are freed
         stack = self.batch.x[:, None] if self.tables is None else self.tables
-        return PairWorkspace(stack, self.r, self.measure)
-
-    @cached_property
-    def down(self):
-        full = self.full
-        if full is None:
-            full = pair_workspace(pair_weights(self.ranks, self.measure), self.design.x)
-        return FoldDowndate(full)
+        self.work = PairWorkspace(stack, self.r, spec.measure)
+        if full is None and self.tables is None:
+            full = PairWorkspace(design.x[None, None], ranks.r[None], spec.measure)
+        self.full, self.known, self.rollup = full, {}, None
 
     def at(self, lam, alpha):
         """The folds as the ``ProblemBatch`` of the grid point (lam, alpha)."""
@@ -203,12 +191,9 @@ def _nearer_starts(problems, beta, starts, known):
     its ``known`` solution at the last alpha scored, whichever has the
     smaller gradient of this grid point's objective; both carry exact pair
     sums. Returns the starts and which folds took their known solution."""
-    other, other_sums = known
     _, _, starts, g, _ = _points(problems, beta, starts)
-    nearer = _norms(_points(problems, other, other_sums)[3]) < _norms(g)
-    beta = np.where(nearer[:, None], other, beta)
-    starts = tuple(np.where(nearer.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
-                   for a, b in zip(other_sums, starts))
+    nearer = _norms(_points(problems, *known)[3]) < _norms(g)
+    beta, starts = _where(nearer, known, (beta, starts))
     return beta, starts, nearer
 
 
@@ -239,7 +224,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     an earlier call, at its own solution there when that point has the
     smaller gradient of this grid point's objective. Both points carry
     exact pair sums. At ``warm.beta`` a plain fold's sums are its slice of
-    one ``fold_pair_sums`` call on the state's ``FoldDowndate``, so plain
+    one ``fold_pair_sums`` call on the state's ``full`` workspace, so plain
     folds take no engine pass at their start; marginalized folds, whose
     tables are drawn from the fold's own rows, take theirs from one batched
     engine pass. A fold whose D is not positive at its start fails with the
@@ -259,7 +244,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     init = warm.beta if warm is not None else None
     starts = None
     if init is not None and lam > 0 and state.tables is None:
-        starts = fold_pair_sums(state.down, init, spec.nu)
+        starts = fold_pair_sums(state.full, init, spec.nu)
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
     problems = state.at(lam, alpha)
     nearer = np.zeros(n, dtype=bool)
@@ -403,14 +388,13 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     y = np.asarray(y, dtype=float)
     base = PenalizedProblem(design=design, y=y, weights=problem_weights(design, ranks, spec),
                             spec=spec)
-    state = None
-    if criterion == "loocv":
-        state = _FoldState(design, y, ranks, spec, base.workspace)
     xtx = design.x.T @ design.x
-    # M0 is taken on the observed design, which a plain spec's workspace holds
+    # M0 and the plain folds' downdate are taken on the observed design,
+    # which a plain spec's workspace holds
     observed = base.workspace if base.weights.tables is None else \
         PairWorkspace(design.x[None, None], ranks.r[None], spec.measure)
     m0 = _penalty_curvature(observed, spec.nu)
+    state = _FoldState(design, y, ranks, spec, observed) if criterion == "loocv" else None
 
     records = []
     for alpha in grid.alpha_values:

@@ -347,6 +347,7 @@ def test_bad_option_value_exit_1(dataset, tmp_path, capsys, extra, needle):
     ('{"outcome": "y", "conventional": ["z1", "z2"], "novel": ["z1"]}', "'z1'"),
     ('{"outcome": "y", "conventional": ["z1", "z1"]}', "'z1'"),
     ('{"outcome": "y", "conventional": ["z1", "y"]}', "'y'"),
+    ('{"outcome": "y", "conventional": ["z1", "z2"], "score": "y"}', "'y'"),
 ])
 def test_malformed_schema_exit_1(dataset, tmp_path, capsys, text, needle):
     data, _ = dataset

@@ -11,7 +11,6 @@ from scipy.special import expit
 import rasper.concordance as concordance
 from rasper.concordance import (
     ConcordanceSpec,
-    FoldDowndate,
     PairWeights,
     PairWorkspace,
     _pair_sums,
@@ -380,7 +379,7 @@ class TestPairSumEngine:
                 return _pair_sums(work, b[None], problem.nu)
             if entry == "surrogate":
                 return _surrogate_sums(work, b, problem.nu)
-            return fold_pair_sums(FoldDowndate(work), b, problem.nu)
+            return fold_pair_sums(work, b, problem.nu)
 
         first = sums(beta)
         kept = [np.array(a, copy=True) for a in first]
@@ -406,7 +405,7 @@ class TestFoldPairSums:
         beta = rng.standard_normal(p)
         scores = rng.integers(0, 4, n).astype(float) if tied else rng.standard_normal(n)
         full = PairWorkspace(x[None, None], external_ranks(scores).r[None], measure)
-        got = fold_pair_sums(FoldDowndate(full), beta, nu)
+        got = fold_pair_sums(full, beta, nu)
         want = [np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))]
         for k in range(n):
             # each fold's weights from its own scores, not from the full ranks
@@ -466,7 +465,7 @@ class TestFoldPairSums:
                     pair_weights(external_ranks(np.delete(scores, k)), measure).w,
                     np.delete(x, k, axis=0), beta, nu) for k in range(n)))]
             full = PairWorkspace(x[None, None], r[None], measure)
-            for a, b in zip(fold_pair_sums(FoldDowndate(full), beta, nu), want):
+            for a, b in zip(fold_pair_sums(full, beta, nu), want):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 

@@ -215,8 +215,9 @@ class TestLoading:
         raw = load_dataset(self.write(tmp_path, spaced), schema)
         assert np.allclose(raw.z[:, 0], [0.1, 0.4, 0.7])
 
-    @pytest.mark.parametrize("text", ["", CSV + "4.0,1.0\n", CSV + "4.0,1,1,1,1,1\n"],
-                             ids=["empty", "short-row", "long-row"])
+    @pytest.mark.parametrize("text", ["", CSV + "4.0,1.0\n", CSV + "4.0,1,1,1,1,1\n",
+                                      "y,z1,z2,b1,s, z1 \n1.0,0.1,0.2,0.3,5,9\n"],
+                             ids=["empty", "short-row", "long-row", "repeated-header"])
     def test_malformed_csv_rejected(self, tmp_path, text):
         schema = load_schema(self.schema(tmp_path))
         with pytest.raises(ParseError):
@@ -244,6 +245,7 @@ class TestLoading:
         ('{"outcome": "y", "conventional": ["z1", "z2"], "novel": ["z1"]}', SchemaMismatch),
         ('{"outcome": "y", "conventional": ["z1", "z1"]}', SchemaMismatch),
         ('{"outcome": "y", "conventional": ["z1", "y"]}', SchemaMismatch),
+        ('{"outcome": "y", "conventional": ["z1"], "score": "y"}', SchemaMismatch),
     ])
     def test_malformed_schema_json_rejected(self, tmp_path, text, error):
         path = tmp_path / "bad.json"

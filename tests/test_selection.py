@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,6 @@ import rasper.selection as selection
 import rasper.solver as solver
 from rasper.concordance import (
     ConcordanceSpec,
-    FoldDowndate,
     PairWeights,
     PairWorkspace,
     _surrogate_sums,
@@ -27,6 +27,7 @@ from rasper.errors import (
     InvalidBounds,
     InvalidValue,
     NonFiniteValue,
+    SingularDesign,
     SingularSystem,
 )
 from rasper.selection import (
@@ -38,7 +39,7 @@ from rasper.selection import (
     loocv_score,
     select,
 )
-from rasper.solver import PenalizedProblem, default_nu, fit_batch, fit_rasper
+from rasper.solver import FitResult, PenalizedProblem, default_nu, fit_batch, fit_rasper
 
 from conftest import count_calls, fold_weights, make_problem, reference_sums
 
@@ -108,6 +109,26 @@ class TestLOOCV:
         closed = float(np.mean(0.5 * (resid / (1.0 - np.diag(h))) ** 2))
         loo = loocv_score(design, y, ranks, spec, 0.0, 0.0)
         assert loo == pytest.approx(closed, abs=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_rank_deficient_fold_fails_alone(self, lam):
+        # Column 3 is nonzero in row 4 only, so it is constant in fold 4: at
+        # alpha = 0 that fold's cold start, OLS, is rank deficient, and it
+        # is the one fold that fails.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((12, 4))
+        x[:, 3] = 0.0
+        x[4, 3] = 1.0
+        y = x[:, :3] @ [1.0, 0.5, -0.5] + 0.4 * rng.standard_normal(12)
+        design = standardize(x, q=2)
+        ranks = external_ranks(x[:, :2] @ [1.0, 0.4])
+        spec = ConcordanceSpec("spearman", False, default_nu(design, y), 3, 0)
+        results = fit_batch(selection._FoldState(design, y, ranks, spec).at(lam, 0.0))
+        assert [isinstance(fit, FitResult) for fit in results] == [k != 4 for k in range(12)]
+        assert isinstance(results[4], SingularDesign)
+        with pytest.raises(FoldFailure, match=re.escape(
+                "1 of 12 folds failed: [(4, 'design is rank deficient and alpha = 0')]")):
+            loocv_score(design, y, ranks, spec, lam, 0.0)
 
     def test_fold_cache_matches_direct(self):
         design, y, ranks, scores, spec = make_data(seed=1)
@@ -332,8 +353,7 @@ class TestBatchedFolds:
         starts = None
         if warm and lam > 0 and case != "marginalized":
             starts = selection.fold_pair_sums(
-                FoldDowndate(pair_workspace(pair_weights(ranks, spec.measure), design.x)),
-                full.beta, spec.nu)
+                pair_workspace(pair_weights(ranks, spec.measure), design.x), full.beta, spec.nu)
         total = 0.0
         assert len(folds) == n
         for k, (fold, weights) in enumerate(zip(folds, fold_weights(cache, spec.measure))):
@@ -511,7 +531,7 @@ class TestFoldMemory:
     # The state holds the folds' rows (0.32 MB at n = 100, p = 4), their
     # [1 | scale | x] ends (0.48 MB) and one chunk's engine buffers (0.94 MB
     # plain); Spearman adds the scaled rows and [1 | scale] (0.48 MB),
-    # Kendall the mask buffers (0.7 MB). The downdate is built on the full
+    # Kendall the mask buffers (0.7 MB). The downdate reads the full
     # data's workspace, which select's fits already hold. The state builds
     # its folds' ranks (79 KB) and, marginalized, their (n, S, n - 1, p)
     # tables (6.3 MB) itself, and holds no other piece of the tables' size:
@@ -529,7 +549,7 @@ class TestFoldMemory:
             state = selection._FoldState(design, y, ranks, spec, full)
             buffers = 3 * state.work.s.nbytes
             if state.tables is None:
-                assert state.down.work is full
+                assert state.full is full
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,19 +561,19 @@ class TestFoldMemory:
 
 class TestFoldState:
     # select builds the folds' batch and their pair workspace once per call,
-    # and the downdate once, on the full-data workspace its fits use; a
-    # fresh state, given select's (lambda, alpha) sequence, gives every grid
-    # point's score and fold roll-up bit for bit. Only root workspaces are
-    # counted: a batch taken down to its unfinished folds copies its
-    # problems' inputs into a copy of the root, on the root's buffers, and
-    # builds none.
+    # and the plain folds' downdate reads the full-data workspace its fits
+    # use; a fresh state, given select's (lambda, alpha) sequence, gives
+    # every grid point's score and fold roll-up bit for bit. Only root
+    # workspaces are counted: a batch taken down to its unfinished folds
+    # copies its problems' inputs into a copy of the root, on the root's
+    # buffers, and builds none.
     @pytest.mark.parametrize("case", ["spearman", "kendall", "marginalized"])
     def test_select_builds_the_fold_state_once(self, monkeypatch, case):
         design, y, ranks, spec = _fold_data(12, case)
         grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
         batches, workspaces, downdates, fitted, calls = [], [], [], [], []
         originals = (selection.problem_batch, concordance.PairWorkspace, selection.loocv_score,
-                     selection.FoldDowndate, selection.fit_rasper)
+                     selection.fold_pair_sums, selection.fit_rasper)
 
         def batch(x, *args, **kwargs):
             batches.append(x.shape[0])
@@ -567,9 +587,9 @@ class TestFoldState:
             calls.append((args, kwargs, originals[2](*args, **kwargs)))
             return calls[-1][2]
 
-        def downdate(work):
+        def downdate(work, *args):
             downdates.append(work)
-            return originals[3](work)
+            return originals[3](work, *args)
 
         def fit(problem, **kwargs):
             fitted.append(problem.workspace)
@@ -579,7 +599,7 @@ class TestFoldState:
             monkeypatch.setattr(module, "PairWorkspace", workspace)
         monkeypatch.setattr(selection, "problem_batch", batch)
         monkeypatch.setattr(selection, "loocv_score", score)
-        monkeypatch.setattr(selection, "FoldDowndate", downdate)
+        monkeypatch.setattr(selection, "fold_pair_sums", downdate)
         monkeypatch.setattr(selection, "fit_rasper", fit)
         select(design, y, ranks, spec, grid, criterion="aic")
         by_aic = sorted(workspaces)
@@ -588,7 +608,8 @@ class TestFoldState:
         monkeypatch.undo()
         assert batches == [design.n]
         assert sorted(workspaces) == sorted(by_aic + [design.n])
-        assert len(downdates) == (case != "marginalized")
+        # every warm lambda > 0 point downdates plain folds from the full fits' workspace
+        assert len(downdates) == (case != "marginalized") * sum(r.lam > 0 for r in report.records)
         assert all(work is fitted[-1] for work in downdates + fitted[len(fitted) // 2:])
         assert len(calls) == grid.size
         fresh = selection._FoldState(design, y, ranks, spec)

@@ -5,10 +5,18 @@ import pytest
 import scipy.stats
 from hypothesis import assume, given, strategies as st
 
+import rasper.simbench as simbench
 from rasper import baselines
 from rasper.concordance import ConcordanceSpec
 from rasper.data_model import external_ranks, standardize
-from rasper.errors import InvalidBounds, InvalidValue, ParseError, SchemaMismatch, SingularDesign
+from rasper.errors import (
+    InvalidBounds,
+    InvalidValue,
+    ParseError,
+    RasperError,
+    SchemaMismatch,
+    SingularDesign,
+)
 from rasper.selection import select
 from rasper.simbench import (
     ALL_METHODS,
@@ -321,6 +329,62 @@ class TestBenchmark:
         methods = [row["method"] for row in payload["results"]]
         assert methods == list(rep.methods)
         assert set(rep.methods) == {"ols", "ridge"}
+
+    def test_failed_replications_are_counted_and_left_out(self, monkeypatch):
+        s = self.small_setting()
+        whole = run_benchmark(s)
+        replicate = simbench._run_replication
+
+        def flaky(setting, rep):
+            if rep == 1:
+                raise SingularDesign("X'X is singular")
+            return replicate(setting, rep)
+
+        monkeypatch.setattr(simbench, "_run_replication", flaky)
+        report = run_benchmark(s)
+        assert (report.replications_used, report.failures) == (2, 1)
+        assert json.loads(report.to_json())["failures"] == 1
+        for m in whole.methods:
+            assert np.array_equal(report.rel_mse_reps[m], whole.rel_mse_reps[m][[0, 2]])
+        monkeypatch.setattr(simbench, "_run_replication",
+                            lambda setting, rep: flaky(setting, 1))
+        with pytest.raises(RasperError, match="every replication failed"):
+            run_benchmark(s)
+
+    # DTL shrinks toward the external target (study 1: the external
+    # coefficients on the standardized scale; study 2: the scores'
+    # least-squares projection on the conventional block) with the alpha
+    # of least leave-one-out error, the one n refits find too.
+    @pytest.mark.parametrize("study", ["1a", "2"])
+    def test_dtl_takes_the_alpha_of_least_refit_error(self, study):
+        s = self.small_setting(methods=("dtl",), grid_k=3)
+        if study == "2":
+            s = self.small_setting(study="2", beta_external=(), theta=(0.5, 0.2, 0.1, 0.3),
+                                   beta_internal=(1.0, 0.5, 0.3, 0.2, 0.6, 0.4),
+                                   n_internal=20, methods=("dtl",), grid_k=3)
+        report = run_benchmark(s)
+        alphas = []
+        for rep in range(s.replications):
+            data = generate(s, np.random.default_rng([s.seed, rep]))
+            design = standardize(data.x, data.q)
+            if study == "2":
+                target = np.zeros(design.p)
+                target[:design.q] = np.linalg.lstsq(design.z, data.scores, rcond=None)[0]
+            else:
+                target = np.asarray(s.beta_external) * design.scale
+            _, alpha = min((_refit_loo_mse(design.x, data.y, lambda xs, ys, a=a:
+                                           baselines.fit_dtl(xs, ys, a, target)), a)
+                           for a in s.grid().alpha_values)
+            alphas.append(alpha)
+            xt = (data.x_test - design.mean) / design.scale
+
+            def mse(beta0, beta):
+                return float(np.mean((data.mu_test - beta0 - xt @ beta) ** 2))
+
+            want = mse(*baselines.fit_dtl(design.x, data.y, alpha, target)) \
+                / mse(*baselines.fit_ols(design, data.y))
+            assert report.rel_mse_reps["dtl"][rep] == pytest.approx(want, rel=1e-9)
+        assert any(alphas)                    # some replication shrinks
 
     def test_method_order_follows_canonical_list(self):
         s = self.small_setting(methods=("stacking", "ridge"))

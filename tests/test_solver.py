@@ -366,6 +366,17 @@ class TestProblemBatch:
         for a, b in zip(arrays(solver._points(part, beta[[5, 4]])), full, strict=True):
             assert a.tobytes() == b[[5, 4]].tobytes()
 
+    def test_penalties_are_added_to_an_unpenalized_batch_only(self):
+        # alpha goes onto the gram's diagonal once: a batch that already
+        # holds a ridge term refuses a second one
+        rng = np.random.default_rng(3)
+        batch = solver.problem_batch(rng.standard_normal((2, 9, 3)),
+                                     rng.standard_normal((2, 9)), 0.5)
+        ridge = batch.with_penalties(0.0, 1.5)
+        assert np.array_equal(ridge.gram, batch.gram + 1.5 * np.eye(3))
+        with pytest.raises(InvalidValue, match="alpha = 0"):
+            ridge.with_penalties(0.0, 1.5)
+
 
 class TestProblemCaches:
     @pytest.mark.parametrize("marginal", [False, True])
