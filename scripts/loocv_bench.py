@@ -18,8 +18,10 @@ score and fold roll-up (``fold_iterations``, ``fold_reused`` and
 ``fold_max_grad_norm``, floats as hex) and the chosen fit's beta0 and beta
 as hex. ``--compare`` reads such a file (for instance from another
 checkout) and prints the largest relative difference of the scores, overall
-and per penalty, how many picks and chosen fits agree, and how many of the
-report ``rows`` compared are ``identical_rows``, bit for bit.
+and per penalty, how many picks and chosen fits agree, how many of the
+report ``rows`` compared are ``identical_rows``, bit for bit, the picks and
+identical rows per penalty, and each ``changed_picks`` entry
+("penalty/seed": [the file's pick, this run's pick]).
 """
 
 from __future__ import annotations
@@ -100,21 +102,27 @@ def main():
         with open(args.compare, encoding="utf-8") as fh:
             other = json.load(fh)
         common = sorted(set(scores) & set(other))
-        rel = {}
+        rel, picks, identical = {}, {}, {}
         for key in common:
             penalty = key.partition("/")[0]
             rel[penalty] = max([rel.get(penalty, 0.0)] + [
                 abs(a - b) / max(abs(b), 1e-300)
                 for a, b in zip(scores[key]["loo"], other[key]["loo"])])
-        same = sum(scores[key]["pick"] == other[key]["pick"] for key in common)
+            picks[penalty] = picks.get(penalty, 0) + (scores[key]["pick"] == other[key]["pick"])
+            identical[penalty] = identical.get(penalty, 0) + sum(
+                a == b for a, b in itertools.zip_longest(scores[key]["rows"],
+                                                         other[key].get("rows", [])))
         fits = sum(scores[key]["fit"] == other[key].get("fit") for key in common)
-        rows = [(a, b) for key in common
-                for a, b in itertools.zip_longest(scores[key]["rows"], other[key].get("rows", []))]
-        print(json.dumps({"compared": len(common), "same_picks": same, "same_fits": fits,
-                          "rows": len(rows), "identical_rows": sum(a == b for a, b in rows),
+        rows = sum(max(len(scores[key]["rows"]), len(other[key].get("rows", [])))
+                   for key in common)
+        changed = {key: [other[key]["pick"], scores[key]["pick"]] for key in common
+                   if scores[key]["pick"] != other[key]["pick"]}
+        print(json.dumps({"compared": len(common), "same_picks": sum(picks.values()),
+                          "same_fits": fits, "rows": rows,
+                          "identical_rows": sum(identical.values()),
                           "max_rel_score_diff": max(rel.values(), default=0.0),
-                          "max_rel_score_diff_by_penalty": rel}))
-
+                          "max_rel_score_diff_by_penalty": rel, "same_picks_by_penalty": picks,
+                          "identical_rows_by_penalty": identical, "changed_picks": changed}))
 
 if __name__ == "__main__":
     main()

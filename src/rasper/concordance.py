@@ -15,7 +15,7 @@ n^2 x p difference operator nor the dense weights ``PairWeights.w`` is built:
 ``_surrogate_sums`` gives D and the MM surrogate's pieces of one problem; and
 ``fold_pair_sums`` gives (D, gradient, Hessian) of every leave-one-out fold
 at one beta from the one-problem workspace of the full data, which its
-plain fits use. The first and the last share
+fits use. The first and the last share
 ``_densities``, the logistic density and the Hessian weight.
 
 ``problem_weights`` is the one place that decides a problem's weights: the
@@ -383,28 +383,27 @@ def _surrogate_sums(work, beta, nu):
 
 def fold_pair_sums(work, beta, nu):
     """``_pair_sums``' D, gradient and Hessian for every leave-one-out fold k
-    at one beta, from the sigma table and the densities (``_sigma`` and
+    at one beta, from the sigma tables and the densities (``_sigma`` and
     ``_densities``) of ``work``, the one-problem ``PairWorkspace`` of the
-    full (n, p) design with the full-data ranks, as ``pair_workspace``
-    builds it for a plain problem, whose fits may share it.
+    full data (its S (n, p) design tables and the full-data ranks) that the
+    full-data fits use. Fold k's tables are the full data's without row k.
 
     Fold k keeps the rows i != k with ranks r_i - [r_i >= r_k], so its weights
     are w_ij = c * omega_ki * o_ij over i, j != k. Spearman: o = 1,
     omega_ki = r_i - [r_i >= r_k] and c = 1 / (4 (n-1)^2). Kendall:
     o_ij = [r_i > r_j], the workspace's order mask, which dropping a row does
     not change, omega_ki = 1 and c = 2 / ((n-1)(n-2)). With omega_kk = 0, a
-    fold's sum of any pair term f_ij is
+    fold's sum of any pair term f_ij over one table is
     sum_i omega_ki (sum_j o_ij f_ij - o_ik f_ik): the full table's row sums
     weighted by omega, less fold k's column. That is a few n x n operations
-    and n x n by n x p^2 products with the rows' outer products,
-    O(n^2 + n p^2) memory.
+    and n x n by n x p^2 products with the rows' outer products per table,
+    O(S n^2 + n p^2) memory; the tables' sums are added and divided by S.
 
     Returns d (n,), grad (n, p) and hess (n, p, p), fold k in row k, none a
     view of the workspace. D is not checked here: ``solver.fit_batch`` fails
     each fold whose D is not positive with its ``_concordance_error``.
     """
-    x, r = work.tables[0, 0], work.r[0]
-    n, p = x.shape
+    r, (count, n, p) = work.r[0], work.tables.shape[1:]
     if work.measure == SPEARMAN:
         omega = r[None, :] - (r[None, :] >= r[:, None])
         c = 1.0 / (4.0 * (n - 1.0) ** 2)
@@ -412,25 +411,28 @@ def fold_pair_sums(work, beta, nu):
         omega = np.ones((n, n))
         c = 2.0 / ((n - 1.0) * (n - 2.0))
     np.fill_diagonal(omega, 0.0)
-    xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
     work = work.load(0)
-    s = _sigma(work, np.asarray(beta, dtype=float)[None], nu)
-    s, m, h = (a[0, 0] for a in (s, *_densities(work, s)))
-    if work.measure == KENDALL:
-        s, m, h = (a * work.mask[0, 0] for a in (s, m, h))
+    sig = _sigma(work, np.asarray(beta, dtype=float)[None], nu)
+    dens, hw = _densities(work, sig)
 
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(n, p * p)
 
-    d = omega @ s.sum(axis=1) - (omega * s.T).sum(axis=1)
-    a = omega * m.T
-    grad = omega @ (m.sum(axis=1)[:, None] * x - m @ x) - (a @ x - a.sum(axis=1)[:, None] * x)
-    hx = h @ x
-    rows = h.sum(axis=1)[:, None] * xx - outer(x, hx) - outer(hx, x) + h @ xx
-    b = omega * h.T
-    bx = b @ x
-    cols = b @ xx - outer(bx, x) - outer(x, bx) + b.sum(axis=1)[:, None] * xx
-    hess = (omega @ rows - cols).reshape(n, p, p)
+    parts = []
+    for x, s, m, h in zip(work.tables[0], sig[0], dens[0], hw[0]):
+        if work.measure == KENDALL:
+            s, m, h = (a * work.mask[0, 0] for a in (s, m, h))
+        xx = outer(x, x)
+        d = omega @ s.sum(axis=1) - (omega * s.T).sum(axis=1)
+        a = omega * m.T
+        grad = omega @ (m.sum(axis=1)[:, None] * x - m @ x) - (a @ x - a.sum(axis=1)[:, None] * x)
+        hx = h @ x
+        rows = h.sum(axis=1)[:, None] * xx - outer(x, hx) - outer(hx, x) + h @ xx
+        b = omega * h.T
+        bx = b @ x
+        cols = b @ xx - outer(bx, x) - outer(x, bx) + b.sum(axis=1)[:, None] * xx
+        parts.append((d, grad, (omega @ rows - cols).reshape(n, p, p)))
+    d, grad, hess = (np.add.reduce(a) / count for a in zip(*parts))
     return c * d, (c / nu) * grad, (c / (nu * nu)) * hess
 
 

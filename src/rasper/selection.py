@@ -1,20 +1,23 @@
 """Hyperparameter grids, leave-one-out cross-validation, effective degrees of
 freedom, and AIC-based selection.
 
-The full-data fits and every leave-one-out fold take their weights from
-``concordance.problem_weights``, so all of them marginalize by one rule.
+The full-data fits take their weights from ``concordance.problem_weights``,
+and every leave-one-out fold takes the full data's weights without its row:
+its ranks follow from the full-data ranks and its sampled design tables, if
+any, are the full data's. So the marginal sampler is fitted once, on the
+full data, as the standardization is, and no fold's outcome enters either.
 
 ``select`` builds once what does not depend on (lambda, alpha): the
-full-data pair workspace, the observed design's workspace (that one unless
-the spec samples tables), the beta = 0 curvature of the degrees of freedom
-(one ``_surrogate_sums`` pass on the observed workspace) and, by LOOCV, one
-``_FoldState``: the folds' rows, grams and X_c'y_c taken from the full data
-by indexing and their pair workspace (O(n^2 p) memory in all). A grid point
-then only adds alpha to a copy of the grams' diagonals. ``loocv_score``
-fits a grid point's n folds as one batch through the one trust-region
-loop, ``solver.fit_batch``; its ``_pair_sums`` passes walk the batch in
-chunks sized by ``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is
-cached between ``select`` calls.
+full-data pair workspace, the beta = 0 curvature of the degrees of freedom
+(one ``_surrogate_sums`` pass on the observed design's workspace, that one
+unless the spec samples tables) and, by LOOCV, one ``_FoldState``: the
+folds' rows, grams and X_c'y_c taken from the full data by indexing and
+their pair workspace (O(S n^2 p) memory in all). A grid point then only
+adds alpha to a copy of the grams' diagonals. ``loocv_score`` fits a grid
+point's n folds as one batch through the one trust-region loop,
+``solver.fit_batch``; its ``_pair_sums`` passes walk the batch in chunks
+sized by ``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is cached
+between ``select`` calls.
 
 D, its gradient and its Hessian depend on beta alone, not on
 (lambda, alpha), so ``select`` starts each warm full fit from the previous
@@ -25,12 +28,10 @@ state holds it, at the fold's own solution at the last alpha scored at
 that lambda (kept with its sums, O(n p^2) floats per lambda), whichever
 has the smaller gradient of the new grid point's objective; near-equal
 alpha columns turn the second into about one Newton step per fold. Both
-points carry exact pair sums; only the source of the sums at the full
-fit's beta depends on the folds. Plain folds downdate all n at once from
-the observed workspace's sigma table (``concordance.fold_pair_sums``), so
-they make no engine pass at their start. Folds with sampled design tables,
-which each fold draws from its own rows, take them from one batched engine
-pass.
+points carry exact pair sums: at the full fit's beta, all n folds'
+are downdated at once from the full-data workspace's sigma tables
+(``concordance.fold_pair_sums``), so no warm fold makes an engine pass at
+its start.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .concordance import (
     _surrogate_sums,
     fold_pair_sums,
     pair_weights,
+    pair_workspace,
     problem_weights,
 )
 from .data_model import ExternalRanks, StandardizedDesign
@@ -97,9 +99,13 @@ def _log_spaced(vmin, vmax, count):
 def build_grid(lam_min, lam_max, j, alpha_min, alpha_max, k) -> HyperGrid:
     """Grid per the log-spacing rule: value_i = min * exp((i-1) log(max/min)/J)
     for i >= 1, with a zero entry prepended. Endpoints land exactly on the
-    stated bounds, so the sizes J and K must be integers >= 1."""
+    stated bounds, so the sizes J and K must be integers >= 1, and max / min
+    must be a finite float."""
     if not (0 < lam_min < lam_max) or not (0 < alpha_min < alpha_max):
         raise InvalidBounds("require 0 < min < max for both lambda and alpha")
+    for name, low, high in (("lambda", lam_min, lam_max), ("alpha", alpha_min, alpha_max)):
+        if not math.isfinite(float(high) / float(low)):          # log(inf) spaces no grid
+            raise InvalidBounds(f"{name} max / min is not finite: {high!r} / {low!r}")
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (j, k)):
         raise InvalidBounds(f"grid sizes J and K must be integers, not {j!r} and {k!r}")
     if j < 1 or k < 1:
@@ -124,12 +130,14 @@ def _fold_rows(n):
 
 
 def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
-                      spec: ConcordanceSpec) -> tuple[np.ndarray, np.ndarray | None]:
+                      spec: ConcordanceSpec, full=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Weights of every leave-one-out fold, fold k in row k: ``(r, tables)``
     with ``r`` the folds' (n, n - 1) ranks and ``tables`` their
-    (n, S, n - 1, p) sampled design tables when the spec marginalizes
-    (``problem_weights`` decides), else None. They depend only on the data,
-    not on (lambda, alpha), so a grid search computes them once.
+    (n, S, n - 1, p) sampled design tables when the spec marginalizes the
+    design (``problem_weights``' rule), else None: fold k's are the S tables
+    of ``full``, the full data's one-problem ``PairWorkspace`` (or the ones
+    ``problem_weights`` draws, when it is None), without row k. They depend
+    only on the data, not on (lambda, alpha), so a grid search takes them once.
 
     Each fold's ranks follow from the full-data ranks: under the >=-count
     rule s_j >= s_k exactly when r_j >= r_k, so dropping row k lowers by one
@@ -138,15 +146,11 @@ def fold_weight_cache(design: StandardizedDesign, ranks: ExternalRanks,
     keep = _fold_rows(design.n)
     r = ranks.r[keep]
     r = r - (r >= ranks.r[:, None])
-    tables = None
-    for k, (rows, fr) in enumerate(zip(keep, r)):
-        fold = problem_weights(design.subset(rows), ExternalRanks(r=fr), spec).tables
-        if fold is None:
-            break
-        if tables is None:                # filled in place: no second copy of the folds
-            tables = np.empty((design.n, len(fold)) + fold[0].shape)
-        tables[k] = fold
-    return r, tables
+    if not (spec.marginalized and design.p > design.q):
+        return r, None
+    full = np.stack(problem_weights(design, ranks, spec).tables) if full is None \
+        else full.tables[0]
+    return r, full[np.arange(len(full))[:, None], keep[:, None]]
 
 
 class _FoldState:
@@ -155,12 +159,11 @@ class _FoldState:
     (fold k's rows are the data's rows other than k, with the full-data
     standardization, and their centered gram, X_c'y_c and relative-gradient
     scale), ``r`` and ``tables``, ``fold_weight_cache``'s ranks and sampled
-    tables, ``work``, their ``PairWorkspace`` on those as they are, or on
-    the batch's rows when the folds have no tables, and ``full``, the
-    observed design's one-problem ``PairWorkspace`` that the plain folds'
-    sums at the full fit's beta are downdated from: the one ``select``'s
-    fits use, or one of its own when ``full`` is None and the folds are
-    plain. None of it depends on (lambda, alpha); ``at`` adds them.
+    tables, ``work``, their ``PairWorkspace`` on the tables, or on the
+    batch's rows when there are none, and ``full``, the full problem's
+    ``PairWorkspace``, which the folds' sums at the full fit's beta are
+    downdated from: the one ``select``'s fits use, or one of its own when
+    ``full`` is None. None of it depends on (lambda, alpha); ``at`` adds them.
 
     ``loocv_score`` leaves two things here after each grid point it scores:
     in ``known[lam]`` (lambda > 0 only), the folds' solutions, beta (n, p),
@@ -170,14 +173,14 @@ class _FoldState:
     ``GridRecord``."""
 
     def __init__(self, design, y, ranks, spec, full=None):
+        if full is None:
+            full = pair_workspace(problem_weights(design, ranks, spec), design.x)
         keep = _fold_rows(design.n)
         self.batch = problem_batch(design.x[keep], y[keep], spec.nu)
-        self.r, self.tables = fold_weight_cache(design, ranks, spec)
+        self.r, self.tables = fold_weight_cache(design, ranks, spec, full)
         # built after the batch's centered rows are freed
-        stack = self.batch.x[:, None] if self.tables is None else self.tables
+        stack = self.tables if self.tables is not None else self.batch.x[:, None]
         self.work = PairWorkspace(stack, self.r, spec.measure)
-        if full is None and self.tables is None:
-            full = PairWorkspace(design.x[None, None], ranks.r[None], spec.measure)
         self.full, self.known, self.rollup = full, {}, None
 
     def at(self, lam, alpha):
@@ -186,12 +189,11 @@ class _FoldState:
 
 
 def _nearer_starts(problems, beta, starts, known):
-    """Each fold's start: row k of ``beta``, with the sums ``starts`` there
-    or, when they are None, the sums of one engine pass over the batch, or
-    its ``known`` solution at the last alpha scored, whichever has the
+    """Each fold's start: row k of ``beta``, with the sums ``starts`` there,
+    or its ``known`` solution at the last alpha scored, whichever has the
     smaller gradient of this grid point's objective; both carry exact pair
     sums. Returns the starts and which folds took their known solution."""
-    _, _, starts, g, _ = _points(problems, beta, starts)
+    g = _points(problems, beta, starts)[3]
     nearer = _norms(_points(problems, *known)[3]) < _norms(g)
     beta, starts = _where(nearer, known, (beta, starts))
     return beta, starts, nearer
@@ -214,23 +216,22 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     The n folds are one ``ProblemBatch``, which ``fit_batch`` runs through
     one trust-region loop. Their rows, gram and X_c'y_c are taken from the
     data by indexing, and their pair workspace takes the cached ranks and
-    tables unchanged, or shares those rows when ``tables`` is None; the
-    state holds all of it, and a grid point only adds alpha to a copy of
-    the gram's diagonal. The inputs are checked once, as the full-data
-    problem.
+    the rows of the full data's sampled tables, or shares the folds' rows
+    when the spec samples none; the state holds all of it, and a grid point
+    only adds alpha to a copy of the gram's diagonal. The inputs are checked
+    once, as the full-data problem.
 
     With a ``warm`` fit and lambda > 0, every fold starts at ``warm.beta``
     or, when the state holds the folds' solutions at the same lambda from
     an earlier call, at its own solution there when that point has the
     smaller gradient of this grid point's objective. Both points carry
-    exact pair sums. At ``warm.beta`` a plain fold's sums are its slice of
-    one ``fold_pair_sums`` call on the state's ``full`` workspace, so plain
-    folds take no engine pass at their start; marginalized folds, whose
-    tables are drawn from the fold's own rows, take theirs from one batched
-    engine pass. A fold whose D is not positive at its start fails with the
-    error its engine pass would raise. Cold folds (no ``warm``) start at
-    their local minimizers with one batched engine pass. lambda = 0 folds
-    make no engine pass at all and report no D.
+    exact pair sums. At ``warm.beta`` a fold's sums are its slice of one
+    ``fold_pair_sums`` call on the state's ``full`` workspace, since a
+    fold's tables are the full data's without its row, so no warm fold
+    takes an engine pass at its start. A fold whose D is not positive at
+    its start fails with the error its engine pass would raise. Cold folds
+    (no ``warm``) start at their local minimizers with one batched engine
+    pass. lambda = 0 folds make no engine pass at all and report no D.
     """
     y = np.asarray(y, dtype=float)
     n = design.n
@@ -243,7 +244,7 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
         state = _FoldState(design, y, ranks, spec)
     init = warm.beta if warm is not None else None
     starts = None
-    if init is not None and lam > 0 and state.tables is None:
+    if init is not None and lam > 0:
         starts = fold_pair_sums(state.full, init, spec.nu)
     beta = None if init is None else np.broadcast_to(init, (n, design.p))
     problems = state.at(lam, alpha)
@@ -389,12 +390,11 @@ def select(design: StandardizedDesign, y, ranks: ExternalRanks,
     base = PenalizedProblem(design=design, y=y, weights=problem_weights(design, ranks, spec),
                             spec=spec)
     xtx = design.x.T @ design.x
-    # M0 and the plain folds' downdate are taken on the observed design,
-    # which a plain spec's workspace holds
-    observed = base.workspace if base.weights.tables is None else \
+    # M0 is taken on the observed design, which a plain spec's workspace holds
+    observed = base.workspace if not base.weights.tables else \
         PairWorkspace(design.x[None, None], ranks.r[None], spec.measure)
     m0 = _penalty_curvature(observed, spec.nu)
-    state = _FoldState(design, y, ranks, spec, observed) if criterion == "loocv" else None
+    state = _FoldState(design, y, ranks, spec, base.workspace) if criterion == "loocv" else None
 
     records = []
     for alpha in grid.alpha_values:

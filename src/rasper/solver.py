@@ -6,7 +6,7 @@ p is small, so every point the solver visits (the start and each trial)
 takes one pass of the pair-sum engine, which gives F together with its
 gradient g and Hessian H; an accepted trial's g and H are the next
 iterate's, so no point is evaluated twice. A caller that hands in the
-start's D, gradient and Hessian (``fit_batch(start=...)``, as the plain
+start's D, gradient and Hessian (``fit_batch(start=...)``, as the warm
 leave-one-out folds do from ``concordance.fold_pair_sums``) saves the
 start's pass. Every fit returns the sums at its solution
 (``FitResult.pair_sums``), from the pass that evaluated it; they depend on

@@ -424,6 +424,25 @@ class TestFoldPairSums:
             floor = 1e-14 * want[0].max() * (2.0 * np.abs(x).max() / nu) ** k
             assert np.all(np.abs(a[live] - b[live]) <= 1e-10 * np.abs(b).max() + floor)
 
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    @pytest.mark.parametrize("count", [2, 7])
+    def test_sampled_tables_match_engine_on_every_fold(self, measure, count):
+        # Fold k's S tables are the full data's without row k, so the
+        # downdate of the full data's workspace gives each fold the sums
+        # the engine gives on the fold's own workspace.
+        rng = np.random.default_rng(50 + count)
+        n, p, nu = 17, 3, 0.4
+        tables = rng.standard_normal((count, n, p))
+        scores = rng.integers(0, 5, n).astype(float)            # tied
+        beta = rng.standard_normal(p)
+        got = fold_pair_sums(PairWorkspace(tables[None], external_ranks(scores).r[None], measure),
+                             beta, nu)
+        for k in range(n):
+            work = PairWorkspace(np.delete(tables, k, axis=1)[None],
+                                 external_ranks(np.delete(scores, k)).r[None], measure)
+            for a, b in zip(got, _pair_sums(work, beta[None], nu)):
+                assert np.max(np.abs(a[k] - b[0])) <= 1e-13 * np.max(np.abs(b[0]))
+
     @staticmethod
     def _long_double_sums(w, x, beta, nu):
         """D, gradient and Hessian in long double, with the density and

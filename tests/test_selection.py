@@ -21,7 +21,7 @@ from rasper.concordance import (
     pair_weights,
     pair_workspace,
 )
-from rasper.data_model import ExternalRanks, StandardizedDesign, external_ranks, standardize
+from rasper.data_model import StandardizedDesign, external_ranks, standardize
 from rasper.errors import (
     FoldFailure,
     InvalidBounds,
@@ -93,6 +93,12 @@ class TestGrid:
             build_grid(1.0, 100.0, 1, 0.1, 1.0, 2.0)
         with pytest.raises(InvalidBounds):
             build_grid(1.0, 100.0, True, 0.1, 1.0, 1)
+        # max / min overflows (an infinite max, or a huge ratio of finite
+        # bounds), which spaced the grid as [0, nan, inf, ...]
+        for bounds in ((0.1, 1.0, 0.1, math.inf), (0.1, 1.0, 1e-10, 1e300),
+                       (1e-10, 1e300, 0.1, 1.0), (1.0, math.inf, 0.1, 1.0)):
+            with pytest.raises(InvalidBounds, match="max / min is not finite"):
+                build_grid(bounds[0], bounds[1], 3, bounds[2], bounds[3], 3)
 
 
 class TestLOOCV:
@@ -146,15 +152,21 @@ class TestLOOCV:
         assert tables is None
         assert r.shape == (design.n, design.n - 1)
 
-    def test_fold_cache_stacks_marginal_tables(self):
-        # fold k's tables are the ones its own problem_weights draws
+    def test_fold_cache_stacks_marginal_tables(self, monkeypatch):
+        # fold k's tables are the full data's tables without row k, whether
+        # taken from the full data's workspace or drawn anew, and a select
+        # fits the sampler once, on the full data
         design, y, ranks, spec = _fold_data(9, "marginalized")
-        r, tables = fold_weight_cache(design, ranks, spec)
-        assert tables.shape == (9, spec.samples, 8, design.p)
-        for k in range(9):
-            keep = np.delete(np.arange(9), k)
-            fold = selection.problem_weights(design.subset(keep), ExternalRanks(r=r[k]), spec)
-            assert np.array_equal(tables[k], np.stack(fold.tables))
+        weights = selection.problem_weights(design, ranks, spec)
+        full = np.stack(weights.tables)
+        for work in (None, pair_workspace(weights, design.x)):
+            r, tables = fold_weight_cache(design, ranks, spec, work)
+            assert tables.shape == (9, spec.samples, 8, design.p)
+            for k in range(9):
+                assert np.array_equal(tables[k], np.delete(full, k, axis=1))
+        samplers = count_calls(monkeypatch, concordance, "build_marginal_sampler")
+        select(design, y, ranks, spec, build_grid(0.5, 50.0, 2, 0.1, 5.0, 1))
+        assert len(samplers) == 1
 
     def test_fold_ranks_recomputed_from_scores(self):
         # deleting the top-ranked row must compress the remaining ranks
@@ -224,12 +236,11 @@ class TestLOOCV:
     def _check_engine_passes(monkeypatch, marginalized, warm, known=False):
         # The engine evaluates one fold table per trial a fold takes, so the
         # fold tables evaluated are the fold iterations summed, plus one
-        # start table per fold when the starts are not downdated: a
-        # marginalized fold's tables are not rows of the full tables, and a
-        # cold fold starts at its own local minimizer. With the folds'
-        # solutions at an earlier alpha in the state, the marginalized
-        # folds' start tables are still one batched pass, which both starts
-        # are weighed on, and the plain folds still take none.
+        # start table per fold when the starts are not downdated: a cold
+        # fold starts at its own local minimizer. A warm fold, plain or
+        # marginalized (whose tables are rows of the full tables), takes
+        # none, also with the folds' solutions at an earlier alpha in the
+        # state, which both starts are weighed on.
         design, y, ranks, spec = _fold_data(15, "marginalized" if marginalized else "spearman")
         state = selection._FoldState(design, y, ranks, spec)
         assert (state.tables is not None) == marginalized
@@ -252,7 +263,7 @@ class TestLOOCV:
         assert len(folds) == design.n
         for fit in folds:
             assert fit.converged and fit.evaluations == fit.iterations + 1
-        start_tables = 0 if warm and not marginalized else design.n
+        start_tables = 0 if warm else design.n
         assert sum(tables) == sum(fit.iterations for fit in folds) + start_tables
         if start_tables:
             assert tables[0] == design.n
@@ -269,22 +280,28 @@ class TestLOOCV:
         assert not passes
         assert len(folds) == design.n and all(f.concordance is None for f in folds)
 
+    @pytest.mark.parametrize("marginalized", [False, True])
     @pytest.mark.parametrize("measure", ["spearman", "kendall"])
     @pytest.mark.parametrize("lam", [3.0, 1e3, 1e5])
-    def test_downdated_starts_match_engine_starts(self, measure, lam):
+    def test_downdated_starts_match_engine_starts(self, measure, lam, marginalized):
         design, y, _, _, spec = make_data(seed=13, n=20)
+        design = StandardizedDesign(design.x, design.mean, design.scale, 2)   # a novel block
         scores = np.random.default_rng(13).integers(0, 6, design.n).astype(float)
         ranks = external_ranks(scores)                  # tied ranks
-        spec = ConcordanceSpec(measure, False, spec.nu, 1, 0)
-        warm = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, measure),
-                                           spec, lam, 1.0))
+        spec = ConcordanceSpec(measure, marginalized, spec.nu, 3, 0)
+        weights = selection.problem_weights(design, ranks, spec)
+        assert (weights.tables is not None) == marginalized
+        warm = fit_rasper(PenalizedProblem(design, y, weights, spec, lam, 1.0))
         downdated = loocv_score(design, y, ranks, spec, lam, 1.0, warm=warm)
-        # each fold fitted alone, its start taken by an engine pass
+        # each fold fitted alone on its own ranks and, marginalized, on the
+        # full data's S tables without its row, its start taken by an engine pass
         engine = 0.0
-        for k, weights in enumerate(fold_weights(fold_weight_cache(design, ranks, spec),
-                                                 measure)):
+        for k in range(design.n):
             keep = np.delete(np.arange(design.n), k)
-            fit = fit_rasper(PenalizedProblem(design.subset(keep), y[keep], weights, spec,
+            fold = PairWeights(r=external_ranks(scores[keep]).r, measure=measure,
+                               tables=None if weights.tables is None
+                               else tuple(t[keep] for t in weights.tables))
+            fit = fit_rasper(PenalizedProblem(design.subset(keep), y[keep], fold, spec,
                                               lam, 1.0), init=warm.beta)
             engine += 0.5 * (y[k] - fit.beta0 - design.x[k] @ fit.beta) ** 2
         assert downdated == pytest.approx(engine / design.n, rel=1e-9)
@@ -548,8 +565,7 @@ class TestFoldMemory:
         try:
             state = selection._FoldState(design, y, ranks, spec, full)
             buffers = 3 * state.work.s.nbytes
-            if state.tables is None:
-                assert state.full is full
+            assert state.full is full
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -608,8 +624,8 @@ class TestFoldState:
         monkeypatch.undo()
         assert batches == [design.n]
         assert sorted(workspaces) == sorted(by_aic + [design.n])
-        # every warm lambda > 0 point downdates plain folds from the full fits' workspace
-        assert len(downdates) == (case != "marginalized") * sum(r.lam > 0 for r in report.records)
+        # every warm lambda > 0 point downdates its folds from the full fits' workspace
+        assert len(downdates) == sum(r.lam > 0 for r in report.records)
         assert all(work is fitted[-1] for work in downdates + fitted[len(fitted) // 2:])
         assert len(calls) == grid.size
         fresh = selection._FoldState(design, y, ranks, spec)

@@ -168,7 +168,7 @@ class TestSimSetting:
             SimSetting(study="1a", beta_external=(1.0,), nu=1e-300)
 
     @pytest.mark.parametrize("bad", [{"lam_scale": (5.0, 1.0)}, {"alpha_scale": (0.0, 1.0)},
-                                     {"grid_j": 0}, {"grid_k": 0}])
+                                     {"lam_scale": (1e-10, 1e300)}, {"grid_j": 0}, {"grid_k": 0}])
     def test_bad_grid_rejected_when_built(self, bad):
         with pytest.raises(InvalidBounds):
             SimSetting(study="1a", beta_external=(1.0,), **bad)
