@@ -52,8 +52,12 @@ class ConcordanceSpec:
         if self.measure not in (SPEARMAN, KENDALL):
             raise InvalidValue(f"unknown measure {self.measure!r}")
         # NaN fails every comparison; the Hessian divides by nu^2, which
-        # must not underflow to 0
-        if not (0 < self.nu < np.inf and self.nu * self.nu >= np.finfo(float).tiny):
+        # must not underflow to 0; an int beyond the float range overflows
+        try:
+            normal = 0 < self.nu < np.inf and self.nu * self.nu >= np.finfo(float).tiny
+        except OverflowError:
+            normal = False
+        if not normal:
             raise InvalidValue(f"nu must be positive and finite, and nu^2 a normal float, "
                                f"not {self.nu!r}")
         for name, low in (("samples", 1), ("seed", 0)):

@@ -15,7 +15,8 @@ folds' rows, grams and X_c'y_c taken from the full data by indexing and
 their pair workspace (O(S n^2 p) memory in all). A grid point then only
 adds alpha to a copy of the grams' diagonals. ``loocv_score`` fits a grid
 point's n folds as one batch through the one trust-region loop,
-``solver.fit_batch``; its ``_pair_sums`` passes walk the batch in chunks
+``solver.fit_batch``, whose rounds take Newton steps from one batched
+Cholesky solve, and reads the batch's arrays directly; its ``_pair_sums`` passes walk the batch in chunks
 sized by ``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is cached
 between ``select`` calls.
 
@@ -58,7 +59,6 @@ from .errors import (
     FoldFailure,
     InvalidBounds,
     InvalidValue,
-    RasperError,
     SingularSystem,
 )
 from .solver import (
@@ -104,7 +104,11 @@ def build_grid(lam_min, lam_max, j, alpha_min, alpha_max, k) -> HyperGrid:
     if not (0 < lam_min < lam_max) or not (0 < alpha_min < alpha_max):
         raise InvalidBounds("require 0 < min < max for both lambda and alpha")
     for name, low, high in (("lambda", lam_min, lam_max), ("alpha", alpha_min, alpha_max)):
-        if not math.isfinite(float(high) / float(low)):          # log(inf) spaces no grid
+        try:
+            ratio = float(high) / float(low)        # an int beyond the float range overflows
+        except OverflowError:
+            ratio = math.inf
+        if not math.isfinite(ratio):                                # log(inf) spaces no grid
             raise InvalidBounds(f"{name} max / min is not finite: {high!r} / {low!r}")
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (j, k)):
         raise InvalidBounds(f"grid sizes J and K must be integers, not {j!r} and {k!r}")
@@ -251,9 +255,9 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     nearer = np.zeros(n, dtype=bool)
     if init is not None and lam in state.known:
         beta, starts, nearer = _nearer_starts(problems, beta, starts, state.known[lam])
-    results = fit_batch(problems, beta, starts)
-    failed = [(i, str(fit)) for i, fit in enumerate(results) if isinstance(fit, RasperError)]
-    unconverged = sum(not fit.converged for fit in results if isinstance(fit, FitResult))
+    fits = fit_batch(problems, beta, starts)
+    failed = [(k, str(exc)) for k, exc in sorted(fits.errors.items())]
+    unconverged = int(np.count_nonzero(~fits.converged)) - len(failed)
     if unconverged:
         warnings.warn(f"{unconverged} of {n} fold fits did not converge at "
                       f"lambda={lam:g}, alpha={alpha:g}",
@@ -261,15 +265,13 @@ def loocv_score(design: StandardizedDesign, y, ranks: ExternalRanks,
     if failed:
         raise FoldFailure(f"{len(failed)} of {n} folds failed: {failed[:3]}")
     if lam > 0:
-        state.known[lam] = (np.array([fit.beta for fit in results]),
-                            tuple(map(np.array, zip(*(fit.pair_sums for fit in results)))))
-    state.rollup = {"fold_iterations": sum(fit.iterations for fit in results),
+        state.known[lam] = (fits.beta, fits.pair_sums)
+    state.rollup = {"fold_iterations": int(fits.iterations.sum()),
                     "fold_unconverged": unconverged,
-                    "fold_max_grad_norm": max(fit.grad_norm for fit in results),
+                    "fold_max_grad_norm": float(fits.grad_norm.max()),
                     "fold_reused": int(nearer.sum())}
     # the held-out losses summed in fold order, each as one fold alone gives it
-    pred = np.array([fit.beta0 for fit in results]) \
-        + _dots(design.x, np.array([fit.beta for fit in results]))
+    pred = fits.beta0 + _dots(design.x, fits.beta)
     total = 0.0
     for yk, pk in zip(y.tolist(), pred.tolist()):
         total += 0.5 * (yk - pk) ** 2

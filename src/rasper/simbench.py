@@ -36,12 +36,20 @@ def spearman_rc(a, b) -> float:
     return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
 
 
+def _finite_real(v):
+    """Whether ``v`` is a finite real number, not a bool, inside the float
+    range: ``math.isfinite`` raises ``OverflowError`` for an int beyond it."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _finite_reals(value):
-    """Whether ``value`` is a tuple or list of finite real numbers, with no
-    bool among them."""
-    return isinstance(value, (tuple, list)) and all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-        for v in value)
+    """Whether ``value`` is a tuple or list of ``_finite_real`` numbers."""
+    return isinstance(value, (tuple, list)) and all(_finite_real(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class SimSetting:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidValue(f"{name} must be an integer, not {value!r}")
-        if not 0 < self.sigma < math.inf:             # NaN fails both comparisons
+        if not (_finite_real(self.sigma) and self.sigma > 0):
             raise InvalidValue(f"sigma must be positive and finite, not {self.sigma!r}")
         if self.samples < 1:
             raise InvalidValue("samples must be >= 1")

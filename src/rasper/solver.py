@@ -11,11 +11,11 @@ leave-one-out folds do from ``concordance.fold_pair_sums``) saves the
 start's pass. Every fit returns the sums at its solution
 (``FitResult.pair_sums``), from the pass that evaluated it; they depend on
 beta alone, so a fit at another (lambda, alpha) that starts there can take
-them as its start. Each iterate also takes one eigendecomposition of H,
-which gives the trial step in closed form: the Newton step when H is
-positive definite and that step fits in the trust radius, else a damped
-Newton step inside it, so an indefinite H or an overshooting Newton point
-still gives a useful trial. The trial is kept when it lowers the objective
+them as its start. Each iterate also factors H by Cholesky: when it has a
+factor and the Newton step from that solve fits in the trust radius, that
+step is the trial; otherwise an eigendecomposition of H gives a damped
+Newton step inside the radius in closed form, so an indefinite H or an
+overshooting Newton point still gives a useful trial. The trial is kept when it lowers the objective
 by more than the rounding band delta = 10*eps*(|F| + lambda), or, inside
 that band, where F cannot resolve the change, when it lowers ||g||; a
 rejected trial only shrinks the radius. The fit stops on a scale-free
@@ -31,9 +31,11 @@ point.
 
 The loop, ``fit_batch``, fits a ``ProblemBatch``: B problems of one size
 that share (lambda, alpha, nu), held on a leading problem axis. Every round
-takes one trial for each unfinished problem, with one engine pass, one
-batched ``eigh`` and one ``_trust_step`` for the batch, and each problem
-takes the iterates it would take alone. ``fit_rasper`` runs a problem as a
+takes one trial for each unfinished problem, with one engine pass and one
+batched Cholesky solve for the batch (``eigh`` only on the rows that need
+a damped step), keeps every problem's state in arrays, and returns one
+array-valued ``BatchFit``; each problem takes the iterates it would take
+alone. ``fit_rasper`` runs a problem as a
 batch of one, and ``selection.loocv_score`` runs the n leave-one-out folds
 of a grid point as one batch, so there is one solver path.
 
@@ -45,7 +47,6 @@ batch (``_points``) or for one problem (``_sums``), ``_surrogate_sums`` for
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -67,7 +68,6 @@ from .errors import (
     InvalidValue,
     NonFiniteValue,
     NonSPDSystem,
-    RasperError,
     SingularDesign,
 )
 
@@ -79,10 +79,11 @@ class PenalizedProblem:
     """Least-squares local objective plus ridge term and rank penalty. The
     parts fixed for one fit are built once, on first use: the pair-sum
     ``workspace`` (stacked design tables, rank-derived weights and the
-    buffers every engine pass of the fit reuses) and ``batch``, the problem
-    as a ``ProblemBatch`` of one, which also holds its gram X_c'X_c + alpha I
-    and X_c'y_c. The workspace's buffers make a problem unsafe to evaluate
-    from two threads at once."""
+    buffers every engine pass of the fit reuses), ``unpenalized``, the
+    problem as a ``ProblemBatch`` of one at lambda = alpha = 0 (its centered
+    rows' gram X_c'X_c and X_c'y_c), and ``batch``, that batch at this
+    problem's (lambda, alpha). The workspace's buffers make a problem unsafe
+    to evaluate from two threads at once."""
 
     design: StandardizedDesign
     y: np.ndarray
@@ -116,18 +117,24 @@ class PenalizedProblem:
 
     def with_penalties(self, lam, alpha):
         """This problem at another (lambda, alpha), sharing its pair-sum
-        workspace, so a grid search builds the workspace once; the two must
-        not be evaluated from two threads at once."""
+        workspace and its unpenalized batch, so a grid search builds each
+        once; the two must not be evaluated from two threads at once."""
         other = replace(self, lam=lam, alpha=alpha)
-        other.__dict__["workspace"] = self.workspace      # the cached_property's slot
+        for name in ("workspace", "unpenalized"):         # the cached_properties' slots
+            other.__dict__[name] = getattr(self, name)
         return other
+
+    @cached_property
+    def unpenalized(self):
+        """This problem as a ``ProblemBatch`` of one at lambda = alpha = 0."""
+        return problem_batch(self.design.x[None], self.y[None], self.nu)
 
     @cached_property
     def batch(self):
         """This problem as a ``ProblemBatch`` of one, the form ``fit_batch``
         takes."""
-        return problem_batch(self.design.x[None], self.y[None], self.nu).with_penalties(
-            self.lam, self.alpha, self.workspace if self.lam > 0 else None)
+        return self.unpenalized.with_penalties(self.lam, self.alpha,
+                                               self.workspace if self.lam > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,32 @@ class FitResult:
     # later fit at another (lambda, alpha) may start from; None when no
     # pass evaluated it (the problems of a batch at lambda = 0)
     pair_sums: tuple | None = None
+
+
+@dataclass
+class BatchFit:
+    """The fits of a ``ProblemBatch``'s B problems, problem k in row k of
+    every array, as ``fit_batch`` returns them: ``beta0`` (B,), ``beta``
+    (B, p), ``iterations``, ``grad_norm`` (the relative gradient) and
+    ``converged`` (B,), and ``pair_sums``, (D, dD, d2D) at each final beta,
+    None when lambda = 0 (no pair pass). A problem that failed has NaN and
+    zero rows and its ``RasperError`` in ``errors``, by index. ``traces``
+    (T, B) holds each problem's objective at its start and after each of its
+    ``kept`` trials, NaN past its end (``trace``)."""
+
+    beta0: np.ndarray
+    beta: np.ndarray
+    iterations: np.ndarray
+    grad_norm: np.ndarray
+    converged: np.ndarray
+    pair_sums: tuple | None
+    errors: dict
+    traces: np.ndarray
+    kept: np.ndarray
+
+    def trace(self, k):
+        """Problem k's objective trace: F at its start and at each kept trial."""
+        return self.traces[:self.kept[k] + 1, k].copy()
 
 
 def default_nu(design: StandardizedDesign, y) -> float:
@@ -322,7 +355,8 @@ def _trust_step(evals, evecs, g, radius):
     """Trial step s of the model g's + 0.5*s'Hs, H = evecs diag(evals) evecs'
     (ascending ``evals``), with pred = -(g's + 0.5*s'Hs) and whether s is
     damped, for one problem or for each of a batch: every argument may carry
-    leading problem axes.
+    leading problem axes. ``_steps`` calls it on the rows whose Cholesky
+    Newton step does not apply.
 
     s is the Newton step -H^{-1} g when H is positive definite and that step
     fits in the ``radius`` r, else the damped step -(H + mu I)^{-1} g with
@@ -342,6 +376,41 @@ def _trust_step(evals, evecs, g, radius):
     st = np.where(newton[..., None], st, -gt / shift)
     pred = -(_dots(gt, st) + 0.5 * _dots(evals * st, st))
     return _matvec(evecs, st), pred, ~newton
+
+
+def _newton_steps(hess, g):
+    """The Newton steps -H^{-1} g of a stack of problems (B, p, p), (B, p),
+    and which rows have one: an H with a Cholesky factor. A stacked
+    ``cholesky`` or ``solve`` that raises is retried row by row, so a row's
+    step is the one it gets alone (stacked and single calls agree bit for
+    bit); a row without a factor gets NaN."""
+    try:
+        np.linalg.cholesky(hess)
+        return -np.linalg.solve(hess, g[..., None])[..., 0], np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return np.full_like(g, np.nan), np.zeros(1, dtype=bool)
+        rows = [_newton_steps(hess[k:k + 1], g[k:k + 1]) for k in range(len(g))]
+        return np.concatenate([s for s, _ in rows]), np.concatenate([ok for _, ok in rows])
+
+
+def _steps(hess, g, radius):
+    """Each problem's trial step s, its model decrease pred and whether s
+    is damped, for a batch (B, p, p), (B, p), (B,): the Newton step from a
+    Cholesky solve (``_newton_steps``) where H has a factor and that step
+    fits in the radius, else ``_trust_step`` on an eigendecomposition of
+    just those rows. A row's branch reads only its own H, g and radius, so
+    it takes the step it would take alone. For a Newton step
+    pred = -(g's + 0.5 s'Hs) = -0.5 g's."""
+    step, newton = _newton_steps(hess, g)
+    newton &= _norms(step) <= radius
+    pred = -0.5 * _dots(g, step)
+    damped = np.zeros(len(g), dtype=bool)
+    if not newton.all():
+        rest = ~newton
+        evals, evecs = np.linalg.eigh(hess[rest])
+        step[rest], pred[rest], damped[rest] = _trust_step(evals, evecs, g[rest], radius[rest])
+    return step, pred, damped
 
 
 def _points(problems, beta, sums=None):
@@ -371,27 +440,16 @@ def _points(problems, beta, sums=None):
     return beta0, value, (d, dd, hd), g, hess
 
 
-def _accepts(decrease, delta, gnorm, new_gnorm):
-    """Whether a trial, which lowers the objective by ``decrease`` (F at the
-    iterate less F at the trial) and has gradient norm ``new_gnorm``,
-    replaces its iterate, whose gradient norm is ``gnorm``. Outside the band
-    |decrease| <= ``delta`` the lower objective wins. Inside it the
-    difference is rounding, not a decrease that F can resolve, so the trial
-    is taken only when it lowers ||g||."""
-    if abs(decrease) <= delta:
-        return new_gnorm < gnorm
-    return decrease > 0
-
-
 def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
-              max_iter=500) -> list:
+              max_iter=500) -> BatchFit:
     """Fit the B problems of ``problems`` by trust-region Newton steps, in
     lock step: every round takes one trial per unfinished problem, with one
-    engine pass, one batched ``eigh`` and one ``_trust_step`` for all of
-    them; only the engine pass walks the batch in the workspace's chunks.
-    Returns one ``FitResult`` per problem, or the ``RasperError`` that
-    stopped it: a D that is not positive at the start, or a rank-deficient
-    design when alpha = 0 and ``beta`` is None.
+    engine pass and one batched Cholesky solve for all of them (``_steps``);
+    only the engine pass walks the batch in the workspace's chunks. Each
+    problem's state (value, gradient norm, radius) is a row of an array,
+    and the result is one ``BatchFit``, with the ``RasperError`` that
+    stopped a problem in ``errors``: a D that is not positive at the start,
+    or a rank-deficient design when alpha = 0 and ``beta`` is None.
 
     Each problem starts at its row of ``beta`` (B, p), or at its
     local-objective minimizer when ``beta`` is None, which guarantees the
@@ -400,20 +458,20 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
     point, so only the gradient g and Hessian H of F in beta matter. The
     start and each trial are evaluated by one pair pass (``_points``) that
     gives F, g and H at once, and an accepted trial keeps them, so no point
-    is evaluated twice and ``evaluations`` is ``iterations + 1``. ``start``
-    = (D, dD, d2D) at ``beta``, as ``concordance.fold_pair_sums`` gives
-    leave-one-out folds or a previous fit's ``pair_sums`` give a warm fit,
-    replaces the start's pass. Each result's ``pair_sums`` are the sums at
-    its final beta, from the pass that evaluated it, at no extra cost. A
-    problem is converged once ||g|| <= ``tol`` * ||X_c' y_c||, a relative
-    gradient that does not change with the scale of y. When y is constant X_c' y_c vanishes, and
+    is evaluated twice. ``start`` = (D, dD, d2D) at ``beta``, as
+    ``concordance.fold_pair_sums`` gives leave-one-out folds or a previous
+    fit's ``pair_sums`` give a warm fit, replaces the start's pass. The
+    result's ``pair_sums`` are the sums at each final beta, from the pass
+    that evaluated it, at no extra cost. A problem is converged once
+    ||g|| <= ``tol`` * ||X_c' y_c||, a relative gradient that does not
+    change with the scale of y. When y is constant X_c' y_c vanishes, and
     ||g|| at the start is the scale instead.
 
-    Otherwise the trial step s (``_trust_step``) is the Newton step when it
-    fits in the radius r, else a damped step with ||s|| <= r; pred is its
-    model decrease. The first radius r is max(1, ||beta_start||). With
-    delta = 10*eps*(|F| + lambda), the trial is kept (``_accepts``) when F
-    there is below F at the iterate by more than delta, or, when
+    Otherwise the trial step s (``_steps``) is the Newton step when H has a
+    Cholesky factor and the step fits in the radius r, else a damped step
+    with ||s|| <= r; pred is its model decrease. The first radius r is
+    max(1, ||beta_start||). With delta = 10*eps*(|F| + lambda), the trial is
+    kept when F there is below F at the iterate by more than delta, or, when
     |F_trial - F| <= delta, when its gradient is smaller. Near a large-lambda
     solution the decrease falls below the rounding of lambda*log D, and a
     strict F test would keep or reject such a trial by luck. r doubles when
@@ -429,85 +487,83 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
     the iterates it would take alone.
     """
     size = problems.x.shape[0]
-    results = [None] * size
+    errors = {}
     if beta is None:
         beta, errors = _local_minimizers(problems)
-        for k, exc in errors.items():
-            results[k] = exc
     else:
         beta = np.array(beta, dtype=float)
     beta0, value, sums, g, hess = _points(problems, beta, start)
     if sums is not None and not sums[0].min() > 0:
         d = sums[0]
-        for k in np.flatnonzero(~(d > 0)):
-            if results[k] is None:
-                results[k] = _concordance_error(float(d[k]), problems.work.live[k])
-    slots = [k for k, r in enumerate(results) if r is None]
-    if len(slots) < size:
-        if not slots:
-            return results
+        for k in np.flatnonzero(~(d > 0)).tolist():
+            errors.setdefault(k, _concordance_error(float(d[k]), problems.work.live[k]))
+    out = BatchFit(beta0=np.full(size, np.nan), beta=np.full(beta.shape, np.nan),
+                   iterations=np.zeros(size, dtype=int), grad_norm=np.full(size, np.nan),
+                   converged=np.zeros(size, dtype=bool),
+                   pair_sums=None if sums is None else tuple(np.full(a.shape, np.nan)
+                                                              for a in sums),
+                   errors=errors, traces=np.full((16, size), np.nan),
+                   kept=np.zeros(size, dtype=int))
+    slots = np.arange(size)
+    if errors:
+        slots = np.flatnonzero(~np.isin(slots, list(errors)))
+        if not slots.size:
+            return out
         problems, beta0, beta, value, sums, g, hess = _rows(
             slots, problems, beta0, beta, value, sums, g, hess)
-    # The arrays hold each problem's iterate on the leading axis; the
-    # lists hold its scalars, which the stop, the acceptance and the
-    # radius read one problem at a time.
+    # Row k of every array is problem slots[k]'s iterate and its state.
     lam = problems.lam
     band = 10.0 * np.finfo(float).eps
-    values = value.tolist()
-    gnorm = _norms(g).tolist()
-    scale = [gn if math.isnan(sc) else sc          # NaN: y is constant up to rounding
-             for sc, gn in zip(problems.scale.tolist(), gnorm)]
-    traces = [[v] for v in values]
-    radius = np.maximum(1.0, _norms(beta)).tolist()
+    gnorm = _norms(g)
+    scale = np.where(np.isnan(problems.scale), gnorm, problems.scale)  # NaN: y constant
+    radius = np.maximum(1.0, _norms(beta))
+    out.traces[0, slots] = value
     iters = 0
     while True:
-        grad_norm = [gn / sc if sc > 0 else 0.0 for gn, sc in zip(gnorm, scale)]
-        done = [gn <= tol or iters == max_iter for gn in grad_norm]
-        if True in done:
-            for k, finished in enumerate(done):
-                if finished:
-                    results[slots[k]] = FitResult(
-                        beta0=float(beta0[k]), beta=beta[k], lam=lam, alpha=problems.alpha,
-                        nu=problems.nu, objective_trace=np.asarray(traces[k]),
-                        concordance=None if sums is None else float(sums[0][k]),
-                        converged=grad_norm[k] <= tol, iterations=iters,
-                        grad_norm=grad_norm[k], evaluations=iters + 1,
-                        pair_sums=None if sums is None else tuple(a[k] for a in sums))
-            keep = [k for k, finished in enumerate(done) if not finished]
-            if not keep:
-                return results
-            slots, values, gnorm, scale, radius, traces = (
-                [a[k] for k in keep] for a in (slots, values, gnorm, scale, radius, traces))
+        grad_norm = np.divide(gnorm, scale, out=np.zeros(len(gnorm)), where=scale > 0)
+        done = grad_norm <= tol
+        if iters == max_iter:
+            done[:] = True
+        if done.any():
+            finished = slots[done]
+            out.beta0[finished], out.beta[finished] = beta0[done], beta[done]
+            out.iterations[finished], out.grad_norm[finished] = iters, grad_norm[done]
+            out.converged[finished] = grad_norm[done] <= tol
+            if sums is not None:
+                for a, b in zip(out.pair_sums, sums):
+                    a[finished] = b[done]
+            if done.all():
+                return out
+            keep = np.flatnonzero(~done)
+            slots, value, gnorm, scale, radius = (
+                a[keep] for a in (slots, value, gnorm, scale, radius))
             problems, beta0, beta, sums, g, hess = _rows(keep, problems, beta0, beta, sums, g,
                                                          hess)
         iters += 1
-        evals, evecs = np.linalg.eigh(hess)
-        step, pred, damped = _trust_step(evals, evecs, g, np.array(radius))
+        if iters == len(out.traces):
+            out.traces = np.concatenate([out.traces, np.full(out.traces.shape, np.nan)])
+        step, pred, damped = _steps(hess, g, radius)
         cand = beta + step
         cand0, cand_value, cand_sums, cand_g, cand_hess = _points(problems, cand)
-        new_values = cand_value.tolist()
-        new_gnorm = _norms(cand_g).tolist()
-        kept = [_accepts(v - nv, band * (abs(v) + lam), gn, ngn)
-                for v, nv, gn, ngn in zip(values, new_values, gnorm, new_gnorm)]
+        cand_gnorm = _norms(cand_g)
+        decrease = value - cand_value
+        kept = np.where(np.abs(decrease) <= band * (np.abs(value) + lam),
+                        cand_gnorm < gnorm, decrease > 0)
         # r doubles after a kept damped step that achieved 0.75 pred; a
         # rejected trial keeps its iterate and sets r = ||s||/4
-        damped = damped.tolist()
-        if not all(kept):
-            sizes = _norms(step).tolist()
-        for k, (ok, v, nv) in enumerate(zip(kept, values, new_values)):
-            if not ok:
-                radius[k] = 0.25 * sizes[k]
-                continue
-            if damped[k] and v - nv > 0.75 * float(pred[k]):
-                radius[k] *= 2.0
-            traces[k].append(nv)
-            values[k], gnorm[k] = nv, new_gnorm[k]
-        if all(kept):
+        radius = np.where(kept, np.where(damped & (decrease > 0.75 * pred), 2.0, 1.0) * radius,
+                          0.25 * _norms(step))
+        if not kept.any():
+            continue
+        moved = slots[kept]
+        out.kept[moved] += 1
+        out.traces[out.kept[moved], moved] = cand_value[kept]
+        value, gnorm = np.where(kept, cand_value, value), np.where(kept, cand_gnorm, gnorm)
+        if kept.all():
             beta0, beta, sums, g, hess = cand0, cand, cand_sums, cand_g, cand_hess
-        elif True in kept:
-            mask = np.array(kept)
+        else:
             beta0, beta, sums, g, hess = _where(
-                mask, (cand0, cand, cand_sums, cand_g, cand_hess), (beta0, beta, sums, g, hess))
+                kept, (cand0, cand, cand_sums, cand_g, cand_hess), (beta0, beta, sums, g, hess))
 
 
 def _rows(index, *arrays):
@@ -547,13 +603,19 @@ def fit_rasper(problem: PenalizedProblem, init=None, tol=1e-8,
         start = None if start is None else tuple(np.asarray(a)[None] for a in start)
     elif start is not None:
         raise InvalidValue("start sums need the init they were taken at")
-    (fit,) = fit_batch(problem.batch, beta, start, tol=tol, max_iter=max_iter)
-    if isinstance(fit, RasperError):
-        raise fit
-    if fit.concordance is None and problem.workspace.live[0]:
-        sums = _sums(problem, fit.beta)
-        fit = replace(fit, concordance=sums[0], pair_sums=sums)
-    return fit
+    fits = fit_batch(problem.batch, beta, start, tol=tol, max_iter=max_iter)
+    if fits.errors:
+        raise fits.errors[0]
+    sums = None if fits.pair_sums is None else tuple(a[0] for a in fits.pair_sums)
+    if sums is None and problem.workspace.live[0]:
+        sums = _sums(problem, fits.beta[0])
+    iterations = int(fits.iterations[0])
+    return FitResult(beta0=float(fits.beta0[0]), beta=fits.beta[0], lam=problem.lam,
+                     alpha=problem.alpha, nu=problem.nu, objective_trace=fits.trace(0),
+                     concordance=None if sums is None else float(sums[0]),
+                     converged=bool(fits.converged[0]), iterations=iterations,
+                     grad_norm=float(fits.grad_norm[0]), evaluations=iterations + 1,
+                     pair_sums=sums)
 
 
 def objective_gradient(problem: PenalizedProblem, beta0, beta):

@@ -394,11 +394,14 @@ def test_bad_setting_exit_1(tmp_path, capsys, make_text, needle):
     ({"study": "2", "beta_internal": [1.0] * 6, "theta": "abcd"}, "theta"),
     ({"methods": "ridge"}, "methods"),
     ({"lam_scale": ["a", "b"]}, "lam_scale"),
+    ({"study": "1b", "beta_external": [10**400, 0.5, 0.3, 0.2], "beta_internal": [1.0] * 6},
+     "beta_external"),
 ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
         "2-theta-3", "bic-criterion", "zero-beta-internal", "1b-zero-beta-external",
         "no-replications", "no-test-rows", "fractional-n-internal", "float-replications",
         "fractional-grid-j", "negative-seed", "nan-sigma", "infinite-sigma", "string-beta-internal",
-        "string-beta-external", "string-theta", "string-methods", "string-lam-scale"])
+        "string-beta-external", "string-theta", "string-methods", "string-lam-scale",
+        "json-int-beyond-float-beta-external"])
 def test_malformed_study_setting_exit_1(tmp_path, capsys, change, needle):
     setting = tmp_path / "setting.json"
     setting.write_text(json.dumps({**TestSimulate().setting_payload(), **change}),

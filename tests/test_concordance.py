@@ -623,13 +623,15 @@ class TestAppendixIdentities:
 
     @pytest.mark.parametrize("bad", [
         {"seed": -1}, {"seed": 2.5}, {"seed": True}, {"samples": 2.5}, {"samples": True},
-        {"nu": np.inf}, {"nu": -np.inf}, {"nu": np.nan}, {"nu": 1e-300},
+        {"nu": np.inf}, {"nu": -np.inf}, {"nu": np.nan}, {"nu": 1e-300}, {"nu": 10**400},
     ], ids=["negative-seed", "fractional-seed", "bool-seed", "fractional-samples",
-            "bool-samples", "infinite-nu", "negative-infinite-nu", "nan-nu", "underflowing-nu"])
+            "bool-samples", "infinite-nu", "negative-infinite-nu", "nan-nu", "underflowing-nu",
+            "int-beyond-float-nu"])
     def test_spec_rejects_bad_seed_samples_and_nu(self, bad):
         # A negative seed fails deep in numpy, a fractional count is taken as
         # a count, an infinite nu gives a constant D, so the penalty does
-        # nothing, and a nu whose square underflows to 0 gives a NaN Hessian:
-        # each is refused when the spec is built.
+        # nothing, a nu whose square underflows to 0 gives a NaN Hessian, and
+        # an int beyond the float range raised OverflowError: each is
+        # refused, with the typed error, when the spec is built.
         with pytest.raises(InvalidValue, match=next(iter(bad))):
             ConcordanceSpec(**bad)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from rasper.selection import (
     loocv_score,
     select,
 )
-from rasper.solver import FitResult, PenalizedProblem, default_nu, fit_batch, fit_rasper
+from rasper.solver import PenalizedProblem, default_nu, fit_batch, fit_rasper
 
 from conftest import count_calls, fold_weights, make_problem, reference_sums
 
@@ -93,10 +94,12 @@ class TestGrid:
             build_grid(1.0, 100.0, 1, 0.1, 1.0, 2.0)
         with pytest.raises(InvalidBounds):
             build_grid(1.0, 100.0, True, 0.1, 1.0, 1)
-        # max / min overflows (an infinite max, or a huge ratio of finite
-        # bounds), which spaced the grid as [0, nan, inf, ...]
+        # max / min overflows: an infinite max or a huge ratio of finite
+        # bounds, which spaced the grid as [0, nan, inf, ...], or an int max
+        # beyond the float range, which raised OverflowError
         for bounds in ((0.1, 1.0, 0.1, math.inf), (0.1, 1.0, 1e-10, 1e300),
-                       (1e-10, 1e300, 0.1, 1.0), (1.0, math.inf, 0.1, 1.0)):
+                       (1e-10, 1e300, 0.1, 1.0), (1.0, math.inf, 0.1, 1.0),
+                       (1, 10**400, 0.1, 1.0), (0.1, 1.0, 1, 10**400)):
             with pytest.raises(InvalidBounds, match="max / min is not finite"):
                 build_grid(bounds[0], bounds[1], 3, bounds[2], bounds[3], 3)
 
@@ -129,9 +132,10 @@ class TestLOOCV:
         design = standardize(x, q=2)
         ranks = external_ranks(x[:, :2] @ [1.0, 0.4])
         spec = ConcordanceSpec("spearman", False, default_nu(design, y), 3, 0)
-        results = fit_batch(selection._FoldState(design, y, ranks, spec).at(lam, 0.0))
-        assert [isinstance(fit, FitResult) for fit in results] == [k != 4 for k in range(12)]
-        assert isinstance(results[4], SingularDesign)
+        fits = fit_batch(selection._FoldState(design, y, ranks, spec).at(lam, 0.0))
+        assert list(fits.errors) == [4] and isinstance(fits.errors[4], SingularDesign)
+        assert np.isfinite(fits.beta0).tolist() == [k != 4 for k in range(12)]
+        assert fits.converged.tolist() == [k != 4 for k in range(12)]
         with pytest.raises(FoldFailure, match=re.escape(
                 "1 of 12 folds failed: [(4, 'design is rank deficient and alpha = 0')]")):
             loocv_score(design, y, ranks, spec, lam, 0.0)
@@ -262,7 +266,7 @@ class TestLOOCV:
                     state=state)
         assert len(folds) == design.n
         for fit in folds:
-            assert fit.converged and fit.evaluations == fit.iterations + 1
+            assert fit.converged
         start_tables = 0 if warm else design.n
         assert sum(tables) == sum(fit.iterations for fit in folds) + start_tables
         if start_tables:
@@ -336,13 +340,23 @@ def _fold_data(n, case):
     return design, y, ranks, spec
 
 
+def _fold_fits(fits):
+    """Each problem's fit in a ``BatchFit``, as a record with the
+    ``FitResult`` fields the tests read."""
+    return [SimpleNamespace(beta0=fits.beta0[k], beta=fits.beta[k],
+                            iterations=int(fits.iterations[k]),
+                            converged=bool(fits.converged[k]), grad_norm=fits.grad_norm[k],
+                            concordance=None if fits.pair_sums is None else fits.pair_sums[0][k])
+            for k in range(len(fits.beta0))]
+
+
 def _recorded_fold_fits(monkeypatch):
     """Record every fold fit ``loocv_score`` gets from ``fit_batch``."""
     fits = []
 
     def recorded(problems, beta=None, start=None):
         out = fit_batch(problems, beta, start)
-        fits.extend(out)
+        fits.extend(_fold_fits(out))
         return out
 
     monkeypatch.setattr(selection, "fit_batch", recorded)
@@ -376,8 +390,9 @@ class TestBatchedFolds:
         for k, (fold, weights) in enumerate(zip(folds, fold_weights(cache, spec.measure))):
             keep = np.delete(np.arange(n), k)
             problem = PenalizedProblem(design.subset(keep), y[keep], weights, spec, lam, alpha)
-            (alone,) = fit_batch(problem.batch, full.beta[None] if warm else None,
-                                 None if starts is None else tuple(a[k:k + 1] for a in starts))
+            (alone,) = _fold_fits(fit_batch(
+                problem.batch, full.beta[None] if warm else None,
+                None if starts is None else tuple(a[k:k + 1] for a in starts)))
             assert fold.converged == alone.converged
             assert fold.iterations == alone.iterations
             assert np.linalg.norm(fold.beta - alone.beta) <= 1e-12 * np.linalg.norm(alone.beta)

@@ -206,6 +206,9 @@ class TestSimSetting:
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), methods="ridge"),
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), lam_scale=("a", "b")),
         dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), alpha_scale=(1.0,)),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), lam_scale=(1, 10**400)),
+        dict(study="1b", beta_external=(10**400, 1, 1, 1), beta_internal=(1.0,) * 6),
+        dict(study="1a", beta_external=(1.0,), beta_internal=(1.0,), sigma=10**400),
     ], ids=["1b-beta-internal-length", "1b-short-beta-external", "2-beta-internal-7",
             "2-theta-3", "bic-criterion", "no-replications", "no-test-rows",
             "1a-zero-beta-internal", "2-empty-beta-internal", "1a-zero-beta-external",
@@ -214,8 +217,10 @@ class TestSimSetting:
             "fractional-grid-j", "float-grid-k", "string-seed", "negative-seed", "nan-sigma",
             "infinite-sigma", "string-beta-internal", "string-beta-external",
             "bool-beta-internal", "nan-beta-external", "string-theta", "string-methods",
-            "string-lam-scale", "one-alpha-scale"])
+            "string-lam-scale", "one-alpha-scale", "int-beyond-float-lam-scale",
+            "int-beyond-float-beta-external", "int-beyond-float-sigma"])
     def test_malformed_study_coefficients_rejected(self, bad):
+        # an int beyond the float range raised OverflowError, not the typed error
         with pytest.raises(InvalidValue):
             SimSetting(**{"n_internal": 20, **bad})
 

@@ -24,7 +24,7 @@ from rasper.errors import (
     NonSPDSystem,
     SingularDesign,
 )
-from rasper.selection import fold_weight_cache
+from rasper.selection import build_grid, fold_weight_cache, loocv_score, select
 from rasper.solver import (
     PenalizedProblem,
     default_nu,
@@ -410,6 +410,29 @@ class TestProblemCaches:
         assert problem.workspace.tables[0].shape == (3 if marginal else 1, problem.design.n,
                                                  problem.design.p)
 
+    @pytest.mark.parametrize("criterion", ["aic", "loocv"])
+    def test_select_builds_the_full_data_batch_once(self, monkeypatch, criterion):
+        # Every grid point's problem shares the full data's unpenalized
+        # batch (centered rows, gram, X_c'y_c), as it shares the workspace,
+        # so a select builds one, not one per grid point; each point's
+        # penalized batch is the one a fresh problem builds, bit for bit.
+        # (The folds' batch is built through the selection module's name.)
+        problem, ranks, _ = make_problem(lam=0.0, alpha=0.0)
+        grid = build_grid(0.5, 50.0, 2, 0.1, 5.0, 1)
+        shapes = []
+        original = solver.problem_batch
+        monkeypatch.setattr(solver, "problem_batch",
+                            lambda x, *args: shapes.append(x.shape) or original(x, *args))
+        report = select(problem.design, problem.y, ranks, problem.spec, grid, criterion)
+        assert shapes == [(1, problem.design.n, problem.design.p)]
+        for rec in report.records:
+            shared = problem.with_penalties(rec.lam, rec.alpha)
+            fresh = dataclasses.replace(problem, lam=rec.lam, alpha=rec.alpha)
+            assert shared.unpenalized is problem.unpenalized
+            for name in ("x", "y", "gram", "xty", "scale"):
+                assert getattr(shared.batch, name).tobytes() == \
+                    getattr(fresh.batch, name).tobytes()
+
     def test_rank_count_must_match_rows(self):
         problem, ranks, _ = make_problem()
         short = pair_weights(external_ranks(ranks.r[1:]), "spearman")
@@ -459,31 +482,31 @@ class TestNewtonAndFallback:
     def test_rejected_trial_only_shrinks_radius(self, monkeypatch):
         # At lambda = 1000 n the Kendall objective is far from convex at the
         # start, so on seed 7 some trials are rejected. A rejection keeps the
-        # iterate and sets the next radius to a quarter of the rejected step;
-        # the fit takes no MM step and no separate objective call.
+        # iterate, so the next round's step starts from the same gradient,
+        # and sets the next radius to a quarter of the rejected step; the fit
+        # takes no MM step and no separate objective call.
         mm_calls = count_calls(monkeypatch, solver, "mm_step")
         value_calls = count_calls(monkeypatch, solver, "penalized_objective")
-        steps, verdicts = [], []
-        trust_step, accepts = solver._trust_step, solver._accepts
+        rounds = []
+        steps = solver._steps
 
-        def recorded_step(evals, evecs, g, radius):
-            out = trust_step(evals, evecs, g, radius)
-            steps.append((radius, float(np.linalg.norm(out[0]))))
+        def recorded_steps(hess, g, radius):
+            out = steps(hess, g, radius)
+            rounds.append((g.copy(), float(radius[0]), float(np.linalg.norm(out[0]))))
             return out
 
-        def recorded_accepts(*args):
-            verdicts.append(accepts(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(solver, "_trust_step", recorded_step)
-        monkeypatch.setattr(solver, "_accepts", recorded_accepts)
+        monkeypatch.setattr(solver, "_steps", recorded_steps)
         p, _, _ = make_problem(seed=7, lam=20000.0, measure="kendall")
         fit = fit_rasper(p)
         assert fit.converged and fit.grad_norm <= 1e-8
         assert not mm_calls and not value_calls
-        assert len(verdicts) == len(steps) == fit.iterations
+        assert len(rounds) == fit.iterations
+        # a kept trial moves the iterate, and the last one was kept, since
+        # the fit converged there
+        verdicts = [not np.array_equal(g, next_g)
+                    for (g, _, _), (next_g, _, _) in zip(rounds, rounds[1:])] + [True]
         assert 0 < verdicts.count(False) and len(fit.objective_trace) == verdicts.count(True) + 1
-        for (radius, size), (next_radius, _), kept in zip(steps, steps[1:], verdicts):
+        for (_, radius, size), (_, next_radius, _), kept in zip(rounds, rounds[1:], verdicts):
             if kept:
                 assert next_radius in (radius, 2.0 * radius)
             else:
@@ -527,6 +550,77 @@ def _study_1b(seed, n=100):
     design = standardize(x, q=4)
     ranks = external_ranks(z @ np.array([1.0, 0.8, 0.6, 0.4]))
     return design, y, ranks, default_nu(design, y)
+
+
+class TestCholeskyRound:
+    # A round takes each problem's Newton step from a batched Cholesky
+    # solve, and only the rows without a factor, or whose Newton step
+    # leaves the radius, take an eigendecomposition; a row's branch reads
+    # only its own H, g and radius.
+    @staticmethod
+    def _copies(measure, samples, starts):
+        """One problem (n = 30, p = 3, lambda = 3000, on ``samples`` design
+        tables) stacked once per row of ``starts``, as a ``ProblemBatch``."""
+        problem, _, _ = make_problem(seed=7, n=30, p=3, lam=3000.0, measure=measure)
+        x, size = problem.design.x, len(starts)
+        tables = x[None]
+        if samples > 1:
+            sampler = build_marginal_sampler(x[:, :2], x[:, 2:], samples, 0)
+            tables = np.stack(marginalized_weights(problem.weights, sampler).tables)
+        # stacked copies: matmul takes another path on a stride-0 broadcast
+        copies = [np.repeat(a[None], size, axis=0) for a in (tables, problem.weights.r, x,
+                                                              problem.y)]
+        work = PairWorkspace(*copies[:2], measure)
+        return solver.problem_batch(*copies[2:], problem.nu).with_penalties(
+            problem.lam, problem.alpha, work)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("measure", ["spearman", "kendall"])
+    def test_mixed_round_matches_each_problem_alone(self, monkeypatch, measure, samples):
+        # Starts of norm 0.01 to 20: the first round holds Newton rows,
+        # rows whose H is indefinite and rows whose Newton step overshoots
+        # the radius. Every problem of the batch, S = 3 spanning three
+        # engine chunks, ends exactly as it does alone.
+        starts = np.random.default_rng(0).standard_normal((40, 3)) \
+            * np.geomspace(0.01, 20.0, 40)[:, None]
+        batch = self._copies(measure, samples, starts)
+        rounds = []
+        steps = solver._steps
+        monkeypatch.setattr(solver, "_steps", lambda h, g, r: rounds.append((h, g, r))
+                            or steps(h, g, r))
+        fits = solver.fit_batch(batch, starts)
+        hess, g, radius = rounds[0]
+        factored = np.array([np.all(np.linalg.eigvalsh(h) > 0) for h in hess])
+        newton = -np.linalg.solve(hess, g[..., None])[..., 0]
+        overshoots = factored & (np.linalg.norm(newton, axis=1) > radius)
+        assert (~factored).sum() > 5 and overshoots.sum() > 2
+        assert (factored & ~overshoots).sum() > 2
+        assert fits.converged.all() and not fits.errors
+        for k in range(len(starts)):
+            alone = solver.fit_batch(batch[np.array([k])], starts[k:k + 1])
+            for name in ("beta0", "beta", "iterations", "grad_norm", "converged", "kept"):
+                assert getattr(alone, name)[0].tobytes() == getattr(fits, name)[k].tobytes()
+            for a, b in zip(alone.pair_sums, fits.pair_sums, strict=True):
+                assert a[0].tobytes() == b[k].tobytes()
+            assert alone.trace(0).tobytes() == fits.trace(k).tobytes()
+
+    def test_warm_folds_with_definite_hessians_take_no_eigh(self, monkeypatch):
+        # Warm leave-one-out folds start next to their solutions, where
+        # every H is positive definite and every Newton step fits in the
+        # radius, so no round decomposes a Hessian.
+        design, y, ranks, nu = _study_1b(1, n=40)
+        spec = ConcordanceSpec("spearman", False, nu)
+        lam, alpha = 4.0 * design.n, 0.01 * design.n
+        full = fit_rasper(PenalizedProblem(design, y, pair_weights(ranks, "spearman"), spec,
+                                           lam, alpha))
+        hessians = []
+        steps = solver._steps
+        monkeypatch.setattr(solver, "_steps", lambda h, g, r: hessians.append(h)
+                            or steps(h, g, r))
+        decompositions = count_calls(monkeypatch, np.linalg, "eigh")
+        loocv_score(design, y, ranks, spec, lam, alpha, warm=full)
+        assert hessians and all(np.all(np.linalg.eigvalsh(h) > 0) for h in hessians)
+        assert not decompositions
 
 
 class TestTrustRegion:
