@@ -15,8 +15,9 @@ folds' rows, grams and X_c'y_c taken from the full data by indexing and
 their pair workspace (O(S n^2 p) memory in all). A grid point then only
 adds alpha to a copy of the grams' diagonals. ``loocv_score`` fits a grid
 point's n folds as one batch through the one trust-region loop,
-``solver.fit_batch``, whose rounds take Newton steps from one batched
-Cholesky solve, and reads the batch's arrays directly; its ``_pair_sums`` passes walk the batch in chunks
+``solver.fit_batch``, whose rounds test the Hessians by one batched
+Cholesky and take Newton steps from one batched ``solve``, and reads the
+batch's arrays directly; its ``_pair_sums`` passes walk the batch in chunks
 sized by ``concordance.CHUNK_PAIRS``, never O(n^3). Nothing is cached
 between ``select`` calls.
 

@@ -11,12 +11,12 @@ leave-one-out folds do from ``concordance.fold_pair_sums``) saves the
 start's pass. Every fit returns the sums at its solution
 (``FitResult.pair_sums``), from the pass that evaluated it; they depend on
 beta alone, so a fit at another (lambda, alpha) that starts there can take
-them as its start. Each iterate also factors H by Cholesky: when it has a
-factor and the Newton step from that solve fits in the trust radius, that
-step is the trial; otherwise an eigendecomposition of H gives a damped
-Newton step inside the radius in closed form, so an indefinite H or an
-overshooting Newton point still gives a useful trial. The trial is kept when it lowers the objective
-by more than the rounding band delta = 10*eps*(|F| + lambda), or, inside
+them as its start. Each iterate also tests H by Cholesky: when it has a
+factor and the Newton step, solved by ``np.linalg.solve``, fits in the
+trust radius, that step is the trial; otherwise an eigendecomposition of H
+gives a damped Newton step inside the radius in closed form, so an
+indefinite H or an overshooting Newton point still gives a useful trial.
+The trial is kept when it lowers the objective by more than the rounding band delta = 10*eps*(|F| + lambda), or, inside
 that band, where F cannot resolve the change, when it lowers ||g||; a
 rejected trial only shrinks the radius. The fit stops on a scale-free
 relative gradient, so ``converged`` means stationary.
@@ -31,9 +31,9 @@ point.
 
 The loop, ``fit_batch``, fits a ``ProblemBatch``: B problems of one size
 that share (lambda, alpha, nu), held on a leading problem axis. Every round
-takes one trial for each unfinished problem, with one engine pass and one
-batched Cholesky solve for the batch (``eigh`` only on the rows that need
-a damped step), keeps every problem's state in arrays, and returns one
+takes one trial for each unfinished problem, with one engine pass, one
+batched Cholesky test and one batched ``solve`` for the batch (``eigh``
+only on the rows that need a damped step), keeps every problem's state in arrays, and returns one
 array-valued ``BatchFit``; each problem takes the iterates it would take
 alone. ``fit_rasper`` runs a problem as a
 batch of one, and ``selection.loocv_score`` runs the n leave-one-out folds
@@ -72,6 +72,8 @@ from .errors import (
 )
 
 NU_FLOOR = 1e-3
+_BAND = 10.0 * np.finfo(float).eps     # the acceptance band's relative width
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,10 @@ class BatchFit:
     (B, p), ``iterations``, ``grad_norm`` (the relative gradient) and
     ``converged`` (B,), and ``pair_sums``, (D, dD, d2D) at each final beta,
     None when lambda = 0 (no pair pass). A problem that failed has NaN and
-    zero rows and its ``RasperError`` in ``errors``, by index. ``traces``
-    (T, B) holds each problem's objective at its start and after each of its
-    ``kept`` trials, NaN past its end (``trace``)."""
+    zero rows and its ``RasperError`` in ``errors``, by index. Row t of
+    ``traces`` (T, B) holds each problem's objective after round t (its start
+    at t = 0), NaN where that round's trial was rejected or the problem had
+    stopped; a kept trial's F is finite (``trace``)."""
 
     beta0: np.ndarray
     beta: np.ndarray
@@ -236,11 +239,11 @@ class BatchFit:
     pair_sums: tuple | None
     errors: dict
     traces: np.ndarray
-    kept: np.ndarray
 
     def trace(self, k):
         """Problem k's objective trace: F at its start and at each kept trial."""
-        return self.traces[:self.kept[k] + 1, k].copy()
+        column = self.traces[:, k]
+        return column[~np.isnan(column)]
 
 
 def default_nu(design: StandardizedDesign, y) -> float:
@@ -380,37 +383,50 @@ def _trust_step(evals, evecs, g, radius):
 
 def _newton_steps(hess, g):
     """The Newton steps -H^{-1} g of a stack of problems (B, p, p), (B, p),
-    and which rows have one: an H with a Cholesky factor. A stacked
-    ``cholesky`` or ``solve`` that raises is retried row by row, so a row's
-    step is the one it gets alone (stacked and single calls agree bit for
-    bit); a row without a factor gets NaN."""
+    NaN for a row whose H has no Cholesky factor. ``cholesky`` only tests
+    H, and the step comes from one LU ``solve``: numpy has no triangular
+    solve, so the factor would take two general solves. A stacked call that
+    raises is split in halves, down to the rows that raise alone: f failing
+    rows of B take about 2f*log2(B/f) calls (2B - 1 when all fail), and
+    every row's step comes from a stacked call that succeeded, which gives
+    it bit for bit (stacked and single calls agree)."""
     try:
         np.linalg.cholesky(hess)
-        return -np.linalg.solve(hess, g[..., None])[..., 0], np.ones(len(g), dtype=bool)
+        return -np.linalg.solve(hess, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(g) == 1:
-            return np.full_like(g, np.nan), np.zeros(1, dtype=bool)
-        rows = [_newton_steps(hess[k:k + 1], g[k:k + 1]) for k in range(len(g))]
-        return np.concatenate([s for s, _ in rows]), np.concatenate([ok for _, ok in rows])
+            return np.full_like(g, np.nan)
+        mid = len(g) // 2
+        return np.concatenate([_newton_steps(hess[:mid], g[:mid]),
+                               _newton_steps(hess[mid:], g[mid:])])
 
 
 def _steps(hess, g, radius):
-    """Each problem's trial step s, its model decrease pred and whether s
-    is damped, for a batch (B, p, p), (B, p), (B,): the Newton step from a
-    Cholesky solve (``_newton_steps``) where H has a factor and that step
-    fits in the radius, else ``_trust_step`` on an eigendecomposition of
-    just those rows. A row's branch reads only its own H, g and radius, so
-    it takes the step it would take alone. For a Newton step
-    pred = -(g's + 0.5 s'Hs) = -0.5 g's."""
-    step, newton = _newton_steps(hess, g)
-    newton &= _norms(step) <= radius
-    pred = -0.5 * _dots(g, step)
-    damped = np.zeros(len(g), dtype=bool)
-    if not newton.all():
-        rest = ~newton
-        evals, evecs = np.linalg.eigh(hess[rest])
-        step[rest], pred[rest], damped[rest] = _trust_step(evals, evecs, g[rest], radius[rest])
-    return step, pred, damped
+    """Each problem's trial step s for a batch (B, p, p), (B, p), (B,), and
+    the decrease of F above which keeping s doubles the radius (None when no
+    step can). s is the Newton step (``_newton_steps``) where H has a
+    Cholesky factor and that step fits in the radius, else the step of
+    ``_trust_step`` on an eigendecomposition of just those rows; the
+    threshold is 0.75 pred where that step is damped, so the radius was
+    binding, and inf elsewhere. A row's branch reads only its own H, g and
+    radius, so it takes the step it would take alone."""
+    step = _newton_steps(hess, g)
+    rest = _rows_of(~(_norms(step) <= radius))          # and where the step is NaN
+    if rest is None:
+        return step, None
+    evals, evecs = np.linalg.eigh(hess[rest])
+    step[rest], pred, damped = _trust_step(evals, evecs, g[rest], radius[rest])
+    grow = np.full(len(g), np.inf)
+    grow[rest] = np.where(damped, 0.75 * pred, np.inf)
+    return step, grow
+
+
+def _rows_of(mask):
+    """An index of the rows that ``mask`` (B,) sets: None when it sets none,
+    a full slice, which indexes without a copy, when it sets all, else the
+    mask."""
+    count = np.count_nonzero(mask)
+    return None if not count else _ALL if count == len(mask) else mask
 
 
 def _points(problems, beta, sums=None):
@@ -444,7 +460,8 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
               max_iter=500) -> BatchFit:
     """Fit the B problems of ``problems`` by trust-region Newton steps, in
     lock step: every round takes one trial per unfinished problem, with one
-    engine pass and one batched Cholesky solve for all of them (``_steps``);
+    engine pass and one batched Cholesky test and ``solve`` for all of them
+    (``_steps``);
     only the engine pass walks the batch in the workspace's chunks. Each
     problem's state (value, gradient norm, radius) is a row of an array,
     and the result is one ``BatchFit``, with the ``RasperError`` that
@@ -469,7 +486,7 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
 
     Otherwise the trial step s (``_steps``) is the Newton step when H has a
     Cholesky factor and the step fits in the radius r, else a damped step
-    with ||s|| <= r; pred is its model decrease. The first radius r is
+    with ||s|| <= r and model decrease pred. The first radius r is
     max(1, ||beta_start||). With delta = 10*eps*(|F| + lambda), the trial is
     kept when F there is below F at the iterate by more than delta, or, when
     |F_trial - F| <= delta, when its gradient is smaller. Near a large-lambda
@@ -497,42 +514,46 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
         d = sums[0]
         for k in np.flatnonzero(~(d > 0)).tolist():
             errors.setdefault(k, _concordance_error(float(d[k]), problems.work.live[k]))
-    out = BatchFit(beta0=np.full(size, np.nan), beta=np.full(beta.shape, np.nan),
-                   iterations=np.zeros(size, dtype=int), grad_norm=np.full(size, np.nan),
-                   converged=np.zeros(size, dtype=bool),
-                   pair_sums=None if sums is None else tuple(np.full(a.shape, np.nan)
-                                                              for a in sums),
-                   errors=errors, traces=np.full((16, size), np.nan),
-                   kept=np.zeros(size, dtype=int))
+    # every problem's row is written when it stops, or set to NaN here
+    out = BatchFit(beta0=np.empty(size), beta=np.empty(beta.shape),
+                   iterations=np.zeros(size, dtype=int), grad_norm=np.empty(size),
+                   converged=None,
+                   pair_sums=None if sums is None else tuple(np.empty(a.shape) for a in sums),
+                   errors=errors, traces=np.full((16, size), np.nan))
     slots = np.arange(size)
     if errors:
-        slots = np.flatnonzero(~np.isin(slots, list(errors)))
+        failed = list(errors)
+        for a in (out.beta0, out.beta, out.grad_norm) + (out.pair_sums or ()):
+            a[failed] = np.nan
+        slots = np.flatnonzero(~np.isin(slots, failed))
         if not slots.size:
+            out.converged = np.zeros(size, dtype=bool)
             return out
         problems, beta0, beta, value, sums, g, hess = _rows(
             slots, problems, beta0, beta, value, sums, g, hess)
     # Row k of every array is problem slots[k]'s iterate and its state.
     lam = problems.lam
-    band = 10.0 * np.finfo(float).eps
     gnorm = _norms(g)
     scale = np.where(np.isnan(problems.scale), gnorm, problems.scale)  # NaN: y constant
+    scale[scale == 0.0] = 1.0           # then ||g|| = 0 and the problem stops at its start
     radius = np.maximum(1.0, _norms(beta))
     out.traces[0, slots] = value
     iters = 0
     while True:
-        grad_norm = np.divide(gnorm, scale, out=np.zeros(len(gnorm)), where=scale > 0)
+        grad_norm = gnorm / scale
         done = grad_norm <= tol
         if iters == max_iter:
             done[:] = True
-        if done.any():
-            finished = slots[done]
-            out.beta0[finished], out.beta[finished] = beta0[done], beta[done]
-            out.iterations[finished], out.grad_norm[finished] = iters, grad_norm[done]
-            out.converged[finished] = grad_norm[done] <= tol
+        rows = _rows_of(done)
+        if rows is not None:
+            finished = slots[rows]
+            out.beta0[finished], out.beta[finished] = beta0[rows], beta[rows]
+            out.iterations[finished], out.grad_norm[finished] = iters, grad_norm[rows]
             if sums is not None:
                 for a, b in zip(out.pair_sums, sums):
-                    a[finished] = b[done]
-            if done.all():
+                    a[finished] = b[rows]
+            if rows is _ALL:
+                out.converged = out.grad_norm <= tol           # False where a problem failed
                 return out
             keep = np.flatnonzero(~done)
             slots, value, gnorm, scale, radius = (
@@ -542,28 +563,27 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
         iters += 1
         if iters == len(out.traces):
             out.traces = np.concatenate([out.traces, np.full(out.traces.shape, np.nan)])
-        step, pred, damped = _steps(hess, g, radius)
+        step, grow = _steps(hess, g, radius)
         cand = beta + step
         cand0, cand_value, cand_sums, cand_g, cand_hess = _points(problems, cand)
         cand_gnorm = _norms(cand_g)
         decrease = value - cand_value
-        kept = np.where(np.abs(decrease) <= band * (np.abs(value) + lam),
+        kept = np.where(np.abs(decrease) <= _BAND * (np.abs(value) + lam),
                         cand_gnorm < gnorm, decrease > 0)
-        # r doubles after a kept damped step that achieved 0.75 pred; a
-        # rejected trial keeps its iterate and sets r = ||s||/4
-        radius = np.where(kept, np.where(damped & (decrease > 0.75 * pred), 2.0, 1.0) * radius,
-                          0.25 * _norms(step))
-        if not kept.any():
-            continue
-        moved = slots[kept]
-        out.kept[moved] += 1
-        out.traces[out.kept[moved], moved] = cand_value[kept]
-        value, gnorm = np.where(kept, cand_value, value), np.where(kept, cand_gnorm, gnorm)
-        if kept.all():
-            beta0, beta, sums, g, hess = cand0, cand, cand_sums, cand_g, cand_hess
+        # r doubles after a kept damped step that achieved 0.75 pred (the
+        # threshold ``_steps`` gives); a rejected trial keeps its iterate
+        # and sets r = ||s||/4
+        if grow is not None:
+            radius = np.where(decrease > grow, 2.0 * radius, radius)
+        new = cand0, cand_value, cand_gnorm, cand, cand_sums, cand_g, cand_hess
+        if np.count_nonzero(kept) == len(kept):
+            out.traces[iters, slots] = cand_value
+            beta0, value, gnorm, beta, sums, g, hess = new
         else:
-            beta0, beta, sums, g, hess = _where(
-                kept, (cand0, cand, cand_sums, cand_g, cand_hess), (beta0, beta, sums, g, hess))
+            radius = np.where(kept, radius, 0.25 * _norms(step))
+            out.traces[iters, slots] = np.where(kept, cand_value, np.nan)
+            beta0, value, gnorm, beta, sums, g, hess = _where(
+                kept, new, (beta0, value, gnorm, beta, sums, g, hess))
 
 
 def _rows(index, *arrays):

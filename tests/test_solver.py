@@ -553,10 +553,10 @@ def _study_1b(seed, n=100):
 
 
 class TestCholeskyRound:
-    # A round takes each problem's Newton step from a batched Cholesky
-    # solve, and only the rows without a factor, or whose Newton step
-    # leaves the radius, take an eigendecomposition; a row's branch reads
-    # only its own H, g and radius.
+    # A round tests each problem's H by a batched Cholesky and takes its
+    # Newton step from a batched solve, and only the rows without a factor,
+    # or whose Newton step leaves the radius, take an eigendecomposition; a
+    # row's branch reads only its own H, g and radius.
     @staticmethod
     def _copies(measure, samples, starts):
         """One problem (n = 30, p = 3, lambda = 3000, on ``samples`` design
@@ -598,11 +598,28 @@ class TestCholeskyRound:
         assert fits.converged.all() and not fits.errors
         for k in range(len(starts)):
             alone = solver.fit_batch(batch[np.array([k])], starts[k:k + 1])
-            for name in ("beta0", "beta", "iterations", "grad_norm", "converged", "kept"):
+            for name in ("beta0", "beta", "iterations", "grad_norm", "converged"):
                 assert getattr(alone, name)[0].tobytes() == getattr(fits, name)[k].tobytes()
             for a, b in zip(alone.pair_sums, fits.pair_sums, strict=True):
                 assert a[0].tobytes() == b[k].tobytes()
             assert alone.trace(0).tobytes() == fits.trace(k).tobytes()
+
+    def test_failing_rows_are_found_by_halving(self, monkeypatch):
+        # One H of 64 has no factor. The stacked Cholesky that raises is
+        # split in halves, so finding that row takes 2*log2(64) + 1 = 13
+        # calls, not the 65 of a row-by-row retry, and every row's step is
+        # the one it gets alone.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((64, 6, 6))
+        hess = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(6)
+        hess[37] -= 20.0 * np.eye(6)
+        g = rng.standard_normal((64, 6))
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        steps = solver._newton_steps(hess, g)
+        assert len(calls) == 13
+        assert np.isnan(steps[37]).all() and not np.isnan(np.delete(steps, 37, 0)).any()
+        for k in range(64):
+            assert steps[k].tobytes() == solver._newton_steps(hess[k:k + 1], g[k:k + 1])[0].tobytes()
 
     def test_warm_folds_with_definite_hessians_take_no_eigh(self, monkeypatch):
         # Warm leave-one-out folds start next to their solutions, where
