@@ -16,9 +16,10 @@ factor and the Newton step, solved by ``np.linalg.solve``, fits in the
 trust radius, that step is the trial; otherwise an eigendecomposition of H
 gives a damped Newton step inside the radius in closed form, so an
 indefinite H or an overshooting Newton point still gives a useful trial.
-The trial is kept when it lowers the objective by more than the rounding band delta = 10*eps*(|F| + lambda), or, inside
-that band, where F cannot resolve the change, when it lowers ||g||; a
-rejected trial only shrinks the radius. The fit stops on a scale-free
+The trial is kept when it lowers the objective by more than the rounding
+band delta = 10*eps*(|F| + lambda), or, inside that band, where F cannot
+resolve the change, when it lowers ||g||; a rejected trial only shrinks
+the radius. The fit stops on a scale-free
 relative gradient, so ``converged`` means stationary.
 
 ``mm_step`` is the paper's majorize-minimize map, which the fit no longer
@@ -33,10 +34,10 @@ The loop, ``fit_batch``, fits a ``ProblemBatch``: B problems of one size
 that share (lambda, alpha, nu), held on a leading problem axis. Every round
 takes one trial for each unfinished problem, with one engine pass, one
 batched Cholesky test and one batched ``solve`` for the batch (``eigh``
-only on the rows that need a damped step), keeps every problem's state in arrays, and returns one
-array-valued ``BatchFit``; each problem takes the iterates it would take
-alone. ``fit_rasper`` runs a problem as a
-batch of one, and ``selection.loocv_score`` runs the n leave-one-out folds
+only on the rows that need a damped step), keeps every problem's state in
+arrays, and returns one array-valued ``BatchFit``; each problem takes the
+iterates it would take alone. ``fit_rasper`` runs a problem as a batch of
+one, and ``selection.loocv_score`` runs the n leave-one-out folds
 of a grid point as one batch, so there is one solver path.
 
 Every pair sum comes from an entry point of the one engine in
@@ -461,12 +462,11 @@ def fit_batch(problems: ProblemBatch, beta=None, start=None, tol=1e-8,
     """Fit the B problems of ``problems`` by trust-region Newton steps, in
     lock step: every round takes one trial per unfinished problem, with one
     engine pass and one batched Cholesky test and ``solve`` for all of them
-    (``_steps``);
-    only the engine pass walks the batch in the workspace's chunks. Each
-    problem's state (value, gradient norm, radius) is a row of an array,
-    and the result is one ``BatchFit``, with the ``RasperError`` that
-    stopped a problem in ``errors``: a D that is not positive at the start,
-    or a rank-deficient design when alpha = 0 and ``beta`` is None.
+    (``_steps``); only the engine pass walks the batch in the workspace's
+    chunks. Each problem's state (value, gradient norm, radius) is a row of
+    an array, and the result is one ``BatchFit``, with the ``RasperError``
+    that stopped a problem in ``errors``: a D that is not positive at the
+    start, or a rank-deficient design when alpha = 0 and ``beta`` is None.
 
     Each problem starts at its row of ``beta`` (B, p), or at its
     local-objective minimizer when ``beta`` is None, which guarantees the
